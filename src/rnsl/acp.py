@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import MIN_STEP, _coerce_eta
 from .errors import DimMismatch, SolveFailed, SpaceMismatch, StepUnderflow
 from .l0 import L0Scalar
 from .rn import L0Operator, RnVector, l0_norm, op_apply
-from .semigroup import CSemigroup, c_resolvent_direct, evaluate, _coerce_eta
-
-MIN_STEP = 1e-12
+from .semigroup import CSemigroup, c_resolvent_direct, evaluate
 
 
 def _check_times(times) -> tuple[float, ...]:

@@ -232,6 +232,15 @@ def _require_certificate(g: CurveSampler) -> ExponentialBound:
     return g.bound
 
 
+def _coerce_eta(space: ProbabilitySpace, eta) -> L0Scalar:
+    """Damping parameter as a scalar on ``space``; a number is taken as constant."""
+    if isinstance(eta, L0Scalar):
+        if eta.space != space:
+            raise SpaceMismatch("eta lives on a different probability space")
+        return eta
+    return L0Scalar.constant(space, float(eta))
+
+
 def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
     """Damping margin per atom; raises naming the first atom at or below xi."""
     if eta.space != xi.space:
@@ -246,6 +255,13 @@ def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
             atom=a,
         )
     return gamma
+
+
+def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
+    """Per-atom log of the peak of s^k exp(-eta s): k*log(k/eta) - k, 0 for k = 0."""
+    if k >= 1:
+        return k * np.log(k / eta_values) - k
+    return np.zeros_like(eta_values)
 
 
 def _log_tail(M: np.ndarray, gamma: np.ndarray, k: int, T: float) -> np.ndarray:
@@ -314,10 +330,7 @@ def damped_weighted_integral(
         raise ValueError("tolerance must be positive")
 
     ev = eta.values
-    if k >= 1:
-        log_scale = k * np.log(k / ev) - k
-    else:
-        log_scale = np.zeros(n)
+    log_scale = _weight_log_scale(k, ev)
 
     with np.errstate(divide="ignore"):
         log_target = np.log(tol_arr / 2.0) + log_scale

@@ -19,7 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import CurveSampler, damped_weighted_integral
+from .calculus import (
+    CurveSampler,
+    _coerce_eta,
+    _weight_log_scale,
+    damped_weighted_integral,
+)
 from .errors import (
     BoundViolated,
     CertificateMissing,
@@ -84,14 +89,6 @@ def make_laplace_spec(curve: CurveSampler) -> LaplaceSpec:
     return LaplaceSpec(curve)
 
 
-def _coerce_eta(space: ProbabilitySpace, eta) -> L0Scalar:
-    if isinstance(eta, L0Scalar):
-        if eta.space != space:
-            raise SpaceMismatch("eta lives on a different probability space")
-        return eta
-    return L0Scalar.constant(space, float(eta))
-
-
 def laplace_transform(spec: LaplaceSpec, eta, tol: float) -> RnVector:
     """H(eta) = integral of exp(-eta s) h(s) ds over [0, inf)."""
     eta = _coerce_eta(spec.space, eta)
@@ -111,14 +108,11 @@ def laplace_derivative_scaled(
     eta = _coerce_eta(spec.space, eta)
     bound = spec.bound
     gamma = eta.values - bound.xi.values
-    if k == 0:
-        log_env = -np.log(np.where(gamma > 0.0, gamma, 1.0))
-    else:
-        log_env = (
-            math.lgamma(k + 1.0)
-            - (k + 1.0) * np.log(np.where(gamma > 0.0, gamma, 1.0))
-            - (k * np.log(k / eta.values) - k)
-        )
+    log_env = (
+        math.lgamma(k + 1.0)
+        - (k + 1.0) * np.log(np.where(gamma > 0.0, gamma, 1.0))
+        - _weight_log_scale(k, eta.values)
+    )
     with np.errstate(over="ignore"):
         env = bound.M.values * np.exp(np.minimum(log_env, _LOG_DOUBLE_MAX))
     tol_scaled = np.where(env > 0.0, float(tol) * env, 1.0)

@@ -20,11 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import CurveSampler, damped_weighted_integral, improper_integral
+from .calculus import (
+    MIN_STEP,
+    CurveSampler,
+    _check_eta,
+    _coerce_eta,
+    _weight_log_scale,
+    damped_weighted_integral,
+    improper_integral,
+)
 from .errors import (
     BoundViolated,
     EtaInSpectrum,
-    EtaNotInGxi,
     InitialValueMismatch,
     NegativeTime,
     NonCommuting,
@@ -37,7 +44,6 @@ from .errors import (
 from .l0 import L0Scalar, ProbabilitySpace
 from .rn import (
     ExponentialBound,
-    InjectivityReport,
     L0Operator,
     RnVector,
     check_injective,
@@ -52,8 +58,6 @@ TIME_ZERO_TOL = 1e-10
 GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
 GROWTH_SLACK = 1.0 + 1e-9
-SPECTRUM_THRESHOLD = 1e-12
-MIN_STEP = 1e-12
 B4_DEFAULT_TOL = 1e-9
 ABEL_RATE_SLACK = 1.5
 
@@ -90,16 +94,16 @@ def _frobenius_per_atom(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("aij,aij->a", mats, mats))
 
 
-def _require_injective(C: L0Operator) -> InjectivityReport:
-    rep = check_injective(C)
+def _require_injective(T: L0Operator, what: str, error: type) -> None:
+    """Singular-value gate; raises ``error`` naming the first failing atom."""
+    rep = check_injective(T)
     if not rep.injective:
         a = rep.witness_atom
-        raise NotInjective(
-            f"C is numerically singular on atom {a} "
+        raise error(
+            f"{what} is numerically singular on atom {a} "
             f"(singular value ratio {rep.min_sv_ratio[a]!r})",
             atom=a,
         )
-    return rep
 
 
 def _check_growth(
@@ -127,7 +131,7 @@ def make_matrix_semigroup(
         raise SpaceMismatch("A, C and the certificate must share one space")
     if A.dim != C.dim:
         raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
-    _require_injective(C)
+    _require_injective(C, "C", NotInjective)
     comm = _frobenius_per_atom(A.matrices @ C.matrices - C.matrices @ A.matrices)
     bad = np.nonzero(comm > COMMUTE_TOL)[0]
     if bad.size:
@@ -151,7 +155,7 @@ def make_sampled_semigroup(
         raise SpaceMismatch("C and the certificate must live on the given space")
     if C.dim != dim:
         raise DimMismatch(f"C has dim {C.dim}, expected {dim}")
-    _require_injective(C)
+    _require_injective(C, "C", NotInjective)
     w0 = evaluator(0.0)
     gap = _frobenius_per_atom(w0.matrices - C.matrices)
     bad = np.nonzero(gap > TIME_ZERO_TOL)[0]
@@ -191,64 +195,48 @@ def estimate_generator(W: CSemigroup, x: RnVector, h0: float) -> RnVector:
     return RnVector.of(W.space, y)
 
 
-def _coerce_eta(space: ProbabilitySpace, eta) -> L0Scalar:
-    if isinstance(eta, L0Scalar):
-        if eta.space != space:
-            raise SpaceMismatch("eta lives on a different probability space")
-        return eta
-    return L0Scalar.constant(space, float(eta))
-
-
-def _family_curve(W: CSemigroup, x: RnVector) -> CurveSampler:
-    """Orbit t -> W(t)x with the induced per-atom certificate M ||x||."""
+def _orbit_curve(
+    family: Callable[[float], L0Operator], bound: ExponentialBound, x: RnVector
+) -> CurveSampler:
+    """Orbit t -> family(t)x with the induced per-atom certificate M ||x||."""
     cert = ExponentialBound(
-        L0Scalar.of(W.space, W.bound.M.values * l0_norm(x).values), W.bound.xi
+        L0Scalar.of(bound.space, bound.M.values * l0_norm(x).values), bound.xi
     )
     return CurveSampler(
-        W.space, W.dim, 0.0, math.inf, lambda s: evaluate(W, s, x), bound=cert
+        bound.space, x.dim, 0.0, math.inf, lambda s: op_apply(family(s), x),
+        bound=cert,
     )
 
 
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
     """Resolvent route through the transform of the orbit t -> W(t)x."""
     eta = _coerce_eta(W.space, eta)
-    return improper_integral(_family_curve(W, x), eta, tol).value
+    return improper_integral(_orbit_curve(W.operator_at, W.bound, x), eta, tol).value
+
+
+def _shift(A: L0Operator, eta: L0Scalar) -> L0Operator:
+    """eta - A on every atom."""
+    return L0Operator.scaled_identity(A.space, A.dim, eta) - A
+
+
+def _inverse(T: L0Operator) -> np.ndarray:
+    mats = T.matrices
+    return np.linalg.solve(mats, np.broadcast_to(np.eye(T.dim), mats.shape).copy())
 
 
 def _shifted_inverse(A: L0Operator, eta: L0Scalar) -> np.ndarray:
     """(eta - A)^{-1} per atom, gated on the singular value ratio."""
-    mats = eta.values[:, None, None] * np.eye(A.dim)[None, :, :] - A.matrices
-    svals = np.linalg.svd(mats, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(svals[:, 0] > 0.0, svals[:, -1] / svals[:, 0], 0.0)
-    bad = np.nonzero(ratio <= SPECTRUM_THRESHOLD)[0]
-    if bad.size:
-        a = int(bad[0])
-        raise EtaInSpectrum(
-            f"eta - A is numerically singular on atom {a} "
-            f"(singular value ratio {ratio[a]!r})",
-            atom=a,
-        )
-    return np.linalg.solve(mats, np.broadcast_to(np.eye(A.dim), mats.shape).copy())
+    shift = _shift(A, eta)
+    _require_injective(shift, "eta - A", EtaInSpectrum)
+    return _inverse(shift)
 
 
 def c_resolvent_direct(A: L0Operator, C: L0Operator, eta, x: RnVector) -> RnVector:
     """Resolvent route by per-atom solve: (eta - A) y = C x."""
-    eta = _coerce_eta(A.space, eta)
-    mats = eta.values[:, None, None] * np.eye(A.dim)[None, :, :] - A.matrices
-    svals = np.linalg.svd(mats, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(svals[:, 0] > 0.0, svals[:, -1] / svals[:, 0], 0.0)
-    bad = np.nonzero(ratio <= SPECTRUM_THRESHOLD)[0]
-    if bad.size:
-        a = int(bad[0])
-        raise EtaInSpectrum(
-            f"eta - A is numerically singular on atom {a} "
-            f"(singular value ratio {ratio[a]!r})",
-            atom=a,
-        )
+    shift = _shift(A, _coerce_eta(A.space, eta))
+    _require_injective(shift, "eta - A", EtaInSpectrum)
     rhs = op_apply(C, x).values
-    return RnVector.of(A.space, np.linalg.solve(mats, rhs[:, :, None])[:, :, 0])
+    return RnVector.of(A.space, np.linalg.solve(shift.matrices, rhs[:, :, None])[:, :, 0])
 
 
 def resolvent_operator(A: L0Operator, C: L0Operator, eta) -> L0Operator:
@@ -273,14 +261,7 @@ def transform_identity_gap(
     family generated by (A, C); a perturbed family shows a visible gap.
     """
     eta = _coerce_eta(A.space, eta)
-    cert = ExponentialBound(
-        L0Scalar.of(A.space, bound.M.values * l0_norm(x).values), bound.xi
-    )
-    curve = CurveSampler(
-        A.space, A.dim, 0.0, math.inf,
-        lambda s: op_apply(family(s), x), bound=cert,
-    )
-    integral = improper_integral(curve, eta, tol).value
+    integral = improper_integral(_orbit_curve(family, bound, x), eta, tol).value
     direct = c_resolvent_direct(A, C, eta, x)
     return float(l0_norm(integral - direct).values.max())
 
@@ -335,14 +316,7 @@ def abel_limit_check(
     xi = bound.xi.values
     prev = None
     for eta in etas:
-        margin = eta.values - xi
-        bad = np.nonzero(margin <= 0.0)[0]
-        if bad.size:
-            a = int(bad[0])
-            raise EtaNotInGxi(
-                f"eta={eta.values[a]!r} does not dominate xi={xi[a]!r} on atom {a}",
-                atom=a,
-            )
+        _check_eta(eta, bound.xi)
         if prev is not None and not (eta.values > prev).all():
             raise ValueError("the damping sequence must increase strictly per atom")
         prev = eta.values
@@ -491,38 +465,20 @@ def hille_yosida_report(
         probe = RnVector.constant(A.space, coords)
     comm = _frobenius_per_atom(A.matrices @ C.matrices - C.matrices @ A.matrices)
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
-    xi = bound.xi.values
     M = bound.M.values
-    probe_curve = CurveSampler(
-        A.space, A.dim, 0.0, math.inf,
-        lambda s: op_apply(matrix_exp(A, s) @ C, probe),
-        bound=ExponentialBound(
-            L0Scalar.of(A.space, M * l0_norm(probe).values), bound.xi
-        ),
-    )
+    probe_curve = _orbit_curve(lambda s: matrix_exp(A, s) @ C, bound, probe)
     entries = []
     all_ok = commutation_ok
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)
-        margin = eta.values - xi
-        bad = np.nonzero(margin <= 0.0)[0]
-        if bad.size:
-            a = int(bad[0])
-            raise EtaNotInGxi(
-                f"eta={eta.values[a]!r} does not dominate xi={xi[a]!r} on atom {a}",
-                atom=a,
-            )
-        mats = eta.values[:, None, None] * np.eye(A.dim)[None, :, :] - A.matrices
-        svals = np.linalg.svd(mats, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(svals[:, 0] > 0.0, svals[:, -1] / svals[:, 0], 0.0)
-        invertible = bool((ratio > SPECTRUM_THRESHOLD).all())
+        margin = _check_eta(eta, bound.xi)
+        shift = _shift(A, eta)
+        gate = check_injective(shift)
+        invertible = gate.injective
         power_rows: list[PowerRow] = []
         route_rows: list[RouteRow] = []
         if invertible:
-            inv = np.linalg.solve(
-                mats, np.broadcast_to(np.eye(A.dim), mats.shape).copy()
-            )
+            inv = _inverse(shift)
             power = C.matrices
             for n in range(1, n_max + 1):
                 power = inv @ power
@@ -544,7 +500,7 @@ def hille_yosida_report(
                     direct = np.einsum("aij,aj->ai", power, probe.values)
                     res = damped_weighted_integral(
                         probe_curve, eta, n - 1,
-                        quad_tol * np.exp(-_power_log_scale(n - 1, eta.values)),
+                        quad_tol * np.exp(-_weight_log_scale(n - 1, eta.values)),
                     )
                     integral = (
                         np.exp(res.log_scale)[:, None] * res.scaled_value.values
@@ -564,7 +520,7 @@ def hille_yosida_report(
                     )
         entry = ResolventEntry(
             eta=eta,
-            min_sv_ratio=ratio,
+            min_sv_ratio=gate.min_sv_ratio,
             invertible=invertible,
             power_rows=tuple(power_rows),
             route_rows=tuple(route_rows),
@@ -581,9 +537,3 @@ def hille_yosida_report(
         route_tol=float(route_tol),
         passed=all_ok,
     )
-
-
-def _power_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
-    if k >= 1:
-        return k * np.log(k / eta_values) - k
-    return np.zeros_like(eta_values)
