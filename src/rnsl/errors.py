@@ -57,7 +57,11 @@ class EmptyFamily(RnslError):
 
 
 class PowerIterationDiverged(RnslError):
-    """Power iteration failed to converge within the iteration budget."""
+    """Power iteration failed to converge within the iteration budget.
+
+    No routine raises it since op_norm became an exact SVD; the class stays
+    so code that catches it keeps importing.
+    """
 
 
 class MaxPanelsExceeded(RnslError):

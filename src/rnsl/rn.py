@@ -8,21 +8,13 @@ spectral norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    NonFiniteValue,
-    PowerIterationDiverged,
-    SpaceMismatch,
-)
+from .errors import DimMismatch, NonFiniteValue, SpaceMismatch
 from .l0 import L0Scalar, ProbabilitySpace, distance as scalar_distance
 
-OP_NORM_REL_TOL = 1e-12
-OP_NORM_MAX_ITER = 10000
 INJECTIVITY_THRESHOLD = 1e-12
 
 # Pade order 13 coefficients and the matching scaling threshold for the 1-norm
@@ -280,66 +272,9 @@ def op_apply(T: L0Operator, x: RnVector) -> RnVector:
     return RnVector.of(x.space, np.einsum("aij,aj->ai", T.matrices, x.values))
 
 
-def op_norm(
-    T: L0Operator,
-    rel_tol: float = OP_NORM_REL_TOL,
-    max_iter: int = OP_NORM_MAX_ITER,
-) -> L0Scalar:
-    """Per-atom spectral norm via power iteration on T^T T.
-
-    The power iterate index doubles each round by squaring the normalized
-    gram matrix; a fixed per-step scheme stalls past any step budget when
-    the two leading singular values nearly coincide, while doubling reaches
-    iterate 2^m after m rounds.  A round converges when the Rayleigh value
-    stops moving AND the iterate's eigen-residual drops below rel_tol; the
-    residual is what rules out resting on a mixed state whose value still
-    has to creep up to the top eigenvalue.  The start vector comes from a
-    fixed-seed generator so results are reproducible; a zero block
-    short-circuits to norm 0.
-    """
-    out = np.zeros(T.space.n_atoms)
-    rng = np.random.default_rng(0x5EED)
-    rounds = min(max_iter, 80)
-    for a in range(T.space.n_atoms):
-        m = T.matrices[a]
-        gram = m.T @ m
-        scale = np.abs(gram).max()
-        if scale == 0.0:
-            out[a] = 0.0
-            continue
-        base = gram / scale
-        v0 = rng.standard_normal(T.dim)
-        v0 /= np.linalg.norm(v0)
-        power = base.copy()
-        lam_prev = float(v0 @ (base @ v0))
-        lam = lam_prev
-        converged = False
-        for _ in range(rounds):
-            w = power @ v0
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                # v0 landed in the kernel; restart from a fresh direction
-                v0 = rng.standard_normal(T.dim)
-                v0 /= np.linalg.norm(v0)
-                continue
-            u = w / nw
-            bu = base @ u
-            lam = float(u @ bu)
-            floor = max(abs(lam), 1e-300)
-            residual = float(np.linalg.norm(bu - lam * u))
-            if abs(lam - lam_prev) <= rel_tol * floor and residual <= rel_tol * floor:
-                converged = True
-                break
-            lam_prev = lam
-            power = power @ power
-            power /= np.abs(power).max()
-        if not converged:
-            raise PowerIterationDiverged(
-                f"power iteration did not converge on atom {a} "
-                f"within the round budget"
-            )
-        out[a] = np.sqrt(max(lam, 0.0) * scale)
-    return L0Scalar.of(T.space, out)
+def op_norm(T: L0Operator) -> L0Scalar:
+    """Per-atom spectral norm: the largest singular value of each block."""
+    return L0Scalar.of(T.space, np.linalg.norm(T.matrices, ord=2, axis=(1, 2)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from rnsl import (
     yosida_approximant,
 )
 from rnsl.calculus import CurveSampler
-from rnsl.instances import random_commuting_pair, rng_for
+from rnsl.instances import random_commuting_pair, random_vector, rng_for
 
 
 def diag_semigroup(space):
@@ -60,6 +60,18 @@ class TestConstruction:
         bound = ExponentialBound.constant(space2, 2.0, 0.0)
         with pytest.raises(NotInjective):
             make_matrix_semigroup(A, C, bound)
+
+    def test_generated_pair_from_acp_stream_seed0(self):
+        # second acp_5_1 draw at seed 0 on 64 atoms: an iterative spectral
+        # norm in the growth check failed to converge on atom 38 of this
+        # well-conditioned pair
+        space = make_space(np.full(64, 1.0 / 64))
+        rng = rng_for(0, "acp_5_1")
+        random_commuting_pair(rng, space, 4)
+        random_vector(rng, space, 4, -1.0, 1.0)
+        A, C, bound = random_commuting_pair(rng, space, 4)
+        W = make_matrix_semigroup(A, C, bound)
+        assert W.kind == "matrix_generated"
 
     def test_upper_triangular_commuting_pair(self, space1):
         A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
@@ -268,6 +280,20 @@ class TestHilleYosida:
         assert rows[0].passed  # 1.618 <= 2.0
         assert not rows[1].passed  # 2.414 > 2.0
         assert not rows[2].passed  # 3.303 > 2.0
+
+    def test_eta_on_spectrum_gives_failing_entry(self, space2):
+        # xi sits below A's spectrum, so eta = 2 passes the dominance check
+        # but is an eigenvalue of A on atom 0 only
+        A = L0Operator.from_diag(space2, [[1.0, 2.0], [1.0, 3.0]])
+        C = L0Operator.identity(space2, 2)
+        bound = ExponentialBound.constant(space2, 1.0, 0.0)
+        report = hille_yosida_report(A, C, bound, [2.0], n_max=2)
+        entry = report.entries[0]
+        assert not entry.invertible
+        assert entry.min_sv_ratio[0] <= 1e-12
+        assert entry.min_sv_ratio[1] > 1e-12
+        assert entry.power_rows == () and entry.route_rows == ()
+        assert not report.passed
 
     def test_empty_grid_gives_empty_report(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
