@@ -59,8 +59,7 @@ class EmptyFamily(RnslError):
 class PowerIterationDiverged(RnslError):
     """Power iteration failed to converge within the iteration budget.
 
-    No routine raises it since op_norm became an exact SVD; the class stays
-    so code that catches it keeps importing.
+    Nothing in rnsl raises it; it stays exported for code that imports it.
     """
 
 

@@ -1,0 +1,43 @@
+"""Regression gate: fresh runs of the shipped scenarios against golden reports.
+
+Each golden file is the report.json of one shipped scenario, run with the
+suites the golden lists (all fourteen for reference.json).  Verdicts, record
+names and directions must match exactly; measured values and bounds within
+rtol 1e-9 / atol 1e-12.  ``worst_atom`` is not compared: atoms whose gaps tie
+to the last ulp may trade places under any change of rounding.
+
+To regenerate after an intended change of results, for each scenario:
+
+    python -m rnsl run scenarios/NAME.json --out DIR [--suite S ...]
+    cp DIR/report.json tests/golden/NAME/report.json
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from rnsl import load_scenario, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["reference", "post_widder", "bad_certificate"])
+def test_fresh_run_matches_golden_report(name, tmp_path):
+    golden = json.loads((GOLDEN / name / "report.json").read_text(encoding="utf-8"))
+    suites = [s["suite"] for s in golden["suites"]]
+    scn = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+    run_scenario(scn, out_dir=str(tmp_path), suites=suites)
+    fresh = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+
+    assert fresh["passed"] == golden["passed"]
+    assert [s["suite"] for s in fresh["suites"]] == suites
+    for got, want in zip(fresh["suites"], golden["suites"]):
+        assert got["passed"] == want["passed"], want["suite"]
+        assert [r["name"] for r in got["records"]] == [r["name"] for r in want["records"]]
+        for r, w in zip(got["records"], want["records"]):
+            where = f"{want['suite']}/{w['name']}"
+            assert (r["direction"], r["passed"]) == (w["direction"], w["passed"]), where
+            for key in ("measured", "bound"):
+                assert r[key] == pytest.approx(w[key], rel=1e-9, abs=1e-12), where
