@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteValue,
     SpaceMismatch,
     StepUnderflow,
+    TailNotCertified,
 )
 from .l0 import L0Scalar, ProbabilitySpace
 from .rn import ExponentialBound, RnVector
@@ -72,6 +73,7 @@ for _i, _w in enumerate(_WG[:-1]):
     _GAUSS_W[2 * _i + 1] = _w
     _GAUSS_W[13 - 2 * _i] = _w
 _GAUSS_W[7] = _WG[-1]
+_WEIGHTS = np.stack([_KRONROD_W, _GAUSS_W])  # (2, 15): Kronrod row, Gauss row
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,9 @@ class CurveSampler:
     """Curve t -> vector on a fixed space/dimension over [start, end].
 
     ``end`` may be infinite, in which case improper integration needs the
-    optional growth certificate ``bound``.
+    optional growth certificate ``bound``.  The optional ``batch`` maps a
+    1-D array of times to values of shape (len(ts), n_atoms, dim) in one
+    call; quadrature samples through it when it is given.
     """
 
     space: ProbabilitySpace
@@ -88,6 +92,7 @@ class CurveSampler:
     end: float
     evaluator: Callable[[float], RnVector]
     bound: ExponentialBound | None = None
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if math.isnan(self.start) or math.isnan(self.end) or math.isinf(self.start):
@@ -96,6 +101,23 @@ class CurveSampler:
             raise NonFiniteValue("curve domain end precedes its start")
         if self.bound is not None and self.bound.space != self.space:
             raise SpaceMismatch("certificate lives on a different probability space")
+
+    @classmethod
+    def from_batch(
+        cls,
+        space: ProbabilitySpace,
+        dim: int,
+        start: float,
+        end: float,
+        batch: Callable[[np.ndarray], np.ndarray],
+        bound: ExponentialBound | None = None,
+    ) -> "CurveSampler":
+        """Curve given by one batched formula; the scalar evaluator is derived from it."""
+
+        def evaluator(t: float) -> RnVector:
+            return RnVector.of(space, batch(np.array([float(t)]))[0])
+
+        return cls(space, dim, start, end, evaluator, bound, batch)
 
     def __call__(self, t: float) -> RnVector:
         v = self.evaluator(t)
@@ -106,6 +128,24 @@ class CurveSampler:
                 f"curve evaluator changed space/dim at t={t!r}"
             )
         return v
+
+    def sample(self, ts) -> np.ndarray:
+        """Values at the times ``ts`` as one (len(ts), n_atoms, dim) array.
+
+        A ``batch`` result gets the checks a scalar call makes (shape, then
+        finiteness), once for the whole batch; without ``batch`` the scalar
+        calls are stacked.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.batch is None:
+            return np.stack([self(float(t)).values for t in ts])
+        vals = np.asarray(self.batch(ts), dtype=float)
+        want = (len(ts), self.space.n_atoms, self.dim)
+        if vals.shape != want:
+            raise SpaceMismatch(f"curve batch returned shape {vals.shape}, expected {want}")
+        if not np.isfinite(vals).all():
+            raise NonFiniteValue("curve values must be finite")
+        return vals
 
 
 @dataclass(frozen=True)
@@ -125,25 +165,16 @@ class WeightedIntegralResult:
     panels: int
 
 
-def _panel(values_at: Callable[[float], np.ndarray], a: float, b: float):
+def _panel(values_at: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Evaluate one Kronrod panel; returns (k15, |k15 - g7|) arrays."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    k15 = None
-    g7 = None
-    for node, wk, wg in zip(_NODES, _KRONROD_W, _GAUSS_W):
-        y = values_at(mid + half * node)
-        if k15 is None:
-            k15 = wk * y
-            g7 = wg * y
-        else:
-            k15 = k15 + wk * y
-            g7 = g7 + wg * y
+    k15, g7 = np.tensordot(_WEIGHTS, values_at(mid + half * _NODES), axes=1)
     return half * k15, np.abs(half * (k15 - g7))
 
 
 def _adaptive(
-    values_at: Callable[[float], np.ndarray],
+    values_at: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, int],
     breaks: list[float],
     tol_per_atom: np.ndarray,
@@ -171,11 +202,20 @@ def _adaptive(
                 "integrand looks non-smooth or the tolerance is out of reach"
             )
         if not heap:
-            break  # nothing left to split; report the honest estimate
+            raise StepUnderflow(
+                "error estimate still above tolerance with every remaining "
+                f"panel at the resolution {MIN_STEP}"
+            )
         _, idx = heapq.heappop(heap)
         a, b, k15, err = panels[idx]
         if b - a <= MIN_STEP * max(1.0, abs(a)):
-            # cannot split further; leave this panel's estimate in place
+            # cannot split further; once this panel alone exceeds an atom's
+            # tolerance, splitting the others cannot help either
+            if (err.max(axis=1) > tol_per_atom).any():
+                raise StepUnderflow(
+                    f"panel [{a!r}, {b!r}] at the resolution {MIN_STEP} "
+                    "alone exceeds the tolerance"
+                )
             continue
         mid = 0.5 * (a + b)
         left_k, left_e = _panel(values_at, a, mid)
@@ -208,11 +248,8 @@ def riemann_integral(
     if b == a:
         return QuadratureResult(RnVector.of(g.space, np.zeros(shape)), 0.0, 0)
 
-    def values_at(t: float) -> np.ndarray:
-        return g(t).values
-
     tol_arr = np.full(g.space.n_atoms, float(tol))
-    value, err, n = _adaptive(values_at, shape, [a, b], tol_arr, max_panels)
+    value, err, n = _adaptive(g.sample, shape, [a, b], tol_arr, max_panels)
     return QuadratureResult(RnVector.of(g.space, value), float(err.max()), n)
 
 
@@ -296,9 +333,11 @@ def _tail_time(
     # the inverse saturates for extreme targets; double until certified
     for _ in range(200):
         if bool((_log_tail(M, gamma, k, T) <= log_target).all()):
-            break
+            return T
         T *= 2.0
-    return T
+    raise TailNotCertified(
+        f"no horizon up to T={T!r} certifies the tail under its target"
+    )
 
 
 def damped_weighted_integral(
@@ -336,13 +375,14 @@ def damped_weighted_integral(
         log_target = np.log(tol_arr / 2.0) + log_scale
     T = _tail_time(bound.M.values, gamma, k, log_target)
 
-    def values_at(s: float) -> np.ndarray:
-        h = g(s).values
-        if s <= 0.0:
-            w = np.exp(-log_scale) if k == 0 else np.zeros(n)
-        else:
-            w = np.exp(k * math.log(s) - ev * s - log_scale)
-        return w[:, None] * h
+    def values_at(s: np.ndarray) -> np.ndarray:
+        h = g.sample(s)
+        pos = s > 0.0
+        sp = np.where(pos, s, 1.0)[:, None]
+        w = np.exp(k * np.log(sp) - ev * sp - log_scale)
+        if not pos.all():
+            w[~pos] = np.exp(-log_scale) if k == 0 else 0.0
+        return w[:, :, None] * h
 
     breaks = {0.0, T}
     if k >= 1:

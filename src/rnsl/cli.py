@@ -4,6 +4,9 @@
 report directory; ``rnsl plot report.json --kind ... --out ...`` extracts
 plot-ready CSV columns from an existing report.  Exit codes: 0 all suites
 passed, 1 at least one suite failed, 2 configuration or schema problems.
+``rnsl diff OLD NEW`` names the first record whose verdict, name or
+direction differs and the first whose measured value or bound moved beyond
+rtol 1e-9 / atol 1e-12; it exits 0 when the reports agree and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import os
 import sys
 
 from .errors import RnslError
+from .reporting import diff_reports
 from .scenario import load_scenario
 from .suites import PLOT_KINDS, emit_plot_data, run_scenario
 
@@ -43,6 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("report", help="path to a report.json")
     plot_p.add_argument("--kind", required=True, choices=PLOT_KINDS)
     plot_p.add_argument("--out", required=True, help="output CSV path")
+
+    diff_p = sub.add_parser("diff", help="compare two report.json files")
+    diff_p.add_argument("old", help="path to the reference report.json")
+    diff_p.add_argument("new", help="path to the report.json to check")
     return parser
 
 
@@ -59,20 +67,34 @@ def _cmd_run(args) -> int:
     return 0 if passed else 1
 
 
+def _load_report(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _cmd_plot(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    emit_plot_data(report, args.kind, args.out)
+    emit_plot_data(_load_report(args.report), args.kind, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
+def _cmd_diff(args) -> int:
+    try:
+        lines = diff_reports(_load_report(args.old), _load_report(args.new))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a report.json: malformed field {exc}") from None
+    for line in lines:
+        print(line)
+    if not lines:
+        print("reports agree")
+    return 1 if lines else 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "plot": _cmd_plot, "diff": _cmd_diff}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_plot(args)
+        return commands[args.command](args)
     except (RnslError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,6 +71,10 @@ class StepUnderflow(RnslError):
     """A step size fell below the supported resolution (1e-12)."""
 
 
+class TailNotCertified(RnslError):
+    """No truncation horizon certifies an improper integral's tail under its target."""
+
+
 class CertificateMissing(RnslError):
     """An exponential growth certificate is required but absent."""
 

@@ -98,21 +98,18 @@ def smooth_curve_family(
         y = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
         z = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
 
-        def big_g(u: float, w=w, al=al, x=x, y=y, z=z) -> RnVector:
-            return RnVector.of(
-                space, math.sin(w * u) * x + math.exp(al * u) * y + u**3 * z
-            )
+        def big_g(u: np.ndarray, w=w, al=al, x=x, y=y, z=z) -> np.ndarray:
+            u = u[:, None, None]
+            return np.sin(w * u) * x + np.exp(al * u) * y + u**3 * z
 
-        def small_g(u: float, w=w, al=al, x=x, y=y, z=z) -> RnVector:
-            return RnVector.of(
-                space,
-                w * math.cos(w * u) * x + al * math.exp(al * u) * y + 3.0 * u**2 * z,
-            )
+        def small_g(u: np.ndarray, w=w, al=al, x=x, y=y, z=z) -> np.ndarray:
+            u = u[:, None, None]
+            return w * np.cos(w * u) * x + al * np.exp(al * u) * y + 3.0 * u**2 * z
 
         members.append(
             (
-                CurveSampler(space, dim, 0.0, span, big_g),
-                CurveSampler(space, dim, 0.0, span, small_g),
+                CurveSampler.from_batch(space, dim, 0.0, span, big_g),
+                CurveSampler.from_batch(space, dim, 0.0, span, small_g),
             )
         )
     return members
@@ -134,14 +131,11 @@ def oscillating_decay_specs(
         y = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
         m = np.sqrt((x**2).sum(axis=1)) + np.sqrt((y**2).sum(axis=1))
 
-        def h(s: float, a=a, w=w, x=x, y=y) -> RnVector:
-            return RnVector.of(
-                space,
-                np.exp(a * s)[:, None]
-                * (math.cos(w * s) * x + math.sin(w * s) * y),
-            )
+        def h(s: np.ndarray, a=a, w=w, x=x, y=y) -> np.ndarray:
+            ws = (w * s)[:, None, None]
+            return np.exp(np.outer(s, a))[:, :, None] * (np.cos(ws) * x + np.sin(ws) * y)
 
-        curve = CurveSampler(
+        curve = CurveSampler.from_batch(
             space, dim, 0.0, math.inf, h,
             bound=ExponentialBound(L0Scalar.of(space, m), L0Scalar.of(space, a)),
         )
@@ -174,40 +168,27 @@ def inversion_test_family(space: ProbabilitySpace, dim: int):
     """Fixed bounded curves for inversion checks: (name, spec, time evaluator).
 
     Contains a constant, two exponential decays, and a sine-modulated decay;
-    all are bounded, so their certificates use xi <= 0.
+    all are bounded, so their certificates use xi <= 0.  Each is a scalar
+    profile times one unit vector, and the time evaluator is the spec's curve.
     """
     coords = np.full(dim, 1.0 / math.sqrt(dim))
     x = RnVector.constant(space, coords)
-    norm = 1.0
 
-    def curve(evaluator, m: float, xi: float) -> LaplaceSpec:
-        return LaplaceSpec(
-            CurveSampler(
-                space, dim, 0.0, math.inf, evaluator,
+    def member(name: str, profile, m: float, xi: float):
+        def batch(s: np.ndarray) -> np.ndarray:
+            return profile(s)[:, None, None] * x.values
+
+        spec = LaplaceSpec(
+            CurveSampler.from_batch(
+                space, dim, 0.0, math.inf, batch,
                 bound=ExponentialBound.constant(space, m, xi),
             )
         )
+        return name, spec, spec.curve
 
-    members = [
-        ("constant", curve(lambda s: x, norm, 0.0), lambda t: x),
-        (
-            "decay_1",
-            curve(lambda s: x.scale(math.exp(-s)), norm, -1.0),
-            lambda t: x.scale(math.exp(-t)),
-        ),
-        (
-            "decay_half",
-            curve(lambda s: x.scale(math.exp(-0.5 * s)), norm, -0.5),
-            lambda t: x.scale(math.exp(-0.5 * t)),
-        ),
-        (
-            "modulated",
-            curve(
-                lambda s: x.scale(math.exp(-s) * (1.0 + 0.5 * math.sin(s))),
-                1.5 * norm,
-                -1.0,
-            ),
-            lambda t: x.scale(math.exp(-t) * (1.0 + 0.5 * math.sin(t))),
-        ),
+    return [
+        member("constant", np.ones_like, 1.0, 0.0),
+        member("decay_1", lambda s: np.exp(-s), 1.0, -1.0),
+        member("decay_half", lambda s: np.exp(-0.5 * s), 1.0, -0.5),
+        member("modulated", lambda s: np.exp(-s) * (1.0 + 0.5 * np.sin(s)), 1.5, -1.0),
     ]
-    return members

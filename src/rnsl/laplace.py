@@ -34,7 +34,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .l0 import L0Scalar, ProbabilitySpace
-from .rn import RnVector, l0_norm, vector_distance
+from .rn import RnVector, vector_distance
 
 BOUND_CHECK_POINTS = 64
 BOUND_CHECK_RANGE = (1e-3, 1e2)
@@ -58,19 +58,19 @@ class LaplaceSpec:
             raise ValueError("a transformable curve must live on [0, inf)")
         if c.bound is None:
             raise CertificateMissing("a transformable curve needs a certificate")
-        lo, hi = BOUND_CHECK_RANGE
-        for s in np.geomspace(lo, hi, BOUND_CHECK_POINTS):
-            norms = l0_norm(c(float(s))).values
-            envelope = c.bound.envelope(float(s))
-            bad = np.nonzero(norms > BOUND_CHECK_SLACK * envelope)[0]
-            if bad.size:
-                a = int(bad[0])
-                raise BoundViolated(
-                    f"curve norm {norms[a]!r} escapes its envelope "
-                    f"{envelope[a]!r} at s={float(s)!r} on atom {a}",
-                    atom=a,
-                    t=float(s),
-                )
+        times = np.geomspace(*BOUND_CHECK_RANGE, BOUND_CHECK_POINTS)
+        vals = c.sample(times)
+        norms = np.sqrt(np.einsum("tad,tad->ta", vals, vals))
+        envelope = c.bound.M.values * np.exp(np.outer(times, c.bound.xi.values))
+        bad = np.argwhere(norms > BOUND_CHECK_SLACK * envelope)
+        if bad.size:
+            i, a = (int(v) for v in bad[0])
+            raise BoundViolated(
+                f"curve norm {norms[i, a]!r} escapes its envelope "
+                f"{envelope[i, a]!r} at s={float(times[i])!r} on atom {a}",
+                atom=a,
+                t=float(times[i]),
+            )
 
     @property
     def space(self) -> ProbabilitySpace:

@@ -137,6 +137,43 @@ def records_csv_rows(records: Sequence[CheckRecord]):
         )
 
 
+def diff_reports(old: dict, new: dict, rtol: float = 1e-9, atol: float = 1e-12) -> list[str]:
+    """Where two report.json payloads disagree; empty when they agree.
+
+    Returns at most two lines: the first difference in a verdict, suite or
+    record name, or direction, and the first record whose ``measured`` or
+    ``bound`` moved by more than max(rtol * |old|, atol).  ``worst_atom``
+    and suite data are not compared.
+    """
+    verdict: list[str] = []
+    numeric: list[str] = []
+
+    def note(found: list[str], line: str) -> None:
+        if not found:
+            found.append(line)
+
+    names = [[s["suite"] for s in r["suites"]] for r in (old, new)]
+    if names[0] != names[1]:
+        note(verdict, f"report: suites {names[0]} -> {names[1]}")
+    for so, sn in zip(old["suites"], new["suites"]):
+        suite = so["suite"]
+        records = [[r["name"] for r in s["records"]] for s in (so, sn)]
+        if records[0] != records[1]:
+            note(verdict, f"{suite}: records {records[0]} -> {records[1]}")
+        for ro, rn in zip(so["records"], sn["records"]):
+            where = f"{suite}/{ro['name']}"
+            for key in ("name", "direction", "passed"):
+                if ro[key] != rn[key]:
+                    note(verdict, f"{where}: {key} {ro[key]!r} -> {rn[key]!r}")
+            for key in ("measured", "bound"):
+                a, b = ro[key], rn[key]
+                if a != b and not abs(b - a) <= max(rtol * abs(a), atol):
+                    note(numeric, f"{where}: {key} {a!r} -> {b!r}")
+    if old["passed"] != new["passed"]:
+        note(verdict, f"report: passed {old['passed']} -> {new['passed']}")
+    return verdict + numeric
+
+
 RECORDS_CSV_HEADER = (
     "name", "measured", "bound", "tolerance", "direction", "worst_atom", "passed",
 )

@@ -293,6 +293,7 @@ class AbelLimitReport:
     etas: tuple[L0Scalar, ...]
     gaps: np.ndarray  # shape (n_etas, n_atoms)
     max_gaps: tuple[float, ...]
+    envelope: np.ndarray  # per-atom rate envelope the last gap must stay under
     decreasing: bool
     envelope_ok: bool
     passed: bool
@@ -336,6 +337,7 @@ def abel_limit_check(
         etas=tuple(etas),
         gaps=gaps,
         max_gaps=tuple(float(v) for v in max_gaps),
+        envelope=envelope,
         decreasing=decreasing,
         envelope_ok=envelope_ok,
         passed=decreasing and envelope_ok,

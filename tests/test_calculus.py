@@ -12,14 +12,19 @@ from rnsl import (
     ExponentialBound,
     L0Scalar,
     MaxPanelsExceeded,
+    NonFiniteValue,
     RnVector,
+    SpaceMismatch,
     StepUnderflow,
+    TailNotCertified,
+    damped_weighted_integral,
     derivative,
     improper_integral,
     l0_norm,
     make_space,
     riemann_integral,
 )
+from rnsl.calculus import _adaptive, _panel
 from rnsl.instances import rng_for, smooth_curve_family
 
 TOL = 1e-10
@@ -54,6 +59,28 @@ class TestRiemannIntegral:
         )
         with pytest.raises(MaxPanelsExceeded):
             riemann_integral(g, 0.0, 1.0, 1e-13, max_panels=8)
+
+    def test_panels_within_tolerance_but_not_together_raise(self):
+        # two panels at the resolution, each under tol, their sum over it
+        def jumps(s):
+            on = (s < 3e-13) | ((s >= 1e-12) & (s < 1.3e-12))
+            return on.astype(float)[:, None, None]
+
+        errs = [_panel(jumps, a, a + 1e-12)[1].max() for a in (0.0, 1e-12)]
+        tol = np.array([1.01 * max(errs)])
+        assert sum(errs) > tol[0]
+        with pytest.raises(StepUnderflow):
+            _adaptive(jumps, (1, 1), [0.0, 1e-12, 2e-12], tol, 100)
+
+    def test_stuck_panel_raises_before_panel_budget(self, space1):
+        # the jump's panel reaches the resolution with its error above tol;
+        # splitting the smooth panels could never meet the tolerance
+        g = CurveSampler(
+            space1, 1, 0.0, 1.0,
+            lambda u: RnVector.of(space1, [[1.0 if u < 1.0 / 3.0 else 0.0]]),
+        )
+        with pytest.raises(StepUnderflow):
+            riemann_integral(g, 0.0, 1.0, 1e-14, max_panels=5000)
 
     def test_error_estimate_is_nonnegative(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [0.0, 1.0]])
@@ -118,6 +145,14 @@ class TestImproperIntegral:
         with pytest.raises(CertificateMissing):
             improper_integral(g, L0Scalar.constant(space2, 2.0), 1e-9)
 
+    def test_uncertifiable_tail_raises(self, space2):
+        x = RnVector.of(space2, [[1.0, 0.0], [1.0, 0.0]])
+        bound = ExponentialBound(l0_norm(x), L0Scalar.zero(space2))
+        g = CurveSampler(space2, 2, 0.0, math.inf, lambda s: x, bound=bound)
+        # half the smallest subnormal rounds to 0: no finite horizon meets it
+        with pytest.raises(TailNotCertified):
+            improper_integral(g, L0Scalar.constant(space2, 2.0), 5e-324)
+
 
 class TestCalculusTheorems:
     """Randomized curve families against the integral/derivative identities."""
@@ -171,3 +206,88 @@ class TestCalculusTheorems:
             got = derivative(big, mid, 1e-4).values
             want = small_g(mid).values
             assert np.abs(got - want).max() <= 1e-6
+
+
+def without_batch(g: CurveSampler) -> CurveSampler:
+    """The same curve sampled through its scalar evaluator only."""
+    return CurveSampler(g.space, g.dim, g.start, g.end, g.evaluator, g.bound)
+
+
+def bounded_wave(rng, space, dim: int) -> CurveSampler:
+    """exp(a s) cos(2.5 s) x with a per-atom rate a <= 0, so scaled weights stay O(1)."""
+    rates = rng.uniform(-1.0, 0.0, space.n_atoms)
+    x = RnVector.of(space, rng.uniform(-1.0, 1.0, (space.n_atoms, dim)))
+
+    def batch(s: np.ndarray) -> np.ndarray:
+        return np.exp(np.outer(s, rates))[:, :, None] * np.cos(2.5 * s)[:, None, None] * x.values
+
+    bound = ExponentialBound(l0_norm(x), L0Scalar.of(space, rates))
+    return CurveSampler.from_batch(space, dim, 0.0, math.inf, batch, bound=bound)
+
+
+def uniform_space(atoms: int):
+    return make_space(np.full(atoms, 1.0 / atoms))
+
+
+SHAPES = [(1, 1), (1, 16), (1024, 1), (1024, 16)]
+
+
+class TestBatchedSampling:
+    def test_smooth_family_batch_matches_scalar_calls(self, space4):
+        ts = np.linspace(0.0, 2.0, 31)
+        for pair in smooth_curve_family(rng_for(3, "batch"), space4, 3, n=4):
+            for g in pair:
+                stacked = np.stack([g(float(t)).values for t in ts])
+                np.testing.assert_allclose(g.sample(ts), stacked, rtol=1e-15, atol=1e-15)
+
+    def test_fallback_stacks_scalar_calls(self, space2):
+        x = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])
+        g = line_curve(space2, x)
+        got = g.sample([0.0, 0.5, 1.0])
+        assert got.shape == (3, 2, 2)
+        np.testing.assert_array_equal(got[1], 0.5 * x.values)
+
+    def test_wrong_batch_shape_raises(self, space2):
+        g = CurveSampler.from_batch(
+            space2, 2, 0.0, 1.0, lambda ts: np.zeros((len(ts), 2, 3))
+        )
+        with pytest.raises(SpaceMismatch):
+            g.sample(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(SpaceMismatch):
+            riemann_integral(g, 0.0, 1.0, TOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_raises(self, space2, bad):
+        def batch(ts):
+            out = np.ones((len(ts), 2, 2))
+            out[-1, 1, 0] = bad
+            return out
+
+        g = CurveSampler.from_batch(space2, 2, 0.0, 1.0, batch)
+        with pytest.raises(NonFiniteValue):
+            g.sample(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(NonFiniteValue):
+            riemann_integral(g, 0.0, 1.0, TOL)
+
+    @pytest.mark.parametrize("atoms,dim", SHAPES)
+    def test_riemann_batched_equals_scalar(self, atoms, dim):
+        space = uniform_space(atoms)
+        _, g = smooth_curve_family(rng_for(atoms, "riemann-batch"), space, dim, n=1)[0]
+        fast = riemann_integral(g, 0.0, 2.0, 1e-10)
+        slow = riemann_integral(without_batch(g), 0.0, 2.0, 1e-10)
+        assert fast.panels == slow.panels
+        np.testing.assert_allclose(fast.value.values, slow.value.values, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 64, 1024])
+    @pytest.mark.parametrize("atoms,dim", SHAPES)
+    def test_damped_batched_equals_scalar(self, atoms, dim, k):
+        space = uniform_space(atoms)
+        g = bounded_wave(rng_for(atoms, "damped-batch"), space, dim)
+        eta = L0Scalar.constant(space, 2.0)
+        fast = damped_weighted_integral(g, eta, k, 1e-10)
+        slow = damped_weighted_integral(without_batch(g), eta, k, 1e-10)
+        assert fast.panels == slow.panels
+        np.testing.assert_array_equal(fast.log_scale, slow.log_scale)
+        np.testing.assert_allclose(
+            fast.scaled_value.values, slow.scaled_value.values, rtol=0, atol=1e-13
+        )

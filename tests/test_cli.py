@@ -19,12 +19,14 @@ from rnsl.reporting import (
     RECORDS_CSV_HEADER,
     CheckRecord,
     SuiteReport,
+    diff_reports,
     fmt_float,
     records_csv_rows,
     report_payload,
     write_csv,
     write_json,
 )
+from rnsl.cli import main as cli_main
 from rnsl.scenario import canonical_digest
 from rnsl.suites import PLOT_KINDS, emit_plot_data
 
@@ -332,3 +334,43 @@ class TestCliPlot:
         assert rows[0] == ["eta", "error"]
         errs = [float(r[1]) for r in rows[1:]]
         assert errs == sorted(errs, reverse=True)
+
+
+def one_record_payload(measured=1.0, passed=True, direction="le", name="gap"):
+    record = CheckRecord(name, measured, 2.0, 0.0, direction, passed, worst_atom=0)
+    return report_payload("digest", 0, [SuiteReport("demo", [record], {"x": [1.0]})])
+
+
+class TestReportDiff:
+    def test_agree_within_tolerance(self):
+        base = one_record_payload()
+        assert diff_reports(base, base) == []
+        assert diff_reports(base, one_record_payload(measured=1.0 + 1e-10)) == []
+
+    def test_numeric_drift_named(self):
+        got = diff_reports(one_record_payload(), one_record_payload(measured=1.0 + 1e-8))
+        assert got == ["demo/gap: measured 1.0 -> 1.00000001"]
+
+    def test_verdict_name_and_direction_named_first(self):
+        base = one_record_payload()
+        flipped = one_record_payload(measured=3.0, passed=False)
+        got = diff_reports(base, flipped)
+        assert got == ["demo/gap: passed True -> False", "demo/gap: measured 1.0 -> 3.0"]
+        assert diff_reports(base, one_record_payload(direction="ge")) == [
+            "demo/gap: direction 'le' -> 'ge'"
+        ]
+        renamed = diff_reports(base, one_record_payload(name="other"))
+        assert renamed[0] == "demo: records ['gap'] -> ['other']"
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
+        write_json(old, one_record_payload())
+        write_json(new, one_record_payload())
+        assert cli_main(["diff", old, new]) == 0
+        assert "reports agree" in capsys.readouterr().out
+        write_json(new, one_record_payload(measured=3.0, passed=False))
+        assert cli_main(["diff", old, new]) == 1
+        assert "demo/gap: passed True -> False" in capsys.readouterr().out
+        assert cli_main(["diff", old, str(tmp_path / "absent.json")]) == 2
+        assert cli_main(["diff", old, write_doc(tmp_path, passing_doc())]) == 2
+        assert "not a report.json" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 """Regression gate: fresh runs of the shipped scenarios against golden reports.
 
 Each golden file is the report.json of one shipped scenario, run with the
-suites the golden lists (all fourteen for reference.json).  Verdicts, record
-names and directions must match exactly; measured values and bounds within
-rtol 1e-9 / atol 1e-12.  ``worst_atom`` is not compared: atoms whose gaps tie
-to the last ulp may trade places under any change of rounding.
+suites the golden lists (all fourteen for reference.json), and compared with
+the comparator behind ``rnsl diff``: verdicts, record names and directions
+must match exactly; measured values and bounds within rtol 1e-9 / atol 1e-12.
+``worst_atom`` is not compared: atoms whose gaps tie to the last ulp may
+trade places under any change of rounding.
 
 To regenerate after an intended change of results, for each scenario:
 
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from rnsl import load_scenario, run_scenario
+from rnsl.reporting import diff_reports
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,13 +33,4 @@ def test_fresh_run_matches_golden_report(name, tmp_path):
     run_scenario(scn, out_dir=str(tmp_path), suites=suites)
     fresh = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
 
-    assert fresh["passed"] == golden["passed"]
-    assert [s["suite"] for s in fresh["suites"]] == suites
-    for got, want in zip(fresh["suites"], golden["suites"]):
-        assert got["passed"] == want["passed"], want["suite"]
-        assert [r["name"] for r in got["records"]] == [r["name"] for r in want["records"]]
-        for r, w in zip(got["records"], want["records"]):
-            where = f"{want['suite']}/{w['name']}"
-            assert (r["direction"], r["passed"]) == (w["direction"], w["passed"]), where
-            for key in ("measured", "bound"):
-                assert r[key] == pytest.approx(w[key], rel=1e-9, abs=1e-12), where
+    assert diff_reports(golden, fresh) == []

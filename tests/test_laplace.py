@@ -16,6 +16,7 @@ from rnsl import (
     LaplaceSpec,
     NonPositiveTime,
     RnVector,
+    SpaceMismatch,
     TransformDerivativeProvider,
     l0_norm,
     laplace_derivative,
@@ -71,6 +72,55 @@ class TestSpecValidation:
             make_laplace_spec(curve)
         assert exc.value.atom == 1
         assert exc.value.t > 0.0
+
+    def test_batched_escape_names_first_time_and_atom(self, space2):
+        def batch(s):
+            rows = np.stack([np.ones_like(s), np.exp(0.5 * s)], axis=1)
+            return np.stack([rows, np.zeros_like(rows)], axis=2)
+
+        curve = CurveSampler.from_batch(
+            space2, 2, 0.0, math.inf, batch,
+            bound=ExponentialBound.constant(space2, 1.0, 0.0),
+        )
+        with pytest.raises(BoundViolated) as batched:
+            make_laplace_spec(curve)
+        unbatched = CurveSampler(space2, 2, 0.0, math.inf, curve.evaluator, bound=curve.bound)
+        with pytest.raises(BoundViolated) as scalar:
+            make_laplace_spec(unbatched)
+        assert (batched.value.atom, batched.value.t) == (1, scalar.value.t)
+        assert batched.value.t == float(np.geomspace(1e-3, 1e2, 64)[0])
+
+    def test_batched_wrong_shape_rejected(self, space2):
+        curve = CurveSampler.from_batch(
+            space2, 2, 0.0, math.inf, lambda s: np.ones((len(s), 2, 1)),
+            bound=ExponentialBound.constant(space2, 2.0, 0.0),
+        )
+        with pytest.raises(SpaceMismatch):
+            make_laplace_spec(curve)
+
+
+class TestBatchedFamilies:
+    """Every batched curve in ``instances`` samples as its scalar calls stack."""
+
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 17)])
+
+    def assert_batch_matches_scalar(self, curve):
+        stacked = np.stack([curve(float(t)).values for t in self.TIMES])
+        got = curve.sample(self.TIMES)
+        assert got.shape == (len(self.TIMES), curve.space.n_atoms, curve.dim)
+        np.testing.assert_allclose(got, stacked, rtol=1e-15, atol=1e-15)
+
+    def test_oscillating_decay_specs(self, space4):
+        for spec in oscillating_decay_specs(rng_for(2, "batched"), space4, 3, n=5):
+            assert spec.curve.batch is not None
+            self.assert_batch_matches_scalar(spec.curve)
+
+    @pytest.mark.parametrize("dim", [1, 16])
+    def test_inversion_test_family(self, space4, dim):
+        for name, spec, exact in inversion_test_family(space4, dim):
+            assert spec.curve.batch is not None, name
+            self.assert_batch_matches_scalar(spec.curve)
+            np.testing.assert_array_equal(exact(0.7).values, spec.curve(0.7).values)
 
 
 class TestLaplaceTransform:
