@@ -165,11 +165,11 @@ def constant_transform_provider(x: RnVector) -> TransformDerivativeProvider:
 
 
 def inversion_test_family(space: ProbabilitySpace, dim: int):
-    """Fixed bounded curves for inversion checks: (name, spec, time evaluator).
+    """Fixed bounded curves for inversion checks, as (name, spec) pairs.
 
     Contains a constant, two exponential decays, and a sine-modulated decay;
     all are bounded, so their certificates use xi <= 0.  Each is a scalar
-    profile times one unit vector, and the time evaluator is the spec's curve.
+    profile times one unit vector; ``spec.curve`` evaluates it exactly.
     """
     coords = np.full(dim, 1.0 / math.sqrt(dim))
     x = RnVector.constant(space, coords)
@@ -184,7 +184,7 @@ def inversion_test_family(space: ProbabilitySpace, dim: int):
                 bound=ExponentialBound.constant(space, m, xi),
             )
         )
-        return name, spec, spec.curve
+        return name, spec
 
     return [
         member("constant", np.ones_like, 1.0, 0.0),

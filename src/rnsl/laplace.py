@@ -34,7 +34,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .l0 import L0Scalar, ProbabilitySpace
-from .rn import RnVector, vector_distance
+from .rn import RnVector, block_norms, vector_distance
 
 BOUND_CHECK_POINTS = 64
 BOUND_CHECK_RANGE = (1e-3, 1e2)
@@ -59,9 +59,8 @@ class LaplaceSpec:
         if c.bound is None:
             raise CertificateMissing("a transformable curve needs a certificate")
         times = np.geomspace(*BOUND_CHECK_RANGE, BOUND_CHECK_POINTS)
-        vals = c.sample(times)
-        norms = np.sqrt(np.einsum("tad,tad->ta", vals, vals))
-        envelope = c.bound.M.values * np.exp(np.outer(times, c.bound.xi.values))
+        norms = block_norms(c.sample(times))
+        envelope = c.bound.envelope(times)
         bad = np.argwhere(norms > BOUND_CHECK_SLACK * envelope)
         if bad.size:
             i, a = (int(v) for v in bad[0])

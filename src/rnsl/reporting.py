@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -137,12 +138,24 @@ def records_csv_rows(records: Sequence[CheckRecord]):
         )
 
 
-def diff_reports(old: dict, new: dict, rtol: float = 1e-9, atol: float = 1e-12) -> list[str]:
+DIFF_RTOL = 1e-9
+DIFF_ATOL = 1e-12
+
+
+def _numbers_agree(a: float, b: float) -> bool:
+    """Finite values within max(DIFF_RTOL * |a|, DIFF_ATOL); others exactly."""
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(b - a) <= max(DIFF_RTOL * abs(a), DIFF_ATOL)
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def diff_reports(old: dict, new: dict) -> list[str]:
     """Where two report.json payloads disagree; empty when they agree.
 
     Returns at most two lines: the first difference in a verdict, suite or
     record name, or direction, and the first record whose ``measured`` or
-    ``bound`` moved by more than max(rtol * |old|, atol).  ``worst_atom``
+    ``bound`` moved by more than max(DIFF_RTOL * |old|, DIFF_ATOL).  An
+    infinite or NaN value agrees only with the same value.  ``worst_atom``
     and suite data are not compared.
     """
     verdict: list[str] = []
@@ -167,7 +180,7 @@ def diff_reports(old: dict, new: dict, rtol: float = 1e-9, atol: float = 1e-12) 
                     note(verdict, f"{where}: {key} {ro[key]!r} -> {rn[key]!r}")
             for key in ("measured", "bound"):
                 a, b = ro[key], rn[key]
-                if a != b and not abs(b - a) <= max(rtol * abs(a), atol):
+                if not _numbers_agree(a, b):
                     note(numeric, f"{where}: {key} {a!r} -> {b!r}")
     if old["passed"] != new["passed"]:
         note(verdict, f"report: passed {old['passed']} -> {new['passed']}")

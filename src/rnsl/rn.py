@@ -245,17 +245,23 @@ class ExponentialBound:
     def space(self) -> ProbabilitySpace:
         return self.M.space
 
-    def envelope(self, t: float) -> np.ndarray:
-        return self.M.values * np.exp(self.xi.values * float(t))
+    def envelope(self, t) -> np.ndarray:
+        """M exp(xi t) per atom; an array of times gives shape (len(t), n_atoms)."""
+        return self.M.values * np.exp(np.multiply.outer(np.asarray(t, float), self.xi.values))
 
     @classmethod
     def constant(cls, space: ProbabilitySpace, M: float, xi: float) -> "ExponentialBound":
         return cls(L0Scalar.constant(space, M), L0Scalar.constant(space, xi))
 
 
+def block_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last (coordinate) axis of a value array."""
+    return np.sqrt(np.einsum("...d,...d->...", values, values))
+
+
 def l0_norm(x: RnVector) -> L0Scalar:
     """Per-atom Euclidean length of the coordinate block."""
-    return L0Scalar.of(x.space, np.sqrt(np.einsum("ad,ad->a", x.values, x.values)))
+    return L0Scalar.of(x.space, block_norms(x.values))
 
 
 def vector_distance(x: RnVector, y: RnVector, topology: str) -> float:

@@ -194,7 +194,8 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
     members = inversion_test_family(scn.space, scn.dim)
     records = []
     plot_errors = None
-    for name, spec, exact in members:
+    for name, spec in members:
+        exact = spec.curve
         if name == "constant":
             # exactness is a cancellation property of the inversion formula,
             # so it is measured with closed-form derivatives, orders up to 1024
@@ -238,12 +239,8 @@ def _suite_uniqueness_3_6(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("uniqueness", 1e-6)
     floor = scn.tolerance("uniqueness_detection", 1e-4)
     grid = (1.0, 2.0, 4.0, 8.0)
-    base = dict(
-        (name, spec) for name, spec, _ in inversion_test_family(scn.space, scn.dim)
-    )
-    twin = dict(
-        (name, spec) for name, spec, _ in inversion_test_family(scn.space, scn.dim)
-    )
+    base = dict(inversion_test_family(scn.space, scn.dim))
+    twin = dict(inversion_test_family(scn.space, scn.dim))
     same = transforms_equal(base["decay_1"], twin["decay_1"], grid, tol)
 
     coords = np.full(scn.dim, 1.0 / math.sqrt(scn.dim))

@@ -233,12 +233,31 @@ SHAPES = [(1, 1), (1, 16), (1024, 1), (1024, 16)]
 
 
 class TestBatchedSampling:
-    def test_smooth_family_batch_matches_scalar_calls(self, space4):
+    def test_smooth_family_samples_its_closed_form(self, space4):
+        # the closed forms are written out from the same rng draws, and both
+        # the batched and the scalar path are checked against them
+        n, dim = space4.n_atoms, 3
         ts = np.linspace(0.0, 2.0, 31)
-        for pair in smooth_curve_family(rng_for(3, "batch"), space4, 3, n=4):
-            for g in pair:
+        family = smooth_curve_family(rng_for(3, "batch"), space4, dim, n=4)
+        rng = rng_for(3, "batch")
+        for big_g, small_g in family:
+            w = float(rng.uniform(0.5, 3.0))
+            al = float(rng.uniform(-1.0, 0.8))
+            x, y, z = (rng.uniform(-1.0, 1.0, (n, dim)) for _ in range(3))
+            want_big = np.stack(
+                [math.sin(w * u) * x + math.exp(al * u) * y + u**3 * z for u in ts]
+            )
+            want_small = np.stack(
+                [
+                    w * math.cos(w * u) * x + al * math.exp(al * u) * y + 3.0 * u**2 * z
+                    for u in ts
+                ]
+            )
+            for g, want in ((big_g, want_big), (small_g, want_small)):
+                assert g.batch is not None
+                np.testing.assert_allclose(g.sample(ts), want, rtol=1e-14, atol=1e-14)
                 stacked = np.stack([g(float(t)).values for t in ts])
-                np.testing.assert_allclose(g.sample(ts), stacked, rtol=1e-15, atol=1e-15)
+                np.testing.assert_allclose(stacked, want, rtol=1e-14, atol=1e-14)
 
     def test_fallback_stacks_scalar_calls(self, space2):
         x = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])

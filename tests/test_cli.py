@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,6 +351,19 @@ class TestReportDiff:
     def test_numeric_drift_named(self):
         got = diff_reports(one_record_payload(), one_record_payload(measured=1.0 + 1e-8))
         assert got == ["demo/gap: measured 1.0 -> 1.00000001"]
+
+    def test_non_finite_values_agree_only_with_themselves(self):
+        for value in (math.inf, -math.inf, math.nan):
+            same = one_record_payload(measured=value)
+            assert diff_reports(same, same) == []
+        inf = one_record_payload(measured=math.inf)
+        assert diff_reports(inf, one_record_payload(measured=5.0)) == [
+            "demo/gap: measured inf -> 5.0"
+        ]
+        assert diff_reports(inf, one_record_payload(measured=-math.inf)) == [
+            "demo/gap: measured inf -> -inf"
+        ]
+        assert diff_reports(one_record_payload(), one_record_payload(measured=math.nan))
 
     def test_verdict_name_and_direction_named_first(self):
         base = one_record_payload()

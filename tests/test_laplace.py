@@ -100,27 +100,63 @@ class TestSpecValidation:
 
 
 class TestBatchedFamilies:
-    """Every batched curve in ``instances`` samples as its scalar calls stack."""
+    """Every batched curve in ``instances`` samples its closed form.
+
+    The closed forms are written out here from the same rng draws, so a
+    transcription slip in a family's batched formula shows up; the scalar
+    calls are checked against them too.
+    """
 
     TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 17)])
 
-    def assert_batch_matches_scalar(self, curve):
-        stacked = np.stack([curve(float(t)).values for t in self.TIMES])
+    def assert_closed_form(self, curve, closed_form):
+        assert curve.batch is not None
+        want = np.stack([closed_form(float(t)) for t in self.TIMES])
         got = curve.sample(self.TIMES)
         assert got.shape == (len(self.TIMES), curve.space.n_atoms, curve.dim)
-        np.testing.assert_allclose(got, stacked, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+        stacked = np.stack([curve(float(t)).values for t in self.TIMES])
+        np.testing.assert_allclose(stacked, want, rtol=1e-14, atol=1e-15)
 
     def test_oscillating_decay_specs(self, space4):
-        for spec in oscillating_decay_specs(rng_for(2, "batched"), space4, 3, n=5):
-            assert spec.curve.batch is not None
-            self.assert_batch_matches_scalar(spec.curve)
+        n, dim = space4.n_atoms, 3
+        specs = oscillating_decay_specs(rng_for(2, "batched"), space4, dim, n=5)
+        rng = rng_for(2, "batched")
+        for spec in specs:
+            a = rng.uniform(-1.0, 0.5, n)
+            w = float(rng.uniform(0.5, 4.0))
+            x = rng.uniform(-1.0, 1.0, (n, dim))
+            y = rng.uniform(-1.0, 1.0, (n, dim))
+
+            def h(s, a=a, w=w, x=x, y=y):
+                return np.exp(a * s)[:, None] * (math.cos(w * s) * x + math.sin(w * s) * y)
+
+            self.assert_closed_form(spec.curve, h)
+            np.testing.assert_array_equal(spec.bound.xi.values, a)
+            np.testing.assert_allclose(
+                spec.bound.M.values,
+                np.linalg.norm(x, axis=1) + np.linalg.norm(y, axis=1),
+                rtol=1e-15,
+            )
 
     @pytest.mark.parametrize("dim", [1, 16])
     def test_inversion_test_family(self, space4, dim):
-        for name, spec, exact in inversion_test_family(space4, dim):
-            assert spec.curve.batch is not None, name
-            self.assert_batch_matches_scalar(spec.curve)
-            np.testing.assert_array_equal(exact(0.7).values, spec.curve(0.7).values)
+        unit = np.full((space4.n_atoms, dim), 1.0 / math.sqrt(dim))
+        closed_forms = {
+            "constant": (lambda t: 1.0, 1.0, 0.0),
+            "decay_1": (lambda t: math.exp(-t), 1.0, -1.0),
+            "decay_half": (lambda t: math.exp(-0.5 * t), 1.0, -0.5),
+            "modulated": (
+                lambda t: math.exp(-t) * (1.0 + 0.5 * math.sin(t)), 1.5, -1.0
+            ),
+        }
+        family = inversion_test_family(space4, dim)
+        assert [name for name, _ in family] == list(closed_forms)
+        for name, spec in family:
+            profile, m, xi = closed_forms[name]
+            self.assert_closed_form(spec.curve, lambda t, p=profile: p(t) * unit)
+            np.testing.assert_array_equal(spec.bound.M.values, m)
+            np.testing.assert_array_equal(spec.bound.xi.values, xi)
 
 
 class TestLaplaceTransform:
@@ -261,10 +297,7 @@ class TestPostWidder:
         assert abs(got - math.exp(-1.0)) < 4e-4
 
     def test_error_decreases_with_order(self, space2):
-        family = {
-            name: spec for name, spec, _ in inversion_test_family(space2, 2)
-        }
-        spec = family["decay_1"]
+        spec = dict(inversion_test_family(space2, 2))["decay_1"]
         provider = provider_from_curve(spec, 1e-11)
         want = math.exp(-1.0) / math.sqrt(2.0)
         errs = [
