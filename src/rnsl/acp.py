@@ -22,7 +22,7 @@ from .calculus import MIN_STEP, _coerce_eta
 from .errors import DimMismatch, SolveFailed, SpaceMismatch, StepUnderflow
 from .l0 import L0Scalar
 from .rn import L0Operator, RnVector, l0_norm, op_apply
-from .semigroup import CSemigroup, c_resolvent_direct, evaluate
+from .semigroup import CSemigroup, _generated, c_resolvent_direct
 
 
 def _check_times(times) -> tuple[float, ...]:
@@ -158,7 +158,11 @@ def initial_vector(p: AcpProblem) -> RnVector:
 def solve_acp(p: AcpProblem) -> Trajectory:
     """Evaluate u(t) = W(t) v0 on the grid with residuals and graph norms."""
     v0 = initial_vector(p)
-    states = [evaluate(p.W, t, v0) for t in p.times]
+    mats = _generated(p.W.generator, p.W.C, p.times)
+    states = [
+        RnVector.of(p.W.space, u)
+        for u in np.einsum("taij,aj->tai", mats, v0.values)
+    ]
     return _trajectory_from_states(p.W.generator, p.times, states)
 
 

@@ -310,15 +310,19 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
     )
 
 
-def _expm_single(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Pade(13) exponential of one matrix."""
-    norm1 = float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
-    s = 0
-    if norm1 > _PADE13_THETA:
-        s = int(np.ceil(np.log2(norm1 / _PADE13_THETA)))
-    b = m / (2.0**s)
-    d = b.shape[0]
-    ident = np.eye(d)
+def _expm_stack(mats: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring Pade(13) exponential of a stack of matrices (N, d, d).
+
+    Every matrix gets its own scaling exponent s, and each squaring round
+    touches only the matrices with squarings left: squaring a finished one
+    again would change it and could overflow.
+    """
+    norm1 = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
+    s = np.zeros(len(mats), dtype=int)
+    big = norm1 > _PADE13_THETA
+    s[big] = np.ceil(np.log2(norm1[big] / _PADE13_THETA))
+    b = mats / (2.0**s)[:, None, None]
+    ident = np.eye(mats.shape[-1])
     b2 = b @ b
     b4 = b2 @ b2
     b6 = b2 @ b4
@@ -338,16 +342,23 @@ def _expm_single(m: np.ndarray) -> np.ndarray:
         + c[0] * ident
     )
     f = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        f = f @ f
+    for r in range(int(s.max(initial=0))):
+        act = s > r
+        f[act] = f[act] @ f[act]
     return f
+
+
+def matrix_exp_times(A: L0Operator, ts) -> np.ndarray:
+    """Blockwise exp(t * A) at every time of ``ts``: shape (len(ts), n_atoms, d, d)."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    _check_finite(ts, "time")
+    n, d = A.space.n_atoms, A.dim
+    mats = ts[:, None, None, None] * A.matrices
+    out = _expm_stack(mats.reshape(-1, d, d)).reshape(len(ts), n, d, d)
+    _check_finite(out, "operator entries")
+    return out
 
 
 def matrix_exp(A: L0Operator, t: float) -> L0Operator:
     """Blockwise matrix exponential exp(t * A)."""
-    if not np.isfinite(float(t)):
-        raise NonFiniteValue("time must be finite")
-    out = np.empty_like(A.matrices)
-    for a in range(A.space.n_atoms):
-        out[a] = _expm_single(float(t) * A.matrices[a])
-    return L0Operator.of(A.space, out)
+    return L0Operator.of(A.space, matrix_exp_times(A, [float(t)])[0])

@@ -17,10 +17,12 @@ from rnsl import (
     l0_norm,
     make_space,
     matrix_exp,
+    matrix_exp_times,
     op_apply,
     op_norm,
     vector_distance,
 )
+from rnsl.rn import _PADE13_THETA, _expm_stack
 
 entries = st.floats(
     min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
@@ -202,6 +204,79 @@ class TestMatrixExp:
             left = (matrix_exp(A, 1.3) @ matrix_exp(A, 0.9)).matrices
             right = matrix_exp(A, 2.2).matrices
             assert np.linalg.norm(left - right) <= 1e-10
+
+
+def hostile_blocks(rng, d: int) -> np.ndarray:
+    """Stiff, defective, nilpotent, tiny and large blocks of size d.
+
+    Their 1-norms run from about 1e-3 to far past theta_13, so one stack
+    mixes scaling exponents from 0 to about 10.  The large blocks are
+    skew-symmetric and symmetric, whose exponentials are well conditioned.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    g = rng.normal(size=(d, d))
+    stiff = q @ np.diag(np.concatenate([[-1000.0], rng.uniform(-1.0, 0.5, d - 1)])) @ q.T
+    jordan = -0.5 * np.eye(d) + np.eye(d, k=1)
+    nilpotent = np.triu(rng.normal(size=(d, d)), 1)
+    return np.stack([
+        stiff,
+        np.diag(rng.uniform(-50.0, 1.0, d)),
+        jordan,
+        nilpotent,
+        40.0 * (g - g.T) + 300.0 * np.eye(d, k=-1) - 300.0 * np.eye(d, k=1),
+        -20.0 * (g @ g.T) + 30.0 * np.eye(d),
+        1e-3 * rng.normal(size=(d, d)),
+        np.zeros((d, d)),
+    ])
+
+
+def assert_close_to_expm(ours: np.ndarray, m: np.ndarray) -> None:
+    want = scipy.linalg.expm(m)
+    assert np.linalg.norm(ours - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestStackedExp:
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_stack_is_bitwise_the_one_matrix_stacks(self, rng, d):
+        stack = hostile_blocks(rng, d)
+        norms = np.abs(stack).sum(axis=1).max(axis=1)
+        assert norms.min() < _PADE13_THETA < 100.0 * _PADE13_THETA < norms.max()
+        out = _expm_stack(stack)
+        for i, m in enumerate(stack):
+            assert np.array_equal(out[i], _expm_stack(stack[i : i + 1])[0])
+            assert_close_to_expm(out[i], m)
+
+    @pytest.mark.parametrize("n_atoms, d", [(1, 1), (1, 16), (1024, 1), (1024, 4), (64, 16)])
+    def test_time_axis_matches_scipy_and_single_times(self, rng, n_atoms, d):
+        # symmetric and skew-symmetric blocks, whose exponentials are well conditioned
+        g = rng.normal(size=(n_atoms, d, d))
+        sign = np.where(np.arange(n_atoms) % 2, 1.0, -1.0)[:, None, None]
+        scale = rng.choice([1e-3, 1.0, 5.0], (n_atoms, 1, 1)) / np.sqrt(d)
+        mats = (g + sign * np.swapaxes(g, 1, 2)) * scale
+        A = L0Operator.of(make_space(np.full(n_atoms, 1.0 / n_atoms)), mats)
+        ts = [0.0, 0.7, 3.0]
+        out = matrix_exp_times(A, ts)
+        assert out.shape == (len(ts), n_atoms, d, d)
+        np.testing.assert_allclose(out[0], np.broadcast_to(np.eye(d), out[0].shape), atol=1e-15)
+        for i, t in enumerate(ts):
+            assert np.array_equal(out[i], matrix_exp(A, t).matrices)
+        for a in range(0, n_atoms, max(1, n_atoms // 64)):
+            assert_close_to_expm(out[2, a], 3.0 * mats[a])
+
+    def test_overflow_raises(self, space2):
+        A = L0Operator.of(space2, [[[1.0]], [[1000.0]]])
+        with pytest.raises(NonFiniteValue):
+            matrix_exp_times(A, [0.0, 1.0])
+        with pytest.raises(NonFiniteValue):
+            matrix_exp(A, 1.0)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_rejected(self, space2, t):
+        A = L0Operator.zeros(space2, 2)
+        with pytest.raises(NonFiniteValue, match="time must be finite"):
+            matrix_exp_times(A, [0.0, t])
+        with pytest.raises(NonFiniteValue, match="time must be finite"):
+            matrix_exp(A, t)
 
 
 class TestExponentialBound:

@@ -35,6 +35,7 @@ from rnsl import (
     transform_identity_gap,
     yosida_approximant,
 )
+from rnsl import semigroup as semigroup_module
 from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
 
@@ -98,6 +99,25 @@ class TestConstruction:
         with pytest.raises(BoundViolated) as exc:
             make_matrix_semigroup(A, C, bound)
         assert exc.value.t > 0.0
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_stacked_growth_check_fails_where_the_loop_does(self, overflow):
+        # atom 2 escapes first in time; with overflow, atom 3 is infinite at t = 10
+        space = make_space([0.25] * 4)
+        rates = [0.1, -1.0, 0.9, 100.0 if overflow else 0.2]
+        A = L0Operator.of(space, np.array(rates)[:, None, None])
+        C = L0Operator.identity(space, 1)
+        bound = ExponentialBound(L0Scalar.one(space), L0Scalar.of(space, [0.1, -1.0, 0.5, 0.2]))
+        if overflow:
+            bound = ExponentialBound(bound.M, L0Scalar.of(space, [0.1, -1.0, 0.5, 100.0]))
+        loop = semigroup_module._check_growth
+        with pytest.raises(BoundViolated) as by_loop:
+            loop(lambda t: matrix_exp(A, t) @ C, bound)
+        with pytest.raises(BoundViolated) as stacked:
+            make_matrix_semigroup(A, C, bound)
+        assert (stacked.value.t, stacked.value.atom) == (by_loop.value.t, by_loop.value.atom)
+        assert str(stacked.value) == str(by_loop.value)
+        assert stacked.value.atom == 2 and stacked.value.t > 0.0
 
     def test_sampled_family_wraps_evaluator(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
