@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .errors import (
     CertificateMissing,
@@ -301,40 +300,146 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
     return np.zeros_like(eta_values)
 
 
-def _log_tail(M: np.ndarray, gamma: np.ndarray, k: int, T: float) -> np.ndarray:
-    """Per-atom log of the certified tail of int_T^inf s^k M e^(-gamma s) ds."""
-    a = k + 1.0
-    x = gamma * T
-    with np.errstate(divide="ignore"):
-        q = gammaincc(a, x)
-        logq = np.where(
-            q > 0.0,
-            np.log(np.maximum(q, 1e-320)),
-            # asymptotic upper bound, valid once x is well past a
-            (a - 1.0) * np.log(np.maximum(x, 1e-300)) - x - math.lgamma(a) + math.log(2.0),
-        )
-        logM = np.where(M > 0.0, np.log(np.maximum(M, 1e-320)), -np.inf)
-    return logM + math.lgamma(a) + logq - a * np.log(gamma)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# relative margin on an inverted horizon, far above the inverse's error (~1e-14)
+_HORIZON_MARGIN = 1e-12
 
 
-def _tail_time(
-    M: np.ndarray, gamma: np.ndarray, k: int, log_target: np.ndarray
-) -> float:
-    """Smallest horizon T whose certified tail stays under the per-atom target."""
-    a = k + 1.0
+def _stirling_error(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1; a series past n = 15."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _log_poisson(k: int, x: np.ndarray) -> np.ndarray:
+    """log(x^k e^-x / k!) for x > 0, without cancellation between its large terms.
+
+    This is Loader's (2000) saddle-point form; k log(k/x) + x - k is taken as
+    k log1p((k-x)/x) - (k-x), whose error stays a few ulps of |k - x|.
+    """
+    if k == 0:
+        return -x
+    deviance = k * np.log1p((k - x) / x) - (k - x)
+    return -_stirling_error(k) - deviance - _HALF_LOG_2PI - 0.5 * math.log(k)
+
+
+def _log_series(k: int, x: np.ndarray, down: bool) -> np.ndarray:
+    """log(1 + sum_m prod_{i<m} r_i), r_i = (k-i)/x if ``down`` else x/(k+2+i).
+
+    Every ratio is below rho = max r_0 < 1, and their products fall like
+    exp(-m^2/(2(k+1))), so the sum stops at the first m where either bound
+    puts the rest under 1e-17.
+    """
+    rho = k / float(x.min()) if down else float(x.max()) / (k + 2.0)
+    width = int(9.0 * math.sqrt(k + 1.0)) + 30
+    if rho < 1.0:
+        width = min(width, math.ceil((39.2 - math.log1p(-rho)) / -math.log(rho)))
+    steps = np.arange(min(width, k) if down else width, dtype=float)
+    ratios = (k - steps)[:, None] / x if down else x / (k + 2.0 + steps)[:, None]
+    return np.log1p(np.cumprod(ratios, axis=0).sum(axis=0))
+
+
+def _log_q(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Q(k+1, x) = log(e^-x sum_{j<=k} x^j/j!) for x > 0, and log(x^k e^-x / k!).
+
+    At x >= k+1 the sum runs down from its largest term j = k; below, the
+    complement P(k+1, x) = 1 - Q runs up from j = k+1, so neither underflows
+    nor cancels.
+    """
+    x = np.asarray(x, dtype=float)
+    log_pk = _log_poisson(k, x)
+    if k == 0:
+        return log_pk, log_pk
+    down = x >= k + 1.0
+    if down.all():
+        return log_pk + _log_series(k, x, True), log_pk
+    log_q = np.empty_like(x)
+    if down.any():
+        log_q[down] = log_pk[down] + _log_series(k, x[down], True)
+    up = ~down
+    xu = x[up]
+    log_p = log_pk[up] + np.log(xu / (k + 1.0)) + _log_series(k, xu, False)
+    log_q[up] = np.log1p(-np.exp(log_p))
+    return log_q, log_pk
+
+
+def _log_certified_integral(M: np.ndarray, gamma: np.ndarray, k: int) -> np.ndarray:
+    """Per-atom log of int_0^inf s^k M e^(-gamma s) ds = log(M k! / gamma^(k+1))."""
     with np.errstate(divide="ignore"):
-        log_q_target = (
-            log_target - np.where(M > 0.0, np.log(np.maximum(M, 1e-320)), -np.inf)
-            - math.lgamma(a) + a * np.log(gamma)
-        )
-    q = np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16)
-    T = float(np.max(gammainccinv(a, q) / gamma))
-    T = max(T, float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
-    # the inverse saturates for extreme targets; double until certified
+        return np.log(M) + math.lgamma(k + 1.0) - (k + 1.0) * np.log(gamma)
+
+
+def _q_start(k: int, log_q: np.ndarray) -> np.ndarray:
+    """Start for the x with Q(k+1, x) = q: exact at k = 0, else Wilson-Hilferty.
+
+    The Wilson-Hilferty cube is floored by the root's lower bound from
+    P(a, x) <= x^a / a!; its normal quantile is the rational approximation
+    26.2.23 of Abramowitz and Stegun.
+    """
+    if k == 0:
+        return -log_q
+    a = k + 1.0
+    q = np.exp(log_q)
+    t = np.sqrt(-2.0 * np.log(np.minimum(q, 1.0 - q)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    z = np.where(q < 0.5, z, -z)
+    base = np.maximum(1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)), 0.0)
+    floor = np.exp((np.log1p(-q) + math.lgamma(a + 1.0)) / a)
+    return np.maximum(a * base**3, floor)
+
+
+def _q_root(k: int, log_q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Halley's method from ``x`` for the x with log Q(k+1, x) = log_q.
+
+    With f = log Q, f' = -x^k e^-x / (k! Q) and f''/f' = k/x - 1 - f', so
+    each step costs one evaluation; its error is cubic in the step before,
+    which makes a step below 1e-5 x the last one needed.  Where Halley's
+    denominator degenerates the step is Newton's, and every step is clamped
+    to a factor 16.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            now, log_pk = _log_q(k, x)
+            gap = now - log_q
+            newton = np.where(gap == 0.0, 0.0, gap * np.exp(now - log_pk))
+            den = 1.0 + 0.5 * (newton * (k / x - 1.0) + gap)
+            step = np.where(den > 0.5, newton / den, newton)
+            x = np.clip(x + step, x / 16.0, 16.0 * x)
+            if (np.abs(step) <= 1e-5 * x).all():
+                break
+    return x
+
+
+def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest horizon T with log Q(k+1, gamma T) <= log_q_target on every atom.
+
+    Returns T and log Q(k+1, gamma T).  The inverse of Q is computed only
+    on the atoms whose starting estimate is near the largest horizon, and
+    then on any atom that T leaves uncertified.
+    """
+    a = k + 1.0
+    log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
+    x = _q_start(k, log_q)
+    pick = x / gamma >= 0.9 * float(np.max(x / gamma))
+    inverted = np.zeros(len(x), dtype=bool)
+    T = max(float(np.max(a / gamma)) * 0.5, 1e-3)
     for _ in range(200):
-        if bool((_log_tail(M, gamma, k, T) <= log_target).all()):
-            return T
-        T *= 2.0
+        if pick.any():
+            x[pick] = _q_root(k, log_q[pick], x[pick])
+            inverted |= pick
+            T = max(T, float(np.max(x[pick] / gamma[pick])) * (1.0 + _HORIZON_MARGIN))
+        now = _log_q(k, gamma * T)[0]
+        over = now > log_q_target
+        if not over.any():
+            return T, now
+        pick = over & ~inverted
+        if not pick.any():
+            # the target was clipped at 1e-280: only a longer horizon helps
+            T *= 2.0
     raise TailNotCertified(
         f"no horizon up to T={T!r} certifies the tail under its target"
     )
@@ -371,9 +476,10 @@ def damped_weighted_integral(
     ev = eta.values
     log_scale = _weight_log_scale(k, ev)
 
-    with np.errstate(divide="ignore"):
-        log_target = np.log(tol_arr / 2.0) + log_scale
-    T = _tail_time(bound.M.values, gamma, k, log_target)
+    log_whole = _log_certified_integral(bound.M.values, gamma, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q_target = np.log(tol_arr / 2.0) + log_scale - log_whole
+    T, log_q = _tail_time(gamma, k, log_q_target)
 
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)
@@ -403,7 +509,7 @@ def damped_weighted_integral(
     value, err, panels = _adaptive(
         values_at, (n, g.dim), sorted(breaks), tol_arr / 2.0, max_panels
     )
-    tail = np.exp(_log_tail(bound.M.values, gamma, k, T) - log_scale)
+    tail = np.exp(log_whole + log_q - log_scale)
     return WeightedIntegralResult(
         scaled_value=RnVector.of(space, value),
         log_scale=log_scale,

@@ -1,9 +1,11 @@
 """Curve calculus: quadrature, differentiation, certified improper integrals."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.special
 
 from rnsl import (
     CertificateMissing,
@@ -24,7 +26,15 @@ from rnsl import (
     make_space,
     riemann_integral,
 )
-from rnsl.calculus import _adaptive, _panel
+from rnsl.calculus import (
+    _HORIZON_MARGIN,
+    _adaptive,
+    _log_q,
+    _panel,
+    _q_root,
+    _q_start,
+    _tail_time,
+)
 from rnsl.instances import rng_for, smooth_curve_family
 
 TOL = 1e-10
@@ -310,3 +320,68 @@ class TestBatchedSampling:
         np.testing.assert_allclose(
             fast.scaled_value.values, slow.scaled_value.values, rtol=0, atol=1e-13
         )
+
+
+GAMMA_ORDERS = [0, 1, 2, 8, 64, 512, 1024]
+
+
+def decimal_log_q(k: int, x: float) -> float:
+    """log Q(k+1, x) = log(e^-x sum_{j<=k} x^j/j!) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_x = Decimal(x)
+        term = total = Decimal(1)
+        for j in range(1, k + 1):
+            term = term * big_x / j
+            total += term
+        return float(total.ln() - big_x)
+
+
+class TestClosedFormGamma:
+    """log Q(k+1, x) and its inverse against scipy.special and decimal sums."""
+
+    @pytest.mark.parametrize("k", GAMMA_ORDERS)
+    def test_log_q_matches_scipy(self, k):
+        top = 3.0 * (k + 1) + 700.0
+        xs = np.concatenate([np.geomspace(1e-12, k + 1.0, 200), np.linspace(0.0, top, 3001)[1:]])
+        ours = _log_q(k, xs)[0]
+        want = scipy.special.gammaincc(k + 1.0, xs)
+        normal = want > 1e-300
+        assert normal.sum() > 1000
+        logs = np.log(want[normal])
+        err = np.abs(ours[normal] - logs) / np.maximum(1.0, np.abs(logs))
+        assert err.max() <= 1e-12
+        # where Q underflows in double precision, the closed form still holds
+        for x in xs[~normal][:: max(1, (~normal).sum() // 8)]:
+            want_log = decimal_log_q(k, float(x))
+            got = _log_q(k, np.array([x]))[0][0]
+            assert abs(got - want_log) <= 1e-12 * abs(want_log)
+
+    @pytest.mark.parametrize("k", GAMMA_ORDERS)
+    def test_inverse_matches_scipy(self, k):
+        qs = np.concatenate([np.geomspace(1e-280, 0.5, 300), 1.0 - np.geomspace(1e-16, 0.5, 100)])
+        log_q = np.log(qs)
+        x = _q_root(k, log_q, _q_start(k, log_q))
+        want = scipy.special.gammainccinv(k + 1.0, qs)
+        assert (np.abs(x - want) <= 1e-12 * want).all()
+
+    @pytest.mark.parametrize("k", GAMMA_ORDERS)
+    def test_tail_time_certifies_without_doubling(self, k, rng):
+        gamma = rng.uniform(0.05, 3.0, 64)
+        log_q_target = np.log(np.geomspace(1e-250, 0.9, 64))
+        rng.shuffle(log_q_target)
+        T, log_q = _tail_time(gamma, k, log_q_target)
+        assert (log_q <= log_q_target).all()
+        assert np.array_equal(log_q, _log_q(k, gamma * T)[0])
+        a = k + 1.0
+        inverse = scipy.special.gammainccinv(a, np.exp(log_q_target)) / gamma
+        exact = max(inverse.max(), 0.5 * (a / gamma).max(), 1e-3)
+        assert exact <= T <= exact * (1.0 + 10.0 * _HORIZON_MARGIN)
+
+    def test_clipped_target_still_doubles(self):
+        gamma = np.array([1.0, 2.0])
+        log_q_target = np.array([-800.0, -1.0])
+        T, log_q = _tail_time(gamma, 8, log_q_target)
+        assert (log_q <= log_q_target).all()
+        # the horizon for q = 1e-280 falls short of a target near e^-800
+        assert T >= 2.0 * scipy.special.gammainccinv(9.0, 1e-280)
