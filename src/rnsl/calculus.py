@@ -303,6 +303,7 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # relative margin on an inverted horizon, far above the inverse's error (~1e-14)
 _HORIZON_MARGIN = 1e-12
+_LOG_EPS = math.log(np.finfo(float).eps)
 
 
 def _stirling_error(n: int) -> float:
@@ -459,7 +460,10 @@ def damped_weighted_integral(
     with log_scale = k*log(k/eta) - k (0 for k = 0), so the returned numbers
     stay of order one even when the raw weight s^k exp(-eta s) under- or
     overflows.  ``tol_scaled`` is the absolute tolerance per atom on the
-    scaled value; half goes to tail truncation, half to quadrature.
+    scaled value; half goes to tail truncation, half to quadrature.  A
+    tolerance below the double resolution of the scaled certificate integral
+    M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
+    before the first panel.
     """
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
@@ -480,6 +484,17 @@ def damped_weighted_integral(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q_target = np.log(tol_arr / 2.0) + log_scale - log_whole
     T, log_q = _tail_time(gamma, k, log_q_target)
+    # quadrature cannot resolve a tolerance below the rounding of the certified integral
+    log_resolution = _LOG_EPS + log_whole - log_scale
+    with np.errstate(divide="ignore"):
+        coarse = np.nonzero(np.log(tol_arr) < log_resolution)[0]
+    if coarse.size:
+        a = int(coarse[0])
+        raise MaxPanelsExceeded(
+            f"tolerance {tol_arr[a]!r} on atom {a} is below the double resolution "
+            f"{float(np.exp(log_resolution[a]))!r} of its scaled certificate integral",
+            atom=a,
+        )
 
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)

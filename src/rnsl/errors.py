@@ -63,8 +63,10 @@ class PowerIterationDiverged(RnslError):
     """
 
 
-class MaxPanelsExceeded(RnslError):
-    """Adaptive quadrature exceeded its panel budget."""
+
+
+class MaxPanelsExceeded(_AtomError):
+    """Adaptive quadrature exceeded its panel budget, or a tolerance is out of its reach."""
 
 
 class StepUnderflow(RnslError):

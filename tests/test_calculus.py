@@ -1,6 +1,7 @@
 """Curve calculus: quadrature, differentiation, certified improper integrals."""
 
 import math
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -35,7 +36,7 @@ from rnsl.calculus import (
     _q_start,
     _tail_time,
 )
-from rnsl.instances import rng_for, smooth_curve_family
+from rnsl.instances import oscillating_decay_specs, rng_for, smooth_curve_family
 
 TOL = 1e-10
 
@@ -163,6 +164,19 @@ class TestImproperIntegral:
         with pytest.raises(TailNotCertified):
             improper_integral(g, L0Scalar.constant(space2, 2.0), 5e-324)
 
+    def test_tolerance_below_resolution_rejected_before_quadrature(self):
+        # atoms with xi near 0.5 reach about 1e8 in scaled form; this used to
+        # bisect for minutes on its way to the panel budget
+        space = make_space(np.full(1024, 1.0 / 1024))
+        spec = oscillating_decay_specs(rng_for(3, "resolution"), space, 2, n=1)[0]
+        eta = L0Scalar.constant(space, 2.0)
+        start = time.perf_counter()
+        with pytest.raises(MaxPanelsExceeded, match="double resolution") as exc:
+            damped_weighted_integral(spec.curve, eta, 64, 1e-10)
+        assert time.perf_counter() - start < 1.0
+        a = exc.value.atom
+        assert f"atom {a}" in str(exc.value)
+        assert spec.curve.bound.xi.values[a] > 0.0
 
 class TestCalculusTheorems:
     """Randomized curve families against the integral/derivative identities."""
