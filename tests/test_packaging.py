@@ -1,0 +1,60 @@
+"""Packaging: the runtime imports match the declared dependencies."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rnsl"
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of every absolute, non-stdlib import in the package."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "rnsl"}
+
+
+def declared(extra: str | None = None) -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    specs = project["dependencies"] if extra is None else project["optional-dependencies"][extra]
+    return {re.match(r"[A-Za-z0-9_.-]+", s).group(0).lower().replace("-", "_") for s in specs}
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    assert third_party_imports() == declared()
+
+
+def test_scipy_is_a_test_dependency_only():
+    assert "scipy" in declared("test")
+    assert "scipy" not in declared()
+
+
+def test_reference_run_loads_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from rnsl import SUITE_NAMES, load_scenario, run_scenario\n"
+        f"scn = load_scenario({str(ROOT / 'scenarios' / 'reference.json')!r})\n"
+        f"run_scenario(scn, out_dir={str(tmp_path)!r}, suites=list(SUITE_NAMES))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "assert len(SUITE_NAMES) == 14\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").exists()
