@@ -63,8 +63,6 @@ class PowerIterationDiverged(RnslError):
     """
 
 
-
-
 class MaxPanelsExceeded(_AtomError):
     """Adaptive quadrature exceeded its panel budget, or a tolerance is out of its reach."""
 

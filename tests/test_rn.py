@@ -263,6 +263,11 @@ class TestStackedExp:
         for a in range(0, n_atoms, max(1, n_atoms // 64)):
             assert_close_to_expm(out[2, a], 3.0 * mats[a])
 
+    def test_empty_time_axis_and_empty_blocks(self, space2):
+        A = L0Operator.of(space2, np.ones((2, 3, 3)))
+        assert matrix_exp_times(A, []).shape == (0, 2, 3, 3)
+        assert matrix_exp(L0Operator.zeros(space2, 0), 1.0).matrices.shape == (2, 0, 0)
+
     def test_overflow_raises(self, space2):
         A = L0Operator.of(space2, [[[1.0]], [[1000.0]]])
         with pytest.raises(NonFiniteValue):
