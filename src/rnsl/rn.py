@@ -354,7 +354,9 @@ def matrix_exp_times(A: L0Operator, ts) -> np.ndarray:
     _check_finite(ts, "time")
     n, d = A.space.n_atoms, A.dim
     mats = ts[:, None, None, None] * A.matrices
-    out = _expm_stack(mats.reshape(len(ts) * n, d, d)).reshape(mats.shape)
+    # an overflow is reported by the finiteness check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _expm_stack(mats.reshape(len(ts) * n, d, d)).reshape(mats.shape)
     _check_finite(out, "operator entries")
     return out
 

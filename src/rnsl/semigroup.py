@@ -149,7 +149,8 @@ def _check_growth(
 
 def _generated(A: L0Operator, C: L0Operator, ts) -> np.ndarray:
     """exp(tA) C at every time of ``ts``: shape (len(ts), n_atoms, d, d)."""
-    mats = matrix_exp_times(A, ts) @ C.matrices
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = matrix_exp_times(A, ts) @ C.matrices
     if not np.isfinite(mats).all():
         raise NonFiniteValue("operator entries must be finite")
     return mats

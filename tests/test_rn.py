@@ -1,5 +1,7 @@
 """Module layer: vectors, operators, norms, injectivity, matrix exponentials."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,12 +270,14 @@ class TestStackedExp:
         assert matrix_exp_times(A, []).shape == (0, 2, 3, 3)
         assert matrix_exp(L0Operator.zeros(space2, 0), 1.0).matrices.shape == (2, 0, 0)
 
-    def test_overflow_raises(self, space2):
+    def test_overflow_raises_without_warning(self, space2):
         A = L0Operator.of(space2, [[[1.0]], [[1000.0]]])
-        with pytest.raises(NonFiniteValue):
-            matrix_exp_times(A, [0.0, 1.0])
-        with pytest.raises(NonFiniteValue):
-            matrix_exp(A, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                matrix_exp_times(A, [0.0, 1.0])
+            with pytest.raises(NonFiniteValue):
+                matrix_exp(A, 1.0)
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_rejected(self, space2, t):

@@ -1,6 +1,7 @@
 """Operator families: construction gates, resolvents, generation conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,8 +114,10 @@ class TestConstruction:
         loop = semigroup_module._check_growth
         with pytest.raises(BoundViolated) as by_loop:
             loop(lambda t: matrix_exp(A, t) @ C, bound)
-        with pytest.raises(BoundViolated) as stacked:
-            make_matrix_semigroup(A, C, bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundViolated) as stacked:
+                make_matrix_semigroup(A, C, bound)
         assert (stacked.value.t, stacked.value.atom) == (by_loop.value.t, by_loop.value.atom)
         assert str(stacked.value) == str(by_loop.value)
         assert stacked.value.atom == 2 and stacked.value.t > 0.0
