@@ -127,7 +127,7 @@ class SchemaError(RnslError):
     """A scenario document violates the schema; ``pointer`` locates the field."""
 
     def __init__(self, message: str, pointer: str = ""):
-        super().__init__(message)
+        super().__init__(f"{message} (at {pointer})" if pointer else message)
         self.pointer = pointer
 
 

@@ -1,94 +1,36 @@
-"""Scenario files: schema, validation, and canonical digests.
+"""Scenario files: reading, checking and canonical digests.
 
 A scenario fixes everything a run depends on: the probability space, the
 operator pair with its growth certificate, the evaluation grids, and which
-suites to run.  Validation failures surface as SchemaError with a JSON
-pointer to the offending element.
+suites to run.  Each field is read, checked and converted in one pass; a
+field that breaks a rule raises SchemaError with a JSON pointer to the
+offending element.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 
-import jsonschema
 import numpy as np
 
-from .errors import SchemaError
+from .errors import RnslError, SchemaError
 from .l0 import L0Scalar, ProbabilitySpace, make_space
 from .rn import ExponentialBound, L0Operator
 
-_NUMBER_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-_MATRIX = {
-    "type": "array",
-    "items": _NUMBER_LIST,
-    "minItems": 1,
-}
-_OPERATOR = {
-    "type": "object",
-    "properties": {
-        "matrix": _MATRIX,
-        "matrices": {"type": "array", "items": _MATRIX, "minItems": 1},
-    },
-    "minProperties": 1,
-    "maxProperties": 1,
-    "additionalProperties": False,
-}
-_SCALAR_OR_LIST = {
-    "anyOf": [{"type": "number"}, _NUMBER_LIST],
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "space": {
-            "type": "object",
-            "properties": {"probs": _NUMBER_LIST},
-            "required": ["probs"],
-            "additionalProperties": False,
-        },
-        "dim": {"type": "integer", "minimum": 1},
-        "operators": {
-            "type": "object",
-            "properties": {"A": _OPERATOR, "C": _OPERATOR},
-            "required": ["A", "C"],
-            "additionalProperties": False,
-        },
-        "bound": {
-            "type": "object",
-            "properties": {"M": _SCALAR_OR_LIST, "xi": _SCALAR_OR_LIST},
-            "required": ["M", "xi"],
-            "additionalProperties": False,
-        },
-        "eta_grid": _NUMBER_LIST,
-        "eta_sequence": _NUMBER_LIST,
-        "time_grid": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "k_ladder": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "suites": {
-            "type": "array",
-            "items": {"type": "string"},
-            "minItems": 1,
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "instances": {"type": "integer", "minimum": 1},
-        "yosida_time": {"type": "number", "exclusiveMinimum": 0},
-        "out_dir": {"type": "string"},
-    },
-    "required": ["space", "dim", "operators", "bound", "suites"],
-    "additionalProperties": False,
-}
+_KEYS = (
+    "space", "dim", "operators", "bound", "eta_grid", "eta_sequence", "time_grid",
+    "k_ladder", "suites", "tolerances", "seed", "instances", "yosida_time", "out_dir",
+)
+_REQUIRED = ("space", "dim", "operators", "bound", "suites")
+_FLOAT_MAX = sys.float_info.max
 
 _DEFAULT_ETA_GRID = (2.0, 4.0, 8.0, 16.0)
 _DEFAULT_ETA_SEQUENCE = (10.0, 20.0, 40.0, 80.0, 160.0)
+_DEFAULT_TIME_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _DEFAULT_K_LADDER = (8, 64, 512)
 
 
@@ -120,85 +62,123 @@ def canonical_digest(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _pointer(error: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(part) for part in error.absolute_path)
+def _object(value, ptr: str, allowed=None, required=()) -> dict:
+    """A JSON object with every ``required`` key and no key outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected an object, got {type(value).__name__}", pointer=ptr or "/")
+    for key in required:
+        if key not in value:
+            raise SchemaError(f"{key!r} is a required property", pointer=ptr or "/")
+    for key in value:
+        if allowed is not None and key not in allowed:
+            raise SchemaError(f"unexpected property {key!r}", pointer=f"{ptr}/{key}")
+    return value
 
 
-def _operator_from(doc: dict, space: ProbabilitySpace, dim: int, name: str) -> L0Operator:
-    spec = doc["operators"][name]
-    if "matrix" in spec:
-        mat = np.asarray(spec["matrix"], dtype=float)
-        if mat.shape != (dim, dim):
-            raise SchemaError(
-                f"operator {name} has shape {mat.shape}, expected ({dim}, {dim})",
-                pointer=f"/operators/{name}/matrix",
-            )
-        return L0Operator.from_matrix(space, mat)
-    mats = np.asarray(spec["matrices"], dtype=float)
-    if mats.shape != (space.n_atoms, dim, dim):
-        raise SchemaError(
-            f"operator {name} has shape {mats.shape}, expected "
-            f"({space.n_atoms}, {dim}, {dim})",
-            pointer=f"/operators/{name}/matrices",
-        )
-    return L0Operator.of(space, mats)
+def _number(value, ptr: str, minimum=None, exclusive=False, integer=False):
+    """A finite JSON number; with ``integer`` an integral one (2.0 counts), as an int."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"expected a number, got {type(value).__name__}", pointer=ptr)
+    if not abs(value) <= _FLOAT_MAX:
+        raise SchemaError(f"{value!r} is not a finite number", pointer=ptr)
+    if integer and not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise SchemaError(f"{value!r} is not an integer", pointer=ptr)
+    if minimum is not None and (value <= minimum if exclusive else value < minimum):
+        relation = "above" if exclusive else "at least"
+        raise SchemaError(f"{value!r} is not {relation} {minimum}", pointer=ptr)
+    return int(value) if integer else float(value)
 
 
-def _scalar_from(doc, space: ProbabilitySpace, pointer: str) -> L0Scalar:
-    if isinstance(doc, (int, float)):
-        return L0Scalar.constant(space, float(doc))
-    values = np.asarray(doc, dtype=float)
-    if values.shape != (space.n_atoms,):
-        raise SchemaError(
-            f"expected {space.n_atoms} per-atom values, got shape {values.shape}",
-            pointer=pointer,
-        )
-    return L0Scalar.of(space, values)
+def _string(value, ptr: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"expected a string, got {type(value).__name__}", pointer=ptr)
+    return value
+
+
+def _items(value, ptr: str, read=_number, min_items=1) -> tuple:
+    """A list of at least ``min_items`` entries, each read by ``read(entry, pointer)``."""
+    if not isinstance(value, list) or len(value) < min_items:
+        raise SchemaError(f"expected a list of at least {min_items} item(s)", pointer=ptr)
+    return tuple(read(item, f"{ptr}/{i}") for i, item in enumerate(value))
+
+
+def _array(value, ptr: str, depth: int) -> np.ndarray:
+    """Non-empty lists of finite numbers nested ``depth`` deep, as one float array."""
+    read = _number
+    for _ in range(depth - 1):
+        read = partial(_items, read=read)
+    rows = _items(value, ptr, read)
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        raise SchemaError("nested lists of unequal length", pointer=ptr) from None
+
+
+def _convert(ptr: str, build, *args):
+    """Call a constructor and report its rejection as a SchemaError at ``ptr``."""
+    try:
+        return build(*args)
+    except (RnslError, ValueError) as exc:
+        raise SchemaError(str(exc), pointer=ptr) from exc
+
+
+def _operator(value, ptr: str, space: ProbabilitySpace, dim: int) -> L0Operator:
+    """``{"matrix": d x d}`` shared by every atom, or ``{"matrices": n x d x d}``."""
+    spec = _object(value, ptr, allowed=("matrix", "matrices"))
+    if len(spec) != 1:
+        raise SchemaError("expected exactly one of 'matrix' and 'matrices'", pointer=ptr)
+    (key, entries), = spec.items()
+    ptr = f"{ptr}/{key}"
+    arr = _array(entries, ptr, depth=2 if key == "matrix" else 3)
+    if arr.shape[-2:] != (dim, dim):
+        raise SchemaError(f"blocks have shape {arr.shape[-2:]}, expected ({dim}, {dim})", ptr)
+    return _convert(ptr, L0Operator.from_json, space, {key: arr})
+
+
+def _scalar(value, ptr: str, space: ProbabilitySpace) -> L0Scalar:
+    """One number shared by every atom, or a list of one number per atom."""
+    values = _array(value, ptr, depth=1) if isinstance(value, list) else _number(value, ptr)
+    return _convert(ptr, L0Scalar.of, space, values)
+
+
+def _tolerances(value, ptr: str) -> dict:
+    return {key: _number(v, f"{ptr}/{key}") for key, v in _object(value, ptr).items()}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise SchemaError(first.message, pointer=_pointer(first))
+    _object(doc, "", allowed=_KEYS, required=_REQUIRED)
+    space_doc = _object(doc["space"], "/space", allowed=("probs",), required=("probs",))
+    space = _convert("/space/probs", make_space, _array(space_doc["probs"], "/space/probs", 1))
+    dim = _number(doc["dim"], "/dim", minimum=1, integer=True)
+    ops = _object(doc["operators"], "/operators", allowed=("A", "C"), required=("A", "C"))
+    bound = _object(doc["bound"], "/bound", allowed=("M", "xi"), required=("M", "xi"))
+    big_m = _scalar(bound["M"], "/bound/M", space)
+    xi = _scalar(bound["xi"], "/bound/xi", space)
 
-    try:
-        space = make_space(doc["space"]["probs"])
-    except Exception as exc:
-        raise SchemaError(str(exc), pointer="/space/probs") from exc
-
-    dim = int(doc["dim"])
-    A = _operator_from(doc, space, dim, "A")
-    C = _operator_from(doc, space, dim, "C")
-    big_m = _scalar_from(doc["bound"]["M"], space, "/bound/M")
-    xi = _scalar_from(doc["bound"]["xi"], space, "/bound/xi")
-    if np.any(big_m.values < 0.0):
-        raise SchemaError("certificate constant M must be nonnegative", pointer="/bound/M")
-    bound = ExponentialBound(big_m, xi)
-
-    time_grid = tuple(float(t) for t in doc.get("time_grid", ()))
-    if not time_grid:
-        time_grid = tuple(np.linspace(0.0, 1.0, 21))
+    def optional(key, read, default):
+        return read(doc[key], f"/{key}") if key in doc else default
 
     return Scenario(
         space=space,
         dim=dim,
-        A=A,
-        C=C,
-        bound=bound,
-        eta_grid=tuple(float(v) for v in doc.get("eta_grid", _DEFAULT_ETA_GRID)),
-        eta_sequence=tuple(
-            float(v) for v in doc.get("eta_sequence", _DEFAULT_ETA_SEQUENCE)
+        A=_operator(ops["A"], "/operators/A", space, dim),
+        C=_operator(ops["C"], "/operators/C", space, dim),
+        # the certificate rejects only a negative M
+        bound=_convert("/bound/M", ExponentialBound, big_m, xi),
+        eta_grid=optional("eta_grid", _items, _DEFAULT_ETA_GRID),
+        eta_sequence=optional("eta_sequence", _items, _DEFAULT_ETA_SEQUENCE),
+        time_grid=optional("time_grid", partial(_items, min_items=2), _DEFAULT_TIME_GRID),
+        k_ladder=optional(
+            "k_ladder",
+            partial(_items, read=partial(_number, minimum=1, integer=True)),
+            _DEFAULT_K_LADDER,
         ),
-        time_grid=time_grid,
-        k_ladder=tuple(int(k) for k in doc.get("k_ladder", _DEFAULT_K_LADDER)),
-        suites=tuple(doc["suites"]),
-        tolerances=dict(doc.get("tolerances", {})),
-        seed=int(doc.get("seed", 0)),
-        instances=int(doc.get("instances", 200)),
-        yosida_time=float(doc.get("yosida_time", 1.0)),
-        out_dir=doc.get("out_dir"),
+        suites=_items(doc["suites"], "/suites", _string),
+        tolerances=optional("tolerances", _tolerances, {}),
+        seed=optional("seed", partial(_number, minimum=0, integer=True), 0),
+        instances=optional("instances", partial(_number, minimum=1, integer=True), 200),
+        yosida_time=optional("yosida_time", partial(_number, minimum=0, exclusive=True), 1.0),
+        out_dir=optional("out_dir", _string, None),
         digest=canonical_digest(doc),
     )
 

@@ -33,12 +33,36 @@ def declared(extra: str | None = None) -> set[str]:
 
 
 def test_runtime_imports_are_the_declared_dependencies():
-    assert third_party_imports() == declared()
+    assert third_party_imports() == declared() == {"numpy"}
 
 
 def test_scipy_is_a_test_dependency_only():
     assert "scipy" in declared("test")
     assert "scipy" not in declared()
+
+
+def test_jsonschema_is_a_test_dependency_only():
+    assert "jsonschema" in declared("test")
+    assert "jsonschema" not in declared()
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_loading_a_scenario_imports_no_jsonschema():
+    done = run_fresh(
+        "import sys\n"
+        "import rnsl\n"
+        f"rnsl.load_scenario({str(ROOT / 'scenarios' / 'reference.json')!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('jsonschema'))\n"
+        "assert not loaded, loaded\n"
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_reference_run_loads_no_scipy(tmp_path):
@@ -51,10 +75,6 @@ def test_reference_run_loads_no_scipy(tmp_path):
         "assert not loaded, loaded\n"
         "assert len(SUITE_NAMES) == 14\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=300,
-    )
+    done = run_fresh(script)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "report.json").exists()
