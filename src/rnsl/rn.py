@@ -254,6 +254,22 @@ class ExponentialBound:
         return cls(L0Scalar.constant(space, M), L0Scalar.constant(space, xi))
 
 
+WORST_ATOM_RTOL = 1e-12
+
+
+def worst_atom(values) -> int:
+    """Lowest atom whose value is within 1e-12 (1 + |max|) of the maximum.
+
+    Atoms that tie up to rounding then name the same atom whatever the order
+    of the arithmetic that produced them; a non-finite maximum is its own atom.
+    """
+    values = np.asarray(values, dtype=float)
+    top = values.max()
+    if not np.isfinite(top):
+        return int(np.argmax(values))
+    return int(np.argmax(values >= top - WORST_ATOM_RTOL * (1.0 + abs(top))))
+
+
 def block_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean length over the last (coordinate) axis of a value array."""
     return np.sqrt(np.einsum("...d,...d->...", values, values))

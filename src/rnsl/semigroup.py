@@ -54,6 +54,7 @@ from .rn import (
     matrix_exp_times,
     op_apply,
     op_norm,
+    worst_atom,
 )
 
 COMMUTE_TOL = 1e-10
@@ -535,14 +536,13 @@ def hille_yosida_report(
                 norms = op_norm(L0Operator.of(A.space, power)).values
                 bounds = M * margin ** (-float(n))
                 diffs = norms - bounds
-                worst = int(np.argmax(diffs))
                 power_rows.append(
                     PowerRow(
                         n=n,
                         norms=norms,
                         bounds=bounds,
-                        worst_atom=worst,
-                        gap=float(diffs[worst]),
+                        worst_atom=worst_atom(diffs),
+                        gap=float(diffs.max()),
                         passed=bool((diffs <= b4_tol).all()),
                     )
                 )

@@ -57,6 +57,7 @@ from .rn import (
     matrix_exp,
     op_apply,
     vector_distance,
+    worst_atom,
 )
 from .scenario import Scenario
 from .semigroup import (
@@ -74,10 +75,6 @@ DEFAULT_OUT_DIR = "rnsl_out"
 OUT_DIR_ENV = "RNSL_OUT"
 
 
-def _worst_atom(values: np.ndarray) -> int:
-    return int(np.argmax(values))
-
-
 def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "rn_axioms")
     space, dim = scn.space, scn.dim
@@ -93,10 +90,10 @@ def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
             l0_norm(x.module_mul(z)).values - np.abs(z.values) * l0_norm(x).values
         )
         if gaps.max() > hom_gap:
-            hom_gap, hom_atom = float(gaps.max()), _worst_atom(gaps)
+            hom_gap, hom_atom = float(gaps.max()), worst_atom(gaps)
         slack = l0_norm(x + y).values - l0_norm(x).values - l0_norm(y).values
         if slack.max() > tri_gap:
-            tri_gap, tri_atom = float(slack.max()), _worst_atom(slack)
+            tri_gap, tri_atom = float(slack.max()), worst_atom(slack)
         mask = rng.random(space.n_atoms) < 0.5
         masked = RnVector.of(space, np.where(mask[:, None], 0.0, x.values))
         norms = l0_norm(masked).values
@@ -124,7 +121,7 @@ def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
         result = riemann_integral(small_g, 0.0, 2.0, quad)
         diff = l0_norm(result.value - (big_g(2.0) - big_g(0.0))).values
         if diff.max() > ftc_gap:
-            ftc_gap, ftc_atom = float(diff.max()), _worst_atom(diff)
+            ftc_gap, ftc_atom = float(diff.max()), worst_atom(diff)
         # order of expectation and integral must not matter
         expect_of_integral = float(probs @ result.value.values[:, 0])
 
@@ -161,7 +158,7 @@ def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
             h = laplace_transform(spec, eta, tol / 4.0)
             excess = l0_norm(h).values - m / gamma
             if excess.max() > worst:
-                worst, atom = float(excess.max()), _worst_atom(excess)
+                worst, atom = float(excess.max()), worst_atom(excess)
     records = [CheckRecord.le("transform_bound", worst, 0.0, tol, atom)]
     return SuiteReport("laplace_bound", records)
 
@@ -181,7 +178,7 @@ def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
         fd = (plus - minus).scale(1.0 / (2.0 * delta))
         gaps = l0_norm(analytic - fd).values
         if gaps.max() > worst:
-            worst, atom = float(gaps.max()), _worst_atom(gaps)
+            worst, atom = float(gaps.max()), worst_atom(gaps)
     records = [CheckRecord.le("first_derivative_fd", worst, 0.0, tol, atom)]
     return SuiteReport("lemma_3_4", records)
 
@@ -282,7 +279,7 @@ def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
         rhs = evaluate(W, t, evaluate(W, s, x))
         gaps = l0_norm(lhs - rhs).values
         if gaps.max() > law_gap:
-            law_gap, law_atom = float(gaps.max()), _worst_atom(gaps)
+            law_gap, law_atom = float(gaps.max()), worst_atom(gaps)
         start = W.operator_at(0.0).matrices - C.matrices
         zero_gap = max(zero_gap, float(np.sqrt((start**2).sum(axis=(1, 2))).max()))
     records = [
@@ -309,12 +306,12 @@ def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
         via_solve = c_resolvent_direct(A, C, eta, x)
         gaps = l0_norm(via_integral - via_solve).values
         if gaps.max() > route_gap:
-            route_gap, route_atom = float(gaps.max()), _worst_atom(gaps)
+            route_gap, route_atom = float(gaps.max()), worst_atom(gaps)
         resid = l0_norm(
             via_integral.module_mul(eta) - op_apply(A, via_integral) - op_apply(C, x)
         ).values
         if resid.max() > ident_gap:
-            ident_gap, ident_atom = float(resid.max()), _worst_atom(resid)
+            ident_gap, ident_atom = float(resid.max()), worst_atom(resid)
     records = [
         CheckRecord.le("route_agreement", route_gap, 0.0, tol, route_atom),
         CheckRecord.le("transform_identity", ident_gap, 0.0, tol, ident_atom),
@@ -340,7 +337,7 @@ def _suite_eq_5(scn: Scenario) -> SuiteReport:
         rhs = (mu - eta) * (r_mu @ r_eta).matrices
         gaps = np.sqrt(((lhs - rhs) ** 2).sum(axis=(1, 2)))
         if gaps.max() > worst:
-            worst, atom = float(gaps.max()), _worst_atom(gaps)
+            worst, atom = float(gaps.max()), worst_atom(gaps)
     records = [CheckRecord.le("resolvent_identity", worst, 0.0, tol, atom)]
     return SuiteReport("eq_5", records)
 
@@ -368,7 +365,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
             l0_norm(slope - front).values, l0_norm(slope - back).values
         )
         if gaps.max() > deriv_gap:
-            deriv_gap, deriv_atom = float(gaps.max()), _worst_atom(gaps)
+            deriv_gap, deriv_atom = float(gaps.max()), worst_atom(gaps)
 
         s0 = 1.2
         area = riemann_integral(orbit, 0.0, s0, quad).value
@@ -376,7 +373,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
             op_apply(A, area) - (evaluate(W, s0, x) - op_apply(C, x))
         ).values
         if resid.max() > integ_gap:
-            integ_gap, integ_atom = float(resid.max()), _worst_atom(resid)
+            integ_gap, integ_atom = float(resid.max()), worst_atom(resid)
 
         def smooth(s: float) -> RnVector:
             return op_apply(C, op_apply(C, evaluate(W, s, x)))
@@ -415,7 +412,7 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
     records = [
         CheckRecord.le(
             "commutation", float(rep.commutation_gap.max()), 0.0, 1e-10,
-            _worst_atom(rep.commutation_gap),
+            worst_atom(rep.commutation_gap),
         )
     ]
     for entry in rep.entries:
@@ -426,7 +423,7 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
                 float(entry.min_sv_ratio.min()),
                 1e-12,
                 0.0,
-                _worst_atom(-entry.min_sv_ratio),
+                worst_atom(-entry.min_sv_ratio),
             )
         )
         for row in entry.power_rows:
@@ -491,7 +488,7 @@ def _suite_lemma_4_10(scn: Scenario) -> SuiteReport:
     records = [
         CheckRecord.le("gaps_nonincreasing", worst_rise, 0.0, slack),
         CheckRecord.le(
-            "rate_envelope", float(over.max()), 0.0, 1e-14, _worst_atom(over)
+            "rate_envelope", float(over.max()), 0.0, 1e-14, worst_atom(over)
         ),
     ]
     data = {
@@ -553,7 +550,7 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
         for ours, theirs in zip(traj.states, check.states):
             gaps = l0_norm(ours - theirs).values
             if gaps.max() > agree_gap:
-                agree_gap, agree_atom = float(gaps.max()), _worst_atom(gaps)
+                agree_gap, agree_atom = float(gaps.max()), worst_atom(gaps)
     records.append(
         CheckRecord.le("oracle_agreement", agree_gap, 0.0, oracle_tol, agree_atom)
     )

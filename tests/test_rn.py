@@ -24,7 +24,7 @@ from rnsl import (
     op_norm,
     vector_distance,
 )
-from rnsl.rn import _PADE13_THETA, _expm_stack
+from rnsl.rn import _PADE13_THETA, _expm_stack, worst_atom
 
 entries = st.floats(
     min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
@@ -286,6 +286,25 @@ class TestStackedExp:
             matrix_exp_times(A, [0.0, t])
         with pytest.raises(NonFiniteValue, match="time must be finite"):
             matrix_exp(A, t)
+
+
+class TestWorstAtom:
+    def test_last_ulp_tie_picks_the_lowest_atom(self):
+        assert worst_atom([1.0, 1.0 + 2.2e-16]) == 0
+        assert worst_atom([-1e-17, 3e-17, 1e-16, -5.0]) == 0
+
+    def test_a_clear_maximum_wins(self):
+        assert worst_atom([0.0, 1.0, 0.5]) == 1
+        assert worst_atom([1.0, 1.0 + 4e-12, 1.0 + 4e-12]) == 1
+        assert worst_atom([1e6, 1e6 * (1 + 1e-11)]) == 1
+
+    def test_tolerance_scales_with_the_maximum(self):
+        assert worst_atom([1e6, 1e6 + 1e-7]) == 0
+        assert worst_atom([1e-3, 1e-3 + 2e-12]) == 1
+
+    def test_non_finite_maximum_is_its_own_atom(self):
+        assert worst_atom([1.0, np.inf, np.inf]) == 1
+        assert worst_atom([-np.inf, -np.inf]) == 0
 
 
 class TestExponentialBound:
