@@ -48,6 +48,7 @@ from .rn import (
     ExponentialBound,
     L0Operator,
     RnVector,
+    _check_finite,
     check_injective,
     l0_norm,
     matrix_exp,
@@ -530,10 +531,14 @@ def hille_yosida_report(
         route_rows: list[RouteRow] = []
         if invertible:
             inv = _inverse(shift)
-            power = C.matrices
-            for n in range(1, n_max + 1):
-                power = inv @ power
-                norms = op_norm(L0Operator.of(A.space, power)).values
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                powers = [inv @ C.matrices]
+                for _ in range(1, n_max):
+                    powers.append(inv @ powers[-1])
+            powers = np.stack(powers)  # (n_max, atoms, d, d): R(eta)^n C for n = 1..n_max
+            _check_finite(powers, "operator entries")
+            ladder_norms = np.linalg.norm(powers, ord=2, axis=(-2, -1))
+            for n, (power, norms) in enumerate(zip(powers, ladder_norms), start=1):
                 bounds = M * margin ** (-float(n))
                 diffs = norms - bounds
                 power_rows.append(

@@ -16,6 +16,7 @@ from rnsl import (
     L0Scalar,
     NegativeTime,
     NonCommuting,
+    NonFiniteValue,
     NotInjective,
     RnVector,
     StepUnderflow,
@@ -317,6 +318,30 @@ class TestHilleYosida:
         assert entry.min_sv_ratio[1] > 1e-12
         assert entry.power_rows == () and entry.route_rows == ()
         assert not report.passed
+
+    def test_ladder_norms_match_svd_of_each_power(self, space4, rng):
+        A = rng.normal(size=(4, 3, 3)) - 3.0 * np.eye(3)
+        C = np.eye(3) + 0.1 * A
+        bound = ExponentialBound.constant(space4, 1.0, -1.0)
+        report = hille_yosida_report(
+            L0Operator.of(space4, A), L0Operator.of(space4, C), bound, [2.0, 5.0], n_max=5
+        )
+        for eta, entry in zip((2.0, 5.0), report.entries):
+            inv = np.linalg.inv(eta * np.eye(3) - A)
+            for n, row in enumerate(entry.power_rows, start=1):
+                power = np.linalg.matrix_power(inv, n) @ C
+                expected = np.linalg.svd(power, compute_uv=False)[:, 0]
+                np.testing.assert_allclose(row.norms, expected, rtol=1e-12)
+
+    def test_overflowing_ladder_raises_non_finite(self, space1):
+        # ||R(eta)|| = 4, so R(eta)^n C leaves the double range at n = 4
+        A = L0Operator.of(space1, [[[1.0]]])
+        C = L0Operator.of(space1, [[[1e306]]])
+        bound = ExponentialBound.constant(space1, 1e306, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="operator entries must be finite"):
+                hille_yosida_report(A, C, bound, [1.25], n_max=8)
 
     def test_empty_grid_gives_empty_report(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
