@@ -189,6 +189,4 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}", pointer="") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario must be a JSON object", pointer="")
     return scenario_from_dict(doc)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from rnsl import RnslError, SchemaError, make_space, scenario_from_dict
+from rnsl import RnslError, SchemaError, load_scenario, make_space, scenario_from_dict
 from rnsl.cli import main as cli_main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
@@ -263,6 +263,13 @@ class TestFieldRules:
         with pytest.raises(SchemaError) as exc:
             scenario_from_dict(doc)
         assert "'bound' is a required property" in str(exc.value)
+        assert exc.value.pointer == "/"
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError) as exc:
+            load_scenario(str(path))
         assert exc.value.pointer == "/"
 
     def test_out_dir_null_is_rejected(self):
