@@ -258,11 +258,7 @@ WORST_ATOM_RTOL = 1e-12
 
 
 def worst_atom(values) -> int:
-    """Lowest atom whose value is within 1e-12 (1 + |max|) of the maximum.
-
-    Atoms that tie up to rounding then name the same atom whatever the order
-    of the arithmetic that produced them; a non-finite maximum is its own atom.
-    """
+    """Lowest atom within WORST_ATOM_RTOL (1 + |max|) of the maximum: rounding never breaks ties."""
     values = np.asarray(values, dtype=float)
     top = values.max()
     if not np.isfinite(top):
