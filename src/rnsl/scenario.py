@@ -131,7 +131,7 @@ def _operator(value, ptr: str, space: ProbabilitySpace, dim: int) -> L0Operator:
     ptr = f"{ptr}/{key}"
     arr = _array(entries, ptr, depth=2 if key == "matrix" else 3)
     if arr.shape[-2:] != (dim, dim):
-        raise SchemaError(f"blocks have shape {arr.shape[-2:]}, expected ({dim}, {dim})", ptr)
+        raise SchemaError(f"blocks are {arr.shape[-2:]}, expected ({dim}, {dim})", pointer=ptr)
     return _convert(ptr, L0Operator.from_json, space, {key: arr})
 
 
