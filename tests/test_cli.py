@@ -115,7 +115,8 @@ class TestScenarioParsing:
         del doc["bound"]
         with pytest.raises(SchemaError) as exc:
             scenario_from_dict(doc)
-        assert "bound" in str(exc.value)
+        assert "'bound' is a required property" in str(exc.value)
+        assert exc.value.pointer == "/"
 
     def test_pointer_for_nested_error(self):
         doc = passing_doc()

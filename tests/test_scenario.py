@@ -257,14 +257,6 @@ class TestFieldRules:
                 scenario_from_dict({**per_atom_doc(), key: value})
             assert exc.value.pointer == f"/{key}"
 
-    def test_missing_required_key_names_it(self):
-        doc = passing_doc()
-        del doc["bound"]
-        with pytest.raises(SchemaError) as exc:
-            scenario_from_dict(doc)
-        assert "'bound' is a required property" in str(exc.value)
-        assert exc.value.pointer == "/"
-
     def test_document_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
