@@ -151,17 +151,12 @@ def constant_transform_provider(x: RnVector) -> TransformDerivativeProvider:
     which is what makes constants reproducible at any order.
     """
 
-    def raw(eta: L0Scalar, k: int) -> RnVector:
-        sign = -1.0 if k % 2 else 1.0
-        mag = np.exp(math.lgamma(k + 1.0) - (k + 1.0) * np.log(eta.values))
-        return RnVector.of(x.space, sign * mag[:, None] * x.values)
-
     def scaled(eta: L0Scalar, k: int):
         sign = -1.0 if k % 2 else 1.0
         log_scale = math.lgamma(k + 1.0) - (k + 1.0) * np.log(eta.values)
         return x.scale(sign), log_scale
 
-    return TransformDerivativeProvider(x.space, x.dim, raw, scaled)
+    return TransformDerivativeProvider(x.space, x.dim, scaled)
 
 
 def inversion_test_family(space: ProbabilitySpace, dim: int):

@@ -120,66 +120,58 @@ def laplace_derivative_scaled(
     return res.scaled_value.scale(sign), res.log_scale
 
 
-def laplace_derivative(spec: LaplaceSpec, eta, k: int, tol: float) -> RnVector:
-    """k-th derivative of the transform as plain numbers (moderate k only)."""
-    mantissa, log_scale = laplace_derivative_scaled(spec, eta, k, tol)
+def _unscale(mantissa: RnVector, log_scale: np.ndarray, overflow: str) -> RnVector:
+    """exp(log_scale) * mantissa per atom; CoefficientOverflow(overflow) past doubles."""
     vals = mantissa.values
     with np.errstate(divide="ignore"):
         mag = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
     total = log_scale[:, None] + mag
     if np.any(total > _LOG_DOUBLE_MAX):
-        raise CoefficientOverflow(
-            "transform derivative exceeds the double range; "
-            "use the scaled form instead"
-        )
-    return RnVector.of(spec.space, np.sign(vals) * np.exp(total))
+        raise CoefficientOverflow(overflow)
+    return RnVector.of(mantissa.space, np.sign(vals) * np.exp(total))
+
+
+_DERIVATIVE_OVERFLOW = "transform derivative exceeds the double range; use the scaled form instead"
+
+
+def laplace_derivative(spec: LaplaceSpec, eta, k: int, tol: float) -> RnVector:
+    """k-th derivative of the transform as plain numbers (moderate k only)."""
+    return _unscale(*laplace_derivative_scaled(spec, eta, k, tol), _DERIVATIVE_OVERFLOW)
 
 
 @dataclass(frozen=True)
 class TransformDerivativeProvider:
     """Source of transform derivatives (eta, k) -> H^(k)(eta).
 
-    ``raw`` returns plain values.  The optional ``scaled`` route returns
-    (mantissa, per-atom log scale) and is what keeps inversion alive at large
-    k, where plain values leave the double range.
+    ``scaled`` returns (mantissa, per-atom log scale) with
+    H^(k)(eta) = exp(log_scale) * mantissa, which keeps inversion alive at
+    large k, where plain values leave the double range.
     """
 
     space: ProbabilitySpace
     dim: int
-    raw: Callable[[L0Scalar, int], RnVector]
-    scaled: Callable[[L0Scalar, int], tuple[RnVector, np.ndarray]] | None = None
-
-    def _validate(self, v: RnVector) -> RnVector:
-        if v.space != self.space:
-            raise SpaceMismatch("provider output lives on a different space")
-        if v.dim != self.dim:
-            raise DimMismatch(f"provider output has dim {v.dim}, expected {self.dim}")
-        return v
-
-    def derivative(self, eta, k: int) -> RnVector:
-        eta = _coerce_eta(self.space, eta)
-        return self._validate(self.raw(eta, k))
+    scaled: Callable[[L0Scalar, int], tuple[RnVector, np.ndarray]]
 
     def scaled_derivative(self, eta, k: int) -> tuple[RnVector, np.ndarray]:
-        eta = _coerce_eta(self.space, eta)
-        if self.scaled is None:
-            v = self._validate(self.raw(eta, k))
-            return v, np.zeros(self.space.n_atoms)
-        mantissa, log_scale = self.scaled(eta, k)
-        self._validate(mantissa)
+        mantissa, log_scale = self.scaled(_coerce_eta(self.space, eta), k)
+        if mantissa.space != self.space:
+            raise SpaceMismatch("provider output lives on a different space")
+        if mantissa.dim != self.dim:
+            raise DimMismatch(f"provider output has dim {mantissa.dim}, expected {self.dim}")
         log_scale = np.asarray(log_scale, dtype=float)
         if log_scale.shape != (self.space.n_atoms,):
             raise SpaceMismatch("provider log scale has the wrong shape")
         return mantissa, log_scale
 
+    def derivative(self, eta, k: int) -> RnVector:
+        """H^(k)(eta) as plain numbers (moderate k only)."""
+        return _unscale(*self.scaled_derivative(eta, k), _DERIVATIVE_OVERFLOW)
+
 
 def provider_from_curve(spec: LaplaceSpec, tol: float) -> TransformDerivativeProvider:
     """Adapter computing derivatives of a curve's transform by quadrature."""
     return TransformDerivativeProvider(
-        space=spec.space,
-        dim=spec.dim,
-        raw=lambda eta, k: laplace_derivative(spec, eta, k, tol),
-        scaled=lambda eta, k: laplace_derivative_scaled(spec, eta, k, tol),
+        spec.space, spec.dim, lambda eta, k: laplace_derivative_scaled(spec, eta, k, tol)
     )
 
 
@@ -198,24 +190,19 @@ def post_widder(provider: TransformDerivativeProvider, t: float, k: int) -> RnVe
     eta = L0Scalar.constant(provider.space, k / t)
     mantissa, log_scale = provider.scaled_derivative(eta, k)
     log_coef = (k + 1.0) * math.log(k / t) - math.lgamma(k + 1.0)
-    vals = mantissa.values
-    with np.errstate(divide="ignore"):
-        mag = np.where(vals != 0.0, np.log(np.abs(vals)), -np.inf)
-    total = (log_coef + log_scale)[:, None] + mag
-    if np.any(total > _LOG_DOUBLE_MAX):
-        raise CoefficientOverflow(
-            f"approximant at k={k}, t={t!r} exceeds the double range "
-            "even in log-space assembly"
-        )
-    sign = -1.0 if k % 2 else 1.0
-    return RnVector.of(provider.space, sign * np.sign(vals) * np.exp(total))
+    approx = _unscale(
+        mantissa,
+        log_coef + log_scale,
+        f"approximant at k={k}, t={t!r} exceeds the double range "
+        "even in log-space assembly",
+    )
+    return approx.scale(-1.0) if k % 2 else approx
 
 
 @dataclass(frozen=True)
 class TransformEqualityReport:
     equal: bool
     gaps: tuple[float, ...]
-    worst_index: int
     worst_eta: L0Scalar
     worst_gap: float
     tol: float
@@ -249,7 +236,6 @@ def transforms_equal(
     return TransformEqualityReport(
         equal=bool(max(gaps) <= tol),
         gaps=tuple(gaps),
-        worst_index=worst,
         worst_eta=etas[worst],
         worst_gap=float(gaps[worst]),
         tol=float(tol),

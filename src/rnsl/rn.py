@@ -210,11 +210,6 @@ class L0Operator:
     def scale(self, c: float) -> "L0Operator":
         return L0Operator.of(self.space, float(c) * self.matrices)
 
-    def mul_scalar(self, zeta: L0Scalar) -> "L0Operator":
-        if zeta.space != self.space:
-            raise SpaceMismatch("scalar lives on a different space")
-        return L0Operator.of(self.space, zeta.values[:, None, None] * self.matrices)
-
     def to_json(self) -> dict:
         return {"matrices": self.matrices.tolist()}
 
@@ -302,7 +297,6 @@ class InjectivityReport:
     injective: bool
     min_sv_ratio: np.ndarray
     witness_atom: int | None
-    threshold: float
 
 
 def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> InjectivityReport:
@@ -318,7 +312,6 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
         injective=witness is None,
         min_sv_ratio=ratio,
         witness_atom=witness,
-        threshold=threshold,
     )
 
 

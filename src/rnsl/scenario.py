@@ -62,6 +62,11 @@ def canonical_digest(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _child(ptr: str, key) -> str:
+    """``ptr`` extended by an object key, escaped as RFC 6901 asks."""
+    return f"{ptr}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
 def _object(value, ptr: str, allowed=None, required=()) -> dict:
     """A JSON object with every ``required`` key and no key outside ``allowed``."""
     if not isinstance(value, dict):
@@ -71,7 +76,7 @@ def _object(value, ptr: str, allowed=None, required=()) -> dict:
             raise SchemaError(f"{key!r} is a required property", pointer=ptr or "/")
     for key in value:
         if allowed is not None and key not in allowed:
-            raise SchemaError(f"unexpected property {key!r}", pointer=f"{ptr}/{key}")
+            raise SchemaError(f"unexpected property {key!r}", pointer=_child(ptr, key))
     return value
 
 
@@ -142,7 +147,7 @@ def _scalar(value, ptr: str, space: ProbabilitySpace) -> L0Scalar:
 
 
 def _tolerances(value, ptr: str) -> dict:
-    return {key: _number(v, f"{ptr}/{key}") for key, v in _object(value, ptr).items()}
+    return {key: _number(v, _child(ptr, key)) for key, v in _object(value, ptr).items()}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -409,8 +409,6 @@ class RouteRow:
     """Resolvent power by direct solve vs by weighted transform integral."""
 
     n: int
-    direct: np.ndarray
-    integral: np.ndarray
     gap: float
     passed: bool
 
@@ -447,42 +445,6 @@ class ResolventReport:
                      row.passed)
                 )
         return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "commutation_gap": [float(v) for v in self.commutation_gap],
-            "commutation_ok": self.commutation_ok,
-            "b4_tol": self.b4_tol,
-            "route_tol": self.route_tol,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "eta": [float(v) for v in e.eta.values],
-                    "min_sv_ratio": [float(v) for v in e.min_sv_ratio],
-                    "invertible": e.invertible,
-                    "power_rows": [
-                        {
-                            "n": r.n,
-                            "norms": [float(v) for v in r.norms],
-                            "bounds": [float(v) for v in r.bounds],
-                            "worst_atom": r.worst_atom,
-                            "gap": r.gap,
-                            "passed": r.passed,
-                        }
-                        for r in e.power_rows
-                    ],
-                    "route_rows": [
-                        {
-                            "n": r.n,
-                            "gap": r.gap,
-                            "passed": r.passed,
-                        }
-                        for r in e.route_rows
-                    ],
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def hille_yosida_report(
@@ -564,15 +526,7 @@ def hille_yosida_report(
                     gap = float(
                         np.sqrt(((direct - integral) ** 2).sum(axis=1)).max()
                     )
-                    route_rows.append(
-                        RouteRow(
-                            n=n,
-                            direct=direct,
-                            integral=integral,
-                            gap=gap,
-                            passed=gap <= route_tol,
-                        )
-                    )
+                    route_rows.append(RouteRow(n=n, gap=gap, passed=gap <= route_tol))
         entry = ResolventEntry(
             eta=eta,
             min_sv_ratio=gate.min_sv_ratio,

@@ -75,25 +75,56 @@ DEFAULT_OUT_DIR = "rnsl_out"
 OUT_DIR_ENV = "RNSL_OUT"
 
 
+class _Worst:
+    """Largest per-atom gap over instances, and the atom it sits on.
+
+    Only a strictly larger maximum replaces the running one, so the first
+    instance to reach the largest gap supplies the atom.
+    """
+
+    def __init__(self, floor: float = 0.0):
+        self.gap, self.atom = floor, 0
+
+    def add(self, gaps: np.ndarray) -> None:
+        if gaps.max() > self.gap:
+            self.gap, self.atom = float(gaps.max()), worst_atom(gaps)
+
+    def le(self, name: str, tol: float) -> CheckRecord:
+        return CheckRecord.le(name, self.gap, 0.0, tol, self.atom)
+
+
+# plot kind -> (suite, key of its data under the suite's data or None, columns)
+PLOT_COLUMNS = {
+    "post_widder_error_vs_k": ("post_widder", None, ("k", "error")),
+    "yosida_error_vs_eta": ("yosida_convergence", None, ("eta", "error")),
+    "b4_ladder": ("hille_yosida_4_11", None, ("eta", "n", "norm", "bound", "passed")),
+    "acp_trajectory": (
+        "acp_5_1", "trajectory", ("t", "atom", "component", "u", "residual", "graph_norm"),
+    ),
+}
+PLOT_KINDS = tuple(PLOT_COLUMNS)
+
+
+def _columns(kind: str, rows) -> dict:
+    """Rows of a plot kind's table as one list per column."""
+    rows = list(rows)
+    return {c: [r[i] for r in rows] for i, c in enumerate(PLOT_COLUMNS[kind][2])}
+
+
 def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "rn_axioms")
     space, dim = scn.space, scn.dim
     tol = scn.tolerance("rn_axioms", 1e-12)
-    hom_gap, hom_atom = 0.0, 0
-    tri_gap, tri_atom = 0.0, 0
+    hom, tri = _Worst(), _Worst()
     bad_definite = 0
     for _ in range(scn.instances):
         z = random_scalar(rng, space, -3.0, 3.0)
         x = random_vector(rng, space, dim, -3.0, 3.0)
         y = random_vector(rng, space, dim, -3.0, 3.0)
-        gaps = np.abs(
+        hom.add(np.abs(
             l0_norm(x.module_mul(z)).values - np.abs(z.values) * l0_norm(x).values
-        )
-        if gaps.max() > hom_gap:
-            hom_gap, hom_atom = float(gaps.max()), worst_atom(gaps)
-        slack = l0_norm(x + y).values - l0_norm(x).values - l0_norm(y).values
-        if slack.max() > tri_gap:
-            tri_gap, tri_atom = float(slack.max()), worst_atom(slack)
+        ))
+        tri.add(l0_norm(x + y).values - l0_norm(x).values - l0_norm(y).values)
         mask = rng.random(space.n_atoms) < 0.5
         masked = RnVector.of(space, np.where(mask[:, None], 0.0, x.values))
         norms = l0_norm(masked).values
@@ -101,8 +132,8 @@ def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
         bad_definite += int(np.any(norms[mask] != 0.0))
         bad_definite += int(np.any(norms[alive] <= 0.0))
     records = [
-        CheckRecord.le("absolute_homogeneity", hom_gap, 0.0, tol, hom_atom),
-        CheckRecord.le("triangle_inequality", tri_gap, 0.0, tol, tri_atom),
+        hom.le("absolute_homogeneity", tol),
+        tri.le("triangle_inequality", tol),
         CheckRecord.le("definiteness_violations", float(bad_definite), 0.0, 0.0),
     ]
     return SuiteReport("rn_axioms", records)
@@ -115,13 +146,11 @@ def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
     members = smooth_curve_family(rng, scn.space, scn.dim, n=10)
     unit_space = make_space([1.0])
     probs = scn.space.probs
-    ftc_gap, ftc_atom = 0.0, 0
+    ftc = _Worst()
     fub_gap = 0.0
     for big_g, small_g in members:
         result = riemann_integral(small_g, 0.0, 2.0, quad)
-        diff = l0_norm(result.value - (big_g(2.0) - big_g(0.0))).values
-        if diff.max() > ftc_gap:
-            ftc_gap, ftc_atom = float(diff.max()), worst_atom(diff)
+        ftc.add(l0_norm(result.value - (big_g(2.0) - big_g(0.0))).values)
         # order of expectation and integral must not matter
         expect_of_integral = float(probs @ result.value.values[:, 0])
 
@@ -134,7 +163,7 @@ def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
         )
         fub_gap = max(fub_gap, abs(expect_of_integral - integral_of_expect))
     records = [
-        CheckRecord.le("fundamental_theorem", ftc_gap, 0.0, budget, ftc_atom),
+        ftc.le("fundamental_theorem", budget),
         CheckRecord.le("expectation_commutes", fub_gap, 0.0, budget),
     ]
     return SuiteReport("calculus_ftc", records)
@@ -149,17 +178,15 @@ def _laplace_specs(scn: Scenario) -> list[LaplaceSpec]:
 def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("laplace_bound", 1e-8)
     specs = _laplace_specs(scn)
-    worst, atom = -math.inf, 0
+    excess = _Worst(-math.inf)
     for spec in specs:
         m = spec.bound.M.values
         xi = spec.bound.xi.values
         for gamma in scn.eta_grid:
             eta = L0Scalar.of(scn.space, xi + gamma)
             h = laplace_transform(spec, eta, tol / 4.0)
-            excess = l0_norm(h).values - m / gamma
-            if excess.max() > worst:
-                worst, atom = float(excess.max()), worst_atom(excess)
-    records = [CheckRecord.le("transform_bound", worst, 0.0, tol, atom)]
+            excess.add(l0_norm(h).values - m / gamma)
+    records = [excess.le("transform_bound", tol)]
     return SuiteReport("laplace_bound", records)
 
 
@@ -168,7 +195,7 @@ def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
     delta = 3e-4
     specs = _laplace_specs(scn)
     gamma = scn.eta_grid[len(scn.eta_grid) // 2]
-    worst, atom = 0.0, 0
+    worst = _Worst()
     for spec in specs:
         xi = spec.bound.xi.values
         eta = L0Scalar.of(scn.space, xi + gamma)
@@ -176,10 +203,8 @@ def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
         plus = laplace_transform(spec, L0Scalar.of(scn.space, xi + gamma + delta), 1e-10)
         minus = laplace_transform(spec, L0Scalar.of(scn.space, xi + gamma - delta), 1e-10)
         fd = (plus - minus).scale(1.0 / (2.0 * delta))
-        gaps = l0_norm(analytic - fd).values
-        if gaps.max() > worst:
-            worst, atom = float(gaps.max()), worst_atom(gaps)
-    records = [CheckRecord.le("first_derivative_fd", worst, 0.0, tol, atom)]
+        worst.add(l0_norm(analytic - fd).values)
+    records = [worst.le("first_derivative_fd", tol)]
     return SuiteReport("lemma_3_4", records)
 
 
@@ -268,7 +293,7 @@ def _suite_uniqueness_3_6(scn: Scenario) -> SuiteReport:
 def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "semigroup_law")
     tol = scn.tolerance("semigroup_law", 1e-9)
-    law_gap, law_atom = 0.0, 0
+    law = _Worst()
     zero_gap = 0.0
     for _ in range(scn.instances):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
@@ -277,13 +302,11 @@ def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
         x = random_vector(rng, scn.space, scn.dim, -2.0, 2.0)
         lhs = op_apply(C, evaluate(W, s + t, x))
         rhs = evaluate(W, t, evaluate(W, s, x))
-        gaps = l0_norm(lhs - rhs).values
-        if gaps.max() > law_gap:
-            law_gap, law_atom = float(gaps.max()), worst_atom(gaps)
+        law.add(l0_norm(lhs - rhs).values)
         start = W.operator_at(0.0).matrices - C.matrices
         zero_gap = max(zero_gap, float(np.sqrt((start**2).sum(axis=(1, 2))).max()))
     records = [
-        CheckRecord.le("composition_law", law_gap, 0.0, tol, law_atom),
+        law.le("composition_law", tol),
         CheckRecord.le("time_zero", zero_gap, 0.0, 1e-10),
     ]
     return SuiteReport("semigroup_law", records)
@@ -294,8 +317,7 @@ def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
     quad = scn.tolerance("quadrature", 1e-8)
     tol = scn.tolerance("resolvent_route", 1e-6)
     count = max(5, scn.instances // 5)
-    route_gap, route_atom = 0.0, 0
-    ident_gap, ident_atom = 0.0, 0
+    route, ident = _Worst(), _Worst()
     for i in range(count):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
         W = make_matrix_semigroup(A, C, bound)
@@ -304,17 +326,13 @@ def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
         eta = L0Scalar.of(scn.space, bound.xi.values + gamma)
         via_integral = c_resolvent_integral(W, eta, x, quad)
         via_solve = c_resolvent_direct(A, C, eta, x)
-        gaps = l0_norm(via_integral - via_solve).values
-        if gaps.max() > route_gap:
-            route_gap, route_atom = float(gaps.max()), worst_atom(gaps)
-        resid = l0_norm(
+        route.add(l0_norm(via_integral - via_solve).values)
+        ident.add(l0_norm(
             via_integral.module_mul(eta) - op_apply(A, via_integral) - op_apply(C, x)
-        ).values
-        if resid.max() > ident_gap:
-            ident_gap, ident_atom = float(resid.max()), worst_atom(resid)
+        ).values)
     records = [
-        CheckRecord.le("route_agreement", route_gap, 0.0, tol, route_atom),
-        CheckRecord.le("transform_identity", ident_gap, 0.0, tol, ident_atom),
+        route.le("route_agreement", tol),
+        ident.le("transform_identity", tol),
     ]
     return SuiteReport("lemma_4_6", records)
 
@@ -322,7 +340,7 @@ def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
 def _suite_eq_5(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "eq_5")
     tol = scn.tolerance("eq_5", 1e-8)
-    worst, atom = 0.0, 0
+    worst = _Worst()
     for i in range(scn.instances):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
         top = float(bound.xi.values.max())
@@ -335,10 +353,8 @@ def _suite_eq_5(scn: Scenario) -> SuiteReport:
         r_mu = resolvent_operator(A, C, mu)
         lhs = (r_eta @ C).matrices - (r_mu @ C).matrices
         rhs = (mu - eta) * (r_mu @ r_eta).matrices
-        gaps = np.sqrt(((lhs - rhs) ** 2).sum(axis=(1, 2)))
-        if gaps.max() > worst:
-            worst, atom = float(gaps.max()), worst_atom(gaps)
-    records = [CheckRecord.le("resolvent_identity", worst, 0.0, tol, atom)]
+        worst.add(np.sqrt(((lhs - rhs) ** 2).sum(axis=(1, 2))))
+    records = [worst.le("resolvent_identity", tol)]
     return SuiteReport("eq_5", records)
 
 
@@ -347,8 +363,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
     quad = scn.tolerance("quadrature", 1e-8)
     tol = scn.tolerance("prop_4_3", 1e-6)
     count = max(5, scn.instances // 10)
-    deriv_gap, deriv_atom = 0.0, 0
-    integ_gap, integ_atom = 0.0, 0
+    deriv, integ = _Worst(), _Worst()
     lip_ratio = 1.0
     for _ in range(count):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
@@ -361,19 +376,15 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         slope = derivative(orbit, t0, 1e-3)
         front = evaluate(W, t0, op_apply(A, x))
         back = op_apply(A, evaluate(W, t0, x))
-        gaps = np.maximum(
+        deriv.add(np.maximum(
             l0_norm(slope - front).values, l0_norm(slope - back).values
-        )
-        if gaps.max() > deriv_gap:
-            deriv_gap, deriv_atom = float(gaps.max()), worst_atom(gaps)
+        ))
 
         s0 = 1.2
         area = riemann_integral(orbit, 0.0, s0, quad).value
-        resid = l0_norm(
+        integ.add(l0_norm(
             op_apply(A, area) - (evaluate(W, s0, x) - op_apply(C, x))
-        ).values
-        if resid.max() > integ_gap:
-            integ_gap, integ_atom = float(resid.max()), worst_atom(resid)
+        ).values)
 
         def smooth(s: float) -> RnVector:
             return op_apply(C, op_apply(C, evaluate(W, s, x)))
@@ -391,8 +402,8 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         if coarse > 1e-12:
             lip_ratio = max(lip_ratio, fine / coarse)
     records = [
-        CheckRecord.le("derivative_identity", deriv_gap, 0.0, tol, deriv_atom),
-        CheckRecord.le("integral_identity", integ_gap, 0.0, tol, integ_atom),
+        deriv.le("derivative_identity", tol),
+        integ.le("integral_identity", tol),
         CheckRecord.le("lipschitz_refinement", lip_ratio, 1.1, 0.0),
     ]
     return SuiteReport("prop_4_3", records)
@@ -439,15 +450,7 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
                     f"route_eta_{tag}_n_{row.n}", row.gap, 0.0, rep.route_tol
                 )
             )
-    rows = rep.b4_rows()
-    data = {
-        "eta": [r[0] for r in rows],
-        "n": [r[1] for r in rows],
-        "norm": [r[2] for r in rows],
-        "bound": [r[3] for r in rows],
-        "passed": [r[4] for r in rows],
-    }
-    return SuiteReport("hille_yosida_4_11", records, data)
+    return SuiteReport("hille_yosida_4_11", records, _columns("b4_ladder", rep.b4_rows()))
 
 
 def _suite_yosida_convergence(scn: Scenario) -> SuiteReport:
@@ -540,7 +543,7 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
 
     # randomized pairs against the independent fixed-step integrator
     count = min(scn.instances, 50)
-    agree_gap, agree_atom = 0.0, 0
+    agree = _Worst()
     for _ in range(count):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
         W = make_matrix_semigroup(A, C, bound)
@@ -548,24 +551,10 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
         traj = solve_acp(direct_value_problem(W, v0, scn.time_grid))
         check = rk4_oracle(A, v0, C, scn.time_grid, 2e-3)
         for ours, theirs in zip(traj.states, check.states):
-            gaps = l0_norm(ours - theirs).values
-            if gaps.max() > agree_gap:
-                agree_gap, agree_atom = float(gaps.max()), worst_atom(gaps)
-    records.append(
-        CheckRecord.le("oracle_agreement", agree_gap, 0.0, oracle_tol, agree_atom)
-    )
+            agree.add(l0_norm(ours - theirs).values)
+    records.append(agree.le("oracle_agreement", oracle_tol))
 
-    rows = list(coarse.to_csv_rows())
-    data = {
-        "trajectory": {
-            "t": [r[0] for r in rows],
-            "atom": [r[1] for r in rows],
-            "component": [r[2] for r in rows],
-            "u": [r[3] for r in rows],
-            "residual": [r[4] for r in rows],
-            "graph_norm": [r[5] for r in rows],
-        }
-    }
+    data = {"trajectory": _columns("acp_trajectory", coarse.to_csv_rows())}
     return SuiteReport("acp_5_1", records, data)
 
 
@@ -648,14 +637,6 @@ def run_scenario(
     return payload, payload["passed"], target
 
 
-PLOT_KINDS = (
-    "post_widder_error_vs_k",
-    "yosida_error_vs_eta",
-    "b4_ladder",
-    "acp_trajectory",
-)
-
-
 def _suite_data(report: dict, suite: str) -> dict:
     for entry in report.get("suites", ()):
         if entry.get("suite") == suite and entry.get("data"):
@@ -667,28 +648,10 @@ def _suite_data(report: dict, suite: str) -> dict:
 
 def emit_plot_data(report: dict, kind: str, out_path: str) -> None:
     """Write plot-ready CSV columns for one of the known plot kinds."""
-    if kind == "post_widder_error_vs_k":
-        data = _suite_data(report, "post_widder")
-        write_csv(out_path, ("k", "error"), zip(data["k"], data["error"]))
-    elif kind == "yosida_error_vs_eta":
-        data = _suite_data(report, "yosida_convergence")
-        write_csv(out_path, ("eta", "error"), zip(data["eta"], data["error"]))
-    elif kind == "b4_ladder":
-        data = _suite_data(report, "hille_yosida_4_11")
-        write_csv(
-            out_path,
-            ("eta", "n", "norm", "bound", "passed"),
-            zip(data["eta"], data["n"], data["norm"], data["bound"], data["passed"]),
-        )
-    elif kind == "acp_trajectory":
-        data = _suite_data(report, "acp_5_1")["trajectory"]
-        write_csv(
-            out_path,
-            ("t", "atom", "component", "u", "residual", "graph_norm"),
-            zip(
-                data["t"], data["atom"], data["component"],
-                data["u"], data["residual"], data["graph_norm"],
-            ),
-        )
-    else:
+    if kind not in PLOT_COLUMNS:
         raise ValueError(f"unknown plot kind {kind!r}")
+    suite, key, columns = PLOT_COLUMNS[kind]
+    data = _suite_data(report, suite)
+    if key is not None:
+        data = data[key]
+    write_csv(out_path, columns, zip(*(data[c] for c in columns)))

@@ -319,12 +319,20 @@ class TestCliPlot:
         proc = run_cli("run", path, "--out", out)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = os.path.join(out, "report.json")
+        headers = {
+            "post_widder_error_vs_k": ["k", "error"],
+            "yosida_error_vs_eta": ["eta", "error"],
+            "b4_ladder": ["eta", "n", "norm", "bound", "passed"],
+            "acp_trajectory": ["t", "atom", "component", "u", "residual", "graph_norm"],
+        }
+        assert set(headers) == set(PLOT_KINDS)
         for kind in PLOT_KINDS:
             target = str(tmp_path / f"{kind}.csv")
             plot = run_cli("plot", report, "--kind", kind, "--out", target)
             assert plot.returncode == 0, plot.stderr
             rows = list(csv.reader(open(target, newline="")))
             assert len(rows) >= 2
+            assert rows[0] == headers[kind]
 
     def test_emit_plot_data_python_api(self, tmp_path):
         scn = scenario_from_dict(passing_doc(suites=["yosida_convergence"]))

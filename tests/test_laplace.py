@@ -10,6 +10,7 @@ from rnsl import (
     CertificateMissing,
     CoefficientOverflow,
     CurveSampler,
+    DimMismatch,
     EtaNotInGxi,
     ExponentialBound,
     L0Scalar,
@@ -259,6 +260,44 @@ class TestProviderFromCurve:
         np.testing.assert_allclose(got.values, want, atol=1e-8)
 
 
+class TestProviderChecks:
+    @pytest.mark.parametrize(
+        "atoms, dim, log_scale, error, message",
+        [
+            (1, 1, np.zeros(1), SpaceMismatch, "different space"),
+            (2, 2, np.zeros(2), DimMismatch, "has dim 2, expected 1"),
+            (2, 1, np.zeros(3), SpaceMismatch, "log scale"),
+            (2, 1, np.zeros((2, 1)), SpaceMismatch, "log scale"),
+            (2, 1, 0.0, SpaceMismatch, "log scale"),
+        ],
+    )
+    def test_malformed_output_rejected(self, space2, atoms, dim, log_scale, error, message):
+        space = space2 if atoms == 2 else make_space([1.0])
+        out = RnVector.of(space, np.ones((atoms, dim)))
+        provider = TransformDerivativeProvider(space2, 1, lambda eta, k: (out, log_scale))
+        with pytest.raises(error, match=message):
+            provider.derivative(2.0, 1)
+
+    def test_constant_derivatives_match_closed_form(self, space2):
+        x = RnVector.of(space2, [[1.0, -2.0], [0.5, 3.0]])
+        provider = constant_transform_provider(x)
+        eta = L0Scalar.of(space2, [1.5, 2.5])
+        for k in (0, 1, 2, 5, 10, 40):
+            got = provider.derivative(eta, k)
+            want = (
+                (-1.0) ** k * math.factorial(k) * x.values
+                / eta.values[:, None] ** (k + 1)
+            )
+            np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0.0)
+
+    def test_derivative_past_double_range_signalled(self, space1):
+        provider = constant_transform_provider(RnVector.of(space1, [[1.0]]))
+        mantissa, log_scale = provider.scaled_derivative(1.0, 200)
+        assert log_scale[0] == pytest.approx(math.lgamma(201.0))
+        with pytest.raises(CoefficientOverflow, match="use the scaled form"):
+            provider.derivative(1.0, 200)
+
+
 class TestPostWidder:
     def test_constants_reproduced_exactly(self, space2):
         x = RnVector.of(space2, [[1.0, -2.0], [0.5, 3.0]])
@@ -320,7 +359,7 @@ class TestPostWidder:
     def test_coefficient_overflow_signalled(self, space1):
         ones = RnVector.of(space1, [[1.0]])
         provider = TransformDerivativeProvider(
-            space1, 1, raw=lambda eta, k: ones
+            space1, 1, lambda eta, k: (ones, np.zeros(1))
         )
         with pytest.raises(CoefficientOverflow):
             post_widder(provider, 1e-160, 1)

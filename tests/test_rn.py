@@ -25,6 +25,7 @@ from rnsl import (
     vector_distance,
 )
 from rnsl.rn import _PADE13_THETA, _expm_stack, worst_atom
+from rnsl.suites import _Worst
 
 entries = st.floats(
     min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
@@ -305,6 +306,22 @@ class TestWorstAtom:
     def test_non_finite_maximum_is_its_own_atom(self):
         assert worst_atom([1.0, np.inf, np.inf]) == 1
         assert worst_atom([-np.inf, -np.inf]) == 0
+
+    def test_first_instance_to_reach_the_largest_gap_names_the_atom(self):
+        worst = _Worst()
+        for gaps in ([0.5, 2.0, 0.0], [2.0, 0.0, 1.0], [1.0, 1.5, 1.9]):
+            worst.add(np.array(gaps))
+        record = worst.le("gap", 0.0)
+        assert (record.measured, record.worst_atom) == (2.0, 1)
+
+    def test_worst_gap_floor(self):
+        assert (_Worst().gap, _Worst().atom) == (0.0, 0)
+        negative = _Worst(-np.inf)
+        negative.add(np.array([-3.0, -2.0]))
+        assert (negative.gap, negative.atom) == (-2.0, 1)
+        clipped = _Worst()
+        clipped.add(np.array([-3.0, -2.0]))
+        assert (clipped.gap, clipped.atom) == (0.0, 0)
 
 
 class TestExponentialBound:

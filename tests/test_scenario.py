@@ -264,6 +264,11 @@ class TestFieldRules:
             load_scenario(str(path))
         assert exc.value.pointer == "/"
 
+    def test_unexpected_key_pointer_is_escaped(self):
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_dict({**per_atom_doc(), "x/~y": 1})
+        assert exc.value.pointer == "/x~1~0y"
+
     def test_out_dir_null_is_rejected(self):
         with pytest.raises(SchemaError) as exc:
             scenario_from_dict({**passing_doc(), "out_dir": None})
@@ -310,6 +315,7 @@ NON_FINITE = (
         lambda d: d["operators"]["A"]["matrix"][1].__setitem__(0, float("nan")),
         "/operators/A/matrix/1/0",
     ),
+    (lambda d: d.update(tolerances={"a/b~c": float("nan")}), "/tolerances/a~1b~0c"),
 )
 
 
