@@ -167,8 +167,8 @@ class L0Operator:
         if d.ndim != 2 or d.shape[0] != space.n_atoms:
             raise SpaceMismatch(f"expected shape ({space.n_atoms}, d), got {d.shape}")
         mats = np.zeros((space.n_atoms, d.shape[1], d.shape[1]))
-        for a in range(space.n_atoms):
-            np.fill_diagonal(mats[a], d[a])
+        i = np.arange(d.shape[1])
+        mats[:, i, i] = d
         return cls.of(space, mats)
 
     @classmethod

@@ -220,14 +220,18 @@ def estimate_generator(W: CSemigroup, x: RnVector, h0: float) -> RnVector:
     cx = op_apply(W.C, x).values
     d1 = (evaluate(W, h0, x).values - cx) / h0
     d2 = (evaluate(W, 0.5 * h0, x).values - cx) / (0.5 * h0)
-    limit = 2.0 * d2 - d1
+    return _solve_c(W.C, 2.0 * d2 - d1)
+
+
+def _solve_c(C: L0Operator, rhs: np.ndarray) -> RnVector:
+    """The y with C y = rhs on every atom; ``rhs`` is (n_atoms, d)."""
     try:
-        y = np.linalg.solve(W.C.matrices, limit[:, :, None])[:, :, 0]
+        y = np.linalg.solve(C.matrices, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SolveFailed(f"C-solve failed: {exc}") from None
     if not np.isfinite(y).all():
         raise SolveFailed("C-solve produced non-finite values")
-    return RnVector.of(W.space, y)
+    return RnVector.of(C.space, y)
 
 
 def _orbit_curve(
@@ -453,7 +457,6 @@ def hille_yosida_report(
     bound: ExponentialBound,
     eta_grid: Sequence,
     n_max: int,
-    probe: RnVector | None = None,
     b4_tol: float = B4_DEFAULT_TOL,
     route_tol: float = 1e-6,
     quad_tol: float = 1e-8,
@@ -462,8 +465,9 @@ def hille_yosida_report(
 
     The family is evaluated as exp(tA) C without re-validating the growth
     certificate: a wrong certificate is exactly what the power-bound ladder
-    must expose rather than a constructor reject.  An empty grid yields an
-    empty report that passes vacuously on the per-eta rows.
+    must expose rather than a constructor reject.  The two resolvent routes
+    are compared on the first basis vector e_1 of every atom.  An empty grid
+    yields an empty report that passes vacuously on the per-eta rows.
     """
     if A.space != C.space or A.space != bound.space:
         raise SpaceMismatch("A, C and the certificate must share one space")
@@ -471,10 +475,7 @@ def hille_yosida_report(
         raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
     if n_max < 1:
         raise ValueError("the ladder needs n_max >= 1")
-    if probe is None:
-        coords = np.zeros(A.dim)
-        coords[0] = 1.0
-        probe = RnVector.constant(A.space, coords)
+    probe = RnVector.constant(A.space, np.eye(A.dim)[0])
     comm = _frobenius_per_atom(A.matrices @ C.matrices - C.matrices @ A.matrices)
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
     M = bound.M.values

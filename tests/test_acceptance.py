@@ -5,10 +5,8 @@ module dimensions cycling through {1, 2, 4}, 200 randomized instances where
 a count is stated.  Each check prints exactly one PASS/FAIL line.
 """
 
-import csv
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -52,6 +50,7 @@ from rnsl.instances import (
     rng_for,
     smooth_curve_family,
 )
+from rnsl.rn import block_norms
 
 _T0 = time.monotonic()
 
@@ -404,7 +403,7 @@ def test_criterion_12_initial_value_problems():
         worst = max(
             worst,
             max(
-                float(l0_norm(a - b).values.max())
+                float(block_norms(a - b).max())
                 for a, b in zip(ours.states, ref.states)
             ),
         )
@@ -417,7 +416,7 @@ def test_criterion_12_initial_value_problems():
     grid41 = tuple(i / 40 for i in range(41))
     coarse = solve_acp(direct_value_problem(Ws, v0, grid21))
     fine = solve_acp(direct_value_problem(Ws, v0, grid41))
-    endpoint = float(coarse.states[-1].values[0, 0])
+    endpoint = float(coarse.states[-1, 0, 0])
     endpoint_ok = abs(endpoint - 0.367879) <= 1e-6
     ratio = coarse.max_interior_residual() / fine.max_interior_residual()
     ratio_ok = 3.2 <= ratio <= 4.8

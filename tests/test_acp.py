@@ -1,6 +1,7 @@
 """Initial value problems: trajectories, defect residuals, oracle agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ import pytest
 from rnsl import (
     ExponentialBound,
     L0Operator,
+    NonFiniteValue,
     RnVector,
     StepUnderflow,
     direct_value_problem,
-    evaluate,
     initial_vector,
-    l0_norm,
     make_matrix_semigroup,
     make_sampled_semigroup,
     make_space,
@@ -23,7 +23,9 @@ from rnsl import (
     rk4_oracle,
     solve_acp,
 )
+from rnsl.acp import _trajectory
 from rnsl.instances import random_commuting_pair, rng_for
+from rnsl.rn import block_norms
 
 
 def scalar_contraction(space, rate=-1.0, c=1.0):
@@ -42,7 +44,7 @@ class TestSolveAcp:
         _, _, W = scalar_contraction(space1)
         v0 = RnVector.of(space1, [[1.0]])
         traj = solve_acp(direct_value_problem(W, v0, grid(21)))
-        assert traj.states[-1].values[0, 0] == pytest.approx(
+        assert traj.states[-1, 0, 0] == pytest.approx(
             math.exp(-1.0), abs=1e-9
         )
 
@@ -51,7 +53,7 @@ class TestSolveAcp:
         v0 = RnVector.of(space1, [[1.5]])
         traj = solve_acp(direct_value_problem(W, v0, grid(5)))
         np.testing.assert_allclose(
-            traj.states[0].values, op_apply(C, v0).values, atol=1e-14
+            traj.states[0], op_apply(C, v0).values, atol=1e-14
         )
 
     def test_zero_generator_constant_trajectory(self, space2):
@@ -61,7 +63,7 @@ class TestSolveAcp:
         v0 = RnVector.of(space2, [[1.0, -2.0], [0.5, 3.0]])
         traj = solve_acp(direct_value_problem(W, v0, grid(5)))
         for state in traj.states:
-            np.testing.assert_allclose(state.values, v0.values, atol=1e-14)
+            np.testing.assert_allclose(state, v0.values, atol=1e-14)
         assert traj.max_interior_residual() <= 1e-12
 
     def test_resolvent_seeded_start(self, space1):
@@ -72,7 +74,7 @@ class TestSolveAcp:
         # u0 = (eta - a)^{-1} C y0 = 2/3, and C v0 = u0 means v0 = 1/3.
         assert v0.values[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
         traj = solve_acp(p)
-        assert traj.states[0].values[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert traj.states[0, 0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_one_sided_flags(self, space1):
         _, _, W = scalar_contraction(space1)
@@ -88,7 +90,7 @@ class TestSolveAcp:
             direct_value_problem(W, RnVector.of(space1, [[1.0]]), grid(5))
         )
         for t, g in zip(traj.times, traj.graph_norms):
-            assert g.values[0] == pytest.approx(2.0 * math.exp(-t), rel=1e-10)
+            assert g[0] == pytest.approx(2.0 * math.exp(-t), rel=1e-10)
 
     def test_sampled_family_rejected(self, space1):
         A, C, _ = scalar_contraction(space1)
@@ -122,7 +124,7 @@ class TestRk4Oracle:
         A, C, _ = scalar_contraction(space1)
         v0 = RnVector.of(space1, [[1.0]])
         traj = rk4_oracle(A, v0, C, grid(11), 1e-3)
-        assert traj.states[-1].values[0, 0] == pytest.approx(
+        assert traj.states[-1, 0, 0] == pytest.approx(
             math.exp(-1.0), abs=1e-10
         )
 
@@ -132,7 +134,7 @@ class TestRk4Oracle:
         v0 = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])
         traj = rk4_oracle(A, v0, C, grid(5), 1e-2)
         for state in traj.states:
-            np.testing.assert_array_equal(state.values, v0.values)
+            np.testing.assert_array_equal(state, v0.values)
 
     def test_nilpotent_polynomial_solution(self, space1):
         A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
@@ -140,7 +142,7 @@ class TestRk4Oracle:
         v0 = RnVector.of(space1, [[0.0, 1.0]])
         traj = rk4_oracle(A, v0, C, grid(5, end=2.0), 1e-3)
         np.testing.assert_allclose(
-            traj.states[-1].values, [[2.0, 1.0]], atol=1e-10
+            traj.states[-1], [[2.0, 1.0]], atol=1e-10
         )
 
     def test_step_underflow(self, space1):
@@ -177,7 +179,7 @@ class TestResidualsAndCsv:
         for n in (21, 41):
             traj = solve_acp(direct_value_problem(W, v0, grid(n)))
             dt = 1.0 / (n - 1)
-            vals = [float(g.values.max()) for g in traj.graph_norms]
+            vals = [float(g.max()) for g in traj.graph_norms]
             gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
             # |d/dt (2 e^{-t})| <= 2, so the Lipschitz budget 2.2 dt holds.
             assert max(gaps) <= 2.2 * dt
@@ -195,7 +197,115 @@ class TestOracleAgreement:
             ours = solve_acp(direct_value_problem(W, v0, times))
             ref = rk4_oracle(A, v0, C, times, 2e-3)
             worst = max(
-                l0_norm(a - b).values.max()
+                block_norms(a - b).max()
                 for a, b in zip(ours.states, ref.states)
             )
             assert worst <= 1e-6
+
+
+def stage_rk4(A, v0, C, times, step):
+    """Reference integrator in stage form: four einsums per substep."""
+    v = v0.values.copy()
+    states = [np.einsum("aij,aj->ai", C.matrices, v)]
+    for a, b in zip(times, times[1:]):
+        n_sub = max(1, int(math.ceil((b - a) / step - 1e-12)))
+        h = (b - a) / n_sub
+        for _ in range(n_sub):
+            k1 = np.einsum("aij,aj->ai", A.matrices, v)
+            k2 = np.einsum("aij,aj->ai", A.matrices, v + 0.5 * h * k1)
+            k3 = np.einsum("aij,aj->ai", A.matrices, v + 0.5 * h * k2)
+            k4 = np.einsum("aij,aj->ai", A.matrices, v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(np.einsum("aij,aj->ai", C.matrices, v))
+    return np.stack(states)
+
+
+BLOCK_KINDS = ("stiff", "jordan", "nilpotent", "random")
+
+
+def block_family(kind, rng, n, d):
+    """(n, d, d) generator blocks of one kind."""
+    shift = np.eye(d, k=1)
+    if kind == "stiff":
+        # symmetric, eigenvalues in [-40, -1]: h |lambda| <= 0.4 at h = 0.01
+        q, _ = np.linalg.qr(rng.normal(size=(n, d, d)))
+        lam = -rng.uniform(1.0, 40.0, (n, d))
+        lam[:, 0] = -40.0
+        return np.einsum("aij,aj,akj->aik", q, lam, q)
+    if kind == "jordan":
+        return rng.uniform(-2.0, 1.0, (n, 1, 1)) * np.eye(d) + shift
+    if kind == "nilpotent":
+        return rng.uniform(0.5, 2.0, (n, 1, 1)) * shift
+    return rng.normal(size=(n, d, d)) / math.sqrt(d)
+
+
+class TestPolynomialRk4:
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    @pytest.mark.parametrize("n", [1, 1024])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_matches_stage_form(self, kind, n, d):
+        rng = np.random.default_rng([n, d, BLOCK_KINDS.index(kind)])
+        space = make_space(np.full(n, 1.0 / n))
+        A = L0Operator.of(space, block_family(kind, rng, n, d))
+        C = L0Operator.identity(space, d)
+        v0 = RnVector.of(space, rng.uniform(-1.0, 1.0, (n, d)))
+        times = grid(5)
+        ours = rk4_oracle(A, v0, C, times, 0.01).states
+        ref = stage_rk4(A, v0, C, times, 0.01)
+        assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_nilpotent_index_five_is_exact_taylor(self, space1):
+        A = L0Operator.of(space1, [np.eye(5, k=1)])
+        C = L0Operator.identity(space1, 5)
+        v0 = RnVector.of(space1, [[0.0, 0.0, 0.0, 0.0, 1.0]])
+        times = grid(5, end=2.0)
+        traj = rk4_oracle(A, v0, C, times, 1e-3)
+        # u_j(t) = t^(4-j) / (4-j)!
+        exact = [[[t ** (4 - j) / math.factorial(4 - j) for j in range(5)]] for t in times]
+        np.testing.assert_allclose(traj.states, exact, rtol=0.0, atol=1e-13)
+
+    def test_overflow_is_reported_without_numpy_warnings(self, space1):
+        A = L0Operator.of(space1, [[[800.0]]])
+        C = L0Operator.identity(space1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteValue, match="vector coordinates must be finite"):
+                rk4_oracle(A, RnVector.of(space1, [[1.0]]), C, grid(5, end=2.0), 2e-3)
+
+
+class TestTrajectoryArrays:
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_residuals_and_graph_norms_match_per_time_loop(self, d):
+        rng = np.random.default_rng(d)
+        space = make_space(np.full(64, 1.0 / 64))
+        A = L0Operator.of(space, rng.normal(size=(64, d, d)))
+        times = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.2, 8)]))
+        u = rng.normal(size=(len(times), 64, d))
+        traj = _trajectory(A, times, u)
+        last = len(times) - 1
+        for i in range(len(times)):
+            lo, hi = max(i - 1, 0), min(i + 1, last)
+            au = op_apply(A, RnVector.of(space, u[i])).values
+            gap = (u[hi] - u[lo]) / (times[hi] - times[lo]) - au
+            np.testing.assert_array_equal(traj.residuals[i], np.sqrt((gap**2).sum(axis=1)))
+            np.testing.assert_array_equal(
+                traj.graph_norms[i], block_norms(u[i]) + block_norms(au)
+            )
+            assert traj.one_sided[i] == (i in (0, last))
+
+    def test_arrays_are_read_only_with_documented_shapes(self, space2):
+        A = L0Operator.of(space2, [[[-1.0, 0.5], [0.0, -2.0]]] * 2)
+        C = L0Operator.identity(space2, 2)
+        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space2, 2.0, -0.5))
+        v0 = RnVector.of(space2, [[1.0, -1.0], [0.5, 2.0]])
+        for traj in (
+            solve_acp(direct_value_problem(W, v0, grid(7))),
+            rk4_oracle(A, v0, C, grid(7), 1e-2),
+        ):
+            shapes = {"states": (7, 2, 2), "residuals": (7, 2), "one_sided": (7,), "graph_norms": (7, 2)}
+            for name, shape in shapes.items():
+                arr = getattr(traj, name)
+                assert arr.shape == shape
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0

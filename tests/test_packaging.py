@@ -78,3 +78,27 @@ def test_reference_run_loads_no_scipy(tmp_path):
     done = run_fresh(script)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "report.json").exists()
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never mentions again."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [
+        hit for path in paths if path.name != "__init__.py"  # re-exports
+        for hit in unused_imports(path)
+    ]
+    assert unused == []

@@ -96,6 +96,16 @@ class TestOpApply:
         with pytest.raises(SpaceMismatch):
             op_apply(L0Operator.identity(space2, 2), RnVector.zeros(space4, 2))
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 2), (1024, 16)])
+    def test_from_diag_equals_per_atom_diagonals(self, n, d):
+        space = make_space(np.full(n, 1.0 / n))
+        diag = np.random.default_rng([n, d]).normal(size=(n, d))
+        expected = np.stack([np.diag(row) for row in diag])
+        np.testing.assert_array_equal(L0Operator.from_diag(space, diag).matrices, expected)
+        np.testing.assert_array_equal(
+            L0Operator.from_diag(space, diag[0]).matrices, np.repeat(expected[:1], n, axis=0)
+        )
+
     def test_operator_json_round_trip(self, space2):
         T = L0Operator.of(space2, [np.diag([2.0, 3.0]), np.eye(2)])
         doc = T.to_json()

@@ -19,6 +19,7 @@ from rnsl import (
     NonFiniteValue,
     NotInjective,
     RnVector,
+    SolveFailed,
     StepUnderflow,
     abel_limit_check,
     c_resolvent_direct,
@@ -202,6 +203,13 @@ class TestEstimateGenerator:
         *_, W = diag_semigroup(space2)
         with pytest.raises(StepUnderflow):
             estimate_generator(W, RnVector.of(space2, [[1.0], [1.0]]), 1e-13)
+
+    def test_c_solve_failures_keep_their_messages(self, space1):
+        with pytest.raises(SolveFailed, match="C-solve failed: "):
+            semigroup_module._solve_c(L0Operator.zeros(space1, 1), np.ones((1, 1)))
+        tiny = L0Operator.of(space1, [[[1e-320]]])
+        with pytest.raises(SolveFailed, match="C-solve produced non-finite values"):
+            semigroup_module._solve_c(tiny, np.full((1, 1), 1e10))
 
 
 class TestResolventRoutes:
