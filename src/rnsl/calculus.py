@@ -164,11 +164,17 @@ class WeightedIntegralResult:
     panels: int
 
 
-def _panel(values_at: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Evaluate one Kronrod panel; returns (k15, |k15 - g7|) arrays."""
+def _panels(values_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """Evaluate the Kronrod panels [a_i, b_i] with one ``values_at`` call.
+
+    Returns (k15, |k15 - g7|) arrays of shape (len(a), n, d).
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    k15, g7 = np.tensordot(_WEIGHTS, values_at(mid + half * _NODES), axes=1)
+    vals = values_at((mid[:, None] + half[:, None] * _NODES).reshape(-1))
+    vals = vals.reshape((len(a), len(_NODES)) + vals.shape[1:])
+    k15, g7 = np.tensordot(_WEIGHTS, vals, axes=(1, 1))
+    half = half[:, None, None]
     return half * k15, np.abs(half * (k15 - g7))
 
 
@@ -179,17 +185,21 @@ def _adaptive(
     tol_per_atom: np.ndarray,
     max_panels: int,
 ):
-    """Adaptive bisection until every atom's summed error estimate passes."""
-    panels = []  # entries: [a, b, k15 (n,d), err (n,d)]
-    heap: list[tuple[float, int]] = []
+    """Adaptive bisection until every atom's summed error estimate passes.
+
+    The initial panels between ``breaks`` are sampled in one ``values_at``
+    call, and each split samples its two halves in one call.
+    """
+    edges = np.asarray(breaks, dtype=float)
+    k15s, errs = _panels(values_at, edges[:-1], edges[1:])
+    # entries: [a, b, k15 (n,d), err (n,d)]
+    panels = [[a, b, k, e] for a, b, k, e in zip(breaks[:-1], breaks[1:], k15s, errs)]
+    heap = [(-float(e.max()), i) for i, e in enumerate(errs)]
+    heapq.heapify(heap)
     total_err = np.zeros(shape)
-    counter = 0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        k15, err = _panel(values_at, a, b)
-        panels.append([a, b, k15, err])
-        total_err += err
-        heapq.heappush(heap, (-float(err.max()), counter))
-        counter += 1
+    for e in errs:
+        total_err += e
+    counter = len(panels)
 
     def accepted() -> bool:
         return bool((total_err.max(axis=1) <= tol_per_atom).all())
@@ -217,8 +227,9 @@ def _adaptive(
                 )
             continue
         mid = 0.5 * (a + b)
-        left_k, left_e = _panel(values_at, a, mid)
-        right_k, right_e = _panel(values_at, mid, b)
+        (left_k, right_k), (left_e, right_e) = _panels(
+            values_at, np.array([a, mid]), np.array([mid, b])
+        )
         total_err += left_e + right_e - err
         panels[idx] = [a, mid, left_k, left_e]
         heapq.heappush(heap, (-float(left_e.max()), idx))
@@ -420,8 +431,18 @@ def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[flo
 
     Returns T and log Q(k+1, gamma T).  The inverse of Q is computed only
     on the atoms whose starting estimate is near the largest horizon, and
-    then on any atom that T leaves uncertified.
+    then on any atom that T leaves uncertified.  At k = 0, log Q(1, x) = -x
+    gives T in closed form.
     """
+    if k == 0:
+        T = max(
+            float(np.max(-log_q_target / gamma)) * (1.0 + _HORIZON_MARGIN),
+            0.5 * float(np.max(1.0 / gamma)),
+            1e-3,
+        )
+        if math.isinf(T):
+            raise TailNotCertified("no finite horizon certifies the tail under its target")
+        return T, -gamma * T
     a = k + 1.0
     log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
     x = _q_start(k, log_q)
@@ -505,25 +526,20 @@ def damped_weighted_integral(
             w[~pos] = np.exp(-log_scale) if k == 0 else 0.0
         return w[:, :, None] * h
 
-    breaks = {0.0, T}
     if k >= 1:
-        # seed panel edges around the weight's peak so adaptivity finds it
-        peaks = k / ev
-        widths = np.sqrt(k) / ev
-        for m, s in zip(peaks, widths):
-            for c in (-6.0, -2.0, 0.0, 2.0, 6.0):
-                p = m + c * s
-                if 0.0 < p < T:
-                    breaks.add(float(p))
+        # seed panel edges around each atom's weight peak so adaptivity finds
+        # it, snapped to the lattice rho^j: a seed moves by about one weight
+        # width sqrt(k)/eta at most, and the spread of the peaks, not the
+        # number of atoms, bounds the seed count
+        offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
+        seeds = (k + offsets * math.sqrt(k)) / ev
+        rho = 1.0 + 2.0 / math.sqrt(k)
+        seeds = rho ** np.unique(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)))
     else:
-        for c in (1.0, 5.0):
-            p = c / float(gamma.min())
-            if 0.0 < p < T:
-                breaks.add(float(p))
+        seeds = np.array([1.0, 5.0]) / float(gamma.min())
+    breaks = [0.0] + [float(p) for p in seeds[seeds < T]] + [T]
 
-    value, err, panels = _adaptive(
-        values_at, (n, g.dim), sorted(breaks), tol_arr / 2.0, max_panels
-    )
+    value, err, panels = _adaptive(values_at, (n, g.dim), breaks, tol_arr / 2.0, max_panels)
     tail = np.exp(log_whole + log_q - log_scale)
     return WeightedIntegralResult(
         scaled_value=RnVector.of(space, value),

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (
+    _NODES,
     MIN_STEP,
     CurveSampler,
     _check_eta,
@@ -244,13 +245,20 @@ def _orbit_curve(
 
     ``stacked`` maps an array of times to the family's operators there,
     shape (len(ts), n_atoms, d, d); the orbit then samples in one call.
+    That call stacks the operators of at most one panel's nodes at a time,
+    so a quadrature round over many panels does not hold all their
+    (times, n_atoms, d, d) operators at once.
     """
     cert = ExponentialBound(
         L0Scalar.of(bound.space, bound.M.values * l0_norm(x).values), bound.xi
     )
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        return np.einsum("taij,aj->tai", stacked(ts), x.values)
+        step = len(_NODES)
+        return np.concatenate([
+            np.einsum("taij,aj->tai", stacked(ts[i:i + step]), x.values)
+            for i in range(0, len(ts), step)
+        ])
 
     return CurveSampler(
         bound.space, x.dim, 0.0, math.inf, lambda s: op_apply(family(s), x),

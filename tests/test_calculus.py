@@ -27,11 +27,12 @@ from rnsl import (
     make_space,
     riemann_integral,
 )
+from rnsl import calculus
 from rnsl.calculus import (
     _HORIZON_MARGIN,
     _adaptive,
     _log_q,
-    _panel,
+    _panels,
     _q_root,
     _q_start,
     _tail_time,
@@ -77,7 +78,9 @@ class TestRiemannIntegral:
             on = (s < 3e-13) | ((s >= 1e-12) & (s < 1.3e-12))
             return on.astype(float)[:, None, None]
 
-        errs = [_panel(jumps, a, a + 1e-12)[1].max() for a in (0.0, 1e-12)]
+        errs = [
+            _panels(jumps, np.array([a]), np.array([a + 1e-12]))[1].max() for a in (0.0, 1e-12)
+        ]
         tol = np.array([1.01 * max(errs)])
         assert sum(errs) > tol[0]
         with pytest.raises(StepUnderflow):
@@ -334,6 +337,97 @@ class TestBatchedSampling:
         np.testing.assert_allclose(
             fast.scaled_value.values, slow.scaled_value.values, rtol=0, atol=1e-13
         )
+
+
+class TestOneCallPerRound:
+    @pytest.mark.parametrize("atoms,dim", SHAPES)
+    def test_panels_in_one_call_equal_one_panel_calls(self, atoms, dim):
+        space = uniform_space(atoms)
+        g, _ = smooth_curve_family(rng_for(atoms, "one-call"), space, dim, n=1)[0]
+        edges = np.sort(np.random.default_rng(atoms).uniform(-2.0, 5.0, 12))
+        k15, err = _panels(g.sample, edges[:-1], edges[1:])
+        one = [_panels(g.sample, edges[i : i + 1], edges[i + 1 : i + 2]) for i in range(11)]
+        scale = 1e-15 * np.abs(k15).max()
+        np.testing.assert_allclose(k15, np.concatenate([o[0] for o in one]), rtol=0, atol=scale)
+        np.testing.assert_allclose(err, np.concatenate([o[1] for o in one]), rtol=0, atol=scale)
+
+    # panel counts of the loop that sampled one panel per call, for the three
+    # curve pairs of smooth_curve_family on [-3, 9] at tolerance 1e-11
+    RIEMANN_PANELS = {
+        (1, 1): [4, 4, 3, 4, 3, 4],
+        (1, 16): [4, 4, 4, 5, 3, 4],
+        (1024, 1): [8, 8, 9, 16, 9, 16],
+        (1024, 16): [8, 8, 5, 8, 8, 16],
+    }
+
+    @pytest.mark.parametrize("atoms,dim", SHAPES)
+    def test_riemann_panel_counts_unchanged(self, atoms, dim):
+        space = uniform_space(atoms)
+        family = smooth_curve_family(rng_for(atoms, "riemann-panels"), space, dim, n=3)
+        got = [riemann_integral(g, -3.0, 9.0, 1e-11).panels for pair in family for g in pair]
+        assert got == self.RIEMANN_PANELS[atoms, dim]
+
+
+def exponential_orbit(rng, atoms: int, dim: int, k: int):
+    """h(s) = e^(a s) x per atom, with eta - a spread over 100x; returns (curve, eta)."""
+    space = uniform_space(atoms)
+    gamma = np.geomspace(0.05, 5.0, atoms) if atoms > 1 else np.array([0.7])
+    # eta = gamma + a lies within gamma/(k+1) of gamma, so (eta/gamma)^k stays
+    # above e^-1 and every scaled value stays representable up to k = 1024
+    rates = -gamma * rng.uniform(0.0, 0.9, atoms) / (k + 1.0)
+    x = rng.uniform(-1.0, 1.0, (atoms, dim))
+
+    def batch(s: np.ndarray) -> np.ndarray:
+        return np.exp(np.outer(s, rates))[:, :, None] * x
+
+    bound = ExponentialBound(l0_norm(RnVector.of(space, x)), L0Scalar.of(space, rates))
+    curve = CurveSampler.from_batch(space, dim, 0.0, math.inf, batch, bound=bound)
+    return curve, L0Scalar.of(space, rates + gamma)
+
+
+def decimal_scaled_integral(k: int, eta, rates, log_scale) -> np.ndarray:
+    """k! (eta - a)^-(k+1) e^-log_scale per atom in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_fact = sum((Decimal(j).ln() for j in range(2, k + 1)), Decimal(0))
+        return np.array([
+            float((log_fact - (k + 1) * (Decimal(e) - Decimal(a)).ln() - Decimal(ls)).exp())
+            for e, a, ls in zip(eta, rates, log_scale)
+        ])
+
+
+# seeded panels allowed per call at eta spread 100x, whatever the atom count
+SEED_PANEL_BOUND = 100
+
+
+class TestDampedOracle:
+    """int_0^inf s^k e^(-eta s) e^(a s) x ds = k! (eta - a)^-(k+1) x per atom."""
+
+    @pytest.mark.parametrize("k", [0, 1, 64, 1024])
+    @pytest.mark.parametrize("atoms,dim", [(1, 1), (1, 16), (64, 1), (64, 16), (1024, 1)])
+    def test_exact_value_within_estimate(self, atoms, dim, k, monkeypatch):
+        curve, eta = exponential_orbit(rng_for(atoms + k, "oracle"), atoms, dim, k)
+        rates = curve.bound.xi.values
+        seeded = []
+
+        def adaptive(values_at, shape, breaks, tol_per_atom, max_panels):
+            seeded.append(len(breaks) - 1)
+            return _adaptive(values_at, shape, breaks, tol_per_atom, max_panels)
+
+        monkeypatch.setattr(calculus, "_adaptive", adaptive)
+        log_scale = calculus._weight_log_scale(k, eta.values)
+        scaled = decimal_scaled_integral(k, eta.values, rates, log_scale)
+        tol = 1e-10 * scaled  # relative to each atom's scaled integral
+        res = damped_weighted_integral(curve, eta, k, tol)
+        assert np.array_equal(res.log_scale, log_scale)
+        exact = scaled[:, None] * curve.sample([0.0])[0]
+        error = np.abs(res.scaled_value.values - exact).max(axis=1)
+        # the weight's exponent is of size k + |log_scale|, so its rounding
+        # costs that many ulps of the value, which the Kronrod estimate omits
+        ulps = np.finfo(float).eps * (1.0 + k + np.abs(log_scale))
+        assert (error <= res.est_error + ulps * np.abs(exact).max(axis=1)).all()
+        assert (res.est_error <= tol).all()
+        assert seeded[0] <= SEED_PANEL_BOUND
 
 
 GAMMA_ORDERS = [0, 1, 2, 8, 64, 512, 1024]

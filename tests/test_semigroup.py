@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rnsl import (
     make_sampled_semigroup,
     make_space,
     matrix_exp,
+    matrix_exp_times,
     op_apply,
     resolvent_operator,
     riemann_integral,
@@ -279,6 +281,22 @@ class TestResolventRoutes:
 
         gap = transform_identity_gap(perturbed, A, C, bound, 2.0, x, 1e-8)
         assert gap > 1e-3
+
+    @pytest.mark.parametrize("atoms", [1, 1024])
+    def test_orbit_batch_slices_are_bitwise_neutral(self, atoms):
+        # the orbit samples its operators 15 times at a time; 16 times cross a
+        # slice edge, and each exponential is computed per matrix
+        space = make_space(np.full(atoms, 1.0 / atoms))
+        rng = rng_for(atoms, "orbit-slices")
+        A, C, bound = random_commuting_pair(rng, space, 4)
+        x = random_vector(rng, space, 4, -1.0, 1.0)
+        curve = semigroup_module._orbit_curve(
+            lambda s: matrix_exp(A, s) @ C, bound, x,
+            partial(semigroup_module._generated, A, C),
+        )
+        ts = np.linspace(0.0, 3.0, 16)
+        want = np.einsum("taij,aj->tai", matrix_exp_times(A, ts) @ C.matrices, x.values)
+        assert np.array_equal(curve.sample(ts), want)
 
 
 class TestHilleYosida:
