@@ -534,7 +534,9 @@ def damped_weighted_integral(
         offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
         seeds = (k + offsets * math.sqrt(k)) / ev
         rho = 1.0 + 2.0 / math.sqrt(k)
-        seeds = rho ** np.unique(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)))
+        # distinct exponents by a set: np.unique imports numpy.ma, about 1 MB
+        lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
+        seeds = rho ** np.array(sorted(lattice))
     else:
         seeds = np.array([1.0, 5.0]) / float(gamma.min())
     breaks = [0.0] + [float(p) for p in seeds[seeds < T]] + [T]
