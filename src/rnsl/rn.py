@@ -17,24 +17,13 @@ from .l0 import L0Scalar, ProbabilitySpace, distance as scalar_distance
 
 INJECTIVITY_THRESHOLD = 1e-12
 
-# Pade order 13 coefficients and the matching scaling threshold for the 1-norm
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
+# Truncated Taylor exponential: its degree and the 1-norm bound theta_18 on
+# the scaled matrix that keeps the backward error within double precision
+# (Higham, Functions of Matrices, Table A.3; Al-Mohy and Higham, 2011)
+_TAYLOR_DEGREE = 18
+_THETA18 = 1.09
+_DEGREES = np.arange(_TAYLOR_DEGREE + 1)
+_INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_DEGREE + 1)])
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -315,57 +304,61 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
     )
 
 
-def _expm_stack(mats: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Pade(13) exponential of a stack of matrices (N, d, d).
+def _squarings(x: np.ndarray) -> np.ndarray:
+    """Least integer s >= 0 with x / 2**s <= theta_18, exactly, for x >= 0."""
+    mant, expo = np.frexp(x)  # x = mant * 2**expo with 0.5 <= mant < 1
+    return np.maximum(expo - (mant <= 0.5 * _THETA18), 0)
 
-    Every matrix gets its own scaling exponent s, and each squaring round
-    touches only the matrices with squarings left: squaring a finished one
-    again would change it and could overflow.
+
+def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t M) for every time t of ``ts`` and matrix M of the stack ``mats``.
+
+    Degree-18 Taylor scaling and squaring, with no solve: shape (len(ts), N, d, d).
+    The powers of M / ||M||_1 depend on M alone, so they are formed once per
+    call.  Each (time, matrix) takes the least s with |t| ||M||_1 / 2**s <= theta_18,
+    sums its Taylor terms in one einsum, which keeps every result independent
+    of how times and matrices are batched, and is squared s times; each
+    squaring round touches only the matrices with squarings left.
     """
-    norm1 = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
-    s = np.zeros(len(mats), dtype=int)
-    big = norm1 > _PADE13_THETA
-    s[big] = np.ceil(np.log2(norm1[big] / _PADE13_THETA))
-    b = mats / (2.0**s)[:, None, None]
-    ident = np.eye(mats.shape[-1])
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b2 @ b4
-    c = _PADE13
-    u = b @ (
-        b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
-        + c[7] * b6
-        + c[5] * b4
-        + c[3] * b2
-        + c[1] * ident
-    )
-    v = (
-        b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
-        + c[6] * b6
-        + c[4] * b4
-        + c[2] * b2
-        + c[0] * ident
-    )
-    f = np.linalg.solve(v - u, v + u)
-    for r in range(int(s.max(initial=0))):
-        act = s > r
-        f[act] = f[act] @ f[act]
-    return f
+    n, d = mats.shape[:2]
+    nu = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
+    powers = np.zeros((n, _TAYLOR_DEGREE + 1, d, d))
+    powers[:, 0] = np.eye(d)
+    np.divide(mats, nu[:, None, None], out=powers[:, 1], where=nu[:, None, None] > 0.0)
+    m = 1
+    while m < _TAYLOR_DEGREE:  # powers m+1 .. 2m from 1 .. m times power m
+        top = min(2 * m, _TAYLOR_DEGREE)
+        np.matmul(powers[:, 1 : top - m + 1], powers[:, m : m + 1], out=powers[:, m + 1 : top + 1])
+        m = top
+    tnu = ts[:, None] * nu
+    s = _squarings(np.abs(tnu))
+    beta = np.ldexp(tnu, -s)
+    coef = beta[..., None] ** _DEGREES * _INV_FACTORIALS
+    f = np.einsum("tak,akij->taij", coef, powers).reshape(len(ts) * n, d, d)
+    # round r squares the matrices with s > r: in ascending order of s, a
+    # trailing slice, and the whole stack when every s is equal
+    starts = np.bincount(s.reshape(-1)).cumsum()[:-1]
+    order = np.argsort(s.reshape(-1)) if starts.any() else slice(None)
+    g = f[order]
+    for start in starts:
+        g[start:] = g[start:] @ g[start:]
+    f[order] = g
+    return f.reshape(len(ts), n, d, d)
 
 
 def matrix_exp_times(A: L0Operator, ts) -> np.ndarray:
     """Blockwise exp(t * A) at every time of ``ts``: shape (len(ts), n_atoms, d, d)."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     _check_finite(ts, "time")
-    n, d = A.space.n_atoms, A.dim
-    mats = ts[:, None, None, None] * A.matrices
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _expm_stack(mats.reshape(len(ts) * n, d, d)).reshape(mats.shape)
+        out = _expm_times(A.matrices, ts)
     _check_finite(out, "operator entries")
     return out
 
 
 def matrix_exp(A: L0Operator, t: float) -> L0Operator:
     """Blockwise matrix exponential exp(t * A)."""
-    return L0Operator.of(A.space, matrix_exp_times(A, [float(t)])[0])
+    out = matrix_exp_times(A, [float(t)])[0]  # finite, and of the right shape
+    out.setflags(write=False)
+    return L0Operator(A.space, out)

@@ -24,7 +24,7 @@ from rnsl import (
     op_norm,
     vector_distance,
 )
-from rnsl.rn import _PADE13_THETA, _expm_stack, worst_atom
+from rnsl.rn import _THETA18, _expm_times, _squarings, worst_atom
 from rnsl.suites import _Worst
 
 entries = st.floats(
@@ -222,7 +222,7 @@ class TestMatrixExp:
 def hostile_blocks(rng, d: int) -> np.ndarray:
     """Stiff, defective, nilpotent, tiny and large blocks of size d.
 
-    Their 1-norms run from about 1e-3 to far past theta_13, so one stack
+    Their 1-norms run from about 1e-3 to far past theta_18, so one stack
     mixes scaling exponents from 0 to about 10.  The large blocks are
     skew-symmetric and symmetric, whose exponentials are well conditioned.
     """
@@ -253,11 +253,45 @@ class TestStackedExp:
     def test_stack_is_bitwise_the_one_matrix_stacks(self, rng, d):
         stack = hostile_blocks(rng, d)
         norms = np.abs(stack).sum(axis=1).max(axis=1)
-        assert norms.min() < _PADE13_THETA < 100.0 * _PADE13_THETA < norms.max()
-        out = _expm_stack(stack)
+        assert norms.min() < _THETA18 < 100.0 * _THETA18 < norms.max()
+        ts = np.array([1.0, -0.3, 0.0])
+        out = _expm_times(stack, ts)
         for i, m in enumerate(stack):
-            assert np.array_equal(out[i], _expm_stack(stack[i : i + 1])[0])
-            assert_close_to_expm(out[i], m)
+            assert np.array_equal(out[:, i], _expm_times(stack[i : i + 1], ts)[:, 0])
+            for j in range(len(ts)):
+                assert np.array_equal(out[j, i], _expm_times(stack[i : i + 1], ts[j : j + 1])[0, 0])
+            assert_close_to_expm(out[0, i], m)
+
+    def test_theta_is_the_double_precision_taylor_bound(self):
+        assert _THETA18 == scipy.sparse.linalg._expm_multiply._theta[18]
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_each_time_is_squared_the_least_scaling_exponent(self, rng, d):
+        stack = hostile_blocks(rng, d)
+        nu = np.abs(stack).sum(axis=1).max(axis=1)
+        stack, nu = stack[nu > 0.0], nu[nu > 0.0]  # a zero block needs no squaring
+        # times on both sides of each squaring boundary |t| nu = theta_18 2^j
+        edges = _THETA18 * 2.0 ** np.arange(-2, 9) / nu[:, None]
+        ts = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)], axis=1)
+        for a, m in enumerate(stack):
+            for t in np.concatenate([ts[a], -ts[a, ::7]]):
+                s = 0
+                while abs(t) * nu[a] / 2.0**s > _THETA18:
+                    s += 1
+                assert _squarings(np.array([abs(t) * nu[a]]))[0] == s
+                # exp(tM) is exactly s squarings of exp(t M / 2^s), which needs none
+                f = _expm_times(m[None], np.array([t / 2.0**s]))[0, 0]
+                for _ in range(s):
+                    f = f @ f
+                assert np.array_equal(f, _expm_times(m[None], np.array([t]))[0, 0])
+
+    def test_no_linear_solve(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exponential must not solve a linear system")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        A = L0Operator.of(make_space([0.5, 0.5]), hostile_blocks(rng, 4)[[0, 4]])
+        assert np.isfinite(matrix_exp_times(A, [0.0, 0.5, 2.0])).all()
 
     @pytest.mark.parametrize("n_atoms, d", [(1, 1), (1, 16), (1024, 1), (1024, 4), (64, 16)])
     def test_time_axis_matches_scipy_and_single_times(self, rng, n_atoms, d):
