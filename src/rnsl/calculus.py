@@ -25,6 +25,7 @@ from .errors import (
     EtaNotInGxi,
     MaxPanelsExceeded,
     NonFiniteValue,
+    NonPositiveEta,
     SpaceMismatch,
     StepUnderflow,
     TailNotCertified,
@@ -305,8 +306,20 @@ def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
 
 
 def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
-    """Per-atom log of the peak of s^k exp(-eta s): k*log(k/eta) - k, 0 for k = 0."""
+    """Per-atom log of the peak of s^k exp(-eta s): k*log(k/eta) - k, 0 for k = 0.
+
+    For k >= 1 the peak exists only where eta > 0; NonPositiveEta names the
+    first atom without one.
+    """
     if k >= 1:
+        bad = np.nonzero(eta_values <= 0.0)[0]
+        if bad.size:
+            a = int(bad[0])
+            raise NonPositiveEta(
+                f"a weight of order k={k} needs eta > 0, got eta={eta_values[a]!r} "
+                f"on atom {a}",
+                atom=a,
+            )
         return k * np.log(k / eta_values) - k
     return np.zeros_like(eta_values)
 
@@ -484,7 +497,9 @@ def damped_weighted_integral(
     scaled value; half goes to tail truncation, half to quadrature.  A
     tolerance below the double resolution of the scaled certificate integral
     M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
-    before the first panel.
+    before the first panel; so does eta <= 0 at k >= 1, as NonPositiveEta.
+    ``est_error`` is the quadrature estimate plus the certified tail plus
+    the rounding of the weight, (1 + k + |log_scale|) ulps of the value.
     """
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
@@ -543,10 +558,13 @@ def damped_weighted_integral(
 
     value, err, panels = _adaptive(values_at, (n, g.dim), breaks, tol_arr / 2.0, max_panels)
     tail = np.exp(log_whole + log_q - log_scale)
+    # the weight's exponent is of size k + |log_scale|, so its rounding costs
+    # that many ulps of the value; the Kronrod estimate does not see it
+    rounding = np.finfo(float).eps * (1.0 + k + np.abs(log_scale)) * np.abs(value).max(axis=1)
     return WeightedIntegralResult(
         scaled_value=RnVector.of(space, value),
         log_scale=log_scale,
-        est_error=err.max(axis=1) + tail,
+        est_error=err.max(axis=1) + tail + rounding,
         panels=panels,
     )
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,6 +17,7 @@ from rnsl import (
     L0Scalar,
     MaxPanelsExceeded,
     NonFiniteValue,
+    NonPositiveEta,
     RnVector,
     SpaceMismatch,
     StepUnderflow,
@@ -422,12 +424,31 @@ class TestDampedOracle:
         assert np.array_equal(res.log_scale, log_scale)
         exact = scaled[:, None] * curve.sample([0.0])[0]
         error = np.abs(res.scaled_value.values - exact).max(axis=1)
-        # the weight's exponent is of size k + |log_scale|, so its rounding
-        # costs that many ulps of the value, which the Kronrod estimate omits
-        ulps = np.finfo(float).eps * (1.0 + k + np.abs(log_scale))
-        assert (error <= res.est_error + ulps * np.abs(exact).max(axis=1)).all()
+        assert (error <= res.est_error).all()
         assert (res.est_error <= tol).all()
         assert seeded[0] <= SEED_PANEL_BOUND
+
+
+    def test_nonpositive_eta_at_positive_order_names_the_atom(self, monkeypatch):
+        space = uniform_space(2)
+        x = RnVector.of(space, [[1.0], [1.0]])
+        rates = L0Scalar.of(space, [-2.0, -2.0])
+        curve = CurveSampler.from_batch(
+            space, 1, 0.0, math.inf,
+            lambda s: np.exp(np.outer(s, rates.values))[:, :, None] * x.values,
+            bound=ExponentialBound(l0_norm(x), rates),
+        )
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the eta check must come before the horizon and the panels")
+
+        monkeypatch.setattr(calculus, "_tail_time", unreachable)
+        monkeypatch.setattr(calculus, "_adaptive", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveEta, match="atom 1") as exc:
+                damped_weighted_integral(curve, L0Scalar.of(space, [1.0, -1.0]), 1, 1e-8)
+        assert exc.value.atom == 1
 
 
 GAMMA_ORDERS = [0, 1, 2, 8, 64, 512, 1024]
