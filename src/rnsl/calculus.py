@@ -312,9 +312,8 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
     first atom without one.
     """
     if k >= 1:
-        bad = np.nonzero(eta_values <= 0.0)[0]
-        if bad.size:
-            a = int(bad[0])
+        if eta_values.min() <= 0.0:
+            a = int(np.argmax(eta_values <= 0.0))
             raise NonPositiveEta(
                 f"a weight of order k={k} needs eta > 0, got eta={eta_values[a]!r} "
                 f"on atom {a}",
@@ -327,7 +326,8 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # relative margin on an inverted horizon, far above the inverse's error (~1e-14)
 _HORIZON_MARGIN = 1e-12
-_LOG_EPS = math.log(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_LOG_EPS = math.log(_EPS)
 
 
 def _stirling_error(n: int) -> float:
@@ -560,7 +560,7 @@ def damped_weighted_integral(
     tail = np.exp(log_whole + log_q - log_scale)
     # the weight's exponent is of size k + |log_scale|, so its rounding costs
     # that many ulps of the value; the Kronrod estimate does not see it
-    rounding = np.finfo(float).eps * (1.0 + k + np.abs(log_scale)) * np.abs(value).max(axis=1)
+    rounding = _EPS * (1.0 + k + np.abs(log_scale)) * np.abs(value).max(axis=1)
     return WeightedIntegralResult(
         scaled_value=RnVector.of(space, value),
         log_scale=log_scale,
