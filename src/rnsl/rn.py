@@ -323,12 +323,13 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
     n, d = mats.shape[:2]
     nu = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
     powers = np.zeros((n, _TAYLOR_DEGREE + 1, d, d))
-    powers[:, 0] = np.eye(d)
-    np.divide(mats, nu[:, None, None], out=powers[:, 1], where=nu[:, None, None] > 0.0)
+    by_power = powers.transpose(1, 0, 2, 3)  # a view; products are cheaper along it
+    by_power[0] = np.eye(d)
+    np.divide(mats, nu[:, None, None], out=by_power[1], where=nu[:, None, None] > 0.0)
     m = 1
     while m < _TAYLOR_DEGREE:  # powers m+1 .. 2m from 1 .. m times power m
         top = min(2 * m, _TAYLOR_DEGREE)
-        np.matmul(powers[:, 1 : top - m + 1], powers[:, m : m + 1], out=powers[:, m + 1 : top + 1])
+        np.matmul(by_power[1 : top - m + 1], by_power[m], out=by_power[m + 1 : top + 1])
         m = top
     tnu = ts[:, None] * nu
     s = _squarings(np.abs(tnu))
