@@ -153,8 +153,8 @@ def rk4_oracle(
     Each grid interval is covered by n equal substeps h no larger than
     ``step``.  One classical RK4 step is exactly v <- P(hA) v with
     P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so an interval applies P(hA)^n.
-    No Pade and no solve: sharing nothing with the family evaluation path
-    is what makes agreement between the two meaningful.
+    It shares no code with the family evaluation path (``matrix_exp_times``),
+    which is what makes agreement between the two meaningful.
     """
     ts = _check_times(times)
     if step < MIN_STEP:
