@@ -124,7 +124,7 @@ def sweep(trees: dict[str, str], rounds: int) -> dict:
         "columns": labels,
         "rounds": rounds,
         "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
@@ -143,9 +143,9 @@ def main(argv=None) -> int:
     if args.worker:
         print(json.dumps(worker(args.worker)))
         return 0
+    if not args.tree or any("=" not in spec for spec in args.tree):
+        parser.error("give each tree as --tree LABEL=DIR, at least one")
     trees = dict(spec.split("=", 1) for spec in args.tree)
-    if not trees:
-        parser.error("give at least one --tree LABEL=DIR")
     text = json.dumps(sweep(trees, args.rounds), indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
