@@ -21,6 +21,7 @@ import numpy as np
 
 from .calculus import (
     CurveSampler,
+    _check_eta,
     _coerce_eta,
     _weight_log_scale,
     damped_weighted_integral,
@@ -106,10 +107,10 @@ def laplace_derivative_scaled(
     """
     eta = _coerce_eta(spec.space, eta)
     bound = spec.bound
-    gamma = eta.values - bound.xi.values
+    gamma = _check_eta(eta, bound.xi)  # before the weight's own eta > 0 check
     log_env = (
         math.lgamma(k + 1.0)
-        - (k + 1.0) * np.log(np.where(gamma > 0.0, gamma, 1.0))
+        - (k + 1.0) * np.log(gamma)
         - _weight_log_scale(k, eta.values)
     )
     with np.errstate(over="ignore"):

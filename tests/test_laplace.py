@@ -21,6 +21,7 @@ from rnsl import (
     TransformDerivativeProvider,
     l0_norm,
     laplace_derivative,
+    laplace_derivative_scaled,
     laplace_transform,
     make_laplace_spec,
     make_space,
@@ -179,8 +180,12 @@ class TestLaplaceTransform:
     def test_eta_on_boundary_rejected(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [1.0, 0.0]])
         spec = constant_spec(space2, x)
+        eta = L0Scalar.of(space2, [1.0, 0.0])
         with pytest.raises(EtaNotInGxi) as exc:
-            laplace_transform(spec, L0Scalar.of(space2, [1.0, 0.0]), TOL)
+            laplace_transform(spec, eta, TOL)
+        assert exc.value.atom == 1
+        with pytest.raises(EtaNotInGxi) as exc:
+            laplace_derivative_scaled(spec, eta, 1, TOL)
         assert exc.value.atom == 1
 
     def test_bound_on_randomized_specs(self, space4):
