@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,3 +27,17 @@ def test_worker_times_every_case(monkeypatch):
     seconds = sweep.worker(str(ROOT / "src"))
     assert len(seconds) == len(kinds)
     assert all(s > 0.0 for s in seconds)
+
+
+@pytest.mark.parametrize("trees", [
+    ["change=src"],
+    ["parent=src", "change=src", "third=src"],
+    ["parent=src", "src"],
+    ["same=src", "same=src"],
+])
+def test_exactly_two_labelled_trees(trees, capsys):
+    sweep = load_sweep()
+    with pytest.raises(SystemExit) as exc:
+        sweep.main([arg for tree in trees for arg in ("--tree", tree)])
+    assert exc.value.code == 2
+    assert "exactly two trees" in capsys.readouterr().err

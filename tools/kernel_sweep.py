@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/kernel_sweep.py --tree parent=OLD/src --tree change=src \
-        [--rounds 3] [--out BENCH.json]
+    python3 tools/kernel_sweep.py --tree parent=OLD/src --tree change=src > BENCH.json
 
-Each ``--tree LABEL=DIR`` names a directory that holds the ``rnsl`` package.
+Each of the two ``--tree LABEL=DIR`` arguments names a directory that holds
+the ``rnsl`` package; the first is the baseline.
 The cases are ``rn.matrix_exp_times`` at T in {1, 15, 32} times over
 n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16}, and
 ``semigroup.make_matrix_semigroup`` (injectivity, commutation and the
@@ -13,12 +13,13 @@ n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16}, and
 normal, A = Q diag(a) Q^T with a in [-2, 0.5], as in the benchmark's
 generated scenarios, and the times are spread evenly over (0, 2].
 
-Every round starts one worker process per tree, alternating which tree
-goes first, and a worker times every case on its own tree: the best of
-five samples, each sample at least 20 ms of repeated calls.  A case's
+Each of five rounds starts one worker process per tree, alternating which
+tree goes first, and a worker times every case on its own tree: the best
+of five samples, each sample at least 20 ms of repeated calls.  A case's
 figure is the median over rounds of those best times, in seconds per call.
-The result is one JSON object with a column per tree label; numpy is the
-only dependency.
+The result, written to stdout, is one JSON object with a column per tree
+label and the ratio of the second to the first; numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DIMS = (1, 2, 4, 16)
 TIMES = (1, 15, 32)
 SEMIGROUP_DIM = 4
 SAMPLES = 5
+ROUNDS = 5
 SAMPLE_SECONDS = 0.02
 
 
@@ -100,10 +102,10 @@ def worker(tree: str) -> list[float]:
     return out
 
 
-def sweep(trees: dict[str, str], rounds: int) -> dict:
+def sweep(trees: dict[str, str]) -> dict:
     runs = {label: [] for label in trees}
-    labels = list(trees)
-    for r in range(rounds):
+    base, change = labels = list(trees)
+    for r in range(ROUNDS):
         for label in labels if r % 2 == 0 else labels[::-1]:
             done = subprocess.run(
                 [sys.executable, __file__, "--worker", trees[label]],
@@ -115,14 +117,13 @@ def sweep(trees: dict[str, str], rounds: int) -> dict:
         row = dict(case, unit="s")
         for label in labels:
             row[label] = statistics.median(run[i] for run in runs[label])
-        if len(labels) == 2:
-            row[f"{labels[1]}_over_{labels[0]}"] = row[labels[1]] / row[labels[0]]
+        row[f"{change}_over_{base}"] = row[change] / row[base]
         rows.append(row)
     return {
         "what": "seconds per call, median over rounds of each worker's best of "
         f"{SAMPLES} samples; times spread evenly over (0, 2]",
         "columns": labels,
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "environment": {
             "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
@@ -136,21 +137,15 @@ def sweep(trees: dict[str, str], rounds: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--out", default=None, help="write the JSON here as well as to stdout")
     parser.add_argument("--worker", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         print(json.dumps(worker(args.worker)))
         return 0
-    if not args.tree or any("=" not in spec for spec in args.tree):
-        parser.error("give each tree as --tree LABEL=DIR, at least one")
-    trees = dict(spec.split("=", 1) for spec in args.tree)
-    text = json.dumps(sweep(trees, args.rounds), indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    trees = dict(spec.split("=", 1) for spec in args.tree if "=" in spec)
+    if len(args.tree) != 2 or len(trees) != 2:
+        parser.error("give exactly two trees, the baseline first, as --tree LABEL=DIR")
+    sys.stdout.write(json.dumps(sweep(trees), indent=1) + "\n")
     return 0
 
 
