@@ -336,14 +336,11 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
     beta = np.ldexp(tnu, -s)
     coef = beta[..., None] ** _DEGREES * _INV_FACTORIALS
     f = np.einsum("tak,akij->taij", coef, powers).reshape(len(ts) * n, d, d)
-    # round r squares the matrices with s > r: in ascending order of s, a
-    # trailing slice, and the whole stack when every s is equal
-    starts = np.bincount(s.reshape(-1)).cumsum()[:-1]
-    order = np.argsort(s.reshape(-1)) if starts.any() else slice(None)
-    g = f[order]
-    for start in starts:
-        g[start:] = g[start:] @ g[start:]
-    f[order] = g
+    s = s.reshape(-1)
+    for r in range(s.max(initial=0)):
+        act = s > r
+        g = f[act]
+        f[act] = g @ g
     return f.reshape(len(ts), n, d, d)
 
 
