@@ -247,7 +247,8 @@ def _orbit_curve(
     shape (len(ts), n_atoms, d, d); the orbit then samples in one call.
     That call stacks the operators of at most one panel's nodes at a time,
     so a quadrature round over many panels does not hold all their
-    (times, n_atoms, d, d) operators at once.
+    (times, n_atoms, d, d) operators at once; it is also faster than one
+    call over the whole round.
     """
     cert = ExponentialBound(
         L0Scalar.of(bound.space, bound.M.values * l0_norm(x).values), bound.xi
