@@ -274,9 +274,25 @@ def op_apply(T: L0Operator, x: RnVector) -> RnVector:
     return RnVector.of(x.space, np.einsum("aij,aj->ai", T.matrices, x.values))
 
 
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each d x d block of ``mats``, shape (..., d, d).
+
+    One batched eigvalsh of the Gram matrices B^T B of the blocks scaled to
+    B = block / max|entry|, so entries from 1e-200 to 1e200 stay in range.
+    The top eigenvalue of B^T B keeps the relative accuracy of the top
+    singular value; a zero block, or d = 0, has norm 0.
+    """
+    scale = np.abs(mats).max(axis=(-2, -1), initial=0.0)
+    b = np.divide(
+        mats, scale[..., None, None], out=np.zeros_like(mats), where=scale[..., None, None] > 0.0
+    )
+    top = np.linalg.eigvalsh(np.swapaxes(b, -2, -1) @ b).max(axis=-1, initial=0.0)
+    return scale * np.sqrt(top)
+
+
 def op_norm(T: L0Operator) -> L0Scalar:
     """Per-atom spectral norm: the largest singular value of each block."""
-    return L0Scalar.of(T.space, np.linalg.norm(T.matrices, ord=2, axis=(1, 2)))
+    return L0Scalar.of(T.space, spectral_norms(T.matrices))
 
 
 @dataclass(frozen=True)
@@ -289,12 +305,20 @@ class InjectivityReport:
 
 
 def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> InjectivityReport:
-    """Injectivity gate: every atom block needs min_sv/max_sv > threshold."""
-    svals = np.linalg.svd(T.matrices, compute_uv=False)
-    largest = svals[:, 0]
-    smallest = svals[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(largest > 0.0, smallest / largest, 0.0)
+    """Injectivity gate: every atom block needs min_sv/max_sv > threshold.
+
+    The singular values come from the SVD, not the Gram matrix, whose
+    squared condition number would blur ratios near the threshold.  On
+    d = 0 every block is the injective map of the zero space, ratio 1.
+    """
+    if T.dim == 0:
+        ratio = np.ones(T.space.n_atoms)
+    else:
+        svals = np.linalg.svd(T.matrices, compute_uv=False)
+        largest = svals[:, 0]
+        smallest = svals[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(largest > 0.0, smallest / largest, 0.0)
     bad = np.nonzero(ratio <= threshold)[0]
     witness = int(bad[0]) if bad.size else None
     return InjectivityReport(
@@ -316,9 +340,13 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
     Degree-18 Taylor scaling and squaring, with no solve: shape (len(ts), N, d, d).
     The powers of M / ||M||_1 depend on M alone, so they are formed once per
     call.  Each (time, matrix) takes the least s with |t| ||M||_1 / 2**s <= theta_18,
-    sums its Taylor terms in one einsum, which keeps every result independent
-    of how times and matrices are batched, and is squared s times; each
-    squaring round touches only the matrices with squarings left.
+    sums its Taylor terms as one 1 x 19 row of weights times its matrix's
+    19 x d**2 powers, and is squared s times; each squaring round touches
+    only the matrices with squarings left.  Every (time, matrix) is the same
+    small product, so each result is bitwise independent of how times and
+    matrices are batched.  One GEMM per matrix over the time axis would be
+    faster still, but its result for one time then depends on the other
+    times of the call, so it is not used.
     """
     n, d = mats.shape[:2]
     nu = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
@@ -335,7 +363,8 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
     s = _squarings(np.abs(tnu))
     beta = np.ldexp(tnu, -s)
     coef = beta[..., None] ** _DEGREES * _INV_FACTORIALS
-    f = np.einsum("tak,akij->taij", coef, powers).reshape(len(ts) * n, d, d)
+    rows = np.matmul(coef[:, :, None, :], powers.reshape(n, _TAYLOR_DEGREE + 1, d * d))
+    f = rows.reshape(len(ts) * n, d, d)
     s = s.reshape(-1)
     for r in range(s.max(initial=0)):
         act = s > r

@@ -56,6 +56,7 @@ from .rn import (
     matrix_exp_times,
     op_apply,
     op_norm,
+    spectral_norms,
     worst_atom,
 )
 
@@ -139,7 +140,7 @@ def _check_growth(
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
     if stacked is not None:
         try:
-            norms = np.linalg.norm(stacked(ts), ord=2, axis=(2, 3))
+            norms = spectral_norms(stacked(ts))
         except NonFiniteValue:
             pass
         else:
@@ -509,7 +510,7 @@ def hille_yosida_report(
                     powers.append(inv @ powers[-1])
             powers = np.stack(powers)  # (n_max, atoms, d, d): R(eta)^n C for n = 1..n_max
             _check_finite(powers, "operator entries")
-            ladder_norms = np.linalg.norm(powers, ord=2, axis=(-2, -1))
+            ladder_norms = spectral_norms(powers)
             for n, (power, norms) in enumerate(zip(powers, ladder_norms), start=1):
                 bounds = M * margin ** (-float(n))
                 diffs = norms - bounds
