@@ -38,11 +38,6 @@ def random_vector(
     return RnVector.of(space, rng.uniform(lo, hi, (space.n_atoms, dim)))
 
 
-def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
 def random_commuting_pair(
     rng: np.random.Generator,
     space: ProbabilitySpace,
@@ -56,24 +51,25 @@ def random_commuting_pair(
 
     Per atom both operators are diagonal in one random orthogonal basis, so
     exp(tA) C has norm max_i c_i exp(t a_i) <= (max c) exp(t max a); the
-    returned certificate uses exactly those constants.
+    returned certificate uses exactly those constants.  Each atom draws its
+    basis seed and both spectra in turn; the bases then come from one QR of
+    the whole stack.
     """
     n = space.n_atoms
-    a_mats = np.empty((n, dim, dim))
-    c_mats = np.empty((n, dim, dim))
-    xi = np.empty(n)
-    big = np.empty(n)
+    g = np.empty((n, dim, dim))
+    a_eigs = np.empty((n, dim))
+    c_eigs = np.empty((n, dim))
     for atom in range(n):
-        q = random_orthogonal(rng, dim)
-        a_eigs = rng.uniform(spec_lo, spec_hi, dim)
-        c_eigs = rng.uniform(c_lo, c_hi, dim)
-        a_mats[atom] = (q * a_eigs) @ q.T
-        c_mats[atom] = (q * c_eigs) @ q.T
-        xi[atom] = a_eigs.max()
-        big[atom] = np.abs(c_eigs).max()
-    A = L0Operator.of(space, a_mats)
-    C = L0Operator.of(space, c_mats)
-    bound = ExponentialBound(L0Scalar.of(space, big), L0Scalar.of(space, xi))
+        g[atom] = rng.standard_normal((dim, dim))
+        a_eigs[atom] = rng.uniform(spec_lo, spec_hi, dim)
+        c_eigs[atom] = rng.uniform(c_lo, c_hi, dim)
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    qt = np.swapaxes(q, 1, 2)
+    A = L0Operator.of(space, (q * a_eigs[:, None, :]) @ qt)
+    C = L0Operator.of(space, (q * c_eigs[:, None, :]) @ qt)
+    big = np.abs(c_eigs).max(axis=1)
+    bound = ExponentialBound(L0Scalar.of(space, big), L0Scalar.of(space, a_eigs.max(axis=1)))
     return A, C, bound
 
 
