@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -133,14 +134,15 @@ class TestOpNorm:
         np.testing.assert_array_equal(op_norm(L0Operator.zeros(space2, 2)).values, [0, 0])
 
     def test_matches_svd_on_random_matrices(self, rng):
-        # oracle independent of the SVD: top eigenvalue of the gram matrix
+        # oracle: LAPACK's SVD, which op_norm's Gram eigenvalues do not use
         def oracle(mats):
-            gram = np.swapaxes(mats, 1, 2) @ mats
-            return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+            return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
         cases = [rng.normal(size=(3, 4, 4)) for _ in range(50)]
         cases += [
             rng.normal(size=(1, 1, 1)),
+            rng.normal(size=(64, 1, 1)),
+            rng.normal(size=(64, 2, 2)),
             rng.normal(size=(1024, 4, 4)),
             rng.normal(size=(8, 16, 16)),
             np.stack([
@@ -149,10 +151,14 @@ class TestOpNorm:
                 1e150 * rng.normal(size=(4, 4)),
             ]),
         ]
+        cases += [scale * rng.normal(size=(16, d, d)) for scale in (1e200, 1e-200) for d in (1, 2, 4, 16)]
         for mats in cases:
             n = mats.shape[0]
             T = L0Operator.of(make_space(np.full(n, 1.0 / n)), mats)
             np.testing.assert_allclose(op_norm(T).values, oracle(mats), rtol=1e-10)
+
+    def test_zero_dimension_has_norm_zero(self, space2):
+        np.testing.assert_array_equal(op_norm(L0Operator.zeros(space2, 0)).values, [0.0, 0.0])
 
     def test_repeated_singular_values(self, space1):
         q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
@@ -177,6 +183,12 @@ class TestCheckInjective:
         report = check_injective(L0Operator.of(space1, [np.diag([1e-6, 1.0])]))
         assert report.injective
         assert report.min_sv_ratio[0] == pytest.approx(1e-6, rel=1e-9)
+
+    def test_zero_dimension_is_injective(self, space2):
+        report = check_injective(L0Operator.zeros(space2, 0))
+        assert report.injective
+        assert report.witness_atom is None
+        np.testing.assert_array_equal(report.min_sv_ratio, [1.0, 1.0])
 
 
 class TestMatrixExp:
@@ -262,6 +274,19 @@ class TestStackedExp:
             for j in range(len(ts)):
                 assert np.array_equal(out[j, i], _expm_times(stack[i : i + 1], ts[j : j + 1])[0, 0])
             assert_close_to_expm(out[0, i], m)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_matches_50_digit_expm_at_every_time(self, rng, d):
+        # scipy's expm is itself off by up to 6e-12 on these blocks at t = -0.3
+        stack = hostile_blocks(rng, d)
+        ts = [1.0, -0.3, 2.5]
+        out = _expm_times(stack, np.array(ts))
+        with mpmath.workdps(50):
+            for j, t in enumerate(ts):
+                for i, m in enumerate(stack):
+                    exact = mpmath.expm(mpmath.mpf(t) * mpmath.matrix(m.tolist()))
+                    want = np.array(exact.tolist(), dtype=float)
+                    assert np.linalg.norm(out[j, i] - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_theta_is_the_double_precision_taylor_bound(self):
         assert _THETA18 == scipy.sparse.linalg._expm_multiply._theta[18]

@@ -136,12 +136,46 @@ class TestConstruction:
         got = evaluate(W, 1.0, x).values[:, 0]
         np.testing.assert_allclose(got, [math.exp(0.5), math.exp(-1.0)], rtol=1e-12)
 
+    def test_zero_dimension_families(self, space2):
+        # d = 0: C is the injective map of the zero space, and every norm is 0
+        A, C = L0Operator.zeros(space2, 0), L0Operator.identity(space2, 0)
+        bound = ExponentialBound.constant(space2, 1.0, 0.0)
+        assert make_matrix_semigroup(A, C, bound).kind == "matrix_generated"
+        assert make_sampled_semigroup(space2, 0, C, lambda t: C, bound).kind == "sampled"
+
     def test_sampled_family_must_start_at_c(self, space2):
         _, C, bound, _ = diag_semigroup(space2)
         with pytest.raises(InitialValueMismatch):
             make_sampled_semigroup(
                 space2, 1, C, lambda t: C.scale(1.0 + 0.1 * (t == 0.0)), bound
             )
+
+
+def commuting_pair_by_atom(rng, space, dim, spec_lo=-2.0, spec_hi=0.5, c_lo=0.5, c_hi=2.0):
+    """random_commuting_pair one atom at a time: a QR and two products per atom."""
+    a_mats, c_mats, big, xi = [], [], [], []
+    for _ in range(space.n_atoms):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
+        a_eigs = rng.uniform(spec_lo, spec_hi, dim)
+        c_eigs = rng.uniform(c_lo, c_hi, dim)
+        a_mats.append((q * a_eigs) @ q.T)
+        c_mats.append((q * c_eigs) @ q.T)
+        xi.append(a_eigs.max())
+        big.append(np.abs(c_eigs).max())
+    return np.array(a_mats), np.array(c_mats), np.array(big), np.array(xi)
+
+
+@pytest.mark.parametrize("atoms", [1, 4, 64, 1024])
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_commuting_pair_is_bitwise_the_per_atom_loop(atoms, dim):
+    space = make_space(np.full(atoms, 1.0 / atoms))
+    for seed in (0, 1, 13):
+        A, C, bound = random_commuting_pair(rng_for(seed, "pair"), space, dim)
+        want = commuting_pair_by_atom(rng_for(seed, "pair"), space, dim)
+        got = (A.matrices, C.matrices, bound.M.values, bound.xi.values)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestEvaluate:
