@@ -23,7 +23,9 @@ def test_worker_times_every_case(monkeypatch):
     monkeypatch.setattr(sweep, "SAMPLES", 1)
     monkeypatch.setattr(sweep, "SAMPLE_SECONDS", 0.0)
     kinds = [case["kernel"] for case in sweep.cases()]
-    assert kinds == ["matrix_exp_times"] * 4 + ["make_matrix_semigroup"]
+    assert kinds == (
+        ["matrix_exp_times"] * 4 + ["op_norm"] * 2 + ["make_matrix_semigroup", "random_commuting_pair"]
+    )
     seconds = sweep.worker(str(ROOT / "src"))
     assert len(seconds) == len(kinds)
     assert all(s > 0.0 for s in seconds)

@@ -1,4 +1,4 @@
-"""Time rnsl's exponential kernel and its semigroup constructor on two source trees.
+"""Time rnsl's small-block kernels and its semigroup constructor on two source trees.
 
 Usage, from the root of a checkout:
 
@@ -7,11 +7,16 @@ Usage, from the root of a checkout:
 Each of the two ``--tree LABEL=DIR`` arguments names a directory that holds
 the ``rnsl`` package; the first is the baseline.
 The cases are ``rn.matrix_exp_times`` at T in {1, 15, 32} times over
-n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16}, and
-``semigroup.make_matrix_semigroup`` (injectivity, commutation and the
-32-time growth check) at d = 4 over the same atom counts.  The blocks are
-normal, A = Q diag(a) Q^T with a in [-2, 0.5], as in the benchmark's
-generated scenarios, and the times are spread evenly over (0, 2].
+n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16};
+``rn.op_norm`` over the same n and d on a stack of 32 x n blocks, the
+growth check's shape; ``semigroup.make_matrix_semigroup`` (injectivity,
+commutation and the 32-time growth check) at d = 4 over the same atom
+counts; and ``instances.random_commuting_pair`` at d = 4 over the same
+atom counts.  The blocks are normal, A = Q diag(a) Q^T with a in
+[-2, 0.5] and C = Q diag(c) Q^T with c in [0.5, 2], as in the benchmark's
+generated scenarios.  The exponential's times are spread evenly over
+(0, 2]; the norm's blocks are exp(tA) C = Q diag(c exp(t a)) Q^T at 32
+times spread evenly over [0, 10].
 
 Each of five rounds starts one worker process per tree, alternating which
 tree goes first, and a worker times every case on its own tree: the best
@@ -39,6 +44,7 @@ ATOMS = (4, 64, 1024)
 DIMS = (1, 2, 4, 16)
 TIMES = (1, 15, 32)
 SEMIGROUP_DIM = 4
+NORM_TIMES = 32
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
@@ -51,18 +57,24 @@ def cases() -> list[dict]:
         for d in DIMS
         for t in TIMES
     ]
-    out += [{"kernel": "make_matrix_semigroup", "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
+    out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
+    for kernel in ("make_matrix_semigroup", "random_commuting_pair"):
+        out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
     return out
 
 
-def commuting_pair(n: int, d: int):
-    """Per-atom A = Q diag(a) Q^T and C = Q diag(c) Q^T, with M = max c and xi = max a."""
+def spectra(n: int, d: int):
+    """Per-atom orthogonal Q, generator spectrum a and C spectrum c."""
     rng = np.random.default_rng([n, d])
     a = rng.uniform(-2.0, 0.5, (n, d))
     c = rng.uniform(0.5, 2.0, (n, d))
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
-    qt = np.swapaxes(q, 1, 2)
-    return (q * a[:, None, :]) @ qt, (q * c[:, None, :]) @ qt, c.max(axis=1), a.max(axis=1)
+    return q, a, c
+
+
+def blocks(q: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Q diag(x) Q^T for every row x of ``diag``, shape (..., n, d)."""
+    return (q * diag[..., None, :]) @ np.swapaxes(q, 1, 2)
 
 
 def best_time(call) -> float:
@@ -83,21 +95,33 @@ def worker(tree: str) -> list[float]:
     """Time every case with the rnsl package found in ``tree``."""
     sys.path.insert(0, os.path.abspath(tree))
     import rnsl
+    from rnsl.instances import random_commuting_pair
 
     if not os.path.abspath(rnsl.__file__).startswith(os.path.abspath(tree)):
         raise SystemExit(f"rnsl was imported from {rnsl.__file__}, not from {tree}")
     out = []
     for case in cases():
         n, d = case["atoms"], case["dim"]
-        A, C, big_m, xi = commuting_pair(n, d)
+        q, a, c = spectra(n, d)
         space = rnsl.make_space(np.full(n, 1.0 / n))
-        gen = rnsl.L0Operator.of(space, A)
+        gen = rnsl.L0Operator.of(space, blocks(q, a))
         if case["kernel"] == "matrix_exp_times":
             ts = 2.0 * np.arange(1, case["times"] + 1) / case["times"]
             out.append(best_time(lambda: rnsl.matrix_exp_times(gen, ts)))
+        elif case["kernel"] == "op_norm":
+            # W(t) = exp(tA) C = Q diag(c exp(t a)) Q^T at the growth check's times
+            ts = np.linspace(0.0, 10.0, NORM_TIMES)[:, None, None]
+            stack = blocks(q, c * np.exp(ts * a)).reshape(-1, d, d)
+            family = rnsl.L0Operator.of(rnsl.make_space(np.full(len(stack), 1.0 / len(stack))), stack)
+            out.append(best_time(lambda: rnsl.op_norm(family)))
+        elif case["kernel"] == "random_commuting_pair":
+            rng = np.random.default_rng(n)
+            out.append(best_time(lambda: random_commuting_pair(rng, space, d)))
         else:
-            c_op = rnsl.L0Operator.of(space, C)
-            bound = rnsl.ExponentialBound(rnsl.L0Scalar.of(space, big_m), rnsl.L0Scalar.of(space, xi))
+            c_op = rnsl.L0Operator.of(space, blocks(q, c))
+            bound = rnsl.ExponentialBound(
+                rnsl.L0Scalar.of(space, c.max(axis=1)), rnsl.L0Scalar.of(space, a.max(axis=1))
+            )
             out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)))
     return out
 
