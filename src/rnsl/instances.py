@@ -51,9 +51,9 @@ def random_commuting_pair(
 
     Per atom both operators are diagonal in one random orthogonal basis, so
     exp(tA) C has norm max_i c_i exp(t a_i) <= (max c) exp(t max a); the
-    returned certificate uses exactly those constants.  Each atom draws its
-    basis seed and both spectra in turn; the bases then come from one QR of
-    the whole stack.
+    returned certificate uses exactly those constants.  The atoms draw their
+    Gaussian matrices and spectra in turn, in a per-atom loop's order; the
+    bases then come from one QR of the whole stack.
     """
     n = space.n_atoms
     g = np.empty((n, dim, dim))
@@ -69,7 +69,8 @@ def random_commuting_pair(
     A = L0Operator.of(space, (q * a_eigs[:, None, :]) @ qt)
     C = L0Operator.of(space, (q * c_eigs[:, None, :]) @ qt)
     big = np.abs(c_eigs).max(axis=1)
-    bound = ExponentialBound(L0Scalar.of(space, big), L0Scalar.of(space, a_eigs.max(axis=1)))
+    xi = a_eigs.max(axis=1)
+    bound = ExponentialBound(L0Scalar.of(space, big), L0Scalar.of(space, xi))
     return A, C, bound
 
 

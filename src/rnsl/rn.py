@@ -363,8 +363,8 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
     s = _squarings(np.abs(tnu))
     beta = np.ldexp(tnu, -s)
     coef = beta[..., None] ** _DEGREES * _INV_FACTORIALS
-    rows = np.matmul(coef[:, :, None, :], powers.reshape(n, _TAYLOR_DEGREE + 1, d * d))
-    f = rows.reshape(len(ts) * n, d, d)
+    rows = coef[:, :, None, :]  # (T, N, 1, 19) against (N, 19, d*d)
+    f = np.matmul(rows, powers.reshape(n, _TAYLOR_DEGREE + 1, d * d)).reshape(len(ts) * n, d, d)
     s = s.reshape(-1)
     for r in range(s.max(initial=0)):
         act = s > r
