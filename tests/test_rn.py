@@ -157,9 +157,6 @@ class TestOpNorm:
             T = L0Operator.of(make_space(np.full(n, 1.0 / n)), mats)
             np.testing.assert_allclose(op_norm(T).values, oracle(mats), rtol=1e-10)
 
-    def test_zero_dimension_has_norm_zero(self, space2):
-        np.testing.assert_array_equal(op_norm(L0Operator.zeros(space2, 0)).values, [0.0, 0.0])
-
     def test_repeated_singular_values(self, space1):
         q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
         mats = [q @ np.diag([2.0, 2.0, 1.0]) @ q.T]
@@ -184,11 +181,13 @@ class TestCheckInjective:
         assert report.injective
         assert report.min_sv_ratio[0] == pytest.approx(1e-6, rel=1e-9)
 
-    def test_zero_dimension_is_injective(self, space2):
-        report = check_injective(L0Operator.zeros(space2, 0))
+    def test_zero_dimension_is_injective_with_norm_zero(self, space2):
+        T = L0Operator.zeros(space2, 0)
+        report = check_injective(T)
         assert report.injective
         assert report.witness_atom is None
         np.testing.assert_array_equal(report.min_sv_ratio, [1.0, 1.0])
+        np.testing.assert_array_equal(op_norm(T).values, [0.0, 0.0])
 
 
 class TestMatrixExp:
