@@ -151,14 +151,14 @@ class TestConstruction:
             )
 
 
-def commuting_pair_by_atom(rng, space, dim, spec_lo=-2.0, spec_hi=0.5, c_lo=0.5, c_hi=2.0):
-    """random_commuting_pair one atom at a time: a QR and two products per atom."""
+def commuting_pair_by_atom(rng, space, dim):
+    """random_commuting_pair at its default spectra, one atom at a time: a QR and two products per atom."""
     a_mats, c_mats, big, xi = [], [], [], []
     for _ in range(space.n_atoms):
         q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
         q = q * np.sign(np.diag(r))
-        a_eigs = rng.uniform(spec_lo, spec_hi, dim)
-        c_eigs = rng.uniform(c_lo, c_hi, dim)
+        a_eigs = rng.uniform(-2.0, 0.5, dim)
+        c_eigs = rng.uniform(0.5, 2.0, dim)
         a_mats.append((q * a_eigs) @ q.T)
         c_mats.append((q * c_eigs) @ q.T)
         xi.append(a_eigs.max())
