@@ -274,20 +274,73 @@ def op_apply(T: L0Operator, x: RnVector) -> RnVector:
     return RnVector.of(x.space, np.einsum("aij,aj->ai", T.matrices, x.values))
 
 
+def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's largest |entry|, and the block B divided by it (a zero block stays 0)."""
+    scale = np.abs(mats).max(axis=(-2, -1), initial=0.0)
+    b = np.divide(
+        mats, scale[..., None, None], out=np.zeros_like(mats), where=scale[..., None, None] > 0.0
+    )
+    return scale, b
+
+
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each d x d block of ``mats``, shape (..., d, d).
 
     One batched eigvalsh of the Gram matrices B^T B of the blocks scaled to
     B = block / max|entry|, so entries from 1e-200 to 1e200 stay in range.
     The top eigenvalue of B^T B keeps the relative accuracy of the top
-    singular value; a zero block, or d = 0, has norm 0.
+    singular value; a zero block, or d = 0, has norm 0.  Each block's norm
+    is independent of the other blocks of the call.
     """
-    scale = np.abs(mats).max(axis=(-2, -1), initial=0.0)
-    b = np.divide(
-        mats, scale[..., None, None], out=np.zeros_like(mats), where=scale[..., None, None] > 0.0
-    )
+    scale, b = _scaled(mats)
     top = np.linalg.eigvalsh(np.swapaxes(b, -2, -1) @ b).max(axis=-1, initial=0.0)
     return scale * np.sqrt(top)
+
+
+_GRAM_SQUARINGS = 3
+
+
+def spectral_norm_bounds(mats: np.ndarray) -> np.ndarray:
+    """Upper bound on each block's ``spectral_norms`` value, from products alone.
+
+    With G = B^T B and j = _GRAM_SQUARINGS, ||B||_2^2 = lambda_max(G) and
+    lambda_max(G)^(2^j) <= ||G^(2^j)||_F, so ||block||_2 <= scale ||G^(2^j)||_F^(1/2^(j+1)).
+    The bound is tight when one singular value dominates the others.
+
+    Rounding allowance.  Let u = eps / 2, gamma_n = n u / (1 - n u) and
+    sigma = ||B||_2, which is at least 1 since B has an entry +-1.  A
+    computed product of d x d matrices X, Y errs by at most gamma_d |X||Y|
+    entrywise, whose 2-norm is at most gamma_d ||X||_F ||Y||_F, that is
+    g ||X||_2 ||Y||_2 with g = d gamma_d.
+    * ``spectral_norms`` forms a Gram matrix within g sigma^2 of G, and
+      LAPACK's eigenvalues are exact for a matrix within p u of that one
+      (backward stability; p <= d^2 is assumed).  After its square root and
+      product by scale, its norm is at most
+      scale sigma (1 + g)^(1/2) (1 + p u)^(1/2) (1 + u)^2.
+    * Here the Gram matrix and its squarings X_k satisfy
+      ||X_k - G^(2^k)||_2 <= e_k sigma^(2^(k+1)) with e_0 = g and
+      e_(k+1) = e_k (2 + e_k) + g (1 + e_k)^2, so e_j is about (2^(j+1) - 1) g,
+      and ||X_j||_F >= ||X_j||_2 >= (1 - e_j) sigma^(2^(j+1)).  The sum of d^2
+      squares loses at most gamma_(d^2) before j + 2 square roots, which
+      lose at most 2 u; the two products and the rounded allowance lose 3 u.
+      Before the allowance the bound is at least
+      scale sigma (1 - e_j)^(1/2^(j+1)) (1 - gamma_(d^2))^(1/2^(j+2)) (1 - u)^5.
+    Their quotient is below 1 + (3/2) g + p u / 2 + gamma_(d^2) / 2^(j+2) + 7 u,
+    about 1 + 2.1 d^2 u + 7 u, and the allowance 1 + 4 (d + 1)^2 u covers it.
+    Underflow adds at most d 2^-1074 per entry against sigma >= 1.  For d
+    below 1e7, e_j < 1 and the largest intermediate, about d^(2^(j+2) + 2),
+    is finite.
+    A zero block, or d = 0, has bound 0.
+    """
+    d = mats.shape[-1]
+    scale, b = _scaled(mats)
+    g = np.swapaxes(b, -2, -1).copy() @ b  # a contiguous left factor makes the products faster
+    for _ in range(_GRAM_SQUARINGS):
+        g = g @ g
+    root = np.sqrt(np.einsum("...ij,...ij->...", g, g))
+    for _ in range(_GRAM_SQUARINGS + 1):
+        root = np.sqrt(root)
+    return scale * root * (1.0 + 2.0 * (d + 1) ** 2 * np.finfo(float).eps)
 
 
 def op_norm(T: L0Operator) -> L0Scalar:

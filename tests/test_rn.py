@@ -26,7 +26,14 @@ from rnsl import (
     op_norm,
     vector_distance,
 )
-from rnsl.rn import _THETA18, _expm_times, _squarings, worst_atom
+from rnsl.rn import (
+    _THETA18,
+    _expm_times,
+    _squarings,
+    spectral_norm_bounds,
+    spectral_norms,
+    worst_atom,
+)
 from rnsl.suites import _Worst
 
 entries = st.floats(
@@ -162,6 +169,38 @@ class TestOpNorm:
         mats = [q @ np.diag([2.0, 2.0, 1.0]) @ q.T]
         T = L0Operator.of(space1, mats)
         np.testing.assert_allclose(op_norm(T).values, [2.0], rtol=1e-10)
+
+
+def bound_test_stacks(rng, d: int) -> list:
+    """Random, rank-one and (d >= 1) hostile blocks, plain and scaled by 1e+-200."""
+    stacks = [rng.normal(size=(64, d, d)), rng.normal(size=(8, 64, d, d))]
+    x, y = rng.normal(size=(2, 64, d))
+    stacks.append(x[:, :, None] * y[:, None, :])  # one singular value: the bound is tightest
+    if d >= 1:
+        stacks.append(hostile_blocks(rng, d))
+    return [scale * m for m in stacks for scale in (1.0, 1e200, 1e-200)]
+
+
+class TestSpectralNormBounds:
+    @pytest.mark.parametrize("d", [0, 1, 2, 4, 16, 64])
+    def test_never_below_the_svd_or_the_gram_norm(self, rng, d):
+        for mats in bound_test_stacks(rng, d):
+            bounds, norms = spectral_norm_bounds(mats), spectral_norms(mats)
+            assert bounds.shape == mats.shape[:-2] and np.isfinite(bounds).all()
+            assert (bounds >= norms).all()
+            # G^8 has Frobenius norm at most sqrt(d) lambda_max^8, so the bound is useful
+            assert (bounds <= max(d, 1) ** (1 / 32) * norms * (1.0 + 1e-10)).all()
+            if d:
+                assert (bounds >= np.linalg.svd(mats, compute_uv=False)[..., 0]).all()
+            zero = np.abs(mats).max(axis=(-2, -1), initial=0.0) == 0.0
+            assert (bounds[zero] == 0.0).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_exact_norms_do_not_depend_on_the_other_blocks(self, rng, d):
+        # the growth gate takes exact norms of the blocks its bounds leave open
+        for mats in bound_test_stacks(rng, d):
+            some = rng.random(mats.shape[:-2]) < 0.3
+            assert np.array_equal(spectral_norms(mats)[some], spectral_norms(mats[some]))
 
 
 class TestCheckInjective:

@@ -43,6 +43,7 @@ from rnsl import (
 from rnsl import semigroup as semigroup_module
 from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
+from rnsl.rn import spectral_norms
 
 
 def diag_semigroup(space):
@@ -53,6 +54,22 @@ def diag_semigroup(space):
         L0Scalar.one(space), L0Scalar.of(space, [0.5, -1.0])
     )
     return A, C, bound, make_matrix_semigroup(A, C, bound)
+
+
+def exact_growth_gate(A, C, bound):
+    """The growth check with exact norms of every block, as before certified bounds."""
+    ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
+    norms = spectral_norms(semigroup_module._generated(A, C, ts))
+    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts))
+
+
+def growth_outcome(check, A, C, bound):
+    """"passed", or the message, time and atom of the BoundViolated that ``check`` raises."""
+    try:
+        check(A, C, bound)
+    except BoundViolated as exc:
+        return str(exc), exc.t, exc.atom
+    return "passed"
 
 
 class TestConstruction:
@@ -105,13 +122,16 @@ class TestConstruction:
             make_matrix_semigroup(A, C, bound)
         assert exc.value.t > 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
     @pytest.mark.parametrize("overflow", [False, True])
-    def test_stacked_growth_check_fails_where_the_loop_does(self, overflow):
+    def test_stacked_growth_check_fails_where_the_loop_does(self, overflow, dim):
         # atom 2 escapes first in time; with overflow, atom 3 is infinite at t = 10
         space = make_space([0.25] * 4)
-        rates = [0.1, -1.0, 0.9, 100.0 if overflow else 0.2]
-        A = L0Operator.of(space, np.array(rates)[:, None, None])
-        C = L0Operator.identity(space, 1)
+        rates = np.array([0.1, -1.0, 0.9, 100.0 if overflow else 0.2])
+        q = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))[0]
+        spectra = rates[:, None] - np.linspace(0.0, 1.5, dim)  # the top eigenvalue is the rate
+        A = L0Operator.of(space, (q * spectra[:, None, :]) @ q.T)
+        C = L0Operator.identity(space, dim)
         bound = ExponentialBound(L0Scalar.one(space), L0Scalar.of(space, [0.1, -1.0, 0.5, 0.2]))
         if overflow:
             bound = ExponentialBound(bound.M, L0Scalar.of(space, [0.1, -1.0, 0.5, 100.0]))
@@ -125,6 +145,49 @@ class TestConstruction:
         assert (stacked.value.t, stacked.value.atom) == (by_loop.value.t, by_loop.value.atom)
         assert str(stacked.value) == str(by_loop.value)
         assert stacked.value.atom == 2 and stacked.value.t > 0.0
+        if not overflow:
+            assert growth_outcome(make_matrix_semigroup, A, C, bound) == growth_outcome(
+                exact_growth_gate, A, C, bound
+            )
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_certified_bounds_keep_the_exact_gates_verdicts(self, dim):
+        rng = np.random.default_rng(dim)
+        space = make_space(np.full(8, 1.0 / 8))
+        q = np.linalg.qr(rng.normal(size=(8, dim, dim)))[0]
+        a = rng.uniform(-2.0, 0.5, (8, dim))
+        c = rng.uniform(0.5, 2.0, (8, dim))
+
+        def normal(diag):
+            return L0Operator.of(space, (q * diag[:, None, :]) @ np.swapaxes(q, 1, 2))
+
+        jordan = -0.5 * np.eye(dim) + np.eye(dim, k=1)  # non-normal: transient growth
+        shift = L0Operator.from_matrix(space, jordan)
+        scalars = [L0Scalar.of(space, v) for v in (c.max(axis=1), a.max(axis=1))]
+        big_m, xi = scalars
+        escaping = xi.values.copy()
+        escaping[5] = a[5].min() - 1.0  # atom 5's envelope falls behind its family after t = 0
+        cases = [
+            (normal(a), normal(c), ExponentialBound(big_m, xi)),  # exact at t = 0 up to rounding
+            # C = 2I and M = 2: ||C|| = M exactly at t = 0
+            (normal(a), L0Operator.from_matrix(space, 2.0 * np.eye(dim)),
+             ExponentialBound(L0Scalar.constant(space, 2.0), xi)),
+            (normal(a), L0Operator.from_matrix(space, 2.0 * np.eye(dim)),
+             ExponentialBound(L0Scalar.constant(space, 2.0 * (1.0 - 1e-8)), xi)),
+            (normal(a), normal(c), ExponentialBound(big_m, L0Scalar.of(space, escaping))),
+            (shift, L0Operator.from_matrix(space, np.eye(dim) + 0.5 * jordan),
+             ExponentialBound.constant(space, 3.0, -0.25)),
+            (shift, L0Operator.from_matrix(space, np.eye(dim) + 0.5 * jordan),
+             ExponentialBound.constant(space, 1.0, -0.25)),
+        ]
+        outcomes = []
+        for A, C, bound in cases:
+            got = growth_outcome(make_matrix_semigroup, A, C, bound)
+            assert got == growth_outcome(exact_growth_gate, A, C, bound)
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1] == "passed"
+        assert outcomes[2][1:] == (0.0, 0)  # M just below ||C||: the first atom at t = 0
+        assert outcomes[3] != "passed" and outcomes[3][2] == 5 and outcomes[3][1] > 0.0
 
     def test_sampled_family_wraps_evaluator(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
