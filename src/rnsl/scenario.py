@@ -107,8 +107,39 @@ def _items(value, ptr: str, read=_number, min_items=1) -> tuple:
     return tuple(read(item, f"{ptr}/{i}") for i, item in enumerate(value))
 
 
+def _numeric_array(value, depth: int) -> np.ndarray | None:
+    """``value`` as a float array when it plainly holds what ``_array`` accepts, else None.
+
+    One numpy pass: lists nested ``depth`` deep with no empty or ragged
+    level, int or float entries (not bool), and every value below the
+    largest double in size.  Anything else is left to the per-entry walk.
+    """
+    rows = [value]
+    for level in range(depth):
+        if any(type(row) is not list for row in rows):
+            return None
+        if level < depth - 1:
+            rows = [item for row in rows for item in row]
+    try:
+        arr = np.array(value, dtype=object)
+    except ValueError:
+        return None
+    if arr.ndim != depth or 0 in arr.shape:
+        return None
+    if not set(map(type, arr.ravel().tolist())) <= {int, float}:
+        return None
+    try:
+        out = arr.astype(float)
+    except OverflowError:
+        return None
+    return out if (np.abs(out) < _FLOAT_MAX).all() else None
+
+
 def _array(value, ptr: str, depth: int) -> np.ndarray:
     """Non-empty lists of finite numbers nested ``depth`` deep, as one float array."""
+    arr = _numeric_array(value, depth)
+    if arr is not None:
+        return arr
     read = _number
     for _ in range(depth - 1):
         read = partial(_items, read=read)

@@ -319,13 +319,59 @@ NON_FINITE = (
 )
 
 
-@pytest.mark.parametrize("mutate, pointer", NON_FINITE, ids=[p for _, p in NON_FINITE])
-def test_non_finite_number_is_rejected_at_its_pointer(mutate, pointer):
+
+
+def in_matrices(path, value):
+    """Mutation: operator A as one matrix per atom, with ``value`` at ``path`` inside them."""
+
+    def mutate(doc):
+        matrices = [copy.deepcopy(doc["operators"]["A"]["matrix"]) for _ in doc["space"]["probs"]]
+        *outer, last = path
+        target = matrices
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        doc["operators"]["A"] = {"matrices": matrices}
+
+    return mutate
+
+
+ENTRY = "/operators/A/matrices/2/1/0"
+# malformed entries deep inside a per-atom array: the one-pass reader hands
+# them to the per-entry walk, which names them as it always has
+MALFORMED_MATRICES = (
+    ("true", in_matrices((2, 1, 0), True), ENTRY, "expected a number, got bool"),
+    ("string", in_matrices((2, 1, 0), "1"), ENTRY, "expected a number, got str"),
+    ("null", in_matrices((2, 1, 0), None), ENTRY, "expected a number, got NoneType"),
+    ("10**400", in_matrices((2, 1, 0), 10**400), ENTRY, f"{10**400!r} is not a finite number"),
+    (
+        "empty row",
+        in_matrices((2, 1), []),
+        "/operators/A/matrices/2/1",
+        "expected a list of at least 1 item(s)",
+    ),
+    ("ragged row", in_matrices((2, 1), [1.0, 2.0, 3.0]), "/operators/A/matrices",
+     "nested lists of unequal length"),
+    ("one level too deep", in_matrices((2, 1, 0), [1.0]), ENTRY, "expected a number, got list"),
+)
+POINTER_CASES = [(mutate, pointer, None) for mutate, pointer in NON_FINITE] + [
+    case[1:] for case in MALFORMED_MATRICES
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, pointer, message",
+    POINTER_CASES,
+    ids=[p for _, p in NON_FINITE] + [f"matrices-{case[0]}" for case in MALFORMED_MATRICES],
+)
+def test_non_finite_number_is_rejected_at_its_pointer(mutate, pointer, message):
     doc = json.loads(REFERENCE.read_text(encoding="utf-8"))
     mutate(doc)
     with pytest.raises(SchemaError) as exc:
         scenario_from_dict(doc)
     assert exc.value.pointer == pointer
+    if message is not None:
+        assert str(exc.value) == f"{message} (at {pointer})"
 
 
 @pytest.mark.parametrize("mutate, pointer", NON_FINITE[:4], ids=[p for _, p in NON_FINITE[:4]])
