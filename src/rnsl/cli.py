@@ -22,6 +22,17 @@ from .scenario import load_scenario
 from .suites import PLOT_KINDS, emit_plot_data, run_scenario
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as the scenario's own ``seed`` field must be."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is not a non-negative integer")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rnsl",
@@ -40,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only this suite (repeatable)",
     )
     run_p.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
+        "--seed", type=_seed, default=None, help="override the scenario seed"
     )
 
     plot_p = sub.add_parser("plot", help="extract plot data from a report")

@@ -232,13 +232,12 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
             records.append(CheckRecord.le("constant_exact", err, 0.0, const_tol))
             continue
         provider = provider_from_curve(spec, 1e-11)
-        errors = {
-            k: max(
-                vector_distance(post_widder(provider, t, k), exact(t), "locally_convex")
-                for t in times
-            )
+        distances = {
+            (t, k): vector_distance(post_widder(provider, t, k), exact(t), "locally_convex")
             for k in ks
+            for t in times
         }
+        errors = {k: max(distances[t, k] for t in times) for k in ks}
         ratio = 0.0
         for lo, hi in zip(ks, ks[1:]):
             ratio = max(ratio, errors[hi] / max(errors[lo], 1e-300))
@@ -247,12 +246,7 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
             CheckRecord.le(f"final_error_{name}", errors[ks[-1]], 0.0, final_tol)
         )
         if name == "decay_1":
-            plot_errors = [
-                vector_distance(
-                    post_widder(provider, 1.0, k), exact(1.0), "locally_convex"
-                )
-                for k in ks
-            ]
+            plot_errors = [distances[1.0, k] for k in ks]
     data = {}
     if plot_errors is not None:
         data = {"member": "decay_1", "t": 1.0, "k": list(ks), "error": plot_errors}

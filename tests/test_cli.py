@@ -261,6 +261,15 @@ class TestCliRun:
         report = json.load(open(os.path.join(out, "report.json")))
         assert report["seed"] == 9
 
+    def test_negative_seed_rejected_before_loading(self, tmp_path, capsys):
+        # the scenario's own seed field rejects negatives; the flag must too
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", write_doc(tmp_path, passing_doc()), "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: -1 is not a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_out_dir_and_flag_precedence(self, tmp_path):
         path = write_doc(tmp_path, passing_doc())
         env_dir = str(tmp_path / "env_out")
