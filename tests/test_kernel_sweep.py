@@ -24,7 +24,10 @@ def test_worker_times_every_case(monkeypatch):
     monkeypatch.setattr(sweep, "SAMPLE_SECONDS", 0.0)
     kinds = [case["kernel"] for case in sweep.cases()]
     assert kinds == (
-        ["matrix_exp_times"] * 4 + ["op_norm"] * 2 + ["make_matrix_semigroup", "random_commuting_pair"]
+        ["matrix_exp_times"] * 4
+        + ["op_norm"] * 2
+        + ["make_matrix_semigroup", "random_commuting_pair"]
+        + ["scenario_from_dict"] * 2
     )
     seconds = sweep.worker(str(ROOT / "src"))
     assert len(seconds) == len(kinds)

@@ -1,4 +1,4 @@
-"""Time rnsl's small-block kernels and its semigroup constructor on two source trees.
+"""Time rnsl's small-block kernels, its semigroup constructor and its scenario reader on two source trees.
 
 Usage, from the root of a checkout:
 
@@ -11,12 +11,14 @@ n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16};
 ``rn.op_norm`` over the same n and d on a stack of 32 x n blocks, the
 growth check's shape; ``semigroup.make_matrix_semigroup`` (injectivity,
 commutation and the 32-time growth check) at d = 4 over the same atom
-counts; and ``instances.random_commuting_pair`` at d = 4 over the same
-atom counts.  The blocks are normal, A = Q diag(a) Q^T with a in
-[-2, 0.5] and C = Q diag(c) Q^T with c in [0.5, 2], as in the benchmark's
-generated scenarios.  The exponential's times are spread evenly over
-(0, 2]; the norm's blocks are exp(tA) C = Q diag(c exp(t a)) Q^T at 32
-times spread evenly over [0, 10].
+counts; ``instances.random_commuting_pair`` at d = 4 over the same atom
+counts; and ``scenario.scenario_from_dict`` over the same n and d, on a
+document shaped like the benchmark's ``wide_semigroup`` scenario
+(per-atom A and C matrices and a per-atom certificate).  The blocks are
+normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
+c in [0.5, 2], as in the benchmark's generated scenarios.  The
+exponential's times are spread evenly over (0, 2]; the norm's blocks are
+exp(tA) C = Q diag(c exp(t a)) Q^T at 32 times spread evenly over [0, 10].
 
 Each of five rounds starts one worker process per tree, alternating which
 tree goes first, and a worker times every case on its own tree: the best
@@ -48,6 +50,7 @@ NORM_TIMES = 32
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
+WIDE_SUITES = ("semigroup_law", "eq_5", "acp_5_1", "hille_yosida_4_11", "yosida_convergence", "lemma_4_10")
 
 
 def cases() -> list[dict]:
@@ -60,6 +63,7 @@ def cases() -> list[dict]:
     out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     for kernel in ("make_matrix_semigroup", "random_commuting_pair"):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
+    out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     return out
 
 
@@ -75,6 +79,20 @@ def spectra(n: int, d: int):
 def blocks(q: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Q diag(x) Q^T for every row x of ``diag``, shape (..., n, d)."""
     return (q * diag[..., None, :]) @ np.swapaxes(q, 1, 2)
+
+
+def scenario_doc(q: np.ndarray, a: np.ndarray, c: np.ndarray) -> dict:
+    """A JSON-shaped scenario with per-atom A, C and certificate, as the wide workload has."""
+    n, d = a.shape
+    return {
+        "space": {"probs": np.full(n, 1.0 / n).tolist()},
+        "dim": d,
+        "operators": {"A": {"matrices": blocks(q, a).tolist()}, "C": {"matrices": blocks(q, c).tolist()}},
+        "bound": {"M": c.max(axis=1).tolist(), "xi": a.max(axis=1).tolist()},
+        "suites": list(WIDE_SUITES),
+        "seed": 0,
+        "instances": 4,
+    }
 
 
 def best_time(call) -> float:
@@ -114,6 +132,9 @@ def worker(tree: str) -> list[float]:
             stack = blocks(q, c * np.exp(ts * a)).reshape(-1, d, d)
             family = rnsl.L0Operator.of(rnsl.make_space(np.full(len(stack), 1.0 / len(stack))), stack)
             out.append(best_time(lambda: rnsl.op_norm(family)))
+        elif case["kernel"] == "scenario_from_dict":
+            doc = scenario_doc(q, a, c)
+            out.append(best_time(lambda: rnsl.scenario_from_dict(doc)))
         elif case["kernel"] == "random_commuting_pair":
             rng = np.random.default_rng(n)
             out.append(best_time(lambda: random_commuting_pair(rng, space, d)))
