@@ -9,6 +9,7 @@ schema, or the conversion rules that followed it, reject.
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,7 @@ def in_matrices(path, value):
 
 
 ENTRY = "/operators/A/matrices/2/1/0"
+ABOVE_FLOAT_MAX = int(sys.float_info.max) + 1
 # malformed entries deep inside a per-atom array: the one-pass reader hands
 # them to the per-entry walk, which names them as it always has
 MALFORMED_MATRICES = (
@@ -344,6 +346,11 @@ MALFORMED_MATRICES = (
     ("string", in_matrices((2, 1, 0), "1"), ENTRY, "expected a number, got str"),
     ("null", in_matrices((2, 1, 0), None), ENTRY, "expected a number, got NoneType"),
     ("10**400", in_matrices((2, 1, 0), 10**400), ENTRY, f"{10**400!r} is not a finite number"),
+    # rounds to the largest double, but is beyond it
+    ("above the largest double", in_matrices((2, 1, 0), ABOVE_FLOAT_MAX), ENTRY,
+     f"{ABOVE_FLOAT_MAX!r} is not a finite number"),
+    ("tuple row", in_matrices((2, 1), (1.0, 2.0)), "/operators/A/matrices/2/1",
+     "expected a list of at least 1 item(s)"),
     (
         "empty row",
         in_matrices((2, 1), []),

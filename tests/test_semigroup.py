@@ -163,8 +163,7 @@ class TestConstruction:
 
         jordan = -0.5 * np.eye(dim) + np.eye(dim, k=1)  # non-normal: transient growth
         shift = L0Operator.from_matrix(space, jordan)
-        scalars = [L0Scalar.of(space, v) for v in (c.max(axis=1), a.max(axis=1))]
-        big_m, xi = scalars
+        big_m, xi = (L0Scalar.of(space, v) for v in (c.max(axis=1), a.max(axis=1)))
         escaping = xi.values.copy()
         escaping[5] = a[5].min() - 1.0  # atom 5's envelope falls behind its family after t = 0
         cases = [
