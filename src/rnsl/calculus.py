@@ -165,11 +165,13 @@ class WeightedIntegralResult:
     panels: int
 
 
-def _panels(values_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
-    """Evaluate the Kronrod panels [a_i, b_i] with one ``values_at`` call.
+# values (nodes x rows x dim doubles) one ``values_at`` call of _panels may
+# return; larger rounds are sampled a whole number of panels at a time
+_CHUNK_BYTES = 256 * 1024
 
-    Returns (k15, |k15 - g7|) arrays of shape (len(a), n, d).
-    """
+
+def _panel_chunk(values_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """Evaluate the Kronrod panels [a_i, b_i] with one ``values_at`` call."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = values_at((mid[:, None] + half[:, None] * _NODES).reshape(-1))
@@ -179,6 +181,26 @@ def _panels(values_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.
     return half * k15, np.abs(half * (k15 - g7))
 
 
+def _panels(
+    values_at: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    shape: tuple[int, int],
+):
+    """Evaluate the Kronrod panels [a_i, b_i] of values of shape ``shape``.
+
+    The panels are sampled in as few ``values_at`` calls as keep each call's
+    values under _CHUNK_BYTES, with one panel a call at least.  Returns
+    (k15, |k15 - g7|) arrays of shape (len(a),) + shape.
+    """
+    step = max(1, _CHUNK_BYTES // (len(_NODES) * 8 * math.prod(shape)))
+    k15 = np.empty((len(a),) + shape)
+    err = np.empty_like(k15)
+    for i in range(0, len(a), step):
+        k15[i:i + step], err[i:i + step] = _panel_chunk(values_at, a[i:i + step], b[i:i + step])
+    return k15, err
+
+
 def _adaptive(
     values_at: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, int],
@@ -186,13 +208,14 @@ def _adaptive(
     tol_per_atom: np.ndarray,
     max_panels: int,
 ):
-    """Adaptive bisection until every atom's summed error estimate passes.
+    """Adaptive bisection until every row's summed error estimate passes.
 
-    The initial panels between ``breaks`` are sampled in one ``values_at``
-    call, and each split samples its two halves in one call.
+    ``shape`` is (rows, dim), with one tolerance per row.  The initial panels
+    between ``breaks`` are sampled together, and each split samples its two
+    halves together, both in chunks as _panels bounds them.
     """
     edges = np.asarray(breaks, dtype=float)
-    k15s, errs = _panels(values_at, edges[:-1], edges[1:])
+    k15s, errs = _panels(values_at, edges[:-1], edges[1:], shape)
     # entries: [a, b, k15 (n,d), err (n,d)]
     panels = [[a, b, k, e] for a, b, k, e in zip(breaks[:-1], breaks[1:], k15s, errs)]
     heap = [(-float(e.max()), i) for i, e in enumerate(errs)]
@@ -229,7 +252,7 @@ def _adaptive(
             continue
         mid = 0.5 * (a + b)
         (left_k, right_k), (left_e, right_e) = _panels(
-            values_at, np.array([a, mid]), np.array([mid, b])
+            values_at, np.array([a, mid]), np.array([mid, b]), shape
         )
         total_err += left_e + right_e - err
         panels[idx] = [a, mid, left_k, left_e]
@@ -238,8 +261,12 @@ def _adaptive(
         heapq.heappush(heap, (-float(right_e.max()), counter))
         counter += 1
 
-    value = np.sum(np.stack([p[2] for p in panels]), axis=0)
-    err = np.sum(np.stack([p[3] for p in panels]), axis=0)
+    # summed in panel order, as np.sum over a stack of the panels adds them,
+    # without holding that stack
+    value, err = panels[0][2].copy(), panels[0][3].copy()
+    for p in panels[1:]:
+        value += p[2]
+        err += p[3]
     return value, err, len(panels)
 
 
@@ -480,35 +507,42 @@ def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[flo
     )
 
 
-def damped_weighted_integral(
-    g: CurveSampler,
-    eta: L0Scalar,
-    k: int,
-    tol_scaled,
-    max_panels: int = MAX_PANELS,
-) -> WeightedIntegralResult:
-    """Integrate s^k exp(-eta s) g(s) over [0, inf) in scaled form.
+@dataclass(frozen=True)
+class _Weight:
+    """One weight s^k exp(-eta s) of a shared integration, checked and scaled."""
 
-    Per atom the result satisfies
-        integral = exp(log_scale) * scaled_value,
-    with log_scale = k*log(k/eta) - k (0 for k = 0), so the returned numbers
-    stay of order one even when the raw weight s^k exp(-eta s) under- or
-    overflows.  ``tol_scaled`` is the absolute tolerance per atom on the
-    scaled value; half goes to tail truncation, half to quadrature.  A
-    tolerance below the double resolution of the scaled certificate integral
-    M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
-    before the first panel; so does eta <= 0 at k >= 1, as NonPositiveEta.
-    ``est_error`` is the quadrature estimate plus the certified tail plus
-    the rounding of the weight, (1 + k + |log_scale|) ulps of the value.
-    """
+    k: int
+    eta: np.ndarray
+    gamma: np.ndarray
+    tol: np.ndarray
+    log_scale: np.ndarray
+    log_whole: np.ndarray
+    horizon: float
+    log_q: np.ndarray
+
+    def seeds(self) -> np.ndarray:
+        """Initial panel edges, ascending, that lead adaptivity to the weight's peaks."""
+        if self.k == 0:
+            return np.array([1.0, 5.0]) / float(self.gamma.min())
+        # seed panel edges around each atom's weight peak so adaptivity finds
+        # it, snapped to the lattice rho^j: a seed moves by about one weight
+        # width sqrt(k)/eta at most, and the spread of the peaks, not the
+        # number of atoms, bounds the seed count
+        k = self.k
+        offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
+        seeds = (k + offsets * math.sqrt(k)) / self.eta
+        rho = 1.0 + 2.0 / math.sqrt(k)
+        # distinct exponents by a set: np.unique imports numpy.ma, about 1 MB
+        lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
+        return rho ** np.array(sorted(lattice))
+
+
+def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) -> _Weight:
+    """Checks, scale and certified tail horizon of one weight, before any sample."""
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
-    if g.start > 0.0 or not math.isinf(g.end):
-        raise ValueError("improper integration expects a curve on [0, inf)")
-    bound = _require_certificate(g)
     gamma = _check_eta(eta, bound.xi)
-    space = g.space
-    n = space.n_atoms
+    n = bound.space.n_atoms
     tol_arr = np.broadcast_to(np.asarray(tol_scaled, dtype=float), (n,)).copy()
     if (tol_arr <= 0.0).any():
         raise ValueError("tolerance must be positive")
@@ -531,42 +565,96 @@ def damped_weighted_integral(
             f"{float(np.exp(log_resolution[a]))!r} of its scaled certificate integral",
             atom=a,
         )
+    return _Weight(k, ev, gamma, tol_arr, log_scale, log_whole, T, log_q)
+
+
+def damped_weighted_integrals(
+    g: CurveSampler,
+    weights,
+    max_panels: int = MAX_PANELS,
+) -> list[WeightedIntegralResult]:
+    """Integrate s^k exp(-eta s) g(s) over [0, inf) for every (eta, k, tol_scaled).
+
+    Each weight gets the checks, scaling, tolerance and error estimate of
+    damped_weighted_integral, in list order and before the first sample.
+    The weights share one panel set: its breaks are the union of their
+    seeds below the longest horizon T, each round samples g once for all of
+    them, and panels are split until every weight passes on every atom.
+    Each weight's tail is certified at T, which is never shorter than its
+    own horizon, since Q(k+1, gamma T) falls as T grows.  Every result's
+    ``panels`` is the shared count.
+    """
+    if g.start > 0.0 or not math.isinf(g.end):
+        raise ValueError("improper integration expects a curve on [0, inf)")
+    bound = _require_certificate(g)
+    plans = [_checked_weight(bound, eta, k, tol) for eta, k, tol in weights]
+    if not plans:
+        return []
+    n = g.space.n_atoms
+    T = max(p.horizon for p in plans)
 
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)
         pos = s > 0.0
         sp = np.where(pos, s, 1.0)[:, None]
-        w = np.exp(k * np.log(sp) - ev * sp - log_scale)
-        if not pos.all():
-            w[~pos] = np.exp(-log_scale) if k == 0 else 0.0
-        return w[:, :, None] * h
+        log_sp = np.log(sp)
+        out = np.empty((len(s), len(plans) * n, g.dim))
+        for j, p in enumerate(plans):
+            w = np.exp(p.k * log_sp - p.eta * sp - p.log_scale)
+            if not pos.all():
+                w[~pos] = np.exp(-p.log_scale) if p.k == 0 else 0.0
+            np.multiply(w[:, :, None], h, out=out[:, j * n:(j + 1) * n])
+        return out
 
-    if k >= 1:
-        # seed panel edges around each atom's weight peak so adaptivity finds
-        # it, snapped to the lattice rho^j: a seed moves by about one weight
-        # width sqrt(k)/eta at most, and the spread of the peaks, not the
-        # number of atoms, bounds the seed count
-        offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
-        seeds = (k + offsets * math.sqrt(k)) / ev
-        rho = 1.0 + 2.0 / math.sqrt(k)
-        # distinct exponents by a set: np.unique imports numpy.ma, about 1 MB
-        lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
-        seeds = rho ** np.array(sorted(lattice))
-    else:
-        seeds = np.array([1.0, 5.0]) / float(gamma.min())
-    breaks = [0.0] + [float(p) for p in seeds[seeds < T]] + [T]
-
-    value, err, panels = _adaptive(values_at, (n, g.dim), breaks, tol_arr / 2.0, max_panels)
-    tail = np.exp(log_whole + log_q - log_scale)
-    # the weight's exponent is of size k + |log_scale|, so its rounding costs
-    # that many ulps of the value; the Kronrod estimate does not see it
-    rounding = _EPS * (1.0 + k + np.abs(log_scale)) * np.abs(value).max(axis=1)
-    return WeightedIntegralResult(
-        scaled_value=RnVector.of(space, value),
-        log_scale=log_scale,
-        est_error=err.max(axis=1) + tail + rounding,
-        panels=panels,
+    seeds = sorted(set().union(*(p.seeds().tolist() for p in plans)))
+    breaks = [0.0] + [s for s in seeds if s < T] + [T]
+    tol_rows = np.concatenate([p.tol for p in plans]) / 2.0
+    value, err, panels = _adaptive(
+        values_at, (len(plans) * n, g.dim), breaks, tol_rows, max_panels
     )
+    results = []
+    for j, p in enumerate(plans):
+        rows = slice(j * n, (j + 1) * n)
+        log_q = p.log_q if p.horizon == T else _log_q(p.k, p.gamma * T)[0]
+        tail = np.exp(p.log_whole + log_q - p.log_scale)
+        # the Kronrod estimate sees no rounding: the weight's exponent, of size
+        # k + |log_scale|, costs that many ulps of the value, each panel's
+        # 15-node sum 15 more, and the sum over the panels one a panel
+        ulps = 16.0 + panels + p.k + np.abs(p.log_scale)
+        rounding = _EPS * ulps * np.abs(value[rows]).max(axis=1)
+        results.append(WeightedIntegralResult(
+            scaled_value=RnVector.of(g.space, value[rows]),
+            log_scale=p.log_scale,
+            est_error=err[rows].max(axis=1) + tail + rounding,
+            panels=panels,
+        ))
+    return results
+
+
+def damped_weighted_integral(
+    g: CurveSampler,
+    eta: L0Scalar,
+    k: int,
+    tol_scaled,
+    max_panels: int = MAX_PANELS,
+) -> WeightedIntegralResult:
+    """Integrate s^k exp(-eta s) g(s) over [0, inf) in scaled form.
+
+    Per atom the result satisfies
+        integral = exp(log_scale) * scaled_value,
+    with log_scale = k*log(k/eta) - k (0 for k = 0), so the returned numbers
+    stay of order one even when the raw weight s^k exp(-eta s) under- or
+    overflows.  ``tol_scaled`` is the absolute tolerance per atom on the
+    scaled value; half goes to tail truncation, half to quadrature.  A
+    tolerance below the double resolution of the scaled certificate integral
+    M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
+    before the first panel; so does eta <= 0 at k >= 1, as NonPositiveEta.
+    ``est_error`` is the quadrature estimate plus the certified tail plus
+    the rounding of the weight and of the sums, (16 + panels + k +
+    |log_scale|) ulps of the value.
+    This is the one-weight call of damped_weighted_integrals.
+    """
+    return damped_weighted_integrals(g, [(eta, k, tol_scaled)], max_panels)[0]
 
 
 def improper_integral(g: CurveSampler, eta: L0Scalar, tol: float) -> QuadratureResult:

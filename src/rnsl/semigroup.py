@@ -28,7 +28,7 @@ from .calculus import (
     _check_eta,
     _coerce_eta,
     _weight_log_scale,
-    damped_weighted_integral,
+    damped_weighted_integrals,
     improper_integral,
 )
 from .errors import (
@@ -501,17 +501,15 @@ def hille_yosida_report(
     probe_curve = _orbit_curve(
         lambda s: matrix_exp(A, s) @ C, bound, probe, partial(_generated, A, C)
     )
-    entries = []
-    all_ok = commutation_ok
+    ladder = []  # (eta, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)
         margin = _check_eta(eta, bound.xi)
         shift = _shift(A, eta)
         gate = check_injective(shift)
-        invertible = gate.injective
         power_rows: list[PowerRow] = []
-        route_rows: list[RouteRow] = []
-        if invertible:
+        direct = ()
+        if gate.injective:
             inv = _inverse(shift)
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
                 powers = [inv @ C.matrices]
@@ -520,7 +518,7 @@ def hille_yosida_report(
             powers = np.stack(powers)  # (n_max, atoms, d, d): R(eta)^n C for n = 1..n_max
             _check_finite(powers, "operator entries")
             ladder_norms = spectral_norms(powers)
-            for n, (power, norms) in enumerate(zip(powers, ladder_norms), start=1):
+            for n, norms in enumerate(ladder_norms, start=1):
                 bounds = M * margin ** (-float(n))
                 diffs = norms - bounds
                 power_rows.append(
@@ -533,29 +531,35 @@ def hille_yosida_report(
                         passed=bool((diffs <= b4_tol).all()),
                     )
                 )
-                if n <= 3:
-                    direct = np.einsum("aij,aj->ai", power, probe.values)
-                    res = damped_weighted_integral(
-                        probe_curve, eta, n - 1,
-                        quad_tol * np.exp(-_weight_log_scale(n - 1, eta.values)),
-                    )
-                    integral = (
-                        np.exp(res.log_scale)[:, None] * res.scaled_value.values
-                        / math.factorial(n - 1)
-                    )
-                    gap = float(
-                        np.sqrt(((direct - integral) ** 2).sum(axis=1)).max()
-                    )
-                    route_rows.append(RouteRow(n=n, gap=gap, passed=gap <= route_tol))
-        entry = ResolventEntry(
+            direct = np.einsum("naij,aj->nai", powers[:3], probe.values)
+        ladder.append((eta, gate, power_rows, direct))
+    # the route integrals of every invertible eta share one panel set
+    routes = [
+        (eta, n - 1, quad_tol * np.exp(-_weight_log_scale(n - 1, eta.values)))
+        for eta, _, _, direct in ladder
+        for n in range(1, len(direct) + 1)
+    ]
+    results = iter(damped_weighted_integrals(probe_curve, routes))
+    entries = []
+    all_ok = commutation_ok
+    for eta, gate, power_rows, direct in ladder:
+        route_rows: list[RouteRow] = []
+        for n, want in enumerate(direct, start=1):
+            res = next(results)
+            integral = (
+                np.exp(res.log_scale)[:, None] * res.scaled_value.values
+                / math.factorial(n - 1)
+            )
+            gap = float(np.sqrt(((want - integral) ** 2).sum(axis=1)).max())
+            route_rows.append(RouteRow(n=n, gap=gap, passed=gap <= route_tol))
+        entries.append(ResolventEntry(
             eta=eta,
             min_sv_ratio=gate.min_sv_ratio,
-            invertible=invertible,
+            invertible=gate.injective,
             power_rows=tuple(power_rows),
             route_rows=tuple(route_rows),
-        )
-        entries.append(entry)
-        all_ok = all_ok and invertible
+        ))
+        all_ok = all_ok and gate.injective
         all_ok = all_ok and all(r.passed for r in power_rows)
         all_ok = all_ok and all(r.passed for r in route_rows)
     return ResolventReport(

@@ -1,6 +1,9 @@
 """Curve calculus: quadrature, differentiation, certified improper integrals."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from decimal import Decimal, localcontext
@@ -23,6 +26,7 @@ from rnsl import (
     StepUnderflow,
     TailNotCertified,
     damped_weighted_integral,
+    damped_weighted_integrals,
     derivative,
     improper_integral,
     l0_norm,
@@ -81,7 +85,8 @@ class TestRiemannIntegral:
             return on.astype(float)[:, None, None]
 
         errs = [
-            _panels(jumps, np.array([a]), np.array([a + 1e-12]))[1].max() for a in (0.0, 1e-12)
+            _panels(jumps, np.array([a]), np.array([a + 1e-12]), (1, 1))[1].max()
+            for a in (0.0, 1e-12)
         ]
         tol = np.array([1.01 * max(errs)])
         assert sum(errs) > tol[0]
@@ -347,11 +352,45 @@ class TestOneCallPerRound:
         space = uniform_space(atoms)
         g, _ = smooth_curve_family(rng_for(atoms, "one-call"), space, dim, n=1)[0]
         edges = np.sort(np.random.default_rng(atoms).uniform(-2.0, 5.0, 12))
-        k15, err = _panels(g.sample, edges[:-1], edges[1:])
-        one = [_panels(g.sample, edges[i : i + 1], edges[i + 1 : i + 2]) for i in range(11)]
+        k15, err = _panels(g.sample, edges[:-1], edges[1:], (atoms, dim))
+        one = [
+            _panels(g.sample, edges[i : i + 1], edges[i + 1 : i + 2], (atoms, dim))
+            for i in range(11)
+        ]
         scale = 1e-15 * np.abs(k15).max()
         np.testing.assert_allclose(k15, np.concatenate([o[0] for o in one]), rtol=0, atol=scale)
         np.testing.assert_allclose(err, np.concatenate([o[1] for o in one]), rtol=0, atol=scale)
+
+    @pytest.mark.parametrize("atoms,dim", SHAPES)
+    def test_chunks_are_bitwise_neutral(self, atoms, dim, monkeypatch):
+        space = uniform_space(atoms)
+        g, _ = smooth_curve_family(rng_for(atoms, "chunks"), space, dim, n=1)[0]
+        edges = np.sort(np.random.default_rng(atoms).uniform(-2.0, 5.0, 13))
+        panel_bytes = 15 * 8 * atoms * dim
+        calls = []
+
+        def values_at(s):
+            calls.append(len(s) // 15)
+            return g.sample(s)
+
+        def run(budget_panels):
+            monkeypatch.setattr(calculus, "_CHUNK_BYTES", int(budget_panels * panel_bytes))
+            calls.clear()
+            return _panels(values_at, edges[:-1], edges[1:], (atoms, dim))
+
+        whole = run(12)
+        assert calls == [12]
+        # a budget of five panels' values leaves a short last chunk; one
+        # below a panel's values still samples a panel a call.  numpy takes
+        # a one-column product as a matrix-vector product, whose rounding
+        # differs, so one-panel chunks of a single value are left out: the
+        # real budget cuts a 1 x 1 round that fine only past 2,184 panels
+        budgets = [(5, [5, 5, 2])] + [(0.5, [1] * 12)] * (atoms * dim > 1)
+        for budget, chunks in budgets:
+            chunked = run(budget)
+            assert calls == chunks
+            for got, want in zip(chunked, whole):
+                np.testing.assert_array_equal(got, want)
 
     # panel counts of the loop that sampled one panel per call, for the three
     # curve pairs of smooth_curve_family on [-3, 9] at tolerance 1e-11
@@ -449,6 +488,111 @@ class TestDampedOracle:
             with pytest.raises(NonPositiveEta, match="atom 1") as exc:
                 damped_weighted_integral(curve, L0Scalar.of(space, [1.0, -1.0]), 1, 1e-8)
         assert exc.value.atom == 1
+
+
+# (k, eta / gamma) per weight: orders 0 to 1024 at damping spread 16x
+MIXED_WEIGHTS = [(0, 4.0), (1, 0.5), (64, 2.0), (1024, 1.0), (0, 0.25), (64, 0.5)]
+
+
+def failing_curve() -> CurveSampler:
+    """A certified 3-atom curve, e^(-2 s) per atom, that raises when sampled."""
+    space = uniform_space(3)
+
+    def batch(s):
+        raise AssertionError("sampled before every weight was checked")
+
+    bound = ExponentialBound(L0Scalar.constant(space, 1.0), L0Scalar.constant(space, -2.0))
+    return CurveSampler.from_batch(space, 1, 0.0, math.inf, batch, bound=bound)
+
+
+class TestSharedPanels:
+    """damped_weighted_integrals: every weight on one panel set and one sample a chunk."""
+
+    @pytest.mark.parametrize("atoms,dim", [(1, 1), (64, 16), (1024, 1)])
+    def test_mixed_weights_within_estimate(self, atoms, dim):
+        # rates built for k = 1024 keep every weight's scaled value representable
+        curve, eta = exponential_orbit(rng_for(atoms, "shared"), atoms, dim, 1024)
+        rates = curve.bound.xi.values
+        gamma = eta.values - rates
+        weights, scaled = [], []
+        for k, ratio in MIXED_WEIGHTS:
+            ev = rates + ratio * gamma
+            scaled.append(decimal_scaled_integral(k, ev, rates, calculus._weight_log_scale(k, ev)))
+            weights.append((L0Scalar.of(curve.space, ev), k, 1e-10 * scaled[-1]))
+        results = damped_weighted_integrals(curve, weights)
+        x = curve.sample([0.0])[0]
+        for res, (_, _, tol), want in zip(results, weights, scaled):
+            error = np.abs(res.scaled_value.values - want[:, None] * x).max(axis=1)
+            assert (error <= res.est_error).all()
+            assert (res.est_error <= tol).all()
+        assert len({res.panels for res in results}) == 1
+
+    @pytest.mark.parametrize("k", [0, 1, 64, 1024])
+    def test_one_weight_is_the_single_call(self, k):
+        curve, eta = exponential_orbit(rng_for(k, "one-weight"), 64, 4, k)
+        one = damped_weighted_integral(curve, eta, k, 1e-9)
+        [res] = damped_weighted_integrals(curve, [(eta, k, 1e-9)])
+        assert res.panels == one.panels
+        for got, want in (
+            (res.scaled_value.values, one.scaled_value.values),
+            (res.log_scale, one.log_scale),
+            (res.est_error, one.est_error),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("eta,k,tol", [
+        ([1.0, -3.0, 1.0], 1, 1e-8),  # eta <= xi on atom 1
+        ([1.0, 1.0, -1.0], 1, 1e-8),  # eta <= 0 at k >= 1 on atom 2
+        ([1.0, 1.0, 1.0], 0, [1e-8, 1e-30, 1e-8]),  # below the resolution on atom 1
+        ([1.0, 1.0, 1.0], -1, 1e-8),
+        ([1.0, 1.0, 1.0], 2, [1e-8, 0.0, 1e-8]),
+    ])
+    def test_bad_weight_raises_the_single_error_before_sampling(self, eta, k, tol):
+        curve = failing_curve()
+        bad = (L0Scalar.of(curve.space, eta), k, tol)
+        good = (L0Scalar.constant(curve.space, 1.0), 3, 1e-8)
+        with pytest.raises(Exception) as single:
+            damped_weighted_integral(curve, *bad)
+        with pytest.raises(single.type) as shared:
+            damped_weighted_integrals(curve, [good, bad, good])
+        assert not isinstance(single.value, AssertionError)
+        assert str(shared.value) == str(single.value)
+        assert getattr(shared.value, "atom", None) == getattr(single.value, "atom", None)
+
+
+def test_wide_high_order_call_stays_within_its_memory():
+    # 84 seeded panels of 1024 atoms x 16 values: sampled at once, one round
+    # held three copies of them and raised the max RSS by about 360 MB
+    script = """
+import math, resource
+import numpy as np
+from rnsl import (CurveSampler, ExponentialBound, L0Scalar, RnVector, l0_norm,
+                  make_space, damped_weighted_integral)
+atoms, dim, k = 1024, 16, 1024
+space = make_space(np.full(atoms, 1.0 / atoms))
+rng = np.random.default_rng(7)
+gamma = np.geomspace(0.05, 5.0, atoms)
+rates = -gamma * rng.uniform(0.0, 0.9, atoms) / (k + 1.0)
+x = rng.uniform(-1.0, 1.0, (atoms, dim))
+curve = CurveSampler.from_batch(
+    space, dim, 0.0, math.inf, lambda s: np.exp(np.outer(s, rates))[:, :, None] * x,
+    bound=ExponentialBound(l0_norm(RnVector.of(space, x)), L0Scalar.of(space, rates)),
+)
+eta = L0Scalar.of(space, rates + gamma)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = damped_weighted_integral(curve, eta, k, 1e-6)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024, res.panels)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    grown_mb, panels = done.stdout.split()
+    assert int(panels) >= 84
+    assert float(grown_mb) < 150.0
 
 
 GAMMA_ORDERS = [0, 1, 2, 8, 64, 512, 1024]

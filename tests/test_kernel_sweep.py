@@ -26,7 +26,7 @@ def test_worker_times_every_case(monkeypatch):
     assert kinds == (
         ["matrix_exp_times"] * 4
         + ["op_norm"] * 2
-        + ["make_matrix_semigroup", "random_commuting_pair"]
+        + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"]
         + ["scenario_from_dict"] * 2
     )
     seconds = sweep.worker(str(ROOT / "src"))

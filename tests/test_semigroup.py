@@ -441,6 +441,28 @@ class TestHilleYosida:
         assert entry.power_rows == () and entry.route_rows == ()
         assert not report.passed
 
+    def test_route_integrals_share_one_call_past_a_singular_eta(self, space2, monkeypatch):
+        # eta = 3 is an eigenvalue of A on atom 1, above the certificate's
+        # xi = 2.99 there; 4 and 5 are resolvent points
+        A = L0Operator.from_diag(space2, [[1.0, 2.0], [1.0, 3.0]])
+        C = L0Operator.identity(space2, 2)
+        bound = ExponentialBound.constant(space2, 1.0, 2.99)
+        shared = semigroup_module.damped_weighted_integrals
+        calls = []
+
+        def counted(curve, weights):
+            calls.append([(float(eta.values[0]), k) for eta, k, _ in weights])
+            return shared(curve, weights)
+
+        monkeypatch.setattr(semigroup_module, "damped_weighted_integrals", counted)
+        report = hille_yosida_report(A, C, bound, [4.0, 3.0, 5.0], n_max=4)
+        assert calls == [[(4.0, 0), (4.0, 1), (4.0, 2), (5.0, 0), (5.0, 1), (5.0, 2)]]
+        assert [e.invertible for e in report.entries] == [True, False, True]
+        assert [len(e.route_rows) for e in report.entries] == [3, 0, 3]
+        for entry in report.entries[::2]:
+            assert [row.n for row in entry.route_rows] == [1, 2, 3]
+            assert all(row.passed and row.gap <= 1e-7 for row in entry.route_rows)
+
     def test_ladder_norms_match_svd_of_each_power(self, space4, rng):
         A = rng.normal(size=(4, 3, 3)) - 3.0 * np.eye(3)
         C = np.eye(3) + 0.1 * A

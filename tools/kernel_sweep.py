@@ -1,4 +1,4 @@
-"""Time rnsl's small-block kernels, its semigroup constructor and its scenario reader on two source trees.
+"""Time rnsl's small-block kernels, semigroup constructor, Hille–Yosida report and scenario reader on two source trees.
 
 Usage, from the root of a checkout:
 
@@ -12,7 +12,10 @@ n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16};
 growth check's shape; ``semigroup.make_matrix_semigroup`` (injectivity,
 commutation and the 32-time growth check) at d = 4 over the same atom
 counts; ``instances.random_commuting_pair`` at d = 4 over the same atom
-counts; and ``scenario.scenario_from_dict`` over the same n and d, on a
+counts; ``semigroup.hille_yosida_report`` at d = 4 over the same atom
+counts, on the ``hille_yosida_4_11`` suite's default damping grid
+{2, 4, 8, 16} and ladder depth 8; and ``scenario.scenario_from_dict`` over
+the same n and d, on a
 document shaped like the benchmark's ``wide_semigroup`` scenario
 (per-atom A and C matrices and a per-atom certificate).  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
@@ -47,6 +50,9 @@ DIMS = (1, 2, 4, 16)
 TIMES = (1, 15, 32)
 SEMIGROUP_DIM = 4
 NORM_TIMES = 32
+# the hille_yosida_4_11 suite's default damping grid and its ladder depth
+ETA_GRID = (2.0, 4.0, 8.0, 16.0)
+LADDER_DEPTH = 8
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
@@ -61,7 +67,7 @@ def cases() -> list[dict]:
         for t in TIMES
     ]
     out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
-    for kernel in ("make_matrix_semigroup", "random_commuting_pair"):
+    for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
     out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     return out
@@ -143,7 +149,12 @@ def worker(tree: str) -> list[float]:
             bound = rnsl.ExponentialBound(
                 rnsl.L0Scalar.of(space, c.max(axis=1)), rnsl.L0Scalar.of(space, a.max(axis=1))
             )
-            out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)))
+            if case["kernel"] == "hille_yosida_report":
+                out.append(best_time(
+                    lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
+                ))
+            else:
+                out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)))
     return out
 
 
