@@ -600,7 +600,11 @@ def damped_weighted_integrals(
         log_sp = np.log(sp)
         out = np.empty((len(s), len(plans) * n, g.dim))
         for j, p in enumerate(plans):
-            w = np.exp(p.k * log_sp - p.eta * sp - p.log_scale)
+            # exp(k log s - eta s - log_scale), evaluated in place in that order
+            w = p.eta * sp
+            np.subtract(p.k * log_sp, w, out=w)
+            w -= p.log_scale
+            np.exp(w, out=w)
             if not pos.all():
                 w[~pos] = np.exp(-p.log_scale) if p.k == 0 else 0.0
             np.multiply(w[:, :, None], h, out=out[:, j * n:(j + 1) * n])

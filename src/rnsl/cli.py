@@ -12,6 +12,7 @@ rtol 1e-9 / atol 1e-12; it exits 0 when the reports agree and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,9 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once a process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rnsl",
         description="Scenario-driven checks for transform and semigroup claims.",
@@ -102,7 +105,7 @@ def _cmd_diff(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     commands = {"run": _cmd_run, "plot": _cmd_plot, "diff": _cmd_diff}
     try:
         return commands[args.command](args)

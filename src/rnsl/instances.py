@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .calculus import CurveSampler
-from .l0 import L0Scalar, ProbabilitySpace
+from .l0 import L0Scalar, ProbabilitySpace, stacked_space
 from .laplace import LaplaceSpec, TransformDerivativeProvider
 from .rn import ExponentialBound, L0Operator, RnVector
 
@@ -112,6 +112,46 @@ def smooth_curve_family(
     return members
 
 
+def _oscillating_draws(rng: np.random.Generator, space: ProbabilitySpace, dim: int, n: int):
+    """Each member's (a, w, X, Y), drawn member by member, stacked on a leading axis."""
+    a = np.empty((n, space.n_atoms))
+    w = np.empty(n)
+    x = np.empty((n, space.n_atoms, dim))
+    y = np.empty((n, space.n_atoms, dim))
+    for i in range(n):
+        a[i] = rng.uniform(-1.0, 0.5, space.n_atoms)
+        w[i] = rng.uniform(0.5, 4.0)
+        x[i] = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
+        y[i] = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
+    return a, w, x, y
+
+
+def _oscillating_spec(space: ProbabilitySpace, a, w, x, y) -> LaplaceSpec:
+    """exp(a s)(cos(w s) X + sin(w s) Y) for m members on m copies of ``space``.
+
+    ``a`` is (m, n), ``w`` is (m,) and X, Y are (m, n, d); member i fills
+    rows i*n ... (i+1)*n - 1.  Each sample takes cos and sin once per
+    member and exp once per row.
+    """
+    m, n, dim = x.shape
+    stack = stacked_space(space, m)
+    big_m = np.sqrt((x**2).sum(axis=2)) + np.sqrt((y**2).sum(axis=2))
+
+    def h(s: np.ndarray) -> np.ndarray:
+        ws = np.multiply.outer(s, w)[:, :, None, None]
+        wave = np.cos(ws) * x
+        wave += np.sin(ws) * y
+        growth = np.outer(s, a)
+        wave *= np.exp(growth, out=growth).reshape(len(s), m, n, 1)
+        return wave.reshape(len(s), m * n, dim)
+
+    curve = CurveSampler.from_batch(
+        stack, dim, 0.0, math.inf, h,
+        bound=ExponentialBound(L0Scalar.of(stack, big_m.ravel()), L0Scalar.of(stack, a.ravel())),
+    )
+    return LaplaceSpec(curve)
+
+
 def oscillating_decay_specs(
     rng: np.random.Generator, space: ProbabilitySpace, dim: int, n: int = 20
 ):
@@ -120,24 +160,22 @@ def oscillating_decay_specs(
     The certificate M = ||X|| + ||Y||, xi = a holds by the triangle
     inequality, so construction-time validation always accepts these.
     """
-    specs = []
-    for _ in range(n):
-        a = rng.uniform(-1.0, 0.5, space.n_atoms)
-        w = float(rng.uniform(0.5, 4.0))
-        x = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
-        y = rng.uniform(-1.0, 1.0, (space.n_atoms, dim))
-        m = np.sqrt((x**2).sum(axis=1)) + np.sqrt((y**2).sum(axis=1))
+    a, w, x, y = _oscillating_draws(rng, space, dim, n)
+    return [
+        _oscillating_spec(space, a[i:i + 1], w[i:i + 1], x[i:i + 1], y[i:i + 1])
+        for i in range(n)
+    ]
 
-        def h(s: np.ndarray, a=a, w=w, x=x, y=y) -> np.ndarray:
-            ws = (w * s)[:, None, None]
-            return np.exp(np.outer(s, a))[:, :, None] * (np.cos(ws) * x + np.sin(ws) * y)
 
-        curve = CurveSampler.from_batch(
-            space, dim, 0.0, math.inf, h,
-            bound=ExponentialBound(L0Scalar.of(space, m), L0Scalar.of(space, a)),
-        )
-        specs.append(LaplaceSpec(curve))
-    return specs
+def oscillating_decay_stack(
+    rng: np.random.Generator, space: ProbabilitySpace, dim: int, n: int = 20
+) -> LaplaceSpec:
+    """The n curves of oscillating_decay_specs, drawn alike, as one curve.
+
+    It lives on ``stacked_space(space, n)``: member i fills rows
+    i*n_atoms ... (i+1)*n_atoms - 1, and one sample evaluates every member.
+    """
+    return _oscillating_spec(space, *_oscillating_draws(rng, space, dim, n))
 
 
 def constant_transform_provider(x: RnVector) -> TransformDerivativeProvider:

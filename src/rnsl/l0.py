@@ -39,11 +39,13 @@ class ProbabilitySpace:
     def __post_init__(self) -> None:
         if len(self.atom_probs) == 0:
             raise EmptyAtomList("a probability space needs at least one atom")
-        for i, p in enumerate(self.atom_probs):
-            if not np.isfinite(p) or p <= 0.0 or p > 1.0:
-                raise NonPositiveProbability(
-                    f"atom {i} has probability {p!r}, expected a value in (0, 1]"
-                )
+        probs = np.array(self.atom_probs, dtype=float)
+        bad = np.nonzero(~((probs > 0.0) & (probs <= 1.0)))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise NonPositiveProbability(
+                f"atom {i} has probability {self.atom_probs[i]!r}, expected a value in (0, 1]"
+            )
         total = math.fsum(self.atom_probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ProbabilitiesDoNotSumToOne(
@@ -69,6 +71,18 @@ class ProbabilitySpace:
 def make_space(probs: Sequence[float]) -> ProbabilitySpace:
     """Build a probability space from atom probabilities."""
     return ProbabilitySpace(tuple(float(p) for p in probs))
+
+
+def stacked_space(space: ProbabilitySpace, copies: int) -> ProbabilitySpace:
+    """``copies`` of ``space`` side by side, each with total probability 1/copies.
+
+    Copy j's atom a becomes atom j*n + a, with probability p_a / copies, so a
+    family of curves on ``space`` is one curve on the stacked space, and any
+    per-atom computation on it gives every member's result at once.
+    """
+    if copies < 1 or copies != int(copies):
+        raise ValueError(f"copies must be a positive integer, got {copies!r}")
+    return make_space(np.tile(space.probs / int(copies), int(copies)))
 
 
 def _as_array(space: ProbabilitySpace, values, allow_extended: bool) -> np.ndarray:

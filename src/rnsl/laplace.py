@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (
+    _CHUNK_BYTES,
     CurveSampler,
     _check_eta,
     _coerce_eta,
@@ -34,8 +35,8 @@ from .errors import (
     NonPositiveTime,
     SpaceMismatch,
 )
-from .l0 import L0Scalar, ProbabilitySpace
-from .rn import RnVector, block_norms, vector_distance
+from .l0 import L0Scalar, ProbabilitySpace, stacked_space
+from .rn import ExponentialBound, RnVector, block_norms, vector_distance
 
 BOUND_CHECK_POINTS = 64
 BOUND_CHECK_RANGE = (1e-3, 1e2)
@@ -49,6 +50,8 @@ class LaplaceSpec:
 
     Construction samples the curve at 64 log-spaced times and rejects a
     certificate the samples already escape (with slack 1 + 1e-9 for roundoff).
+    The times are sampled in order, as many a call as keep its values under
+    _CHUNK_BYTES, so the first escape found is the earliest time's lowest atom.
     """
 
     curve: CurveSampler
@@ -60,17 +63,20 @@ class LaplaceSpec:
         if c.bound is None:
             raise CertificateMissing("a transformable curve needs a certificate")
         times = np.geomspace(*BOUND_CHECK_RANGE, BOUND_CHECK_POINTS)
-        norms = block_norms(c.sample(times))
-        envelope = c.bound.envelope(times)
-        bad = np.argwhere(norms > BOUND_CHECK_SLACK * envelope)
-        if bad.size:
-            i, a = (int(v) for v in bad[0])
-            raise BoundViolated(
-                f"curve norm {norms[i, a]!r} escapes its envelope "
-                f"{envelope[i, a]!r} at s={float(times[i])!r} on atom {a}",
-                atom=a,
-                t=float(times[i]),
-            )
+        step = max(1, _CHUNK_BYTES // (8 * c.space.n_atoms * max(c.dim, 1)))
+        for start in range(0, len(times), step):
+            ts = times[start:start + step]
+            norms = block_norms(c.sample(ts))
+            envelope = c.bound.envelope(ts)
+            bad = np.argwhere(norms > BOUND_CHECK_SLACK * envelope)
+            if bad.size:
+                i, a = (int(v) for v in bad[0])
+                raise BoundViolated(
+                    f"curve norm {norms[i, a]!r} escapes its envelope "
+                    f"{envelope[i, a]!r} at s={float(ts[i])!r} on atom {a}",
+                    atom=a,
+                    t=float(ts[i]),
+                )
 
     @property
     def space(self) -> ProbabilitySpace:
@@ -87,6 +93,36 @@ class LaplaceSpec:
 
 def make_laplace_spec(curve: CurveSampler) -> LaplaceSpec:
     return LaplaceSpec(curve)
+
+
+def stack_specs(specs: Sequence[LaplaceSpec]) -> LaplaceSpec:
+    """One transformable curve on ``stacked_space(space, len(specs))``.
+
+    Copy j of the stacked space carries specs[j]: its rows j*n ... (j+1)*n - 1
+    hold that member's values, and its certificate that member's M and xi.
+    The transform acts atom by atom, so one transform of the stack gives
+    every member's transform, in copy j's rows.
+    """
+    if not specs:
+        raise ValueError("stack at least one curve")
+    first = specs[0]
+    for spec in specs[1:]:
+        if spec.space != first.space:
+            raise SpaceMismatch("stacked curves live on different probability spaces")
+        if spec.dim != first.dim:
+            raise DimMismatch("stacked curves have different dimensions")
+    space = stacked_space(first.space, len(specs))
+    bound = ExponentialBound(
+        L0Scalar.of(space, np.concatenate([s.bound.M.values for s in specs])),
+        L0Scalar.of(space, np.concatenate([s.bound.xi.values for s in specs])),
+    )
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        return np.concatenate([s.curve.sample(ts) for s in specs], axis=1)
+
+    return LaplaceSpec(
+        CurveSampler.from_batch(space, first.dim, 0.0, math.inf, batch, bound=bound)
+    )
 
 
 def laplace_transform(spec: LaplaceSpec, eta, tol: float) -> RnVector:

@@ -24,7 +24,7 @@ from .errors import MissingSuiteData, UnknownSuite
 from .instances import (
     constant_transform_provider,
     inversion_test_family,
-    oscillating_decay_specs,
+    oscillating_decay_stack,
     random_commuting_pair,
     random_scalar,
     random_vector,
@@ -38,6 +38,7 @@ from .laplace import (
     laplace_transform,
     post_widder,
     provider_from_curve,
+    stack_specs,
     transforms_equal,
 )
 from .reporting import (
@@ -156,10 +157,12 @@ def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
         # order of expectation and integral must not matter
         expect_of_integral = float(probs @ result.value.values[:, 0])
 
-        def mean_first(u: float, small_g=small_g) -> RnVector:
-            return RnVector.of(unit_space, [[float(probs @ small_g(u).values[:, 0])]])
+        def mean_first(us: np.ndarray, small_g=small_g) -> np.ndarray:
+            # one dot a time: the expectation of each value taken on its own
+            firsts = small_g.sample(us)[:, :, 0]
+            return np.array([probs @ row for row in firsts]).reshape(-1, 1, 1)
 
-        mean_curve = CurveSampler(unit_space, 1, 0.0, 2.0, mean_first)
+        mean_curve = CurveSampler.from_batch(unit_space, 1, 0.0, 2.0, mean_first)
         integral_of_expect = float(
             riemann_integral(mean_curve, 0.0, 2.0, quad).value.values[0, 0]
         )
@@ -171,23 +174,41 @@ def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
     return SuiteReport("calculus_ftc", records)
 
 
-def _laplace_specs(scn: Scenario) -> list[LaplaceSpec]:
-    # shared between laplace_bound and lemma_3_4 so both see the same curves
+def _laplace_stack(scn: Scenario) -> LaplaceSpec:
+    # shared between laplace_bound and lemma_3_4 so both see the same curves:
+    # 20 of them, as one curve on 20 copies of the scenario's space
     rng = rng_for(scn.seed, "laplace_specs")
-    return oscillating_decay_specs(rng, scn.space, scn.dim, n=20)
+    return oscillating_decay_stack(rng, scn.space, scn.dim, n=20)
+
+
+def _copies(values: np.ndarray, n: int) -> np.ndarray:
+    """Values on a stacked space with one leading entry per copy of its n atoms."""
+    return values.reshape((-1, n) + values.shape[1:])
+
+
+def _add_by_copy(worst: _Worst, n: int, *stacked: np.ndarray) -> None:
+    """Add per-atom gaps on a stacked space copy by copy, each copy's arrays in turn.
+
+    That is the order of a loop over the stacked curves, so the first curve
+    to reach the largest gap still supplies the atom, an atom of one copy.
+    """
+    for copy in zip(*(_copies(gaps, n) for gaps in stacked)):
+        for gaps in copy:
+            worst.add(gaps)
 
 
 def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("laplace_bound", 1e-8)
-    specs = _laplace_specs(scn)
+    stack = _laplace_stack(scn)
+    m = stack.bound.M.values
+    xi = stack.bound.xi.values
+    excesses = []
+    for gamma in scn.eta_grid:
+        eta = L0Scalar.of(stack.space, xi + gamma)
+        h = laplace_transform(stack, eta, tol / 4.0)
+        excesses.append(l0_norm(h).values - m / gamma)
     excess = _Worst(-math.inf)
-    for spec in specs:
-        m = spec.bound.M.values
-        xi = spec.bound.xi.values
-        for gamma in scn.eta_grid:
-            eta = L0Scalar.of(scn.space, xi + gamma)
-            h = laplace_transform(spec, eta, tol / 4.0)
-            excess.add(l0_norm(h).values - m / gamma)
+    _add_by_copy(excess, scn.space.n_atoms, *excesses)
     records = [excess.le("transform_bound", tol)]
     return SuiteReport("laplace_bound", records)
 
@@ -195,17 +216,16 @@ def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
 def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("lemma_3_4", 1e-6)
     delta = 3e-4
-    specs = _laplace_specs(scn)
+    stack = _laplace_stack(scn)
     gamma = scn.eta_grid[len(scn.eta_grid) // 2]
+    xi = stack.bound.xi.values
+    eta = L0Scalar.of(stack.space, xi + gamma)
+    analytic = laplace_derivative(stack, eta, 1, 1e-10)
+    plus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma + delta), 1e-10)
+    minus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma - delta), 1e-10)
+    fd = (plus - minus).scale(1.0 / (2.0 * delta))
     worst = _Worst()
-    for spec in specs:
-        xi = spec.bound.xi.values
-        eta = L0Scalar.of(scn.space, xi + gamma)
-        analytic = laplace_derivative(spec, eta, 1, 1e-10)
-        plus = laplace_transform(spec, L0Scalar.of(scn.space, xi + gamma + delta), 1e-10)
-        minus = laplace_transform(spec, L0Scalar.of(scn.space, xi + gamma - delta), 1e-10)
-        fd = (plus - minus).scale(1.0 / (2.0 * delta))
-        worst.add(l0_norm(analytic - fd).values)
+    _add_by_copy(worst, scn.space.n_atoms, l0_norm(analytic - fd).values)
     records = [worst.le("first_derivative_fd", tol)]
     return SuiteReport("lemma_3_4", records)
 
@@ -215,25 +235,30 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
     final_tol = scn.tolerance("post_widder_final", 1e-2)
     ks = tuple(sorted(set(scn.k_ladder)))
     times = (0.5, 1.0, 2.0)
+    n = scn.space.n_atoms
     members = inversion_test_family(scn.space, scn.dim)
-    records = []
+    # exactness is a cancellation property of the inversion formula, so it is
+    # measured with closed-form derivatives, orders up to 1024
+    constant = dict(members)["constant"].curve
+    provider = constant_transform_provider(constant(1.0))
+    err = max(
+        vector_distance(post_widder(provider, t, k), constant(t), "locally_convex")
+        for t in times
+        for k in (*ks, 1024)
+    )
+    records = [CheckRecord.le("constant_exact", err, 0.0, const_tol)]
+    # the other members are inverted by quadrature, as one curve on stacked
+    # copies of the space
+    quadrature = [(name, spec) for name, spec in members if name != "constant"]
+    stack = provider_from_curve(stack_specs([spec for _, spec in quadrature]), 1e-11)
+    approx = {(t, k): _copies(post_widder(stack, t, k).values, n) for k in ks for t in times}
     plot_errors = None
-    for name, spec in members:
+    for j, (name, spec) in enumerate(quadrature):
         exact = spec.curve
-        if name == "constant":
-            # exactness is a cancellation property of the inversion formula,
-            # so it is measured with closed-form derivatives, orders up to 1024
-            provider = constant_transform_provider(exact(1.0))
-            err = max(
-                vector_distance(post_widder(provider, t, k), exact(t), "locally_convex")
-                for t in times
-                for k in (*ks, 1024)
-            )
-            records.append(CheckRecord.le("constant_exact", err, 0.0, const_tol))
-            continue
-        provider = provider_from_curve(spec, 1e-11)
         distances = {
-            (t, k): vector_distance(post_widder(provider, t, k), exact(t), "locally_convex")
+            (t, k): vector_distance(
+                RnVector.of(scn.space, approx[t, k][j]), exact(t), "locally_convex"
+            )
             for k in ks
             for t in times
         }

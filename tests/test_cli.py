@@ -253,6 +253,18 @@ class TestCliRun:
         report = json.load(open(os.path.join(out, "report.json")))
         assert [s["suite"] for s in report["suites"]] == ["rn_axioms"]
 
+    def test_repeated_calls_keep_their_own_suite_lists(self, tmp_path):
+        # the parser is built once a process; --suite must not accumulate across calls
+        path = write_doc(tmp_path, passing_doc(suites=["semigroup_law", "rn_axioms"]))
+        for name, suites in (("a", ["rn_axioms"]), ("b", ["semigroup_law"]), ("c", ["rn_axioms"])):
+            out = tmp_path / name
+            argv = ["run", path, "--out", str(out)]
+            for suite in suites:
+                argv += ["--suite", suite]
+            assert cli_main(argv) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            assert [s["suite"] for s in report["suites"]] == suites
+
     def test_seed_override_recorded(self, tmp_path):
         path = write_doc(tmp_path, passing_doc())
         out = str(tmp_path / "out")

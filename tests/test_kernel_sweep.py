@@ -1,9 +1,13 @@
 """The kernel sweep tool runs its cases on a source tree and reports seconds per call."""
 
 import importlib.util
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import rnsl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,10 +32,28 @@ def test_worker_times_every_case(monkeypatch):
         + ["op_norm"] * 2
         + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"]
         + ["scenario_from_dict"] * 2
+        + ["laplace_transform", "post_widder", "post_widder"]
     )
     seconds = sweep.worker(str(ROOT / "src"))
     assert len(seconds) == len(kinds)
     assert all(s > 0.0 for s in seconds)
+
+
+@pytest.mark.parametrize("kernel, curves", [("laplace_transform", 20), ("post_widder", 3)])
+def test_transform_cases_run_per_curve_on_a_tree_without_stacking(kernel, curves):
+    sweep = load_sweep()
+    space = rnsl.make_space([0.25, 0.75])
+    case = {"kernel": kernel, "atoms": 2, "dim": 2, "k": 64}
+    unstacked = types.SimpleNamespace(**{
+        name: getattr(rnsl, name)
+        for name in ("L0Scalar", "laplace_transform", "post_widder", "provider_from_curve")
+    })
+    stacked = sweep.transform_call(rnsl, space, case)()
+    per_curve = sweep.transform_call(unstacked, space, case)()
+    assert (len(stacked), len(per_curve)) == (1, curves)
+    np.testing.assert_allclose(
+        stacked[0].values, np.concatenate([v.values for v in per_curve]), rtol=0.0, atol=1e-8
+    )
 
 
 @pytest.mark.parametrize("trees", [

@@ -27,15 +27,20 @@ from rnsl import (
     make_space,
     post_widder,
     provider_from_curve,
+    stack_specs,
+    stacked_space,
     transforms_equal,
     vector_distance,
 )
+from rnsl.calculus import _CHUNK_BYTES, _weight_log_scale, damped_weighted_integral
 from rnsl.instances import (
     constant_transform_provider,
     inversion_test_family,
     oscillating_decay_specs,
+    oscillating_decay_stack,
     rng_for,
 )
+from rnsl.suites import _add_by_copy, _Worst
 
 TOL = 1e-9
 
@@ -415,3 +420,127 @@ class TestTransformsEqual:
         spec = self.make_decay(space2)
         with pytest.raises(ValueError):
             transforms_equal(spec, spec, [], 1e-6)
+
+
+def random_space(n: int):
+    weights = np.random.default_rng(n).uniform(0.5, 1.5, n)
+    return make_space(weights / weights.sum())
+
+
+class TestStackedSpecs:
+    """Curves stacked on copies of a space transform as they do one by one."""
+
+    @pytest.mark.parametrize("copies", [1, 3, 20])
+    def test_stacked_space_layout(self, copies):
+        space = random_space(5)
+        stacked = stacked_space(space, copies)
+        assert stacked.n_atoms == copies * space.n_atoms
+        assert math.fsum(stacked.atom_probs) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(
+            stacked.probs.reshape(copies, -1), np.tile(space.probs / copies, (copies, 1))
+        )
+        if copies == 1:
+            assert stacked == space
+
+    @pytest.mark.parametrize("copies", [0, -1, 1.5])
+    def test_stacked_space_needs_a_positive_count(self, space2, copies):
+        with pytest.raises(ValueError, match="positive integer"):
+            stacked_space(space2, copies)
+
+    def test_native_stack_is_the_stacked_list(self, space4):
+        # one formula: the native stack samples bitwise what stack_specs does
+        specs = oscillating_decay_specs(rng_for(4, "stack"), space4, 3, n=5)
+        native = oscillating_decay_stack(rng_for(4, "stack"), space4, 3, n=5)
+        stacked = stack_specs(specs)
+        assert native.space == stacked.space == stacked_space(space4, 5)
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 17)])
+        np.testing.assert_array_equal(native.curve.sample(times), stacked.curve.sample(times))
+        for field in ("M", "xi"):
+            np.testing.assert_array_equal(
+                getattr(native.bound, field).values, getattr(stacked.bound, field).values
+            )
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("k", [0, 1, 1024])
+    def test_copies_match_their_own_transforms(self, n, k):
+        space = random_space(n)
+        specs = oscillating_decay_specs(rng_for(n, "copies"), space, 2, n=3)
+        stack = oscillating_decay_stack(rng_for(n, "copies"), space, 2, n=3)
+
+        def integral(spec):
+            # the weight peaks near s = 1; the tolerance is 1e-10 of the scaled
+            # certificate integral, as transform derivatives take it
+            gamma = 1.5 + k
+            eta = spec.bound.xi.values + gamma
+            log_env = math.lgamma(k + 1.0) - (k + 1.0) * math.log(gamma) - _weight_log_scale(k, eta)
+            tol = 1e-10 * spec.bound.M.values * np.exp(log_env)
+            return damped_weighted_integral(spec.curve, L0Scalar.of(spec.space, eta), k, tol)
+
+        whole = integral(stack)
+        for j, spec in enumerate(specs):
+            rows = slice(j * n, (j + 1) * n)
+            one = integral(spec)
+            np.testing.assert_array_equal(whole.log_scale[rows], one.log_scale)
+            gap = np.abs(whole.scaled_value.values[rows] - one.scaled_value.values).max(axis=1)
+            assert (gap <= whole.est_error[rows] + one.est_error).all()
+
+    def test_inversion_members_stack(self, space4):
+        family = [spec for name, spec in inversion_test_family(space4, 2) if name != "constant"]
+        stack = stack_specs(family)
+        assert stack.space == stacked_space(space4, 3)
+        k, t = 64, 1.0
+        whole = post_widder(provider_from_curve(stack, 1e-11), t, k).values
+        for j, spec in enumerate(family):
+            one = post_widder(provider_from_curve(spec, 1e-11), t, k).values
+            np.testing.assert_allclose(whole[4 * j:4 * (j + 1)], one, rtol=0.0, atol=1e-9)
+
+    def test_mismatched_members_rejected(self, space2, space4):
+        a = oscillating_decay_specs(rng_for(1, "mix"), space2, 2, n=1)[0]
+        with pytest.raises(SpaceMismatch):
+            stack_specs([a, oscillating_decay_specs(rng_for(1, "mix"), space4, 2, n=1)[0]])
+        with pytest.raises(DimMismatch):
+            stack_specs([a, oscillating_decay_specs(rng_for(1, "mix"), space2, 3, n=1)[0]])
+        with pytest.raises(ValueError):
+            stack_specs([])
+
+    def test_escape_in_the_last_check_chunk_is_named(self):
+        # 1024 atoms of dimension 16 check two times a call: the escape sits
+        # in the last call, on atoms 700 and 9 of the last two times
+        n, dim = 1024, 16
+        space = random_space(n)
+        times = np.geomspace(1e-3, 1e2, 64)
+        calls = []
+
+        def batch(s):
+            calls.append(len(s))
+            vals = np.zeros((len(s), n, dim))
+            vals[:, :, 0] = 1.0
+            vals[s >= times[-2], 700, 0] = 2.0
+            vals[s >= times[-1], 9, 0] = 3.0
+            return vals
+
+        curve = CurveSampler.from_batch(
+            space, dim, 0.0, math.inf, batch, bound=ExponentialBound.constant(space, 1.0, 0.0)
+        )
+        with pytest.raises(BoundViolated) as exc:
+            make_laplace_spec(curve)
+        assert (exc.value.t, exc.value.atom) == (float(times[-2]), 700)
+        assert f"at s={float(times[-2])!r} on atom 700" in str(exc.value)
+        per_call = _CHUNK_BYTES // (8 * n * dim)
+        assert calls == [per_call] * (64 // per_call)
+
+    def test_worst_over_copies_keeps_the_first_curve(self):
+        # gaps of 3 curves at 2 etas on 4 atoms, tied at 0.5: curve order
+        # picks atom 2, eta order atom 1 and reversed curves atom 3
+        n = 4
+        gaps = np.zeros((3, 2, n))
+        gaps[0, 1, 2] = 0.5
+        gaps[1, 0, 1] = 0.5
+        gaps[2, 0, 3] = 0.5
+        looped = _Worst()
+        for curve in gaps:
+            for per_eta in curve:
+                looped.add(per_eta)
+        stacked = _Worst()
+        _add_by_copy(stacked, n, *(gaps[:, e].reshape(-1) for e in range(2)))
+        assert (stacked.gap, stacked.atom) == (looped.gap, looped.atom) == (0.5, 2)

@@ -1,4 +1,4 @@
-"""Time rnsl's small-block kernels, semigroup constructor, Hille–Yosida report and scenario reader on two source trees.
+"""Time rnsl's small-block kernels, semigroup constructor, Hille–Yosida report, scenario reader and transform suites' kernels on two source trees.
 
 Usage, from the root of a checkout:
 
@@ -17,7 +17,15 @@ counts, on the ``hille_yosida_4_11`` suite's default damping grid
 {2, 4, 8, 16} and ladder depth 8; and ``scenario.scenario_from_dict`` over
 the same n and d, on a
 document shaped like the benchmark's ``wide_semigroup`` scenario
-(per-atom A and C matrices and a per-atom certificate).  The blocks are
+(per-atom A and C matrices and a per-atom certificate).  Two cases time
+the transform suites' units of work at d = 2 over the same atom counts:
+``laplace.laplace_transform`` (k = 0) of the 20 curves of
+``oscillating_decay_specs`` at eta = xi + 2 to 2.5e-9, as ``laplace_bound``
+makes it, and ``laplace.post_widder`` at t = 1 and k in {64, 512} of the
+three quadrature members of ``inversion_test_family``, as ``post_widder``
+makes it.  On a tree that has ``stack_specs``, each family is one stacked
+curve (``oscillating_decay_stack`` and ``stack_specs``), and on one that
+has not, one call per curve.  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
 c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
@@ -56,6 +64,12 @@ LADDER_DEPTH = 8
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
+# the transform suites' dimension, damping margin, tolerance and orders
+TRANSFORM_DIM = 2
+TRANSFORM_CURVES = 20
+TRANSFORM_GAMMA = 2.0
+TRANSFORM_TOL = 2.5e-9
+INVERSION_ORDERS = (64, 512)
 WIDE_SUITES = ("semigroup_law", "eq_5", "acp_5_1", "hille_yosida_4_11", "yosida_convergence", "lemma_4_10")
 
 
@@ -70,7 +84,35 @@ def cases() -> list[dict]:
     for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
     out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
+    out += [{"kernel": "laplace_transform", "atoms": n, "dim": TRANSFORM_DIM, "k": 0} for n in ATOMS]
+    out += [
+        {"kernel": "post_widder", "atoms": n, "dim": TRANSFORM_DIM, "k": k}
+        for n in ATOMS
+        for k in INVERSION_ORDERS
+    ]
     return out
+
+
+def transform_call(rnsl, space, case):
+    """One transform-suite unit of work, stacked where the tree can stack curves."""
+    from rnsl.instances import inversion_test_family, oscillating_decay_specs
+
+    stacking = hasattr(rnsl, "stack_specs")
+    d = case["dim"]
+    if case["kernel"] == "laplace_transform":
+        rng = np.random.default_rng(0)
+        if stacking:
+            from rnsl.instances import oscillating_decay_stack
+
+            specs = [oscillating_decay_stack(rng, space, d, n=TRANSFORM_CURVES)]
+        else:
+            specs = oscillating_decay_specs(rng, space, d, n=TRANSFORM_CURVES)
+        etas = [rnsl.L0Scalar.of(s.space, s.bound.xi.values + TRANSFORM_GAMMA) for s in specs]
+        return lambda: [rnsl.laplace_transform(s, e, TRANSFORM_TOL) for s, e in zip(specs, etas)]
+    specs = [spec for name, spec in inversion_test_family(space, d) if name != "constant"]
+    specs = [rnsl.stack_specs(specs)] if stacking else specs
+    providers = [rnsl.provider_from_curve(s, 1e-11) for s in specs]
+    return lambda: [rnsl.post_widder(p, 1.0, case["k"]) for p in providers]
 
 
 def spectra(n: int, d: int):
@@ -141,6 +183,8 @@ def worker(tree: str) -> list[float]:
         elif case["kernel"] == "scenario_from_dict":
             doc = scenario_doc(q, a, c)
             out.append(best_time(lambda: rnsl.scenario_from_dict(doc)))
+        elif case["kernel"] in ("laplace_transform", "post_widder"):
+            out.append(best_time(transform_call(rnsl, space, case)))
         elif case["kernel"] == "random_commuting_pair":
             rng = np.random.default_rng(n)
             out.append(best_time(lambda: random_commuting_pair(rng, space, d)))
