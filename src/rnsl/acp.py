@@ -47,11 +47,6 @@ class AcpProblem:
     seed_y0: RnVector | None = None
 
     def __post_init__(self) -> None:
-        if self.W.kind != "matrix_generated":
-            raise ValueError(
-                "defect residuals need the generator; "
-                "only matrix-generated families are supported"
-            )
         direct = self.v0 is not None
         seeded = self.seed_eta is not None and self.seed_y0 is not None
         if direct == seeded:

@@ -81,9 +81,10 @@ class CurveSampler:
     """Curve t -> vector on a fixed space/dimension over [start, end].
 
     ``end`` may be infinite, in which case improper integration needs the
-    optional growth certificate ``bound``.  The optional ``batch`` maps a
-    1-D array of times to values of shape (len(ts), n_atoms, dim) in one
-    call; quadrature samples through it when it is given.
+    optional growth certificate ``bound``.  ``batch`` maps a 1-D array of
+    times to values of shape (len(ts), n_atoms, dim) in one call, and
+    quadrature samples through it.  A curve given without one gets, at
+    construction, a batch that stacks its scalar calls.
     """
 
     space: ProbabilitySpace
@@ -101,6 +102,10 @@ class CurveSampler:
             raise NonFiniteValue("curve domain end precedes its start")
         if self.bound is not None and self.bound.space != self.space:
             raise SpaceMismatch("certificate lives on a different probability space")
+        if self.batch is None:  # stacked scalar calls, so that ``sample`` has one path
+            object.__setattr__(
+                self, "batch", lambda ts: np.stack([self(float(t)).values for t in ts])
+            )
 
     @classmethod
     def from_batch(
@@ -132,13 +137,10 @@ class CurveSampler:
     def sample(self, ts) -> np.ndarray:
         """Values at the times ``ts`` as one (len(ts), n_atoms, dim) array.
 
-        A ``batch`` result gets the checks a scalar call makes (shape, then
-        finiteness), once for the whole batch; without ``batch`` the scalar
-        calls are stacked.
+        The ``batch`` result gets the checks a scalar call makes (shape, then
+        finiteness), once for the whole batch.
         """
         ts = np.asarray(ts, dtype=float)
-        if self.batch is None:
-            return np.stack([self(float(t)).values for t in ts])
         vals = np.asarray(self.batch(ts), dtype=float)
         want = (len(ts), self.space.n_atoms, self.dim)
         if vals.shape != want:
@@ -295,9 +297,10 @@ def derivative(g: CurveSampler, t: float, h0: float) -> RnVector:
     """Fourth-order derivative: Richardson combination of central differences."""
     if h0 < MIN_STEP:
         raise StepUnderflow(f"step {h0!r} is below the supported resolution {MIN_STEP}")
-    d1 = (g(t + h0).values - g(t - h0).values) / (2.0 * h0)
     h = 0.5 * h0
-    d2 = (g(t + h).values - g(t - h).values) / (2.0 * h)
+    up0, down0, up, down = g.sample([t + h0, t - h0, t + h, t - h])
+    d1 = (up0 - down0) / (2.0 * h0)
+    d2 = (up - down) / (2.0 * h)
     return RnVector.of(g.space, (4.0 * d2 - d1) / 3.0)
 
 

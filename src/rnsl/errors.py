@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`RnslError`, so callers
 can catch one base class.  Errors that point at a particular atom of the
-underlying probability space carry a 0-based ``atom`` attribute.
+underlying probability space carry a 0-based ``atom`` attribute, and the
+time ``t`` where a sampled family failed (None where no time applies).
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ class DimMismatch(RnslError):
 
 
 class _AtomError(RnslError):
-    """Base for errors that name an offending atom (0-based index)."""
+    """Base for errors that name an offending atom (0-based index), and a time ``t``."""
 
-    def __init__(self, message: str, atom: int | None = None):
+    def __init__(self, message: str, atom: int | None = None, t: float | None = None):
         super().__init__(message)
         self.atom = atom
+        self.t = t
 
 
 class DivisionByZeroOnAtom(_AtomError):
@@ -100,11 +102,7 @@ class CoefficientOverflow(RnslError):
 
 
 class BoundViolated(_AtomError):
-    """A sampled value escaped its declared exponential envelope."""
-
-    def __init__(self, message: str, atom: int | None = None, t: float | None = None):
-        super().__init__(message, atom)
-        self.t = t
+    """A sampled value escaped its declared exponential envelope at time ``t``."""
 
 
 class NotInjective(_AtomError):
@@ -116,7 +114,10 @@ class NonCommuting(_AtomError):
 
 
 class InitialValueMismatch(_AtomError):
-    """A sampled family does not start at its declared time-zero operator."""
+    """A sampled family departs from exp(tA) C, its recovered form, at time ``t``.
+
+    At t = 0 the family does not start at its declared time-zero operator C.
+    """
 
 
 class SolveFailed(_AtomError):

@@ -1,22 +1,23 @@
 """Exponentially bounded operator families W with W(0) = C.
 
-A family here satisfies C W(s+t) = W(t) W(s), starts at an injective C, and
-grows no faster than M exp(xi t) per atom.  The canonical construction is
-W(t) = exp(tA) C for a generator A commuting with C; sampled families wrap an
-arbitrary evaluator behind the same checks.
+A family here satisfies C W(s+t) = W(t) W(s), starts at an injective C that
+commutes with it, and grows no faster than M exp(xi t) per atom.  On a finite
+space every such family is W(t) = exp(tA) C: C is invertible on each atom,
+so C^{-1} W(t) is a continuous semigroup on R^d, which is exp(tA).  A family
+given only as an evaluator t -> W(t) has its A recovered and checked.
 
-The generator is recovered as C^{-1} of the derivative at 0, the resolvent
-comes in two routes (a per-atom solve against (eta - A), and the transform
-integral of the family), and a report verifies the generation conditions:
-invertibility of eta - A, the power bounds ||(eta-A)^{-n} C|| <= M(eta-xi)^{-n},
-commutation of A and C, and the integral representation of resolvent powers.
+The generator's action on a vector is estimated from the derivative at 0,
+the resolvent comes in two routes (a per-atom solve against (eta - A), and
+the transform integral of the family), and a report verifies the generation
+conditions: invertibility of eta - A, the power bounds
+||(eta-A)^{-n} C|| <= M(eta-xi)^{-n}, commutation of A and C, and the
+integral representation of resolvent powers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,14 +56,14 @@ from .rn import (
     matrix_exp,
     matrix_exp_times,
     op_apply,
-    op_norm,
     spectral_norm_bounds,
     spectral_norms,
     worst_atom,
 )
 
 COMMUTE_TOL = 1e-10
-TIME_ZERO_TOL = 1e-10
+SAMPLED_RTOL = 1e-9  # largest entry gap to exp(tA) C over its largest entry
+_LOG_TERMS = 30  # at ||X||_1 <= 1/4 the log series' tail is below 4^-30 ||X||
 GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
 GROWTH_SLACK = 1.0 + 1e-9
@@ -72,34 +73,28 @@ ABEL_RATE_SLACK = 1.5
 
 @dataclass(frozen=True, eq=False)
 class CSemigroup:
-    """Validated family; ``kind`` tells how values are produced."""
+    """Validated family W(t) = exp(t generator) C."""
 
     space: ProbabilitySpace
     dim: int
     C: L0Operator
     bound: ExponentialBound
-    generator: L0Operator | None = None
-    evaluator: Callable[[float], L0Operator] | None = None
-
-    @property
-    def kind(self) -> str:
-        return "matrix_generated" if self.generator is not None else "sampled"
+    generator: L0Operator
 
     def operator_at(self, t: float) -> L0Operator:
         if t < 0.0:
             raise NegativeTime(f"family parameter must be nonnegative, got {t!r}")
-        if self.generator is not None:
-            return matrix_exp(self.generator, t) @ self.C
-        op = self.evaluator(t)
-        if not isinstance(op, L0Operator):
-            raise TypeError("family evaluator must return an L0Operator")
-        if op.space != self.space or op.dim != self.dim:
-            raise SpaceMismatch(f"family evaluator changed space/dim at t={t!r}")
-        return op
+        return matrix_exp(self.generator, t) @ self.C
 
 
-def _frobenius_per_atom(mats: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("aij,aij->a", mats, mats))
+def _commutator_gaps(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> np.ndarray:
+    """Per-atom Frobenius norm of AC - CA, once A, C and the bound share a space and A, C a dim."""
+    if A.space != C.space or A.space != bound.space:
+        raise SpaceMismatch("A, C and the certificate must share one space")
+    if A.dim != C.dim:
+        raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
+    comm = A.matrices @ C.matrices - C.matrices @ A.matrices
+    return np.sqrt(np.einsum("aij,aij->a", comm, comm))
 
 
 def _require_injective(T: L0Operator, what: str, error: type) -> None:
@@ -127,37 +122,27 @@ def _raise_first_escape(ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray)
         )
 
 
-def _check_growth(
-    family: Callable[[float], L0Operator],
-    bound: ExponentialBound,
-    stacked: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> None:
-    """Growth gate on GROWTH_SAMPLES times up to GROWTH_HORIZON.
+def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> None:
+    """Growth gate for exp(tA) C on GROWTH_SAMPLES times up to GROWTH_HORIZON.
 
-    ``stacked`` gives the operators at all the times in one call.  A block
-    whose certified bound (``spectral_norm_bounds``, never below its exact
-    norm) is within the slackened envelope passes; only the others get
-    exact norms, so every escape, and the first one reported, is what exact
-    norms on every block give.  When ``stacked`` overflows, the per-time
-    loop runs instead, so that an escape at an earlier time is still the
-    error reported.
+    The operators at all the times come from one call.  A block whose
+    certified bound (``spectral_norm_bounds``, never below its exact norm)
+    is within the slackened envelope passes; only the others get exact
+    norms, so every escape, and the first one reported, is what exact norms
+    on every block give.  When that call overflows, the times are taken one
+    a call, so that an escape at an earlier time is still the error reported.
     """
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
-    if stacked is not None:
-        try:
-            mats = stacked(ts)
-        except NonFiniteValue:
-            pass
-        else:
-            envelope = bound.envelope(ts)
-            norms = spectral_norm_bounds(mats)
-            undecided = ~(norms <= GROWTH_SLACK * envelope)
-            norms[undecided] = spectral_norms(mats[undecided])
-            _raise_first_escape(ts, norms, envelope)
-            return
-    for t in ts:
-        norms = op_norm(family(float(t))).values
-        _raise_first_escape(t[None], norms[None], bound.envelope(t)[None])
+    try:
+        batches = [(ts, _generated(A, C, ts))]
+    except NonFiniteValue:
+        batches = ((ts[i:i + 1], _generated(A, C, ts[i:i + 1])) for i in range(len(ts)))
+    for times, mats in batches:
+        envelope = bound.envelope(times)
+        norms = spectral_norm_bounds(mats)
+        undecided = ~(norms <= GROWTH_SLACK * envelope)
+        norms[undecided] = spectral_norms(mats[undecided])
+        _raise_first_escape(times, norms, envelope)
 
 
 def _generated(A: L0Operator, C: L0Operator, ts) -> np.ndarray:
@@ -173,20 +158,65 @@ def make_matrix_semigroup(
     A: L0Operator, C: L0Operator, bound: ExponentialBound
 ) -> CSemigroup:
     """Build W(t) = exp(tA) C, validating injectivity, commutation, growth."""
-    if A.space != C.space or A.space != bound.space:
-        raise SpaceMismatch("A, C and the certificate must share one space")
-    if A.dim != C.dim:
-        raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
+    comm = _commutator_gaps(A, C, bound)
     _require_injective(C, "C", NotInjective)
-    comm = _frobenius_per_atom(A.matrices @ C.matrices - C.matrices @ A.matrices)
     bad = np.nonzero(comm > COMMUTE_TOL)[0]
     if bad.size:
         a = int(bad[0])
         raise NonCommuting(
             f"A and C do not commute on atom {a} (gap {comm[a]!r})", atom=a
         )
-    _check_growth(lambda t: matrix_exp(A, t) @ C, bound, partial(_generated, A, C))
-    return CSemigroup(A.space, A.dim, C, bound, generator=A)
+    _check_growth(A, C, bound)
+    return CSemigroup(A.space, A.dim, C, bound, A)
+
+
+def _raise_first_departure(ts: np.ndarray, mats: np.ndarray, want: np.ndarray) -> None:
+    """InitialValueMismatch at the first time, then atom, where ``mats`` leave ``want``.
+
+    Both are (len(ts), n_atoms, d, d); a block departs when its largest
+    entry gap exceeds SAMPLED_RTOL times the largest entry of ``want``.
+    """
+    with np.errstate(over="ignore"):  # an infinite gap departs
+        gap = np.abs(mats - want).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(want).max(axis=(-2, -1), initial=0.0)
+    hits = np.argwhere(~(gap <= SAMPLED_RTOL * scale))
+    if hits.size:
+        i, a = (int(v) for v in hits[0])
+        raise InitialValueMismatch(
+            f"family departs from exp(tA) C at t={float(ts[i])!r} on atom {a} (largest "
+            f"entry gap {float(gap[i, a])!r}, largest entry {float(scale[i, a])!r})",
+            atom=a,
+            t=float(ts[i]),
+        )
+
+
+def _recover_generator(C: L0Operator, family_at: Callable[[float], np.ndarray]) -> L0Operator:
+    """The A with exp(hA) = C^{-1} W(h) on every atom, by a log series at a small h.
+
+    h halves from 1 until X = C^{-1} W(h) - I has ||X||_1 <= 1/4 on every
+    atom; then A = log(I + X) / h, with log(I + X) = X - X^2/2 + X^3/3 - ...
+    summed to _LOG_TERMS terms.  A family that stays away from C as h -> 0
+    raises StepUnderflow once h falls below MIN_STEP.  A generator that
+    turns a whole period in h (exp(hA) = I with hA != 0) is not seen at that
+    step; the check against exp(tA) C then rejects the family.
+    """
+    eye = np.eye(C.dim)
+    h = 1.0
+    while True:
+        X = np.linalg.solve(C.matrices, family_at(h)) - eye
+        far = np.nonzero(~(np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0) <= 0.25))[0]
+        if not far.size:
+            break
+        h *= 0.5
+        if h < MIN_STEP:
+            raise StepUnderflow(
+                f"C^-1 W(h) stays farther than 1/4 from I on atom {int(far[0])} for every "
+                f"step h >= {MIN_STEP}: the family is not continuous at 0"
+            )
+    series = eye / _LOG_TERMS  # Horner: log(I + X) = X (I - X (I/2 - X (I/3 - ...)))
+    for k in range(_LOG_TERMS - 1, 0, -1):
+        series = eye / k - X @ series
+    return L0Operator.of(C.space, (X @ series) / h)
 
 
 def make_sampled_semigroup(
@@ -196,22 +226,32 @@ def make_sampled_semigroup(
     evaluator: Callable[[float], L0Operator],
     bound: ExponentialBound,
 ) -> CSemigroup:
-    """Wrap an arbitrary evaluator behind the family checks."""
+    """The family of an evaluator t -> W(t), as exp(tA) C with A recovered from it.
+
+    W must match exp(tA) C within SAMPLED_RTOL at the growth check's times,
+    W(0) = C first; a departure raises InitialValueMismatch at its time and
+    atom.  (A, C, bound) then go through ``make_matrix_semigroup``.
+    """
     if C.space != space or bound.space != space:
         raise SpaceMismatch("C and the certificate must live on the given space")
     if C.dim != dim:
         raise DimMismatch(f"C has dim {C.dim}, expected {dim}")
     _require_injective(C, "C", NotInjective)
-    w0 = evaluator(0.0)
-    gap = _frobenius_per_atom(w0.matrices - C.matrices)
-    bad = np.nonzero(gap > TIME_ZERO_TOL)[0]
-    if bad.size:
-        a = int(bad[0])
-        raise InitialValueMismatch(
-            f"family does not start at C on atom {a} (gap {gap[a]!r})", atom=a
-        )
-    _check_growth(evaluator, bound)
-    return CSemigroup(space, dim, C, bound, evaluator=evaluator)
+
+    def family_at(t: float) -> np.ndarray:
+        op = evaluator(t)
+        if not isinstance(op, L0Operator):
+            raise TypeError("family evaluator must return an L0Operator")
+        if op.space != space or op.dim != dim:
+            raise SpaceMismatch(f"family evaluator returned another space/dim at t={t!r}")
+        return op.matrices
+
+    ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
+    mats = np.stack([family_at(float(t)) for t in ts])
+    _raise_first_departure(ts[:1], mats[:1], C.matrices[None])
+    A = _recover_generator(C, family_at)
+    _raise_first_departure(ts, mats, _generated(A, C, ts))
+    return make_matrix_semigroup(A, C, bound)
 
 
 def evaluate(W: CSemigroup, t: float, x: RnVector) -> RnVector:
@@ -246,16 +286,11 @@ def _solve_c(C: L0Operator, rhs: np.ndarray) -> RnVector:
 
 
 def _orbit_curve(
-    family: Callable[[float], L0Operator],
-    bound: ExponentialBound,
-    x: RnVector,
-    stacked: Callable[[np.ndarray], np.ndarray] | None = None,
+    A: L0Operator, C: L0Operator, bound: ExponentialBound, x: RnVector
 ) -> CurveSampler:
-    """Orbit t -> family(t)x with the induced per-atom certificate M ||x||.
+    """Orbit t -> exp(tA) C x with the induced per-atom certificate M ||x||.
 
-    ``stacked`` maps an array of times to the family's operators there,
-    shape (len(ts), n_atoms, d, d); the orbit then samples in one call.
-    That call stacks the operators of at most one panel's nodes at a time,
+    Its batch stacks the operators of at most one panel's nodes at a time,
     so a quadrature round over many panels does not hold all their
     (times, n_atoms, d, d) operators at once; it is also faster than one
     call over the whole round.
@@ -267,21 +302,17 @@ def _orbit_curve(
     def batch(ts: np.ndarray) -> np.ndarray:
         step = len(_NODES)
         return np.concatenate([
-            np.einsum("taij,aj->tai", stacked(ts[i:i + step]), x.values)
+            np.einsum("taij,aj->tai", _generated(A, C, ts[i:i + step]), x.values)
             for i in range(0, len(ts), step)
         ])
 
-    return CurveSampler(
-        bound.space, x.dim, 0.0, math.inf, lambda s: op_apply(family(s), x),
-        bound=cert, batch=None if stacked is None else batch,
-    )
+    return CurveSampler.from_batch(bound.space, x.dim, 0.0, math.inf, batch, bound=cert)
 
 
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
     """Resolvent route through the transform of the orbit t -> W(t)x."""
     eta = _coerce_eta(W.space, eta)
-    stacked = None if W.generator is None else partial(_generated, W.generator, W.C)
-    curve = _orbit_curve(W.operator_at, W.bound, x, stacked)
+    curve = _orbit_curve(W.generator, W.C, W.bound, x)
     return improper_integral(curve, eta, tol).value
 
 
@@ -315,26 +346,6 @@ def resolvent_operator(A: L0Operator, C: L0Operator, eta) -> L0Operator:
     eta = _coerce_eta(A.space, eta)
     inv = _shifted_inverse(A, eta)
     return L0Operator.of(A.space, inv @ C.matrices)
-
-
-def transform_identity_gap(
-    family: Callable[[float], L0Operator],
-    A: L0Operator,
-    C: L0Operator,
-    bound: ExponentialBound,
-    eta,
-    x: RnVector,
-    tol: float,
-) -> float:
-    """Worst-atom gap between the family's transform on x and the resolvent.
-
-    Small gaps on a damping grid are the transform characterization of the
-    family generated by (A, C); a perturbed family shows a visible gap.
-    """
-    eta = _coerce_eta(A.space, eta)
-    integral = improper_integral(_orbit_curve(family, bound, x), eta, tol).value
-    direct = c_resolvent_direct(A, C, eta, x)
-    return float(l0_norm(integral - direct).values.max())
 
 
 def yosida_approximant(
@@ -488,19 +499,13 @@ def hille_yosida_report(
     are compared on the first basis vector e_1 of every atom.  An empty grid
     yields an empty report that passes vacuously on the per-eta rows.
     """
-    if A.space != C.space or A.space != bound.space:
-        raise SpaceMismatch("A, C and the certificate must share one space")
-    if A.dim != C.dim:
-        raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
+    comm = _commutator_gaps(A, C, bound)
     if n_max < 1:
         raise ValueError("the ladder needs n_max >= 1")
     probe = RnVector.constant(A.space, np.eye(A.dim)[0])
-    comm = _frobenius_per_atom(A.matrices @ C.matrices - C.matrices @ A.matrices)
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
     M = bound.M.values
-    probe_curve = _orbit_curve(
-        lambda s: matrix_exp(A, s) @ C, bound, probe, partial(_generated, A, C)
-    )
+    probe_curve = _orbit_curve(A, C, bound, probe)
     ladder = []  # (eta, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)

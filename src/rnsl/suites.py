@@ -64,6 +64,7 @@ from .rn import (
 from .scenario import Scenario
 from .semigroup import (
     _generated,
+    _orbit_curve,
     abel_limit_check,
     c_resolvent_direct,
     c_resolvent_integral,
@@ -391,13 +392,12 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
         W = make_matrix_semigroup(A, C, bound)
         x = random_vector(rng, scn.space, scn.dim, -1.0, 1.0)
-        orbit = CurveSampler(
-            scn.space, scn.dim, 0.0, math.inf, lambda t: evaluate(W, t, x)
-        )
+        orbit = _orbit_curve(A, C, bound, x)
         t0 = 0.8
         slope = derivative(orbit, t0, 1e-3)
-        front = evaluate(W, t0, op_apply(A, x))
-        back = op_apply(A, evaluate(W, t0, x))
+        w_t0 = W.operator_at(t0)
+        front = op_apply(w_t0, op_apply(A, x))
+        back = op_apply(A, op_apply(w_t0, x))
         deriv.add(np.maximum(
             l0_norm(slope - front).values, l0_norm(slope - back).values
         ))
@@ -408,17 +408,13 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
             op_apply(A, area) - (evaluate(W, s0, x) - op_apply(C, x))
         ).values)
 
-        def smooth(s: float) -> RnVector:
-            return op_apply(C, op_apply(C, evaluate(W, s, x)))
-
         def steepest(n: int) -> float:
+            # the largest difference quotient of the smooth orbit s -> C C W(s) x
             ts = np.linspace(0.0, 2.0, n)
-            vals = [smooth(float(s)) for s in ts]
-            step = ts[1] - ts[0]
-            return max(
-                float(l0_norm(b - a).values.max()) / step
-                for a, b in zip(vals, vals[1:])
-            )
+            vals = np.einsum("taij,aj->tai", _generated(A, C, ts), x.values)
+            for _ in range(2):
+                vals = np.einsum("aij,taj->tai", C.matrices, vals)
+            return float(block_norms(np.diff(vals, axis=0)).max()) / (ts[1] - ts[0])
 
         coarse, fine = steepest(17), steepest(33)
         if coarse > 1e-12:

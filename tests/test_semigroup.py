@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from rnsl import (
     NotInjective,
     RnVector,
     SolveFailed,
+    SpaceMismatch,
     StepUnderflow,
     abel_limit_check,
     c_resolvent_direct,
@@ -35,9 +35,9 @@ from rnsl import (
     matrix_exp,
     matrix_exp_times,
     op_apply,
+    op_norm,
     resolvent_operator,
     riemann_integral,
-    transform_identity_gap,
     yosida_approximant,
 )
 from rnsl import semigroup as semigroup_module
@@ -63,6 +63,13 @@ def exact_growth_gate(A, C, bound):
     semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts))
 
 
+def growth_loop(A, C, bound):
+    """The growth gate one time at a time, with exact norms of matrix_exp(A, t) C."""
+    for t in np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES):
+        norms = op_norm(matrix_exp(A, float(t)) @ C).values
+        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None])
+
+
 def growth_outcome(check, A, C, bound):
     """"passed", or the message, time and atom of the BoundViolated that ``check`` raises."""
     try:
@@ -74,8 +81,7 @@ def growth_outcome(check, A, C, bound):
 
 class TestConstruction:
     def test_diagonal_pair_valid(self, space2):
-        *_, W = diag_semigroup(space2)
-        assert W.kind == "matrix_generated"
+        diag_semigroup(space2)
 
     def test_non_injective_c_rejected(self, space2):
         A = L0Operator.zeros(space2, 2)
@@ -93,8 +99,7 @@ class TestConstruction:
         random_commuting_pair(rng, space, 4)
         random_vector(rng, space, 4, -1.0, 1.0)
         A, C, bound = random_commuting_pair(rng, space, 4)
-        W = make_matrix_semigroup(A, C, bound)
-        assert W.kind == "matrix_generated"
+        make_matrix_semigroup(A, C, bound)
 
     def test_upper_triangular_commuting_pair(self, space1):
         A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
@@ -104,8 +109,7 @@ class TestConstruction:
         np.testing.assert_array_equal(ac, [[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_array_equal(ac, ca)
         bound = ExponentialBound.constant(space1, 15.0, 0.5)
-        W = make_matrix_semigroup(A, C, bound)
-        assert W.kind == "matrix_generated"
+        make_matrix_semigroup(A, C, bound)
 
     def test_noncommuting_rejected(self, space1):
         A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
@@ -135,9 +139,8 @@ class TestConstruction:
         bound = ExponentialBound(L0Scalar.one(space), L0Scalar.of(space, [0.1, -1.0, 0.5, 0.2]))
         if overflow:
             bound = ExponentialBound(bound.M, L0Scalar.of(space, [0.1, -1.0, 0.5, 100.0]))
-        loop = semigroup_module._check_growth
         with pytest.raises(BoundViolated) as by_loop:
-            loop(lambda t: matrix_exp(A, t) @ C, bound)
+            growth_loop(A, C, bound)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BoundViolated) as stacked:
@@ -193,7 +196,6 @@ class TestConstruction:
         W = make_sampled_semigroup(
             space2, 1, C, lambda t: matrix_exp(A, t) @ C, bound
         )
-        assert W.kind == "sampled"
         x = RnVector.of(space2, [[1.0], [1.0]])
         got = evaluate(W, 1.0, x).values[:, 0]
         np.testing.assert_allclose(got, [math.exp(0.5), math.exp(-1.0)], rtol=1e-12)
@@ -202,8 +204,8 @@ class TestConstruction:
         # d = 0: C is the injective map of the zero space, and every norm is 0
         A, C = L0Operator.zeros(space2, 0), L0Operator.identity(space2, 0)
         bound = ExponentialBound.constant(space2, 1.0, 0.0)
-        assert make_matrix_semigroup(A, C, bound).kind == "matrix_generated"
-        assert make_sampled_semigroup(space2, 0, C, lambda t: C, bound).kind == "sampled"
+        make_matrix_semigroup(A, C, bound)
+        assert make_sampled_semigroup(space2, 0, C, lambda t: C, bound).generator.dim == 0
 
     def test_sampled_family_must_start_at_c(self, space2):
         _, C, bound, _ = diag_semigroup(space2)
@@ -211,6 +213,54 @@ class TestConstruction:
             make_sampled_semigroup(
                 space2, 1, C, lambda t: C.scale(1.0 + 0.1 * (t == 0.0)), bound
             )
+
+    def test_sampled_non_semigroup_rejected_at_its_departure(self, space2):
+        # atom 0 is exp(0.5 t); atom 1 is 1 + t, where W(2) = 3 but W(1) W(1) = 4:
+        # its recovered rate log(1.25) / 0.25 gives exp(0.89 t), 0.8% off at t = 10/31
+        C = L0Operator.identity(space2, 1)
+        bound = ExponentialBound.constant(space2, 1.0, 1.0)
+
+        def affine(t: float) -> L0Operator:
+            return L0Operator.of(space2, [[[math.exp(0.5 * t)]], [[1.0 + t]]])
+
+        with pytest.raises(InitialValueMismatch) as exc:
+            make_sampled_semigroup(space2, 1, C, affine, bound)
+        t = semigroup_module.GROWTH_HORIZON / (semigroup_module.GROWTH_SAMPLES - 1)
+        assert (exc.value.t, exc.value.atom) == (t, 1)
+        assert f"t={t!r} on atom 1" in str(exc.value)
+
+    def test_sampled_family_discontinuous_at_zero_rejected(self, space2):
+        C = L0Operator.identity(space2, 1)
+        bound = ExponentialBound.constant(space2, 2.0, 0.0)
+        with pytest.raises(StepUnderflow, match="atom 0"):
+            make_sampled_semigroup(
+                space2, 1, C, lambda t: C.scale(1.0 + (t > 0.0)), bound
+            )
+
+    def test_sampled_evaluator_output_is_checked(self, space2):
+        _, C, bound, _ = diag_semigroup(space2)
+        with pytest.raises(TypeError):
+            make_sampled_semigroup(space2, 1, C, lambda t: C.matrices, bound)
+        wider = L0Operator.identity(space2, 2)
+        with pytest.raises(SpaceMismatch):
+            make_sampled_semigroup(space2, 1, C, lambda t: C if t == 0.0 else wider, bound)
+
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    @pytest.mark.parametrize("atoms", [1, 1024])
+    def test_sampled_commuting_pair_recovers_its_generator(self, atoms, dim):
+        space = make_space(np.full(atoms, 1.0 / atoms))
+        rng = rng_for(atoms * dim, "sampled-family")
+        A, C, bound = random_commuting_pair(rng, space, dim)
+        W = make_sampled_semigroup(space, dim, C, lambda t: matrix_exp(A, t) @ C, bound)
+        # entry gaps against the largest entry of A, or 1 where A is smaller: the
+        # log series runs at a step h <= 1, so rounding leaves about eps / h
+        size = np.maximum(1.0, np.abs(A.matrices).max(axis=(1, 2)))
+        gap = np.abs(W.generator.matrices - A.matrices).max(axis=(1, 2))
+        assert (gap <= semigroup_module.SAMPLED_RTOL * size).all()
+        x = random_vector(rng, space, dim, -1.0, 1.0)
+        want = c_resolvent_integral(make_matrix_semigroup(A, C, bound), 3.0, x, 1e-6)
+        got = c_resolvent_integral(W, 3.0, x, 1e-6)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
 
 def commuting_pair_by_atom(rng, space, dim):
@@ -360,24 +410,6 @@ class TestResolventRoutes:
         rhs = c_resolvent_direct(A, C, 2.0, x)
         assert l0_norm(lhs - rhs).values.max() <= 1e-13
 
-    def test_transform_identity_gap_small_for_true_family(self, space2):
-        A, C, bound, W = diag_semigroup(space2)
-        x = RnVector.of(space2, [[1.0], [1.0]])
-        gap = transform_identity_gap(
-            W.operator_at, A, C, bound, 2.0, x, 1e-8
-        )
-        assert gap <= 1e-6
-
-    def test_transform_identity_gap_flags_perturbed_family(self, space2):
-        A, C, bound, W = diag_semigroup(space2)
-        x = RnVector.of(space2, [[1.0], [1.0]])
-
-        def perturbed(t: float) -> L0Operator:
-            return W.operator_at(t).scale(1.0 + 0.05 * math.exp(-t))
-
-        gap = transform_identity_gap(perturbed, A, C, bound, 2.0, x, 1e-8)
-        assert gap > 1e-3
-
     @pytest.mark.parametrize("atoms", [1, 1024])
     def test_orbit_batch_slices_are_bitwise_neutral(self, atoms):
         # the orbit samples its operators 15 times at a time; 16 times cross a
@@ -386,10 +418,7 @@ class TestResolventRoutes:
         rng = rng_for(atoms, "orbit-slices")
         A, C, bound = random_commuting_pair(rng, space, 4)
         x = random_vector(rng, space, 4, -1.0, 1.0)
-        curve = semigroup_module._orbit_curve(
-            lambda s: matrix_exp(A, s) @ C, bound, x,
-            partial(semigroup_module._generated, A, C),
-        )
+        curve = semigroup_module._orbit_curve(A, C, bound, x)
         ts = np.linspace(0.0, 3.0, 16)
         want = np.einsum("taij,aj->tai", matrix_exp_times(A, ts) @ C.matrices, x.values)
         assert np.array_equal(curve.sample(ts), want)
