@@ -136,7 +136,7 @@ def initial_vector(p: AcpProblem) -> RnVector:
 def solve_acp(p: AcpProblem) -> Trajectory:
     """Evaluate u(t) = W(t) v0 on the grid with residuals and graph norms."""
     v0 = initial_vector(p)
-    mats = _generated(p.W.generator, p.W.C, p.times)
+    mats = _generated(p.W.generator.matrices, p.W.C.matrices, p.times)
     return _trajectory(p.W.generator, p.times, np.einsum("taij,aj->tai", mats, v0.values))
 
 
@@ -147,7 +147,9 @@ def rk4_oracle(
 
     Each grid interval is covered by n equal substeps h no larger than
     ``step``.  One classical RK4 step is exactly v <- P(hA) v with
-    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so an interval applies P(hA)^n.
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so an interval applies P(hA)^n,
+    formed once per distinct (h, n) of the call: on a uniform grid the
+    intervals share a few rounded steps.
     It shares no code with the family evaluation path (``matrix_exp_times``),
     which is what makes agreement between the two meaningful.
     """
@@ -160,11 +162,15 @@ def rk4_oracle(
         raise DimMismatch("A, C and v0 must share one dimension")
     eye = np.eye(A.dim)
     v = [v0.values]
+    propagators = {}  # (h, n) -> P(hA)^n
     with np.errstate(over="ignore", invalid="ignore"):  # _trajectory rejects non-finite states
         for a, b in zip(ts, ts[1:]):
             n_sub = max(1, int(math.ceil((b - a) / step - 1e-12)))
-            hA = ((b - a) / n_sub) * A.matrices
-            P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
-            v.append(np.einsum("aij,aj->ai", np.linalg.matrix_power(P, n_sub), v[-1]))
+            key = ((b - a) / n_sub, n_sub)
+            if key not in propagators:
+                hA = key[0] * A.matrices
+                P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+                propagators[key] = np.linalg.matrix_power(P, n_sub)
+            v.append(np.einsum("aij,aj->ai", propagators[key], v[-1]))
         u = np.einsum("aij,taj->tai", C.matrices, np.stack(v))
     return _trajectory(A, ts, u)

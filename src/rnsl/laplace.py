@@ -72,8 +72,8 @@ class LaplaceSpec:
             if bad.size:
                 i, a = (int(v) for v in bad[0])
                 raise BoundViolated(
-                    f"curve norm {norms[i, a]!r} escapes its envelope "
-                    f"{envelope[i, a]!r} at s={float(ts[i])!r} on atom {a}",
+                    f"curve norm {float(norms[i, a])!r} escapes its envelope "
+                    f"{float(envelope[i, a])!r} at s={float(ts[i])!r} on atom {a}",
                     atom=a,
                     t=float(ts[i]),
                 )

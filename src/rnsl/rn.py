@@ -8,6 +8,7 @@ spectral norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ _TAYLOR_DEGREE = 18
 _THETA18 = 1.09
 _DEGREES = np.arange(_TAYLOR_DEGREE + 1)
 _INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_DEGREE + 1)])
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -340,7 +342,7 @@ def spectral_norm_bounds(mats: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.einsum("...ij,...ij->...", g, g))
     for _ in range(_GRAM_SQUARINGS + 1):
         root = np.sqrt(root)
-    return scale * root * (1.0 + 2.0 * (d + 1) ** 2 * np.finfo(float).eps)
+    return scale * root * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
 
 
 def op_norm(T: L0Operator) -> L0Scalar:
@@ -424,6 +426,94 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
         g = f[act]
         f[act] = g @ g
     return f.reshape(len(ts), n, d, d)
+
+
+def log_norm_bounds(mats: np.ndarray) -> np.ndarray:
+    """Upper bound on each block's logarithmic 2-norm mu_2(block), shape (..., d, d).
+
+    mu_2(M) = lambda_max((M + M^T) / 2), and ||exp(tM)||_2 <= exp(t mu_2(M))
+    for t >= 0 (Lumer and Phillips, 1961; Söderlind, BIT 46, 2006).  One
+    batched eigvalsh of H = (B + B^T) / 2 with B = block / max|entry|.
+
+    Rounding allowance, with u = eps / 2 and p u the backward error of
+    eigvalsh (p <= d^2, as in ``spectral_norm_bounds``).  B is within u |B|
+    of exact, so the computed H is within (2 + u) u of the exact one
+    entrywise and (2 + u) d u in 2-norm.  Its entries are at most 1, so
+    ||H||_2 <= d, and the top eigenvalue is exact for a matrix within p d u
+    of it.  Adding the allowance and multiplying by the scale lose at most
+    2 u (d + 1) more.  The total, below (p + 4) d u + 3 u, is covered by
+    the allowance (d + 1)^3 eps = 2 (d + 1)^3 u.  A zero block, or d = 0,
+    has bound 0.
+    """
+    d = mats.shape[-1]
+    if d == 0:
+        return np.zeros(mats.shape[:-2])
+    scale, b = _scaled(mats)
+    top = np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, -2, -1)))[..., -1]
+    return scale * (top + (d + 1) ** 3 * _EPS)
+
+
+def exp_norm_bounds(a: np.ndarray, c: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Upper bound on ``spectral_norms(_expm_times(a, ts) @ c)`` from no exponential.
+
+    ``a`` and ``c`` are (n, d, d) stacks and ``ts`` holds times t >= 0; the
+    result is (len(ts), n), +inf on the blocks where no bound is given.  For
+    a block pair (A, C), ||exp(tA) C||_2 <= ||C||_2 exp(t mu_2(A)), and the
+    bound is c+ exp(t mu+) (1 + margin) with
+    * c+ = ``spectral_norms``(C) (1 + 2 (d + 1)^2 eps) >= ||C||_2: by
+      ``spectral_norm_bounds``' argument, the computed norm is at least
+      ||C||_2 (1 - (1.01 d^2 + d^(1/2) + 2) u), u = eps / 2;
+    * mu+ = ``log_norm_bounds``(A) >= mu_2(A).
+
+    The margin.  The bound above is on the exact norm, while the growth
+    gate judges the computed exponentials, which the kernel's rounding can
+    push above it; 1 + margin = exp(2x) covers that for every t in [0, T],
+    T = max(ts).  Let nu, s(t) and beta be the kernel's 1-norm, squarings
+    and scaled time, so 2^s <= max(1, 2 T nu (1 + u) / theta_18) and
+    t / 2^s <= theta_18 (1 + u) / nu, and let g = d gamma_d <= 1.01 d^2 u (a
+    computed d x d product errs by at most g ||X||_2 ||Y||_2).
+    * beta (A / nu) 2^s is t A + E with ||E||_2 <= e = 2.02 d^(1/2) u T nu,
+      from the rounding of t nu and A / nu, so the kernel exponentiates
+      matrices with mu_2 <= t mu+ + e =: 2^s m.
+    * The degree-18 Taylor sum at ||beta A / nu||_1 <= theta_18 (1 + (d + 2) u)
+      truncates below 0.41 u, and its powers, coefficients (pow within
+      4 ulp) and 19-term row product round within
+      e^theta_18 (theta_18 gamma_d + 29 u), both in 1-norm.  Against
+      exp(m), which bounds the exact exponential's 2-norm, that is
+      d0 = d^(1/2) (4 d + 90) u exp(-m) with
+      exp(-m) <= exp(1.1 max(0, -mu+) / nu).
+    * After k squarings the error against exp(2^k m) is d_k with
+      1 + d_(k+1) <= (1 + d_k)^2 (1 + g), so 1 + d_s <= exp(2^s (d0 + g)).
+    * The product by C adds g, and ``spectral_norms`` at most
+      (1.01 d^2 + d^(1/2) + 2) u over the exact norm.
+    So x = e + 2^s (d0 + g) + g + (1.01 d^2 + d^(1/2) + 2) u + (2 T |mu+| + 20) u,
+    whose last term covers this function's own exp and products; the
+    factor 2 in exp(2x) covers the second-order terms and the rounding of x.
+    A block's bound is given only where x <= 1/8, c+ lies within
+    exp(+-127) and exp(T mu+) within exp(+-128): there no intermediate of
+    the kernel overflows, and underflow, at most 2^-1075 a product, stays
+    far below u against them.
+    """
+    d = a.shape[-1]
+    u = 0.5 * _EPS
+    root_d = math.sqrt(d)
+    horizon = float(ts.max(initial=0.0))
+    c_plus = spectral_norms(c) * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
+    mu = log_norm_bounds(a)
+    nu = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)  # as _expm_times takes it
+    g = 1.01 * d * d * u
+    with np.errstate(all="ignore"):  # out-of-range values fail the range test below
+        doublings = np.maximum(1.0, (2.0 * horizon / _THETA18) * nu)
+        lag = np.exp(np.divide(np.maximum(-1.1 * mu, 0.0), nu, out=np.zeros_like(nu), where=nu > 0.0))
+        x = (
+            (2.02 * root_d * u * horizon) * nu
+            + doublings * ((root_d * (4 * d + 90) * u) * lag + g)
+            + (2.0 * horizon * u) * np.abs(mu)
+            + (g + (1.01 * d * d + root_d + 22.0) * u)
+        )
+        given = (x <= 0.125) & (np.abs(horizon * mu) <= 128.0) & (np.abs(np.log(c_plus)) <= 127.0)
+        bound = c_plus * np.exp(np.multiply.outer(ts, mu) + 2.0 * x)
+    return np.where(given, bound, np.inf)
 
 
 def matrix_exp_times(A: L0Operator, ts) -> np.ndarray:

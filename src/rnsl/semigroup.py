@@ -51,10 +51,11 @@ from .rn import (
     L0Operator,
     RnVector,
     _check_finite,
+    _expm_times,
     check_injective,
+    exp_norm_bounds,
     l0_norm,
     matrix_exp,
-    matrix_exp_times,
     op_apply,
     spectral_norm_bounds,
     spectral_norms,
@@ -104,19 +105,26 @@ def _require_injective(T: L0Operator, what: str, error: type) -> None:
         a = rep.witness_atom
         raise error(
             f"{what} is numerically singular on atom {a} "
-            f"(singular value ratio {rep.min_sv_ratio[a]!r})",
+            f"(singular value ratio {float(rep.min_sv_ratio[a])!r})",
             atom=a,
         )
 
 
-def _raise_first_escape(ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray) -> None:
-    """BoundViolated at the first time, then the first atom, where norms escape."""
+def _raise_first_escape(
+    ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray, atoms: np.ndarray | None = None
+) -> None:
+    """BoundViolated at the first time, then the first atom, where norms escape.
+
+    Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``, or atom j
+    when ``atoms`` is None.
+    """
     hits = np.argwhere(norms > GROWTH_SLACK * envelope)
     if hits.size:
-        i, a = (int(v) for v in hits[0])
+        i, j = (int(v) for v in hits[0])
+        a = j if atoms is None else int(atoms[j])
         raise BoundViolated(
-            f"family norm {norms[i, a]!r} escapes its envelope {envelope[i, a]!r} "
-            f"at t={float(ts[i])!r} on atom {a}",
+            f"family norm {float(norms[i, j])!r} escapes its envelope "
+            f"{float(envelope[i, j])!r} at t={float(ts[i])!r} on atom {a}",
             atom=a,
             t=float(ts[i]),
         )
@@ -125,32 +133,56 @@ def _raise_first_escape(ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray)
 def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> None:
     """Growth gate for exp(tA) C on GROWTH_SAMPLES times up to GROWTH_HORIZON.
 
-    The operators at all the times come from one call.  A block whose
-    certified bound (``spectral_norm_bounds``, never below its exact norm)
-    is within the slackened envelope passes; only the others get exact
-    norms, so every escape, and the first one reported, is what exact norms
-    on every block give.  When that call overflows, the times are taken one
-    a call, so that an escape at an earlier time is still the error reported.
+    Three tiers, each on what the one before leaves open:
+    1. A block (time, atom) with a finite ``exp_norm_bounds`` bound,
+       ||C|| exp(t mu_2(A)) with its allowances and margin, within the
+       slackened envelope passes with no exponential.  An infinite envelope
+       settles no block without one, since its exponential may overflow.
+    2. The operators of the atoms and times with an open block come from
+       one call, and a block whose ``spectral_norm_bounds`` bound is within
+       the envelope passes.
+    3. Only the remaining blocks get exact norms.
+    Neither bound is ever below the exact norm of a computed block, and the
+    kernel and ``spectral_norms`` give each block the same bits whatever
+    the batch, so every escape, its message and the first one reported are
+    what exact norms on every block give.  When the call overflows, the
+    times are taken one a call, so that an escape at an earlier time is
+    still the error reported.
     """
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite envelope holds any finite norm
+        envelope = bound.envelope(ts)
+    bounds = exp_norm_bounds(A.matrices, C.matrices, ts)  # finite wherever one is given
+    open_blocks = ~((bounds <= GROWTH_SLACK * envelope) & (bounds < np.inf))
+    times, atoms = (np.flatnonzero(open_blocks.any(axis=k)) for k in (1, 0))
+    if not atoms.size:
+        return
+    ts, a, c = ts[times], A.matrices[atoms], C.matrices[atoms]
     try:
-        batches = [(ts, _generated(A, C, ts))]
+        batches = [(ts, _generated(a, c, ts), envelope[times][:, atoms])]
     except NonFiniteValue:
-        batches = ((ts[i:i + 1], _generated(A, C, ts[i:i + 1])) for i in range(len(ts)))
-    for times, mats in batches:
-        envelope = bound.envelope(times)
+        batches = (
+            (ts[i:i + 1], _generated(a, c, ts[i:i + 1]), bound.envelope(ts[i:i + 1])[:, atoms])
+            for i in range(len(ts))
+        )
+    for times, mats, envelope in batches:
         norms = spectral_norm_bounds(mats)
         undecided = ~(norms <= GROWTH_SLACK * envelope)
-        norms[undecided] = spectral_norms(mats[undecided])
-        _raise_first_escape(times, norms, envelope)
+        if undecided.any():
+            norms[undecided] = spectral_norms(mats[undecided])
+        _raise_first_escape(times, norms, envelope, atoms)
 
 
-def _generated(A: L0Operator, C: L0Operator, ts) -> np.ndarray:
-    """exp(tA) C at every time of ``ts``: shape (len(ts), n_atoms, d, d)."""
+def _generated(a: np.ndarray, c: np.ndarray, ts) -> np.ndarray:
+    """exp(tA) C for each block A of ``a`` and C of ``c`` at every time of ``ts``.
+
+    ``a`` and ``c`` are (n, d, d) stacks; the result is (len(ts), n, d, d).
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    _check_finite(ts, "time")
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = matrix_exp_times(A, ts) @ C.matrices
-    if not np.isfinite(mats).all():
-        raise NonFiniteValue("operator entries must be finite")
+        mats = _expm_times(a, ts) @ c
+    _check_finite(mats, "operator entries")
     return mats
 
 
@@ -164,7 +196,7 @@ def make_matrix_semigroup(
     if bad.size:
         a = int(bad[0])
         raise NonCommuting(
-            f"A and C do not commute on atom {a} (gap {comm[a]!r})", atom=a
+            f"A and C do not commute on atom {a} (gap {float(comm[a])!r})", atom=a
         )
     _check_growth(A, C, bound)
     return CSemigroup(A.space, A.dim, C, bound, A)
@@ -190,18 +222,19 @@ def _raise_first_departure(ts: np.ndarray, mats: np.ndarray, want: np.ndarray) -
         )
 
 
-def _recover_generator(C: L0Operator, family_at: Callable[[float], np.ndarray]) -> L0Operator:
-    """The A with exp(hA) = C^{-1} W(h) on every atom, by a log series at a small h.
+def _recover_generator(
+    C: L0Operator, family_at: Callable[[float], np.ndarray], h: float = 1.0
+) -> tuple[L0Operator, float]:
+    """The A with exp(hA) = C^{-1} W(h) on every atom, by a log series at a small h, and that h.
 
-    h halves from 1 until X = C^{-1} W(h) - I has ||X||_1 <= 1/4 on every
+    h halves from ``h`` until X = C^{-1} W(h) - I has ||X||_1 <= 1/4 on every
     atom; then A = log(I + X) / h, with log(I + X) = X - X^2/2 + X^3/3 - ...
     summed to _LOG_TERMS terms.  A family that stays away from C as h -> 0
     raises StepUnderflow once h falls below MIN_STEP.  A generator that
     turns a whole period in h (exp(hA) = I with hA != 0) is not seen at that
-    step; the check against exp(tA) C then rejects the family.
+    step; ``make_sampled_semigroup`` then recovers once more below h.
     """
     eye = np.eye(C.dim)
-    h = 1.0
     while True:
         X = np.linalg.solve(C.matrices, family_at(h)) - eye
         far = np.nonzero(~(np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0) <= 0.25))[0]
@@ -216,7 +249,7 @@ def _recover_generator(C: L0Operator, family_at: Callable[[float], np.ndarray]) 
     series = eye / _LOG_TERMS  # Horner: log(I + X) = X (I - X (I/2 - X (I/3 - ...)))
     for k in range(_LOG_TERMS - 1, 0, -1):
         series = eye / k - X @ series
-    return L0Operator.of(C.space, (X @ series) / h)
+    return L0Operator.of(C.space, (X @ series) / h), h
 
 
 def make_sampled_semigroup(
@@ -230,7 +263,11 @@ def make_sampled_semigroup(
 
     W must match exp(tA) C within SAMPLED_RTOL at the growth check's times,
     W(0) = C first; a departure raises InitialValueMismatch at its time and
-    atom.  (A, C, bound) then go through ``make_matrix_semigroup``.
+    atom.  When the first A departs, A is recovered once more from half its
+    step down, which finds a generator that turned a whole period in that
+    step (a rotation by 2 pi at h = 1); if that A departs too, the first
+    departure is raised.  (A, C, bound) then go through
+    ``make_matrix_semigroup``.
     """
     if C.space != space or bound.space != space:
         raise SpaceMismatch("C and the certificate must live on the given space")
@@ -249,8 +286,15 @@ def make_sampled_semigroup(
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
     mats = np.stack([family_at(float(t)) for t in ts])
     _raise_first_departure(ts[:1], mats[:1], C.matrices[None])
-    A = _recover_generator(C, family_at)
-    _raise_first_departure(ts, mats, _generated(A, C, ts))
+    A, h = _recover_generator(C, family_at)
+    try:
+        _raise_first_departure(ts, mats, _generated(A.matrices, C.matrices, ts))
+    except InitialValueMismatch as first:
+        A, _ = _recover_generator(C, family_at, 0.5 * h)
+        try:
+            _raise_first_departure(ts, mats, _generated(A.matrices, C.matrices, ts))
+        except InitialValueMismatch:
+            raise first from None
     return make_matrix_semigroup(A, C, bound)
 
 
@@ -302,7 +346,7 @@ def _orbit_curve(
     def batch(ts: np.ndarray) -> np.ndarray:
         step = len(_NODES)
         return np.concatenate([
-            np.einsum("taij,aj->tai", _generated(A, C, ts[i:i + step]), x.values)
+            np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts[i:i + step]), x.values)
             for i in range(0, len(ts), step)
         ])
 

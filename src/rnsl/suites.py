@@ -322,7 +322,7 @@ def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
         make_matrix_semigroup(A, C, bound)  # the law is checked on a validated family
         s, t = rng.uniform(0.0, 2.0, 2)
         x = random_vector(rng, scn.space, scn.dim, -2.0, 2.0).values
-        w_st, w_t, w_s, w_0 = _generated(A, C, [s + t, t, s, 0.0])
+        w_st, w_t, w_s, w_0 = _generated(A.matrices, C.matrices, [s + t, t, s, 0.0])
         lhs = np.einsum("aij,aj->ai", C.matrices, np.einsum("aij,aj->ai", w_st, x))
         rhs = np.einsum("aij,aj->ai", w_t, np.einsum("aij,aj->ai", w_s, x))
         law.add(block_norms(lhs - rhs))
@@ -411,7 +411,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         def steepest(n: int) -> float:
             # the largest difference quotient of the smooth orbit s -> C C W(s) x
             ts = np.linspace(0.0, 2.0, n)
-            vals = np.einsum("taij,aj->tai", _generated(A, C, ts), x.values)
+            vals = np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts), x.values)
             for _ in range(2):
                 vals = np.einsum("aij,taj->tai", C.matrices, vals)
             return float(block_norms(np.diff(vals, axis=0)).max()) / (ts[1] - ts[0])

@@ -153,6 +153,27 @@ class TestRk4Oracle:
         with pytest.raises(StepUnderflow):
             rk4_oracle(A, RnVector.of(space1, [[1.0]]), C, grid(5), 1e-13)
 
+    def test_one_power_per_distinct_step(self, monkeypatch):
+        # the default 21-point grid and acp_5_1's step: 20 intervals, 5 distinct rounded steps
+        space = make_space(np.full(16, 1.0 / 16))
+        rng = rng_for(0, "rk4")
+        A, C, _ = random_commuting_pair(rng, space, 4)
+        v0 = RnVector.of(space, rng.uniform(-1.0, 1.0, (16, 4)))
+        times, step = tuple(np.linspace(0.0, 1.0, 21)), 2e-3
+        powers = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda P, n: powers.append(n) or matrix_power(P, n))
+        got = rk4_oracle(A, v0, C, times, step)
+        assert len(powers) == 5
+        # the same P(hA)^n per interval, as one power per interval forms it
+        eye, v = np.eye(4), [v0.values]
+        for a, b in zip(times, times[1:]):
+            n_sub = max(1, int(math.ceil((b - a) / step - 1e-12)))
+            hA = ((b - a) / n_sub) * A.matrices
+            P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+            v.append(np.einsum("aij,aj->ai", matrix_power(P, n_sub), v[-1]))
+        assert np.array_equal(got.states, np.einsum("aij,taj->tai", C.matrices, np.stack(v)))
+
 
 class TestResidualsAndCsv:
     def test_residual_refinement_ratio(self, space1):

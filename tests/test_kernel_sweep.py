@@ -31,6 +31,7 @@ def test_worker_times_every_case(monkeypatch):
         ["matrix_exp_times"] * 4
         + ["op_norm"] * 2
         + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"]
+        + ["make_matrix_semigroup"]
         + ["scenario_from_dict"] * 2
         + ["laplace_transform", "post_widder", "post_widder"]
     )

@@ -30,6 +30,8 @@ from rnsl.rn import (
     _THETA18,
     _expm_times,
     _squarings,
+    exp_norm_bounds,
+    log_norm_bounds,
     spectral_norm_bounds,
     spectral_norms,
     worst_atom,
@@ -395,6 +397,81 @@ class TestStackedExp:
             matrix_exp_times(A, [0.0, t])
         with pytest.raises(NonFiniteValue, match="time must be finite"):
             matrix_exp(A, t)
+
+
+def exp_bound_pairs(rng, d: int) -> list:
+    """(A, C) stacks: Gaussian, normal and hostile generators at scales 1e-3, 1 and 1e3."""
+    q = np.linalg.qr(rng.normal(size=(32, d, d)))[0]
+    normal = (q * rng.uniform(-2.0, 0.5, (32, 1, d))) @ np.swapaxes(q, 1, 2)
+    pairs = []
+    for a in (rng.normal(size=(32, d, d)), normal, hostile_blocks(rng, d)):
+        c = rng.normal(size=a.shape) + 3.0 * np.eye(d)  # the bound does not need AC = CA
+        pairs += [(scale * a, c) for scale in (1e-3, 1.0, 1e3)]
+    return pairs
+
+
+class TestExpNormBounds:
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_log_norm_bound_is_tight_above_the_50_digit_value(self, rng, d):
+        blocks = np.concatenate([hostile_blocks(rng, d), rng.normal(size=(4, d, d))])
+        blocks = np.concatenate([blocks, 1e200 * blocks[:2], 1e-200 * blocks[:2]])
+        bounds = log_norm_bounds(blocks)
+        with mpmath.workdps(50):
+            for m, bound in zip(blocks, bounds):
+                sym = mpmath.matrix(m.tolist())
+                exact = max(mpmath.eigsy((sym + sym.T) / 2, eigvals_only=True))
+                scale = np.abs(m).max()
+                assert bound >= exact
+                assert bound - exact <= 2.0 * (d + 1) ** 3 * np.finfo(float).eps * scale
+
+    def test_log_norm_of_zero_and_empty_blocks_is_zero(self):
+        assert (log_norm_bounds(np.zeros((3, 2, 2))) == 0.0).all()
+        assert log_norm_bounds(np.zeros((3, 0, 0))).shape == (3,)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_never_below_the_norm_of_the_computed_exponential(self, rng, d):
+        ts = np.linspace(0.0, 10.0, 32)
+        given = total = 0
+        for a, c in exp_bound_pairs(rng, d):
+            bounds = exp_norm_bounds(a, c, ts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mats = _expm_times(a, ts) @ c
+            held = np.isfinite(bounds)
+            assert bounds.shape == (32, len(a)) and (bounds[~held] == np.inf).all()
+            assert np.isfinite(mats[held]).all()
+            assert (bounds[held] >= spectral_norms(mats[held])).all()
+            assert (bounds[held] >= np.linalg.svd(mats[held], compute_uv=False)[:, 0]).all()
+            given, total = given + held.sum(), total + held.size
+        assert given >= 0.5 * total  # not vacuous: about 70% of the blocks get a bound
+
+    def test_margin_covers_the_kernels_rounding(self):
+        # scalar rates: the computed exp(t a) can exceed exp(t mu+) by rounding,
+        # and only the margin keeps the bound above it
+        rng = np.random.default_rng(1)
+        a = rng.uniform(-12.0, 12.0, (4000, 1, 1))  # |10 a| <= 128: every block gets a bound
+        c = np.ones_like(a)
+        ts = np.linspace(0.0, 10.0, 32)
+        got = spectral_norms(_expm_times(a, ts) @ c)
+        raw = spectral_norms(c) * (1.0 + 8.0 * np.finfo(float).eps) * np.exp(np.multiply.outer(ts, log_norm_bounds(a)))
+        bounds = exp_norm_bounds(a, c, ts)
+        assert (got > raw).any() and np.isfinite(bounds).all()
+        assert (bounds >= got).all()
+
+    def test_bound_without_margin_holds_the_50_digit_norm(self, rng):
+        # c+ exp(t mu+) alone is a bound on the exact norm ||exp(tA) C||
+        ts = np.array([0.0, 0.5, 3.0])
+        for d in (2, 4):
+            a = hostile_blocks(rng, d)[[0, 2, 3, 5, 6]]
+            c = rng.normal(size=a.shape) + 3.0 * np.eye(d)
+            c_plus = spectral_norms(c) * (1.0 + 2.0 * (d + 1) ** 2 * np.finfo(float).eps)
+            raw = c_plus * np.exp(np.multiply.outer(ts, log_norm_bounds(a)))
+            with mpmath.workdps(50):
+                for j, t in enumerate(ts):
+                    for i in range(len(a)):
+                        w = mpmath.expm(mpmath.mpf(t) * mpmath.matrix(a[i].tolist()))
+                        w = w * mpmath.matrix(c[i].tolist())
+                        exact = max(mpmath.svd_r(w, compute_uv=False))
+                        assert raw[j, i] >= exact
 
 
 class TestWorstAtom:

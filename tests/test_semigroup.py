@@ -43,7 +43,8 @@ from rnsl import (
 from rnsl import semigroup as semigroup_module
 from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
-from rnsl.rn import spectral_norms
+from rnsl.laplace import make_laplace_spec
+from rnsl.rn import exp_norm_bounds, log_norm_bounds, spectral_norms
 
 
 def diag_semigroup(space):
@@ -59,7 +60,7 @@ def diag_semigroup(space):
 def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
-    norms = spectral_norms(semigroup_module._generated(A, C, ts))
+    norms = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts))
     semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts))
 
 
@@ -71,12 +72,124 @@ def growth_loop(A, C, bound):
 
 
 def growth_outcome(check, A, C, bound):
-    """"passed", or the message, time and atom of the BoundViolated that ``check`` raises."""
+    """"passed", or the message, time and atom of the BoundViolated that ``check`` raises.
+
+    An overflow gives its error's message.
+    """
     try:
         check(A, C, bound)
     except BoundViolated as exc:
         return str(exc), exc.t, exc.atom
+    except NonFiniteValue as exc:
+        return str(exc)
     return "passed"
+
+
+def gate_outcome(A, C, bound):
+    """The growth gate's outcome, after checking that both reference gates agree with it."""
+    got = growth_outcome(semigroup_module._check_growth, A, C, bound)
+    assert got == growth_outcome(exact_growth_gate, A, C, bound)
+    assert got == growth_outcome(growth_loop, A, C, bound)
+    return got
+
+
+def settled_atoms(A, C, bound) -> np.ndarray:
+    """The atoms the logarithmic-norm tier settles at every time of the gate."""
+    ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
+    bounds = exp_norm_bounds(A.matrices, C.matrices, ts)
+    with np.errstate(over="ignore"):
+        envelope = semigroup_module.GROWTH_SLACK * bound.envelope(ts)
+    return ((bounds <= envelope) & np.isfinite(bounds)).all(axis=0)
+
+
+def jordan_stack(space, dim, rng):
+    """Per atom A = r (-I/4 + N) for a random r in [0.5, 2] and C = I + A/2: non-normal and commuting."""
+    r = rng.uniform(0.5, 2.0, space.n_atoms)[:, None, None]
+    a = r * (-0.25 * np.eye(dim) + np.eye(dim, k=1))
+    return L0Operator.of(space, a), L0Operator.of(space, np.eye(dim) + 0.5 * a)
+
+
+class TestLogNormTier:
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_non_normal_jordan_pairs_settle_no_atom(self, dim):
+        space = make_space(np.full(8, 1.0 / 8))
+        A, C = jordan_stack(space, dim, np.random.default_rng(dim))
+        # mu_2(A) >= r/4 is above the spectral abscissa -r/4, so ||C|| exp(t mu_2)
+        # outgrows the envelope M of the family, which rises and then decays
+        assert (log_norm_bounds(A.matrices) >= 0.125).all()
+        ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
+        top = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts)).max(axis=0)
+        for factor, passes in ((1.01, True), (0.99, False)):
+            bound = ExponentialBound(L0Scalar.of(space, factor * top), L0Scalar.zero(space))
+            assert not settled_atoms(A, C, bound).any()
+            assert (gate_outcome(A, C, bound) == "passed") == passes
+
+    def test_mixed_stack_settles_all_but_the_escaping_atom(self):
+        space = make_space(np.full(8, 1.0 / 8))
+        A, C, bound = random_commuting_pair(rng_for(5, "tier"), space, 4)
+        xi = bound.xi.values.copy()
+        xi[5] -= 0.05  # atom 5's envelope falls behind its family after t = 0
+        bound = ExponentialBound(bound.M, L0Scalar.of(space, xi))
+        assert settled_atoms(A, C, bound).tolist() == [a != 5 for a in range(8)]
+        outcome = gate_outcome(A, C, bound)
+        assert outcome[2] == 5 and outcome[1] > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_scaled_generators(self, scale):
+        space = make_space(np.full(16, 1.0 / 16))
+        # rates within +-0.05 keep exp(10 * 1e3 * rate) finite and normal
+        A, C, bound = random_commuting_pair(rng_for(3, "tier"), space, 4, spec_lo=-0.05, spec_hi=0.05)
+        A = A.scale(scale)
+        exact = ExponentialBound(bound.M, L0Scalar.of(space, scale * bound.xi.values))
+        assert gate_outcome(A, C, exact) == "passed"
+        if scale <= 1.0:
+            assert settled_atoms(A, C, exact).all()
+        low = ExponentialBound(L0Scalar.of(space, (1.0 - 1e-6) * bound.M.values), exact.xi)
+        assert gate_outcome(A, C, low)[1:] == (0.0, 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    @pytest.mark.parametrize("atoms", [1, 1024])
+    def test_generated_pairs_settle_and_agree(self, atoms, dim):
+        space = make_space(np.full(atoms, 1.0 / atoms))
+        A, C, bound = random_commuting_pair(rng_for(atoms + dim, "tier"), space, dim)
+        assert settled_atoms(A, C, bound).all()
+        assert gate_outcome(A, C, bound) == "passed"
+        M = bound.M.values.copy()
+        M[-1] *= 1.0 - 1e-6  # the last atom escapes at t = 0
+        escaping = ExponentialBound(L0Scalar.of(space, M), bound.xi)
+        assert gate_outcome(A, C, escaping)[1:] == (0.0, atoms - 1)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_overflow_before_any_escape(self, dim):
+        space = make_space([0.25] * 4)
+        A, C, bound = random_commuting_pair(rng_for(dim, "tier"), space, dim)
+        shift = np.array([0.0, 0.0, 0.0, 100.0])  # atom 3 overflows at t = 10 and keeps its envelope before
+        A = L0Operator.of(space, A.matrices + shift[:, None, None] * np.eye(dim))
+        xi = bound.xi.values + shift
+        bound = ExponentialBound(bound.M, L0Scalar.of(space, xi))
+        assert settled_atoms(A, C, bound).tolist() == [True, True, True, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gate_outcome(A, C, bound) == "operator entries must be finite"
+
+    def test_exact_certificate_builds_no_exponential(self, monkeypatch):
+        space = make_space(np.full(64, 1.0 / 64))
+        A, C, bound = random_commuting_pair(rng_for(0, "tier"), space, 4)
+        calls = []
+
+        def counted(mats, ts):
+            calls.append(len(ts) * len(mats))
+            return expm_times(mats, ts)
+
+        expm_times = semigroup_module._expm_times
+        monkeypatch.setattr(semigroup_module, "_expm_times", counted)
+        make_matrix_semigroup(A, C, bound)
+        assert calls == []
+        xi = bound.xi.values.copy()
+        xi[3] -= 0.05
+        with pytest.raises(BoundViolated):
+            make_matrix_semigroup(A, C, ExponentialBound(bound.M, L0Scalar.of(space, xi)))
+        assert 0 < sum(calls) <= semigroup_module.GROWTH_SAMPLES  # atom 3 alone
 
 
 class TestConstruction:
@@ -191,6 +304,32 @@ class TestConstruction:
         assert outcomes[2][1:] == (0.0, 0)  # M just below ||C||: the first atom at t = 0
         assert outcomes[3] != "passed" and outcomes[3][2] == 5 and outcomes[3][1] > 0.0
 
+    def test_error_messages_print_plain_floats(self, space2):
+        # numpy 2 prints a numpy scalar's repr as np.float64(...)
+        C = L0Operator.identity(space2, 1)
+        rejects = [
+            (BoundViolated, lambda: make_matrix_semigroup(
+                L0Operator.of(space2, [[[1.0]], [[1.0]]]), C, ExponentialBound.constant(space2, 1.0, 0.0)
+            )),
+            (NonCommuting, lambda: make_matrix_semigroup(
+                L0Operator.from_matrix(space2, [[0.0, 1.0], [0.0, 0.0]]),
+                L0Operator.from_matrix(space2, [[1.0, 0.0], [0.0, 2.0]]),
+                ExponentialBound.constant(space2, 5.0, 0.5),
+            )),
+            (NotInjective, lambda: make_matrix_semigroup(
+                L0Operator.zeros(space2, 2), L0Operator.from_matrix(space2, [[1.0, 0.0], [2.0, 0.0]]),
+                ExponentialBound.constant(space2, 2.0, 0.0),
+            )),
+            (BoundViolated, lambda: make_laplace_spec(CurveSampler.from_batch(
+                space2, 1, 0.0, math.inf, lambda s: np.exp(s)[:, None, None] * np.ones((1, 2, 1)),
+                bound=ExponentialBound.constant(space2, 1.0, 0.0),
+            ))),
+        ]
+        for error, reject in rejects:
+            with pytest.raises(error) as exc:
+                reject()
+            assert "np.float64" not in str(exc.value) and "(np." not in str(exc.value)
+
     def test_sampled_family_wraps_evaluator(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
         W = make_sampled_semigroup(
@@ -244,6 +383,18 @@ class TestConstruction:
         wider = L0Operator.identity(space2, 2)
         with pytest.raises(SpaceMismatch):
             make_sampled_semigroup(space2, 1, C, lambda t: C if t == 0.0 else wider, bound)
+
+    def test_sampled_rotation_through_a_whole_period_is_recovered(self, space2):
+        # one and two turns a unit: exp(A) = I on both atoms, so the step h = 1
+        # reads the generator as 0; the second recovery, from h = 1/2 down, finds it
+        turn = np.array([[0.0, -2.0 * math.pi], [2.0 * math.pi, 0.0]])
+        A = L0Operator.of(space2, [turn, 2.0 * turn])
+        C = L0Operator.identity(space2, 2)
+        bound = ExponentialBound.constant(space2, 1.0, 0.0)
+        W = make_sampled_semigroup(space2, 2, C, lambda t: matrix_exp(A, t) @ C, bound)
+        np.testing.assert_allclose(W.generator.matrices, A.matrices, rtol=0.0, atol=1e-12)
+        first, h = semigroup_module._recover_generator(C, lambda t: (matrix_exp(A, t) @ C).matrices)
+        assert h == 1.0 and np.abs(first.matrices).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 4, 16])
     @pytest.mark.parametrize("atoms", [1, 1024])

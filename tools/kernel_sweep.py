@@ -11,7 +11,11 @@ n in {4, 64, 1024} atoms and dimension d in {1, 2, 4, 16};
 ``rn.op_norm`` over the same n and d on a stack of 32 x n blocks, the
 growth check's shape; ``semigroup.make_matrix_semigroup`` (injectivity,
 commutation and the 32-time growth check) at d = 4 over the same atom
-counts; ``instances.random_commuting_pair`` at d = 4 over the same atom
+counts, on the normal pairs below and on a non-normal pair whose
+logarithmic norm exceeds its certificate's rate, so that no atom settles
+before the exponentials (A = -I/2 + N with N the nilpotent shift,
+C = I + A/2, xi = 0 and M 1% above the largest norm of exp(tA) C over
+[0, 10]); ``instances.random_commuting_pair`` at d = 4 over the same atom
 counts; ``semigroup.hille_yosida_report`` at d = 4 over the same atom
 counts, on the ``hille_yosida_4_11`` suite's default damping grid
 {2, 4, 8, 16} and ladder depth 8; and ``scenario.scenario_from_dict`` over
@@ -83,6 +87,10 @@ def cases() -> list[dict]:
     out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
+    out += [
+        {"kernel": "make_matrix_semigroup", "atoms": n, "dim": SEMIGROUP_DIM, "pair": "jordan"}
+        for n in ATOMS
+    ]
     out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     out += [{"kernel": "laplace_transform", "atoms": n, "dim": TRANSFORM_DIM, "k": 0} for n in ATOMS]
     out += [
@@ -127,6 +135,18 @@ def spectra(n: int, d: int):
 def blocks(q: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Q diag(x) Q^T for every row x of ``diag``, shape (..., n, d)."""
     return (q * diag[..., None, :]) @ np.swapaxes(q, 1, 2)
+
+
+def jordan_pair(d: int):
+    """A = -I/2 + N, C = I + A/2 and the least M, within 1%, with ||exp(tA) C|| <= M on [0, 10]."""
+    shift = np.eye(d, k=1)
+    a = -0.5 * np.eye(d) + shift
+    c = np.eye(d) + 0.5 * a
+    ts = np.linspace(0.0, 10.0, 2001)
+    # exp(tA) = exp(-t/2) sum_k (tN)^k / k!, a finite sum since N^d = 0
+    powers = [np.linalg.matrix_power(shift, k) / np.prod(np.arange(1, k + 1)) for k in range(d)]
+    exps = np.exp(-0.5 * ts)[:, None, None] * sum(ts[:, None, None] ** k * p for k, p in enumerate(powers))
+    return a, c, 1.01 * np.linalg.norm(exps @ c, 2, axis=(1, 2)).max()
 
 
 def scenario_doc(q: np.ndarray, a: np.ndarray, c: np.ndarray) -> dict:
@@ -188,6 +208,11 @@ def worker(tree: str) -> list[float]:
         elif case["kernel"] == "random_commuting_pair":
             rng = np.random.default_rng(n)
             out.append(best_time(lambda: random_commuting_pair(rng, space, d)))
+        elif case.get("pair") == "jordan":
+            a_j, c_j, big_m = jordan_pair(d)
+            gen_j, c_op = (rnsl.L0Operator.from_matrix(space, m) for m in (a_j, c_j))
+            bound = rnsl.ExponentialBound.constant(space, big_m, 0.0)
+            out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen_j, c_op, bound)))
         else:
             c_op = rnsl.L0Operator.of(space, blocks(q, c))
             bound = rnsl.ExponentialBound(
