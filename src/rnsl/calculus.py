@@ -328,7 +328,7 @@ def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
     if bad.size:
         a = int(bad[0])
         raise EtaNotInGxi(
-            f"eta={eta.values[a]!r} does not dominate xi={xi.values[a]!r} "
+            f"eta={float(eta.values[a])!r} does not dominate xi={float(xi.values[a])!r} "
             f"on atom {a}",
             atom=a,
         )
@@ -345,7 +345,7 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
         if eta_values.min() <= 0.0:
             a = int(np.argmax(eta_values <= 0.0))
             raise NonPositiveEta(
-                f"a weight of order k={k} needs eta > 0, got eta={eta_values[a]!r} "
+                f"a weight of order k={k} needs eta > 0, got eta={float(eta_values[a])!r} "
                 f"on atom {a}",
                 atom=a,
             )
@@ -564,7 +564,7 @@ def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) 
     if coarse.size:
         a = int(coarse[0])
         raise MaxPanelsExceeded(
-            f"tolerance {tol_arr[a]!r} on atom {a} is below the double resolution "
+            f"tolerance {float(tol_arr[a])!r} on atom {a} is below the double resolution "
             f"{float(np.exp(log_resolution[a]))!r} of its scaled certificate integral",
             atom=a,
         )

@@ -293,56 +293,22 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     The top eigenvalue of B^T B keeps the relative accuracy of the top
     singular value; a zero block, or d = 0, has norm 0.  Each block's norm
     is independent of the other blocks of the call.
+
+    Accuracy from above, which the growth gate's margin uses.  Let
+    u = eps / 2, gamma_n = n u / (1 - n u) and sigma = ||B||_2.  B is
+    within u |B| of block / max|entry|, whose 2-norm it moves by at most
+    d^(1/2) u sigma.  A computed product X Y of d x d matrices errs by at
+    most gamma_d |X||Y| entrywise, whose 2-norm is at most g ||X||_2 ||Y||_2
+    with g = d gamma_d, so the Gram matrix is within g sigma^2 of B^T B.
+    LAPACK's eigenvalues are exact for a symmetric matrix within p u times
+    its norm of the one given (backward stability; p <= d^2 is assumed).
+    After the square root and the product by the scale, the norm is at most
+    ||block||_2 (1 + d^(1/2) u) (1 + g)^(1/2) (1 + p u)^(1/2) (1 + u)^2,
+    below ||block||_2 (1 + (1.01 d^2 + d^(1/2) + 2) u).
     """
     scale, b = _scaled(mats)
     top = np.linalg.eigvalsh(np.swapaxes(b, -2, -1) @ b).max(axis=-1, initial=0.0)
     return scale * np.sqrt(top)
-
-
-_GRAM_SQUARINGS = 3
-
-
-def spectral_norm_bounds(mats: np.ndarray) -> np.ndarray:
-    """Upper bound on each block's ``spectral_norms`` value, from products alone.
-
-    With G = B^T B and j = _GRAM_SQUARINGS, ||B||_2^2 = lambda_max(G) and
-    lambda_max(G)^(2^j) <= ||G^(2^j)||_F, so ||block||_2 <= scale ||G^(2^j)||_F^(1/2^(j+1)).
-    The bound is tight when one singular value dominates the others.
-
-    Rounding allowance.  Let u = eps / 2, gamma_n = n u / (1 - n u) and
-    sigma = ||B||_2, which is at least 1 since B has an entry +-1.  A
-    computed product of d x d matrices X, Y errs by at most gamma_d |X||Y|
-    entrywise, whose 2-norm is at most gamma_d ||X||_F ||Y||_F, that is
-    g ||X||_2 ||Y||_2 with g = d gamma_d.
-    * ``spectral_norms`` forms a Gram matrix within g sigma^2 of G, and
-      LAPACK's eigenvalues are exact for a matrix within p u of that one
-      (backward stability; p <= d^2 is assumed).  After its square root and
-      product by scale, its norm is at most
-      scale sigma (1 + g)^(1/2) (1 + p u)^(1/2) (1 + u)^2.
-    * Here the Gram matrix and its squarings X_k satisfy
-      ||X_k - G^(2^k)||_2 <= e_k sigma^(2^(k+1)) with e_0 = g and
-      e_(k+1) = e_k (2 + e_k) + g (1 + e_k)^2, so e_j is about (2^(j+1) - 1) g,
-      and ||X_j||_F >= ||X_j||_2 >= (1 - e_j) sigma^(2^(j+1)).  The sum of d^2
-      squares loses at most gamma_(d^2) before j + 2 square roots, which
-      lose at most 2 u; the two products and the rounded allowance lose 3 u.
-      Before the allowance the bound is at least
-      scale sigma (1 - e_j)^(1/2^(j+1)) (1 - gamma_(d^2))^(1/2^(j+2)) (1 - u)^5.
-    Their quotient is below 1 + (3/2) g + p u / 2 + gamma_(d^2) / 2^(j+2) + 7 u,
-    about 1 + 2.1 d^2 u + 7 u, and the allowance 1 + 4 (d + 1)^2 u covers it.
-    Underflow adds at most d 2^-1074 per entry against sigma >= 1.  For d
-    below 1e7, e_j < 1 and the largest intermediate, about d^(2^(j+2) + 2),
-    is finite.
-    A zero block, or d = 0, has bound 0.
-    """
-    d = mats.shape[-1]
-    scale, b = _scaled(mats)
-    g = np.swapaxes(b, -2, -1).copy() @ b  # a contiguous left factor makes the products faster
-    for _ in range(_GRAM_SQUARINGS):
-        g = g @ g
-    root = np.sqrt(np.einsum("...ij,...ij->...", g, g))
-    for _ in range(_GRAM_SQUARINGS + 1):
-        root = np.sqrt(root)
-    return scale * root * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
 
 
 def op_norm(T: L0Operator) -> L0Scalar:
@@ -352,10 +318,11 @@ def op_norm(T: L0Operator) -> L0Scalar:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    """Per-atom smallest/largest singular value ratio and the verdict."""
+    """Per-atom smallest/largest singular value ratio, largest singular value, and the verdict."""
 
     injective: bool
     min_sv_ratio: np.ndarray
+    max_sv: np.ndarray  # LAPACK's ||block||_2; 0 at d = 0
     witness_atom: int | None
 
 
@@ -367,7 +334,7 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
     d = 0 every block is the injective map of the zero space, ratio 1.
     """
     if T.dim == 0:
-        ratio = np.ones(T.space.n_atoms)
+        ratio, largest = np.ones(T.space.n_atoms), np.zeros(T.space.n_atoms)
     else:
         svals = np.linalg.svd(T.matrices, compute_uv=False)
         largest = svals[:, 0]
@@ -379,6 +346,7 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
     return InjectivityReport(
         injective=witness is None,
         min_sv_ratio=ratio,
+        max_sv=largest,
         witness_atom=witness,
     )
 
@@ -436,7 +404,7 @@ def log_norm_bounds(mats: np.ndarray) -> np.ndarray:
     batched eigvalsh of H = (B + B^T) / 2 with B = block / max|entry|.
 
     Rounding allowance, with u = eps / 2 and p u the backward error of
-    eigvalsh (p <= d^2, as in ``spectral_norm_bounds``).  B is within u |B|
+    eigvalsh (p <= d^2, as in ``spectral_norms``).  B is within u |B|
     of exact, so the computed H is within (2 + u) u of the exact one
     entrywise and (2 + u) d u in 2-norm.  Its entries are at most 1, so
     ||H||_2 <= d, and the top eigenvalue is exact for a matrix within p d u
@@ -453,16 +421,21 @@ def log_norm_bounds(mats: np.ndarray) -> np.ndarray:
     return scale * (top + (d + 1) ** 3 * _EPS)
 
 
-def exp_norm_bounds(a: np.ndarray, c: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Upper bound on ``spectral_norms(_expm_times(a, ts) @ c)`` from no exponential.
+def exp_norm_bounds(a: np.ndarray, c_norms: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Upper bound on ``spectral_norms(_expm_times(a, ts) @ C)`` from no exponential.
 
-    ``a`` and ``c`` are (n, d, d) stacks and ``ts`` holds times t >= 0; the
-    result is (len(ts), n), +inf on the blocks where no bound is given.  For
-    a block pair (A, C), ||exp(tA) C||_2 <= ||C||_2 exp(t mu_2(A)), and the
-    bound is c+ exp(t mu+) (1 + margin) with
-    * c+ = ``spectral_norms``(C) (1 + 2 (d + 1)^2 eps) >= ||C||_2: by
-      ``spectral_norm_bounds``' argument, the computed norm is at least
-      ||C||_2 (1 - (1.01 d^2 + d^(1/2) + 2) u), u = eps / 2;
+    ``a`` is an (n, d, d) stack, ``c_norms`` the (n,) largest singular
+    values of the C blocks from LAPACK's SVD (``check_injective``'s
+    ``max_sv``), and ``ts`` holds times t >= 0; the result is (len(ts), n),
+    +inf on the blocks where no bound is given.  For a block pair (A, C),
+    ||exp(tA) C||_2 <= ||C||_2 exp(t mu_2(A)), and the bound is
+    c+ exp(t mu+) (1 + margin) with
+    * c+ = c_norms (1 + 2 (d + 1)^2 eps) >= ||C||_2: the SVD is backward
+      stable, its singular values exact for a matrix within p u ||C||_2 of C
+      (u = eps / 2, p <= (d + 1)^2, which leaves room for its scaling of
+      tiny and huge blocks), so the largest is at least
+      ||C||_2 (1 - (d + 1)^2 u); the factor 1 + 4 (d + 1)^2 u, rounded
+      within 2 u with its product, more than makes up for that;
     * mu+ = ``log_norm_bounds``(A) >= mu_2(A).
 
     The margin.  The bound above is on the exact norm, while the growth
@@ -485,7 +458,7 @@ def exp_norm_bounds(a: np.ndarray, c: np.ndarray, ts: np.ndarray) -> np.ndarray:
     * After k squarings the error against exp(2^k m) is d_k with
       1 + d_(k+1) <= (1 + d_k)^2 (1 + g), so 1 + d_s <= exp(2^s (d0 + g)).
     * The product by C adds g, and ``spectral_norms`` at most
-      (1.01 d^2 + d^(1/2) + 2) u over the exact norm.
+      (1.01 d^2 + d^(1/2) + 2) u over the exact norm (its docstring).
     So x = e + 2^s (d0 + g) + g + (1.01 d^2 + d^(1/2) + 2) u + (2 T |mu+| + 20) u,
     whose last term covers this function's own exp and products; the
     factor 2 in exp(2x) covers the second-order terms and the rounding of x.
@@ -498,7 +471,7 @@ def exp_norm_bounds(a: np.ndarray, c: np.ndarray, ts: np.ndarray) -> np.ndarray:
     u = 0.5 * _EPS
     root_d = math.sqrt(d)
     horizon = float(ts.max(initial=0.0))
-    c_plus = spectral_norms(c) * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
+    c_plus = c_norms * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
     mu = log_norm_bounds(a)
     nu = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)  # as _expm_times takes it
     g = 1.01 * d * d * u

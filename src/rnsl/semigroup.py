@@ -6,8 +6,7 @@ space every such family is W(t) = exp(tA) C: C is invertible on each atom,
 so C^{-1} W(t) is a continuous semigroup on R^d, which is exp(tA).  A family
 given only as an evaluator t -> W(t) has its A recovered and checked.
 
-The generator's action on a vector is estimated from the derivative at 0,
-the resolvent comes in two routes (a per-atom solve against (eta - A), and
+The resolvent comes in two routes (a per-atom solve against (eta - A), and
 the transform integral of the family), and a report verifies the generation
 conditions: invertibility of eta - A, the power bounds
 ||(eta-A)^{-n} C|| <= M(eta-xi)^{-n}, commutation of A and C, and the
@@ -57,7 +56,6 @@ from .rn import (
     l0_norm,
     matrix_exp,
     op_apply,
-    spectral_norm_bounds,
     spectral_norms,
     worst_atom,
 )
@@ -68,6 +66,7 @@ _LOG_TERMS = 30  # at ||X||_1 <= 1/4 the log series' tail is below 4^-30 ||X||
 GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
 GROWTH_SLACK = 1.0 + 1e-9
+_TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
 B4_DEFAULT_TOL = 1e-9
 ABEL_RATE_SLACK = 1.5
 
@@ -98,8 +97,8 @@ def _commutator_gaps(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> n
     return np.sqrt(np.einsum("aij,aij->a", comm, comm))
 
 
-def _require_injective(T: L0Operator, what: str, error: type) -> None:
-    """Singular-value gate; raises ``error`` naming the first failing atom."""
+def _require_injective(T: L0Operator, what: str, error: type) -> np.ndarray:
+    """Singular-value gate: raises ``error`` naming the first failing atom, or returns each ||block||_2."""
     rep = check_injective(T)
     if not rep.injective:
         a = rep.witness_atom
@@ -108,17 +107,41 @@ def _require_injective(T: L0Operator, what: str, error: type) -> None:
             f"(singular value ratio {float(rep.min_sv_ratio[a])!r})",
             atom=a,
         )
+    return rep.max_sv
 
 
 def _raise_first_escape(
-    ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray, atoms: np.ndarray | None = None
+    ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray, dim: int, atoms: np.ndarray | None = None
 ) -> None:
-    """BoundViolated at the first time, then the first atom, where norms escape.
+    """BoundViolated at the first time, then the first atom, where norms of d x d blocks escape.
 
     Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``, or atom j
-    when ``atoms`` is None.
+    when ``atoms`` is None.  A norm escapes when it exceeds GROWTH_SLACK
+    times its envelope, plus 8 d^2 2^-1074 where that product is below
+    2^-1022.
+
+    The underflow allowance.  GROWTH_SLACK covers relative rounding, but a
+    subnormal value keeps fewer digits.  With gradual underflow a product
+    rounds to xy (1 + delta) + eta with |eta| <= U = 2^-1075, and a sum adds
+    no eta, so a computed d x d product adds at most d U per entry and d^2 U
+    in 2-norm.
+    * In the kernel only the last squarings, those whose products fall
+      below 2^-1022, add such a term.  Their inputs are near the square
+      root of a subnormal norm, 2^-511 or less unless A is far from normal,
+      so a squaring does not amplify what the one before added, and once
+      the entries are subnormal a further squaring's products round to 0:
+      underflow moves the computed exp(tA) by at most 2 d^2 U in all.
+    * The product by C carries that as 2 d^2 U ||C||_2 and adds d^2 U.
+    * ``spectral_norms``' product by the scale, and the envelope's
+      M exp(xi t) and its product by GROWTH_SLACK, round within U each.
+    The sum, d^2 U (2 ||C||_2 + 1) + 3 U, is below 16 d^2 U = 8 d^2 2^-1074
+    for ||C||_2 <= 6.  In the normal range GROWTH_SLACK - 1 = 1e-9 times
+    2^-1022 exceeds that allowance for d <= 750, so there the threshold is
+    GROWTH_SLACK times the envelope, bitwise.
     """
-    hits = np.argwhere(norms > GROWTH_SLACK * envelope)
+    threshold = GROWTH_SLACK * envelope
+    threshold = np.where(threshold < _TINY, threshold + math.ldexp(8.0 * dim * dim, -1074), threshold)
+    hits = np.argwhere(norms > threshold)
     if hits.size:
         i, j = (int(v) for v in hits[0])
         a = j if atoms is None else int(atoms[j])
@@ -130,19 +153,18 @@ def _raise_first_escape(
         )
 
 
-def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> None:
+def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms: np.ndarray) -> None:
     """Growth gate for exp(tA) C on GROWTH_SAMPLES times up to GROWTH_HORIZON.
 
-    Three tiers, each on what the one before leaves open:
+    ``c_norms`` holds each ||C||_2 from LAPACK's SVD.  Two tiers, the
+    second on what the first leaves open:
     1. A block (time, atom) with a finite ``exp_norm_bounds`` bound,
        ||C|| exp(t mu_2(A)) with its allowances and margin, within the
        slackened envelope passes with no exponential.  An infinite envelope
        settles no block without one, since its exponential may overflow.
     2. The operators of the atoms and times with an open block come from
-       one call, and a block whose ``spectral_norm_bounds`` bound is within
-       the envelope passes.
-    3. Only the remaining blocks get exact norms.
-    Neither bound is ever below the exact norm of a computed block, and the
+       one call, and get exact norms.
+    The bound is never below the exact norm of a computed block, and the
     kernel and ``spectral_norms`` give each block the same bits whatever
     the batch, so every escape, its message and the first one reported are
     what exact norms on every block give.  When the call overflows, the
@@ -152,7 +174,7 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> None
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite envelope holds any finite norm
         envelope = bound.envelope(ts)
-    bounds = exp_norm_bounds(A.matrices, C.matrices, ts)  # finite wherever one is given
+    bounds = exp_norm_bounds(A.matrices, c_norms, ts)  # finite wherever one is given
     open_blocks = ~((bounds <= GROWTH_SLACK * envelope) & (bounds < np.inf))
     times, atoms = (np.flatnonzero(open_blocks.any(axis=k)) for k in (1, 0))
     if not atoms.size:
@@ -166,11 +188,7 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> None
             for i in range(len(ts))
         )
     for times, mats, envelope in batches:
-        norms = spectral_norm_bounds(mats)
-        undecided = ~(norms <= GROWTH_SLACK * envelope)
-        if undecided.any():
-            norms[undecided] = spectral_norms(mats[undecided])
-        _raise_first_escape(times, norms, envelope, atoms)
+        _raise_first_escape(times, spectral_norms(mats), envelope, A.dim, atoms)
 
 
 def _generated(a: np.ndarray, c: np.ndarray, ts) -> np.ndarray:
@@ -191,14 +209,14 @@ def make_matrix_semigroup(
 ) -> CSemigroup:
     """Build W(t) = exp(tA) C, validating injectivity, commutation, growth."""
     comm = _commutator_gaps(A, C, bound)
-    _require_injective(C, "C", NotInjective)
+    c_norms = _require_injective(C, "C", NotInjective)
     bad = np.nonzero(comm > COMMUTE_TOL)[0]
     if bad.size:
         a = int(bad[0])
         raise NonCommuting(
             f"A and C do not commute on atom {a} (gap {float(comm[a])!r})", atom=a
         )
-    _check_growth(A, C, bound)
+    _check_growth(A, C, bound, c_norms)
     return CSemigroup(A.space, A.dim, C, bound, A)
 
 
@@ -301,21 +319,6 @@ def make_sampled_semigroup(
 def evaluate(W: CSemigroup, t: float, x: RnVector) -> RnVector:
     """Apply the family member at parameter t to a vector."""
     return op_apply(W.operator_at(t), x)
-
-
-def estimate_generator(W: CSemigroup, x: RnVector, h0: float) -> RnVector:
-    """Richardson-extrapolated one-sided derivative at 0, then a C-solve.
-
-    (W(h)x - Cx)/h has a first-order error term; combining h0 and h0/2 as
-    2 D(h0/2) - D(h0) cancels it, and solving C y = limit recovers the
-    generator's action on x.
-    """
-    if h0 < MIN_STEP:
-        raise StepUnderflow(f"step {h0!r} is below the supported resolution {MIN_STEP}")
-    cx = op_apply(W.C, x).values
-    d1 = (evaluate(W, h0, x).values - cx) / h0
-    d2 = (evaluate(W, 0.5 * h0, x).values - cx) / (0.5 * h0)
-    return _solve_c(W.C, 2.0 * d2 - d1)
 
 
 def _solve_c(C: L0Operator, rhs: np.ndarray) -> RnVector:

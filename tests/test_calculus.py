@@ -174,6 +174,26 @@ class TestImproperIntegral:
         with pytest.raises(TailNotCertified):
             improper_integral(g, L0Scalar.constant(space2, 2.0), 5e-324)
 
+    def test_error_messages_print_plain_floats(self, space2):
+        # numpy 2 prints a numpy scalar's repr as np.float64(...)
+        x = RnVector.of(space2, [[1.0], [1.0]])
+        rates = L0Scalar.of(space2, [-2.0, -2.0])
+        g = CurveSampler.from_batch(
+            space2, 1, 0.0, math.inf,
+            lambda s: np.exp(np.outer(s, rates.values))[:, :, None] * x.values,
+            bound=ExponentialBound(l0_norm(x), rates),
+        )
+        rejects = [
+            (EtaNotInGxi, lambda: improper_integral(g, L0Scalar.constant(space2, -2.5), 1e-9)),
+            (NonPositiveEta, lambda: damped_weighted_integral(g, L0Scalar.of(space2, [1.0, -1.0]), 1, 1e-8)),
+            # a tolerance far below the double resolution of the certified integral
+            (MaxPanelsExceeded, lambda: damped_weighted_integral(g, L0Scalar.one(space2), 0, 1e-300)),
+        ]
+        for error, reject in rejects:
+            with pytest.raises(error) as exc:
+                reject()
+            assert "np.float64" not in str(exc.value) and "(np." not in str(exc.value)
+
     def test_tolerance_below_resolution_rejected_before_quadrature(self):
         # atoms with xi near 0.5 reach about 1e8 in scaled form; this used to
         # bisect for minutes on its way to the panel budget

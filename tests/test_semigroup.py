@@ -25,7 +25,7 @@ from rnsl import (
     abel_limit_check,
     c_resolvent_direct,
     c_resolvent_integral,
-    estimate_generator,
+    check_injective,
     evaluate,
     hille_yosida_report,
     l0_norm,
@@ -61,14 +61,14 @@ def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
     norms = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts))
-    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts))
+    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts), A.dim)
 
 
 def growth_loop(A, C, bound):
     """The growth gate one time at a time, with exact norms of matrix_exp(A, t) C."""
     for t in np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES):
         norms = op_norm(matrix_exp(A, float(t)) @ C).values
-        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None])
+        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim)
 
 
 def growth_outcome(check, A, C, bound):
@@ -85,9 +85,14 @@ def growth_outcome(check, A, C, bound):
     return "passed"
 
 
+def check_growth(A, C, bound):
+    """The growth gate, given ||C|| from the injectivity SVD as make_matrix_semigroup gives it."""
+    semigroup_module._check_growth(A, C, bound, check_injective(C).max_sv)
+
+
 def gate_outcome(A, C, bound):
     """The growth gate's outcome, after checking that both reference gates agree with it."""
-    got = growth_outcome(semigroup_module._check_growth, A, C, bound)
+    got = growth_outcome(check_growth, A, C, bound)
     assert got == growth_outcome(exact_growth_gate, A, C, bound)
     assert got == growth_outcome(growth_loop, A, C, bound)
     return got
@@ -96,7 +101,7 @@ def gate_outcome(A, C, bound):
 def settled_atoms(A, C, bound) -> np.ndarray:
     """The atoms the logarithmic-norm tier settles at every time of the gate."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
-    bounds = exp_norm_bounds(A.matrices, C.matrices, ts)
+    bounds = exp_norm_bounds(A.matrices, check_injective(C).max_sv, ts)
     with np.errstate(over="ignore"):
         envelope = semigroup_module.GROWTH_SLACK * bound.envelope(ts)
     return ((bounds <= envelope) & np.isfinite(bounds)).all(axis=0)
@@ -137,15 +142,42 @@ class TestLogNormTier:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_scaled_generators(self, scale):
         space = make_space(np.full(16, 1.0 / 16))
-        # rates within +-0.05 keep exp(10 * 1e3 * rate) finite and normal
-        A, C, bound = random_commuting_pair(rng_for(3, "tier"), space, 4, spec_lo=-0.05, spec_hi=0.05)
-        A = A.scale(scale)
-        exact = ExponentialBound(bound.M, L0Scalar.of(space, scale * bound.xi.values))
-        assert gate_outcome(A, C, exact) == "passed"
-        if scale <= 1.0:
-            assert settled_atoms(A, C, exact).all()
-        low = ExponentialBound(L0Scalar.of(space, (1.0 - 1e-6) * bound.M.values), exact.xi)
-        assert gate_outcome(A, C, low)[1:] == (0.0, 0)
+        # rates within +-0.05 keep exp(10 * 1e3 * rate) finite and normal; from
+        # the default -2 up, 1e3 takes some family norms below 2^-1022
+        for spec_lo in (-0.05, -2.0):
+            A, C, bound = random_commuting_pair(rng_for(3, "tier"), space, 4, spec_lo=spec_lo, spec_hi=0.05)
+            A = A.scale(scale)
+            exact = ExponentialBound(bound.M, L0Scalar.of(space, scale * bound.xi.values))
+            assert gate_outcome(A, C, exact) == "passed"
+            if scale <= 1.0:
+                assert settled_atoms(A, C, exact).all()
+            low = ExponentialBound(L0Scalar.of(space, (1.0 - 1e-6) * bound.M.values), exact.xi)
+            assert gate_outcome(A, C, low)[1:] == (0.0, 0)
+
+    def test_a_family_at_twice_a_subnormal_envelope_escapes(self, space1):
+        # exp(a t) is about 1e-318 at the first time after 0, and the envelope half that
+        t1 = semigroup_module.GROWTH_HORIZON / (semigroup_module.GROWTH_SAMPLES - 1)
+        rate = math.log(1e-318) / t1
+        A, C = L0Operator.of(space1, [[[rate]]]), L0Operator.identity(space1, 1)
+        family = np.exp(rate * t1)
+        assert 0.0 < family < np.finfo(float).tiny
+        bound = ExponentialBound(L0Scalar.one(space1), L0Scalar.of(space1, [rate - math.log(2.0) / t1]))
+        assert gate_outcome(A, C, bound)[1:] == (t1, 0)
+        assert gate_outcome(A, C, ExponentialBound.constant(space1, 1.0, rate)) == "passed"
+
+    def test_norm_of_c_comes_from_the_injectivity_svd(self, monkeypatch):
+        space = make_space(np.full(64, 1.0 / 64))
+        A, C, bound = random_commuting_pair(rng_for(0, "tier"), space, 4)
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            def counted(mats, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _call(mats, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        make_matrix_semigroup(A, C, bound)
+        # one SVD of C, and one eigvalsh, of the symmetric part of A
+        assert sorted(calls) == ["eigvalsh", "svd"]
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16])
     @pytest.mark.parametrize("atoms", [1, 1024])
@@ -474,41 +506,12 @@ class TestEvaluate:
             evaluate(W, -0.1, RnVector.of(space2, [[1.0], [1.0]]))
 
 
-class TestEstimateGenerator:
-    def test_diagonal(self, space2):
-        A, _, _, W = diag_semigroup(space2)
-        x = RnVector.of(space2, [[1.0], [1.0]])
-        got = estimate_generator(W, x, 1e-4)
-        np.testing.assert_allclose(got.values, op_apply(A, x).values, atol=1e-6)
-
-    def test_zero_generator(self, space2):
-        A = L0Operator.zeros(space2, 2)
-        C = L0Operator.identity(space2, 2)
-        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space2, 1.0, 0.0))
-        x = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(
-            estimate_generator(W, x, 1e-4).values, 0.0, atol=1e-10
-        )
-
-    def test_nilpotent(self, space1):
-        A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
-        C = L0Operator.identity(space1, 2)
-        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 12.0, 0.3))
-        x = RnVector.of(space1, [[0.0, 1.0]])
-        got = estimate_generator(W, x, 1e-4)
-        np.testing.assert_allclose(got.values, [[1.0, 0.0]], atol=1e-6)
-
-    def test_step_underflow(self, space2):
-        *_, W = diag_semigroup(space2)
-        with pytest.raises(StepUnderflow):
-            estimate_generator(W, RnVector.of(space2, [[1.0], [1.0]]), 1e-13)
-
-    def test_c_solve_failures_keep_their_messages(self, space1):
-        with pytest.raises(SolveFailed, match="C-solve failed: "):
-            semigroup_module._solve_c(L0Operator.zeros(space1, 1), np.ones((1, 1)))
-        tiny = L0Operator.of(space1, [[[1e-320]]])
-        with pytest.raises(SolveFailed, match="C-solve produced non-finite values"):
-            semigroup_module._solve_c(tiny, np.full((1, 1), 1e10))
+def test_c_solve_failures_keep_their_messages(space1):
+    with pytest.raises(SolveFailed, match="C-solve failed: "):
+        semigroup_module._solve_c(L0Operator.zeros(space1, 1), np.ones((1, 1)))
+    tiny = L0Operator.of(space1, [[[1e-320]]])
+    with pytest.raises(SolveFailed, match="C-solve produced non-finite values"):
+        semigroup_module._solve_c(tiny, np.full((1, 1), 1e10))
 
 
 class TestResolventRoutes:
@@ -847,11 +850,3 @@ class TestRandomizedFamilies:
             lhs = op_apply(A, integral)
             rhs = evaluate(W, s, x) - op_apply(C, x)
             assert l0_norm(lhs - rhs).values.max() <= 1e-6
-
-    def test_generator_round_trip(self):
-        for _ in range(10):
-            A, _, _, W = self.random_family(3)
-            x = RnVector.of(self.space, self.rng.uniform(-1, 1, (4, 3)))
-            got = estimate_generator(W, x, 1e-4)
-            want = op_apply(A, x)
-            assert l0_norm(got - want).values.max() <= 1e-6
