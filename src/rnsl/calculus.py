@@ -523,21 +523,42 @@ class _Weight:
     horizon: float
     log_q: np.ndarray
 
-    def seeds(self) -> np.ndarray:
-        """Initial panel edges, ascending, that lead adaptivity to the weight's peaks."""
+    def seeds(self, rho: float | None) -> np.ndarray:
+        """Initial panel edges, ascending, that lead adaptivity to the weight's peaks.
+
+        At k >= 1 the edges sit around each atom's weight peak, at
+        (k + c sqrt(k)) / eta for c in {-6, -2, 0, 2, 6}; at k = 0 they are
+        1 / gamma_min and 5 / gamma_min.  Each is snapped to the nearest
+        point of the lattice rho^j, which moves it by a factor sqrt(rho) at
+        most: about one weight width sqrt(k) / eta at the weight's own ratio
+        1 + 2 / sqrt(k), less on a finer lattice.  The spread of the peaks,
+        not the number of atoms, bounds the seed count.  A k = 0 weight
+        keeps its two edges unsnapped when ``rho`` is None.
+        """
         if self.k == 0:
-            return np.array([1.0, 5.0]) / float(self.gamma.min())
-        # seed panel edges around each atom's weight peak so adaptivity finds
-        # it, snapped to the lattice rho^j: a seed moves by about one weight
-        # width sqrt(k)/eta at most, and the spread of the peaks, not the
-        # number of atoms, bounds the seed count
-        k = self.k
-        offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
-        seeds = (k + offsets * math.sqrt(k)) / self.eta
-        rho = 1.0 + 2.0 / math.sqrt(k)
+            points = np.array([1.0, 5.0]) / float(self.gamma.min())
+            if rho is None:
+                return points
+        else:
+            offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
+            points = (self.k + offsets * math.sqrt(self.k)) / self.eta
         # distinct exponents by a set: np.unique imports numpy.ma, about 1 MB
-        lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
+        lattice = set(np.rint(np.log(points[points > 0.0]) / math.log(rho)).tolist())
         return rho ** np.array(sorted(lattice))
+
+
+def _seed_edges(plans: list[_Weight]) -> list[float]:
+    """A shared panel set's seeded edges, ascending: every weight's seeds on one lattice.
+
+    The ratio is the finest own ratio 1 + 2 / sqrt(k) among the weights
+    with k >= 1, so a weight's seeds move by no more than its own lattice
+    would move them, and a lattice point that several weights pick is one
+    edge, bitwise: no two edges lie closer than a factor rho.  One weight
+    gets its own seeds.  A set of k = 0 weights only has no lattice.
+    """
+    orders = [p.k for p in plans if p.k >= 1]
+    rho = 1.0 + 2.0 / math.sqrt(max(orders)) if orders else None
+    return sorted(set().union(*(p.seeds(rho).tolist() for p in plans)))
 
 
 def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) -> _Weight:
@@ -596,25 +617,27 @@ def damped_weighted_integrals(
     n = g.space.n_atoms
     T = max(p.horizon for p in plans)
 
+    # every weight's k, eta and log scale as one row of the (weights x atoms) stack
+    ks = np.repeat([float(p.k) for p in plans], n)
+    etas = np.concatenate([p.eta for p in plans])
+    log_scales = np.concatenate([p.log_scale for p in plans])
+    at_zero = np.concatenate([np.exp(-p.log_scale) if p.k == 0 else np.zeros(n) for p in plans])
+
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)
         pos = s > 0.0
         sp = np.where(pos, s, 1.0)[:, None]
-        log_sp = np.log(sp)
-        out = np.empty((len(s), len(plans) * n, g.dim))
-        for j, p in enumerate(plans):
-            # exp(k log s - eta s - log_scale), evaluated in place in that order
-            w = p.eta * sp
-            np.subtract(p.k * log_sp, w, out=w)
-            w -= p.log_scale
-            np.exp(w, out=w)
-            if not pos.all():
-                w[~pos] = np.exp(-p.log_scale) if p.k == 0 else 0.0
-            np.multiply(w[:, :, None], h, out=out[:, j * n:(j + 1) * n])
-        return out
+        # exp(k log s - eta s - log_scale) for every weight, in place in that order
+        w = etas * sp
+        np.subtract(ks * np.log(sp), w, out=w)
+        w -= log_scales
+        np.exp(w, out=w)
+        if not pos.all():
+            w[~pos] = at_zero
+        out = w.reshape(len(s), len(plans), n, 1) * h[:, None]
+        return out.reshape(len(s), len(plans) * n, g.dim)
 
-    seeds = sorted(set().union(*(p.seeds().tolist() for p in plans)))
-    breaks = [0.0] + [s for s in seeds if s < T] + [T]
+    breaks = [0.0] + [s for s in _seed_edges(plans) if s < T] + [T]
     tol_rows = np.concatenate([p.tol for p in plans]) / 2.0
     value, err, panels = _adaptive(
         values_at, (len(plans) * n, g.dim), breaks, tol_rows, max_panels

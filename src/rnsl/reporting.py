@@ -111,8 +111,71 @@ def _atomic_write_bytes(path: str, blob: bytes) -> None:
         raise
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # json's C string escaper
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: repr, or NaN, Infinity and -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0.0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at the indent ``pad``.
+
+    CPython's json skips its C encoder whenever indent is set, and a report
+    holds long lists of floats, so this writes those bytes itself: a list
+    of plain floats or of plain ints is one join of their reprs.  It knows
+    the types a payload holds (str keys; str, int, float, bool, None, list,
+    tuple and dict values) and raises TypeError on any other.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        text = None
+        if kinds == {float}:
+            text = sep.join(map(float.__repr__, value))
+            if "n" in text:  # nan or inf, which json spells otherwise
+                text = None
+        elif kinds == {int}:
+            text = sep.join(map(int.__repr__, value))
+        if text is None:
+            text = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = sorted(value.items())
+        return "{\n" + inner + sep.join(
+            [_encode_str(k) + ": " + _json_text(v, inner) for k, v in items]
+        ) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte for byte."""
+    text = _json_text(payload, "") + "\n"
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 

@@ -307,7 +307,8 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     below ||block||_2 (1 + (1.01 d^2 + d^(1/2) + 2) u).
     """
     scale, b = _scaled(mats)
-    top = np.linalg.eigvalsh(np.swapaxes(b, -2, -1) @ b).max(axis=-1, initial=0.0)
+    # B^T as a contiguous copy: numpy's batched product from a transposed view is slower
+    top = np.linalg.eigvalsh(np.ascontiguousarray(np.swapaxes(b, -2, -1)) @ b).max(axis=-1, initial=0.0)
     return scale * np.sqrt(top)
 
 
@@ -357,19 +358,12 @@ def _squarings(x: np.ndarray) -> np.ndarray:
     return np.maximum(expo - (mant <= 0.5 * _THETA18), 0)
 
 
-def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(t M) for every time t of ``ts`` and matrix M of the stack ``mats``.
+def _taylor_powers(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's 1-norm nu, and the powers 0 .. 18 of M / nu: shape (N,) and (N, 19, d, d).
 
-    Degree-18 Taylor scaling and squaring, with no solve: shape (len(ts), N, d, d).
-    The powers of M / ||M||_1 depend on M alone, so they are formed once per
-    call.  Each (time, matrix) takes the least s with |t| ||M||_1 / 2**s <= theta_18,
-    sums its Taylor terms as one 1 x 19 row of weights times its matrix's
-    19 x d**2 powers, and is squared s times; each squaring round touches
-    only the matrices with squarings left.  Every (time, matrix) is the same
-    small product, so each result is bitwise independent of how times and
-    matrices are batched.  One GEMM per matrix over the time axis would be
-    faster still, but its result for one time then depends on the other
-    times of the call, so it is not used.
+    They depend on M alone, so a caller that exponentiates the same stack
+    at many batches of times forms them once (``_expm_powers``).  A zero
+    matrix has nu = 0 and powers I, 0, 0, ...
     """
     n, d = mats.shape[:2]
     nu = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
@@ -382,6 +376,12 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
         top = min(2 * m, _TAYLOR_DEGREE)
         np.matmul(by_power[1 : top - m + 1], by_power[m], out=by_power[m + 1 : top + 1])
         m = top
+    return nu, powers
+
+
+def _expm_powers(nu: np.ndarray, powers: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t M) for every time t of ``ts`` and matrix M of a stack, from ``_taylor_powers(stack)``."""
+    n, d = powers.shape[0], powers.shape[-1]
     tnu = ts[:, None] * nu
     s = _squarings(np.abs(tnu))
     beta = np.ldexp(tnu, -s)
@@ -394,6 +394,25 @@ def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
         g = f[act]
         f[act] = g @ g
     return f.reshape(len(ts), n, d, d)
+
+
+def _expm_times(mats: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t M) for every time t of ``ts`` and matrix M of the stack ``mats``.
+
+    Degree-18 Taylor scaling and squaring, with no solve: shape (len(ts), N, d, d).
+    The powers of M / ||M||_1 depend on M alone, so they are formed once per
+    call (``_taylor_powers``), and a caller with many calls on one stack
+    can form them once for all (``_expm_powers``), with the same bits.
+    Each (time, matrix) takes the least s with |t| ||M||_1 / 2**s <= theta_18,
+    sums its Taylor terms as one 1 x 19 row of weights times its matrix's
+    19 x d**2 powers, and is squared s times; each squaring round touches
+    only the matrices with squarings left.  Every (time, matrix) is the same
+    small product, so each result is bitwise independent of how times and
+    matrices are batched.  One GEMM per matrix over the time axis would be
+    faster still, but its result for one time then depends on the other
+    times of the call, so it is not used.
+    """
+    return _expm_powers(*_taylor_powers(mats), ts)
 
 
 def log_norm_bounds(mats: np.ndarray) -> np.ndarray:

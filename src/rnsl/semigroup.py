@@ -50,7 +50,9 @@ from .rn import (
     L0Operator,
     RnVector,
     _check_finite,
+    _expm_powers,
     _expm_times,
+    _taylor_powers,
     check_injective,
     exp_norm_bounds,
     l0_norm,
@@ -67,6 +69,7 @@ GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
 GROWTH_SLACK = 1.0 + 1e-9
 _TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
+_EPS = float(np.finfo(float).eps)
 B4_DEFAULT_TOL = 1e-9
 ABEL_RATE_SLACK = 1.5
 
@@ -111,14 +114,22 @@ def _require_injective(T: L0Operator, what: str, error: type) -> np.ndarray:
 
 
 def _raise_first_escape(
-    ts: np.ndarray, norms: np.ndarray, envelope: np.ndarray, dim: int, atoms: np.ndarray | None = None
+    ts: np.ndarray,
+    norms: np.ndarray,
+    envelope: np.ndarray,
+    dim: int,
+    c_norms: np.ndarray,
+    atoms: np.ndarray | None = None,
 ) -> None:
     """BoundViolated at the first time, then the first atom, where norms of d x d blocks escape.
 
     Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``, or atom j
-    when ``atoms`` is None.  A norm escapes when it exceeds GROWTH_SLACK
-    times its envelope, plus 8 d^2 2^-1074 where that product is below
-    2^-1022.
+    when ``atoms`` is None; ``c_norms`` holds each atom's ||C||_2 from
+    LAPACK's SVD.  A norm escapes when it exceeds GROWTH_SLACK times its
+    envelope, plus the atom's underflow allowance
+    ceil(8 d^2 max(1, c+ / 6)) 2^-1074 where that product is below 2^-1022,
+    with c+ = c_norms (1 + 2 (d + 1)^2 eps) >= ||C||_2 as in
+    ``exp_norm_bounds``.
 
     The underflow allowance.  GROWTH_SLACK covers relative rounding, but a
     subnormal value keeps fewer digits.  With gradual underflow a product
@@ -134,13 +145,20 @@ def _raise_first_escape(
     * The product by C carries that as 2 d^2 U ||C||_2 and adds d^2 U.
     * ``spectral_norms``' product by the scale, and the envelope's
       M exp(xi t) and its product by GROWTH_SLACK, round within U each.
-    The sum, d^2 U (2 ||C||_2 + 1) + 3 U, is below 16 d^2 U = 8 d^2 2^-1074
-    for ||C||_2 <= 6.  In the normal range GROWTH_SLACK - 1 = 1e-9 times
-    2^-1022 exceeds that allowance for d <= 750, so there the threshold is
-    GROWTH_SLACK times the envelope, bitwise.
+    The sum, d^2 U (2 ||C||_2 + 1) + 3 U, is at most
+    16 d^2 U max(1, ||C||_2 / 6): at ||C||_2 <= 6 it is at most 16 d^2 U,
+    and past 6 the factor 16 / 6 > 2 gains (2/3) ||C||_2 d^2 U >= 4 d^2 U,
+    which covers the rest.  Rounding 8 d^2 max(1, c+ / 6) up to a whole
+    number keeps the allowance above the sum, and at c+ <= 6 it is
+    8 d^2 2^-1074, bitwise.  In the normal range GROWTH_SLACK - 1 = 1e-9
+    times 2^-1022 exceeds the allowance for d^2 max(1, ||C||_2 / 6) up to
+    about 5.6e5, so there the threshold is GROWTH_SLACK times the envelope,
+    bitwise.
     """
+    c_plus = (c_norms if atoms is None else c_norms[atoms]) * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)
+    allowance = np.ldexp(np.ceil(8.0 * dim * dim * np.maximum(1.0, c_plus / 6.0)), -1074)
     threshold = GROWTH_SLACK * envelope
-    threshold = np.where(threshold < _TINY, threshold + math.ldexp(8.0 * dim * dim, -1074), threshold)
+    threshold = np.where(threshold < _TINY, threshold + allowance, threshold)
     hits = np.argwhere(norms > threshold)
     if hits.size:
         i, j = (int(v) for v in hits[0])
@@ -188,18 +206,20 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
             for i in range(len(ts))
         )
     for times, mats, envelope in batches:
-        _raise_first_escape(times, spectral_norms(mats), envelope, A.dim, atoms)
+        _raise_first_escape(times, spectral_norms(mats), envelope, A.dim, c_norms, atoms)
 
 
-def _generated(a: np.ndarray, c: np.ndarray, ts) -> np.ndarray:
+def _generated(a: np.ndarray, c: np.ndarray, ts, taylor=None) -> np.ndarray:
     """exp(tA) C for each block A of ``a`` and C of ``c`` at every time of ``ts``.
 
     ``a`` and ``c`` are (n, d, d) stacks; the result is (len(ts), n, d, d).
+    ``taylor``, when given, is ``_taylor_powers(a)``, formed once by a caller
+    that exponentiates ``a`` at many batches of times; the bits are the same.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     _check_finite(ts, "time")
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = _expm_times(a, ts) @ c
+        mats = (_expm_times(a, ts) if taylor is None else _expm_powers(*taylor, ts)) @ c
     _check_finite(mats, "operator entries")
     return mats
 
@@ -340,16 +360,20 @@ def _orbit_curve(
     Its batch stacks the operators of at most one panel's nodes at a time,
     so a quadrature round over many panels does not hold all their
     (times, n_atoms, d, d) operators at once; it is also faster than one
-    call over the whole round.
+    call over the whole round.  The Taylor powers of A are formed once for
+    the curve, not once a panel, and every value keeps the bits of one
+    ``_generated`` call: (exp(tA) C) x, in that order.
     """
     cert = ExponentialBound(
         L0Scalar.of(bound.space, bound.M.values * l0_norm(x).values), bound.xi
     )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _generated, which reports an overflow
+        taylor = _taylor_powers(A.matrices)
 
     def batch(ts: np.ndarray) -> np.ndarray:
         step = len(_NODES)
         return np.concatenate([
-            np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts[i:i + step]), x.values)
+            np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts[i:i + step], taylor), x.values)
             for i in range(0, len(ts), step)
         ])
 

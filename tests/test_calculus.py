@@ -525,8 +525,72 @@ def failing_curve() -> CurveSampler:
     return CurveSampler.from_batch(space, 1, 0.0, math.inf, batch, bound=bound)
 
 
+def own_seeds(plan) -> np.ndarray:
+    """A weight's seeds as one weight alone draws them: on its own lattice, or unsnapped at k = 0."""
+    if plan.k == 0:
+        return np.array([1.0, 5.0]) / float(plan.gamma.min())
+    offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
+    seeds = (plan.k + offsets * math.sqrt(plan.k)) / plan.eta
+    rho = 1.0 + 2.0 / math.sqrt(plan.k)
+    lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
+    return rho ** np.array(sorted(lattice))
+
+
+def seed_points(plan) -> np.ndarray:
+    """A weight's unsnapped seed points: around each atom's peak, or 1 and 5 over gamma_min at k = 0."""
+    if plan.k == 0:
+        return np.array([1.0, 5.0]) / float(plan.gamma.min())
+    offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
+    points = (plan.k + offsets * math.sqrt(plan.k)) / plan.eta
+    return points[points > 0.0]
+
+
+def recorded_breaks(monkeypatch) -> list:
+    """The break lists that calls of calculus._adaptive get, from now on."""
+    seen = []
+
+    def adaptive(values_at, shape, breaks, tol_per_atom, max_panels):
+        seen.append(list(breaks))
+        return _adaptive(values_at, shape, breaks, tol_per_atom, max_panels)
+
+    monkeypatch.setattr(calculus, "_adaptive", adaptive)
+    return seen
+
+
 class TestSharedPanels:
     """damped_weighted_integrals: every weight on one panel set and one sample a chunk."""
+
+    @pytest.mark.parametrize("k", [0, 1, 64, 1024])
+    def test_one_weights_breaks_are_its_own_seeds(self, k, monkeypatch):
+        curve, eta = exponential_orbit(rng_for(k, "one-weight"), 64, 4, k)
+        seen = recorded_breaks(monkeypatch)
+        damped_weighted_integral(curve, eta, k, 1e-9)
+        plan = calculus._checked_weight(curve.bound, eta, k, 1e-9)
+        want = [0.0] + [s for s in sorted(own_seeds(plan).tolist()) if s < plan.horizon] + [plan.horizon]
+        assert seen == [want]  # bitwise
+
+    def test_mixed_orders_share_the_finest_lattice(self, monkeypatch):
+        # the route integrals' shape: k = 0, 1, 2 at four damping levels
+        curve, eta = exponential_orbit(rng_for(2, "lattice"), 64, 4, 2)
+        weights = [
+            (L0Scalar.of(curve.space, c * eta.values), k, 1e-9)
+            for c in (1.0, 2.0, 4.0, 8.0)
+            for k in (0, 1, 2)
+        ]
+        seen = recorded_breaks(monkeypatch)
+        damped_weighted_integrals(curve, weights)
+        plans = [calculus._checked_weight(curve.bound, e, k, tol) for e, k, tol in weights]
+        horizon = max(p.horizon for p in plans)
+        edges = np.array(seen[0][1:-1])
+        rho = 1.0 + 2.0 / math.sqrt(2.0)
+        assert (edges[1:] / edges[:-1] >= rho * (1.0 - 1e-12)).all()  # no near-duplicate edges
+        for plan in plans:
+            points = seed_points(plan)
+            points = points[points * math.sqrt(rho) < horizon]
+            nearest = np.abs(np.log(points[:, None] / edges[None, :])).min(axis=1)
+            assert (nearest <= 0.5 * math.log(rho) * (1.0 + 1e-12)).all()
+        # one lattice leaves fewer edges than each weight's own seeds would
+        assert len(edges) < len(set().union(*(own_seeds(p).tolist() for p in plans)))
 
     @pytest.mark.parametrize("atoms,dim", [(1, 1), (64, 16), (1024, 1)])
     def test_mixed_weights_within_estimate(self, atoms, dim):

@@ -35,9 +35,28 @@ def test_worker_times_every_case(monkeypatch):
         + ["scenario_from_dict"] * 2
         + ["laplace_transform", "post_widder", "post_widder"]
     )
-    seconds = sweep.worker(str(ROOT / "src"))
+    tree = sweep.load(str(ROOT / "src"))
+    seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]
     assert len(seconds) == len(kinds)
     assert all(s > 0.0 for s in seconds)
+
+
+def test_sweep_times_both_trees_case_by_case(monkeypatch):
+    sweep = load_sweep()
+    todo = [
+        {"kernel": "matrix_exp_times", "atoms": 2, "dim": 2, "times": 1},
+        {"kernel": "op_norm", "atoms": 2, "dim": 1},
+    ]
+    monkeypatch.setattr(sweep, "cases", lambda: todo)
+    monkeypatch.setattr(sweep, "ROUNDS", 3)
+    src = str(ROOT / "src")
+    out = sweep.sweep({"parent": src, "change": src})
+    assert out["columns"] == ["parent", "change"] and out["rounds"] == 3
+    assert [{k: row[k] for k in todo[i]} for i, row in enumerate(out["cases"])] == todo
+    for row in out["cases"]:
+        assert row["parent"] > 0.0 and row["change"] > 0.0
+        low, high = row["round_ratios"]
+        assert 0.0 < low <= high
 
 
 @pytest.mark.parametrize("kernel, curves", [("laplace_transform", 20), ("post_widder", 3)])

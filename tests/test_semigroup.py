@@ -1,5 +1,6 @@
 """Operator families: construction gates, resolvents, generation conditions."""
 
+import itertools
 import math
 import warnings
 
@@ -61,14 +62,15 @@ def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
     norms = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts))
-    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts), A.dim)
+    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv)
 
 
 def growth_loop(A, C, bound):
     """The growth gate one time at a time, with exact norms of matrix_exp(A, t) C."""
+    c_norms = check_injective(C).max_sv
     for t in np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES):
         norms = op_norm(matrix_exp(A, float(t)) @ C).values
-        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim)
+        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim, c_norms)
 
 
 def growth_outcome(check, A, C, bound):
@@ -143,15 +145,16 @@ class TestLogNormTier:
     def test_scaled_generators(self, scale):
         space = make_space(np.full(16, 1.0 / 16))
         # rates within +-0.05 keep exp(10 * 1e3 * rate) finite and normal; from
-        # the default -2 up, 1e3 takes some family norms below 2^-1022
-        for spec_lo in (-0.05, -2.0):
+        # the default -2 up, 1e3 takes some family norms below 2^-1022, where
+        # a C of norm far above 6 multiplies the exponential's underflow error
+        for spec_lo, c_scale in itertools.product((-0.05, -2.0), (1.0, 1e2, 1e4, 1e8)):
             A, C, bound = random_commuting_pair(rng_for(3, "tier"), space, 4, spec_lo=spec_lo, spec_hi=0.05)
-            A = A.scale(scale)
-            exact = ExponentialBound(bound.M, L0Scalar.of(space, scale * bound.xi.values))
+            A, C, M = A.scale(scale), C.scale(c_scale), c_scale * bound.M.values
+            exact = ExponentialBound(L0Scalar.of(space, M), L0Scalar.of(space, scale * bound.xi.values))
             assert gate_outcome(A, C, exact) == "passed"
             if scale <= 1.0:
                 assert settled_atoms(A, C, exact).all()
-            low = ExponentialBound(L0Scalar.of(space, (1.0 - 1e-6) * bound.M.values), exact.xi)
+            low = ExponentialBound(L0Scalar.of(space, (1.0 - 1e-6) * M), exact.xi)
             assert gate_outcome(A, C, low)[1:] == (0.0, 0)
 
     def test_a_family_at_twice_a_subnormal_envelope_escapes(self, space1):
@@ -645,6 +648,25 @@ class TestHilleYosida:
         for entry in report.entries[::2]:
             assert [row.n for row in entry.route_rows] == [1, 2, 3]
             assert all(row.passed and row.gap <= 1e-7 for row in entry.route_rows)
+
+    def test_route_integrals_share_few_panels(self, monkeypatch):
+        # a wide pair on the default damping grid: the 12 route weights seed
+        # one lattice, so near-duplicate edges no longer split the set
+        space = make_space(np.full(64, 1.0 / 64))
+        A, C, bound = random_commuting_pair(rng_for(13, "hille-yosida-panels"), space, 4)
+        shared = semigroup_module.damped_weighted_integrals
+        panels = []
+
+        def counted(curve, weights):
+            results = shared(curve, weights)
+            panels.append(results[0].panels)
+            return results
+
+        monkeypatch.setattr(semigroup_module, "damped_weighted_integrals", counted)
+        report = hille_yosida_report(A, C, bound, [2.0, 4.0, 8.0, 16.0], n_max=8)
+        assert len(panels) == 1 and panels[0] <= 10
+        gaps = [row.gap for entry in report.entries for row in entry.route_rows]
+        assert len(gaps) == 12 and max(gaps) <= report.route_tol
 
     def test_ladder_norms_match_svd_of_each_power(self, space4, rng):
         A = rng.normal(size=(4, 3, 3)) - 3.0 * np.eye(3)

@@ -35,10 +35,15 @@ c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
 exp(tA) C = Q diag(c exp(t a)) Q^T at 32 times spread evenly over [0, 10].
 
-Each of five rounds starts one worker process per tree, alternating which
-tree goes first, and a worker times every case on its own tree: the best
-of five samples, each sample at least 20 ms of repeated calls.  A case's
-figure is the median over rounds of those best times, in seconds per call.
+One long-lived worker process per tree takes the cases over a pipe,
+and the two trees are timed case by case: each case runs five rounds
+back to back, one worker and then the other, alternating which tree goes
+first from round to round, so a drift in the machine's speed reaches both
+trees alike.  A worker's time for a round is the best of five samples,
+each sample at least 20 ms of repeated calls.  A case's figure is the
+median over rounds of those best times, in seconds per call, and
+``round_ratios`` is the least and the greatest ratio of the second tree
+to the first within one round: the spread against which a move is read.
 The result, written to stdout, is one JSON object with a column per tree
 label and the ratio of the second to the first; numpy is the only
 dependency.
@@ -177,76 +182,103 @@ def best_time(call) -> float:
     return best
 
 
-def worker(tree: str) -> list[float]:
-    """Time every case with the rnsl package found in ``tree``."""
+def load(tree: str):
+    """The rnsl package found in ``tree``."""
     sys.path.insert(0, os.path.abspath(tree))
     import rnsl
-    from rnsl.instances import random_commuting_pair
 
     if not os.path.abspath(rnsl.__file__).startswith(os.path.abspath(tree)):
         raise SystemExit(f"rnsl was imported from {rnsl.__file__}, not from {tree}")
-    out = []
-    for case in cases():
-        n, d = case["atoms"], case["dim"]
-        q, a, c = spectra(n, d)
-        space = rnsl.make_space(np.full(n, 1.0 / n))
-        gen = rnsl.L0Operator.of(space, blocks(q, a))
-        if case["kernel"] == "matrix_exp_times":
-            ts = 2.0 * np.arange(1, case["times"] + 1) / case["times"]
-            out.append(best_time(lambda: rnsl.matrix_exp_times(gen, ts)))
-        elif case["kernel"] == "op_norm":
-            # W(t) = exp(tA) C = Q diag(c exp(t a)) Q^T at the growth check's times
-            ts = np.linspace(0.0, 10.0, NORM_TIMES)[:, None, None]
-            stack = blocks(q, c * np.exp(ts * a)).reshape(-1, d, d)
-            family = rnsl.L0Operator.of(rnsl.make_space(np.full(len(stack), 1.0 / len(stack))), stack)
-            out.append(best_time(lambda: rnsl.op_norm(family)))
-        elif case["kernel"] == "scenario_from_dict":
-            doc = scenario_doc(q, a, c)
-            out.append(best_time(lambda: rnsl.scenario_from_dict(doc)))
-        elif case["kernel"] in ("laplace_transform", "post_widder"):
-            out.append(best_time(transform_call(rnsl, space, case)))
-        elif case["kernel"] == "random_commuting_pair":
-            rng = np.random.default_rng(n)
-            out.append(best_time(lambda: random_commuting_pair(rng, space, d)))
-        elif case.get("pair") == "jordan":
-            a_j, c_j, big_m = jordan_pair(d)
-            gen_j, c_op = (rnsl.L0Operator.from_matrix(space, m) for m in (a_j, c_j))
-            bound = rnsl.ExponentialBound.constant(space, big_m, 0.0)
-            out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen_j, c_op, bound)))
-        else:
-            c_op = rnsl.L0Operator.of(space, blocks(q, c))
-            bound = rnsl.ExponentialBound(
-                rnsl.L0Scalar.of(space, c.max(axis=1)), rnsl.L0Scalar.of(space, a.max(axis=1))
-            )
-            if case["kernel"] == "hille_yosida_report":
-                out.append(best_time(
-                    lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
-                ))
-            else:
-                out.append(best_time(lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)))
-    return out
+    return rnsl
+
+
+def case_call(rnsl, case):
+    """One call of the case's unit of work, with its inputs built."""
+    from rnsl.instances import random_commuting_pair
+
+    n, d = case["atoms"], case["dim"]
+    q, a, c = spectra(n, d)
+    space = rnsl.make_space(np.full(n, 1.0 / n))
+    gen = rnsl.L0Operator.of(space, blocks(q, a))
+    if case["kernel"] == "matrix_exp_times":
+        ts = 2.0 * np.arange(1, case["times"] + 1) / case["times"]
+        return lambda: rnsl.matrix_exp_times(gen, ts)
+    if case["kernel"] == "op_norm":
+        # W(t) = exp(tA) C = Q diag(c exp(t a)) Q^T at the growth check's times
+        ts = np.linspace(0.0, 10.0, NORM_TIMES)[:, None, None]
+        stack = blocks(q, c * np.exp(ts * a)).reshape(-1, d, d)
+        family = rnsl.L0Operator.of(rnsl.make_space(np.full(len(stack), 1.0 / len(stack))), stack)
+        return lambda: rnsl.op_norm(family)
+    if case["kernel"] == "scenario_from_dict":
+        doc = scenario_doc(q, a, c)
+        return lambda: rnsl.scenario_from_dict(doc)
+    if case["kernel"] in ("laplace_transform", "post_widder"):
+        return transform_call(rnsl, space, case)
+    if case["kernel"] == "random_commuting_pair":
+        rng = np.random.default_rng(n)
+        return lambda: random_commuting_pair(rng, space, d)
+    if case.get("pair") == "jordan":
+        a_j, c_j, big_m = jordan_pair(d)
+        gen_j, c_op = (rnsl.L0Operator.from_matrix(space, m) for m in (a_j, c_j))
+        bound = rnsl.ExponentialBound.constant(space, big_m, 0.0)
+        return lambda: rnsl.make_matrix_semigroup(gen_j, c_op, bound)
+    c_op = rnsl.L0Operator.of(space, blocks(q, c))
+    bound = rnsl.ExponentialBound(
+        rnsl.L0Scalar.of(space, c.max(axis=1)), rnsl.L0Scalar.of(space, a.max(axis=1))
+    )
+    if case["kernel"] == "hille_yosida_report":
+        return lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
+    return lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)
+
+
+def serve(tree: str) -> None:
+    """Time each case read from stdin, one JSON object a line, and write its seconds per call to stdout."""
+    rnsl = load(tree)
+    for line in sys.stdin:
+        print(repr(best_time(case_call(rnsl, json.loads(line)))), flush=True)
 
 
 def sweep(trees: dict[str, str]) -> dict:
-    runs = {label: [] for label in trees}
     base, change = labels = list(trees)
-    for r in range(ROUNDS):
-        for label in labels if r % 2 == 0 else labels[::-1]:
-            done = subprocess.run(
-                [sys.executable, __file__, "--worker", trees[label]],
-                check=True, capture_output=True, text=True,
-            )
-            runs[label].append(json.loads(done.stdout))
+    workers = {
+        label: subprocess.Popen(
+            [sys.executable, __file__, "--serve", trees[label]],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for label in labels
+    }
+
+    def timed(label: str, case: dict) -> float:
+        proc = workers[label]
+        proc.stdin.write(json.dumps(case) + "\n")
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"the {label} worker stopped with code {proc.wait()}")
+        return float(line)
+
     rows = []
-    for i, case in enumerate(cases()):
-        row = dict(case, unit="s")
-        for label in labels:
-            row[label] = statistics.median(run[i] for run in runs[label])
-        row[f"{change}_over_{base}"] = row[change] / row[base]
-        rows.append(row)
+    try:
+        for i, case in enumerate(cases()):
+            seconds = {label: [] for label in labels}
+            for r in range(ROUNDS):
+                for label in labels if (i + r) % 2 == 0 else labels[::-1]:
+                    seconds[label].append(timed(label, case))
+            row = dict(case, unit="s")
+            for label in labels:
+                row[label] = statistics.median(seconds[label])
+            ratios = [new / old for old, new in zip(seconds[base], seconds[change])]
+            row[f"{change}_over_{base}"] = row[change] / row[base]
+            row["round_ratios"] = [min(ratios), max(ratios)]
+            rows.append(row)
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait()
     return {
         "what": "seconds per call, median over rounds of each worker's best of "
-        f"{SAMPLES} samples; times spread evenly over (0, 2]",
+        f"{SAMPLES} samples; times spread evenly over (0, 2]; round_ratios is the "
+        f"least and greatest {change}/{base} ratio of one round",
         "columns": labels,
         "rounds": ROUNDS,
         "environment": {
@@ -262,10 +294,10 @@ def sweep(trees: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--worker", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--serve", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker:
-        print(json.dumps(worker(args.worker)))
+    if args.serve:
+        serve(args.serve)
         return 0
     trees = dict(spec.split("=", 1) for spec in args.tree if "=" in spec)
     if len(args.tree) != 2 or len(trees) != 2:
