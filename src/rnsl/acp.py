@@ -22,7 +22,7 @@ from .calculus import MIN_STEP, _coerce_eta
 from .errors import DimMismatch, SpaceMismatch, StepUnderflow
 from .l0 import L0Scalar
 from .rn import L0Operator, RnVector, _check_finite, block_norms
-from .semigroup import CSemigroup, _generated, _solve_c, c_resolvent_direct
+from .semigroup import CSemigroup, _solve_c, c_resolvent_direct
 
 
 def _check_times(times) -> tuple[float, ...]:
@@ -136,8 +136,7 @@ def initial_vector(p: AcpProblem) -> RnVector:
 def solve_acp(p: AcpProblem) -> Trajectory:
     """Evaluate u(t) = W(t) v0 on the grid with residuals and graph norms."""
     v0 = initial_vector(p)
-    mats = _generated(p.W.generator.matrices, p.W.C.matrices, p.times)
-    return _trajectory(p.W.generator, p.times, np.einsum("taij,aj->tai", mats, v0.values))
+    return _trajectory(p.W.generator, p.times, np.einsum("taij,aj->tai", p.W.at(p.times), v0.values))
 
 
 def rk4_oracle(

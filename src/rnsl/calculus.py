@@ -472,10 +472,11 @@ def _q_root(k: int, log_q: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest horizon T with log Q(k+1, gamma T) <= log_q_target on every atom.
 
-    Returns T and log Q(k+1, gamma T).  The inverse of Q is computed only
-    on the atoms whose starting estimate is near the largest horizon, and
-    then on any atom that T leaves uncertified.  At k = 0, log Q(1, x) = -x
-    gives T in closed form.
+    Returns T and log Q(k+1, gamma T).  T is the largest inverse of Q over
+    the atoms, with a relative margin, floored at half the largest weight
+    mean (k+1)/gamma and at 1e-3; a target clipped at 1e-280 that T still
+    leaves uncertified doubles T.  At k = 0, log Q(1, x) = -x gives T in
+    closed form.
     """
     if k == 0:
         T = max(
@@ -486,25 +487,18 @@ def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[flo
         if math.isinf(T):
             raise TailNotCertified("no finite horizon certifies the tail under its target")
         return T, -gamma * T
-    a = k + 1.0
     log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
-    x = _q_start(k, log_q)
-    pick = x / gamma >= 0.9 * float(np.max(x / gamma))
-    inverted = np.zeros(len(x), dtype=bool)
-    T = max(float(np.max(a / gamma)) * 0.5, 1e-3)
+    x = _q_root(k, log_q, _q_start(k, log_q))
+    T = max(
+        float(np.max((k + 1.0) / gamma)) * 0.5,
+        1e-3,
+        float(np.max(x / gamma)) * (1.0 + _HORIZON_MARGIN),
+    )
     for _ in range(200):
-        if pick.any():
-            x[pick] = _q_root(k, log_q[pick], x[pick])
-            inverted |= pick
-            T = max(T, float(np.max(x[pick] / gamma[pick])) * (1.0 + _HORIZON_MARGIN))
         now = _log_q(k, gamma * T)[0]
-        over = now > log_q_target
-        if not over.any():
+        if not (now > log_q_target).any():
             return T, now
-        pick = over & ~inverted
-        if not pick.any():
-            # the target was clipped at 1e-280: only a longer horizon helps
-            T *= 2.0
+        T *= 2.0
     raise TailNotCertified(
         f"no horizon up to T={T!r} certifies the tail under its target"
     )
@@ -621,19 +615,15 @@ def damped_weighted_integrals(
     ks = np.repeat([float(p.k) for p in plans], n)
     etas = np.concatenate([p.eta for p in plans])
     log_scales = np.concatenate([p.log_scale for p in plans])
-    at_zero = np.concatenate([np.exp(-p.log_scale) if p.k == 0 else np.zeros(n) for p in plans])
 
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)
-        pos = s > 0.0
-        sp = np.where(pos, s, 1.0)[:, None]
+        sp = s[:, None]  # a Kronrod node lies inside its panel of [0, T], so s > 0
         # exp(k log s - eta s - log_scale) for every weight, in place in that order
         w = etas * sp
         np.subtract(ks * np.log(sp), w, out=w)
         w -= log_scales
         np.exp(w, out=w)
-        if not pos.all():
-            w[~pos] = at_zero
         out = w.reshape(len(s), len(plans), n, 1) * h[:, None]
         return out.reshape(len(s), len(plans) * n, g.dim)
 

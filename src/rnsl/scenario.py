@@ -32,6 +32,14 @@ _DEFAULT_ETA_GRID = (2.0, 4.0, 8.0, 16.0)
 _DEFAULT_ETA_SEQUENCE = (10.0, 20.0, 40.0, 80.0, 160.0)
 _DEFAULT_TIME_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _DEFAULT_K_LADDER = (8, 64, 512)
+# every tolerance a scenario may set under "tolerances", with its default
+TOLERANCES = {
+    "rn_axioms": 1e-12, "quadrature": 1e-8, "calculus_ftc": 1e-7, "laplace_bound": 1e-8,
+    "lemma_3_4": 1e-6, "post_widder_constant": 1e-12, "post_widder_final": 1e-2,
+    "uniqueness": 1e-6, "uniqueness_detection": 1e-4, "semigroup_law": 1e-9,
+    "resolvent_route": 1e-6, "eq_5": 1e-8, "prop_4_3": 1e-6, "b4": 1e-9,
+    "yosida_rate_spread": 3.0, "acp_value": 1e-6, "acp_oracle": 1e-6,
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,9 @@ class Scenario:
     out_dir: str | None
     digest: str
 
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tolerance(self, name: str) -> float:
+        """The scenario's tolerance ``name``, or its default from TOLERANCES."""
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 def canonical_digest(doc: dict) -> str:
@@ -178,7 +187,7 @@ def _scalar(value, ptr: str, space: ProbabilitySpace) -> L0Scalar:
 
 
 def _tolerances(value, ptr: str) -> dict:
-    return {key: _number(v, _child(ptr, key)) for key, v in _object(value, ptr).items()}
+    return {key: _number(v, _child(ptr, key)) for key, v in _object(value, ptr, TOLERANCES).items()}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,11 +73,12 @@ _TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
 _EPS = float(np.finfo(float).eps)
 B4_DEFAULT_TOL = 1e-9
 ABEL_RATE_SLACK = 1.5
+ABEL_ENVELOPE_TOL = 1e-14  # absolute allowance of the last gap over its rate envelope
 
 
 @dataclass(frozen=True, eq=False)
 class CSemigroup:
-    """Validated family W(t) = exp(t generator) C."""
+    """Family W(t) = exp(t generator) C, validated when ``make_matrix_semigroup`` builds it."""
 
     space: ProbabilitySpace
     dim: int
@@ -84,10 +86,28 @@ class CSemigroup:
     bound: ExponentialBound
     generator: L0Operator
 
+    @cached_property
+    def _taylor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator's Taylor powers, formed in the first ``at`` call and kept for the rest."""
+        return _taylor_powers(self.generator.matrices)
+
+    def at(self, ts) -> np.ndarray:
+        """exp(t generator) C at every time of ``ts``: shape (len(ts), n_atoms, d, d).
+
+        Each block has the bits of ``matrix_exp_times(generator, ts) @ C``
+        whatever the other times of the call.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        _check_finite(ts, "time")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = _expm_powers(*self._taylor, ts) @ self.C.matrices
+        _check_finite(mats, "operator entries")
+        return mats
+
     def operator_at(self, t: float) -> L0Operator:
         if t < 0.0:
             raise NegativeTime(f"family parameter must be nonnegative, got {t!r}")
-        return matrix_exp(self.generator, t) @ self.C
+        return L0Operator.of(self.space, self.at([t])[0])
 
 
 def _commutator_gaps(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> np.ndarray:
@@ -185,9 +205,8 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
     The bound is never below the exact norm of a computed block, and the
     kernel and ``spectral_norms`` give each block the same bits whatever
     the batch, so every escape, its message and the first one reported are
-    what exact norms on every block give.  When the call overflows, the
-    times are taken one a call, so that an escape at an earlier time is
-    still the error reported.
+    what exact norms on every block give.  An escape at a time before the
+    first one with an overflowing block is reported before the overflow.
     """
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite envelope holds any finite norm
@@ -197,31 +216,14 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
     times, atoms = (np.flatnonzero(open_blocks.any(axis=k)) for k in (1, 0))
     if not atoms.size:
         return
-    ts, a, c = ts[times], A.matrices[atoms], C.matrices[atoms]
-    try:
-        batches = [(ts, _generated(a, c, ts), envelope[times][:, atoms])]
-    except NonFiniteValue:
-        batches = (
-            (ts[i:i + 1], _generated(a, c, ts[i:i + 1]), bound.envelope(ts[i:i + 1])[:, atoms])
-            for i in range(len(ts))
-        )
-    for times, mats, envelope in batches:
-        _raise_first_escape(times, spectral_norms(mats), envelope, A.dim, c_norms, atoms)
-
-
-def _generated(a: np.ndarray, c: np.ndarray, ts, taylor=None) -> np.ndarray:
-    """exp(tA) C for each block A of ``a`` and C of ``c`` at every time of ``ts``.
-
-    ``a`` and ``c`` are (n, d, d) stacks; the result is (len(ts), n, d, d).
-    ``taylor``, when given, is ``_taylor_powers(a)``, formed once by a caller
-    that exponentiates ``a`` at many batches of times; the bits are the same.
-    """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    _check_finite(ts, "time")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = (_expm_times(a, ts) if taylor is None else _expm_powers(*taylor, ts)) @ c
-    _check_finite(mats, "operator entries")
-    return mats
+    ts, envelope = ts[times], envelope[times][:, atoms]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        mats = _expm_times(A.matrices[atoms], ts) @ C.matrices[atoms]
+    finite = np.isfinite(mats).all(axis=(1, 2, 3))
+    first = len(ts) if finite.all() else int(finite.argmin())  # the times before it have no overflow
+    _raise_first_escape(ts[:first], spectral_norms(mats[:first]), envelope[:first], A.dim, c_norms, atoms)
+    if first < len(ts):
+        raise NonFiniteValue("operator entries must be finite")
 
 
 def make_matrix_semigroup(
@@ -326,11 +328,11 @@ def make_sampled_semigroup(
     _raise_first_departure(ts[:1], mats[:1], C.matrices[None])
     A, h = _recover_generator(C, family_at)
     try:
-        _raise_first_departure(ts, mats, _generated(A.matrices, C.matrices, ts))
+        _raise_first_departure(ts, mats, CSemigroup(space, dim, C, bound, A).at(ts))
     except InitialValueMismatch as first:
         A, _ = _recover_generator(C, family_at, 0.5 * h)
         try:
-            _raise_first_departure(ts, mats, _generated(A.matrices, C.matrices, ts))
+            _raise_first_departure(ts, mats, CSemigroup(space, dim, C, bound, A).at(ts))
         except InitialValueMismatch:
             raise first from None
     return make_matrix_semigroup(A, C, bound)
@@ -352,38 +354,33 @@ def _solve_c(C: L0Operator, rhs: np.ndarray) -> RnVector:
     return RnVector.of(C.space, y)
 
 
-def _orbit_curve(
-    A: L0Operator, C: L0Operator, bound: ExponentialBound, x: RnVector
-) -> CurveSampler:
-    """Orbit t -> exp(tA) C x with the induced per-atom certificate M ||x||.
+def _orbit_curve(W: CSemigroup, x: RnVector) -> CurveSampler:
+    """Orbit t -> W(t) x with the induced per-atom certificate M ||x||.
 
     Its batch stacks the operators of at most one panel's nodes at a time,
     so a quadrature round over many panels does not hold all their
     (times, n_atoms, d, d) operators at once; it is also faster than one
-    call over the whole round.  The Taylor powers of A are formed once for
-    the curve, not once a panel, and every value keeps the bits of one
-    ``_generated`` call: (exp(tA) C) x, in that order.
+    call over the whole round.  Every value keeps the bits of one
+    ``W.at`` call: (exp(tA) C) x, in that order.
     """
     cert = ExponentialBound(
-        L0Scalar.of(bound.space, bound.M.values * l0_norm(x).values), bound.xi
+        L0Scalar.of(W.space, W.bound.M.values * l0_norm(x).values), W.bound.xi
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _generated, which reports an overflow
-        taylor = _taylor_powers(A.matrices)
 
     def batch(ts: np.ndarray) -> np.ndarray:
         step = len(_NODES)
         return np.concatenate([
-            np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts[i:i + step], taylor), x.values)
+            np.einsum("taij,aj->tai", W.at(ts[i:i + step]), x.values)
             for i in range(0, len(ts), step)
         ])
 
-    return CurveSampler.from_batch(bound.space, x.dim, 0.0, math.inf, batch, bound=cert)
+    return CurveSampler.from_batch(W.space, x.dim, 0.0, math.inf, batch, bound=cert)
 
 
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
     """Resolvent route through the transform of the orbit t -> W(t)x."""
     eta = _coerce_eta(W.space, eta)
-    curve = _orbit_curve(W.generator, W.C, W.bound, x)
+    curve = _orbit_curve(W, x)
     return improper_integral(curve, eta, tol).value
 
 
@@ -446,6 +443,7 @@ class AbelLimitReport:
     etas: tuple[L0Scalar, ...]
     gaps: np.ndarray  # shape (n_etas, n_atoms)
     max_gaps: tuple[float, ...]
+    rise_slack: float  # how far a largest gap may rise over the one before
     envelope: np.ndarray  # per-atom rate envelope the last gap must stay under
     decreasing: bool
     envelope_ok: bool
@@ -485,11 +483,12 @@ def abel_limit_check(
     first_margin = etas[0].values - xi
     last_margin = etas[-1].values - xi
     envelope = gaps[0] * (first_margin / last_margin) * ABEL_RATE_SLACK
-    envelope_ok = bool(np.all(gaps[-1] <= envelope + 1e-14))
+    envelope_ok = bool(np.all(gaps[-1] <= envelope + ABEL_ENVELOPE_TOL))
     return AbelLimitReport(
         etas=tuple(etas),
         gaps=gaps,
         max_gaps=tuple(float(v) for v in max_gaps),
+        rise_slack=float(slack),
         envelope=envelope,
         decreasing=decreasing,
         envelope_ok=envelope_ok,
@@ -576,7 +575,7 @@ def hille_yosida_report(
     probe = RnVector.constant(A.space, np.eye(A.dim)[0])
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
     M = bound.M.values
-    probe_curve = _orbit_curve(A, C, bound, probe)
+    probe_curve = _orbit_curve(CSemigroup(A.space, A.dim, C, bound, A), probe)
     ladder = []  # (eta, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)

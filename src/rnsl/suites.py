@@ -51,6 +51,7 @@ from .reporting import (
     write_json,
 )
 from .rn import (
+    INJECTIVITY_THRESHOLD,
     ExponentialBound,
     L0Operator,
     RnVector,
@@ -63,7 +64,8 @@ from .rn import (
 )
 from .scenario import Scenario
 from .semigroup import (
-    _generated,
+    ABEL_ENVELOPE_TOL,
+    COMMUTE_TOL,
     _orbit_curve,
     abel_limit_check,
     c_resolvent_direct,
@@ -118,7 +120,7 @@ def _columns(kind: str, rows) -> dict:
 def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "rn_axioms")
     space, dim = scn.space, scn.dim
-    tol = scn.tolerance("rn_axioms", 1e-12)
+    tol = scn.tolerance("rn_axioms")
     hom, tri = _Worst(), _Worst()
     bad_definite = 0
     for _ in range(scn.instances):
@@ -145,8 +147,8 @@ def _suite_rn_axioms(scn: Scenario) -> SuiteReport:
 
 def _suite_calculus_ftc(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "calculus_ftc")
-    quad = scn.tolerance("quadrature", 1e-8)
-    budget = scn.tolerance("calculus_ftc", 1e-7)
+    quad = scn.tolerance("quadrature")
+    budget = scn.tolerance("calculus_ftc")
     members = smooth_curve_family(rng, scn.space, scn.dim, n=10)
     unit_space = make_space([1.0])
     probs = scn.space.probs
@@ -199,7 +201,7 @@ def _add_by_copy(worst: _Worst, n: int, *stacked: np.ndarray) -> None:
 
 
 def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
-    tol = scn.tolerance("laplace_bound", 1e-8)
+    tol = scn.tolerance("laplace_bound")
     stack = _laplace_stack(scn)
     m = stack.bound.M.values
     xi = stack.bound.xi.values
@@ -215,7 +217,7 @@ def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
 
 
 def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
-    tol = scn.tolerance("lemma_3_4", 1e-6)
+    tol = scn.tolerance("lemma_3_4")
     delta = 3e-4
     stack = _laplace_stack(scn)
     gamma = scn.eta_grid[len(scn.eta_grid) // 2]
@@ -232,8 +234,8 @@ def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
 
 
 def _suite_post_widder(scn: Scenario) -> SuiteReport:
-    const_tol = scn.tolerance("post_widder_constant", 1e-12)
-    final_tol = scn.tolerance("post_widder_final", 1e-2)
+    const_tol = scn.tolerance("post_widder_constant")
+    final_tol = scn.tolerance("post_widder_final")
     ks = tuple(sorted(set(scn.k_ladder)))
     times = (0.5, 1.0, 2.0)
     n = scn.space.n_atoms
@@ -280,8 +282,8 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
 
 
 def _suite_uniqueness_3_6(scn: Scenario) -> SuiteReport:
-    tol = scn.tolerance("uniqueness", 1e-6)
-    floor = scn.tolerance("uniqueness_detection", 1e-4)
+    tol = scn.tolerance("uniqueness")
+    floor = scn.tolerance("uniqueness_detection")
     grid = (1.0, 2.0, 4.0, 8.0)
     base = dict(inversion_test_family(scn.space, scn.dim))
     twin = dict(inversion_test_family(scn.space, scn.dim))
@@ -314,15 +316,15 @@ def _suite_uniqueness_3_6(scn: Scenario) -> SuiteReport:
 
 def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "semigroup_law")
-    tol = scn.tolerance("semigroup_law", 1e-9)
+    tol = scn.tolerance("semigroup_law")
     law = _Worst()
     zero_gap = 0.0
     for _ in range(scn.instances):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
-        make_matrix_semigroup(A, C, bound)  # the law is checked on a validated family
+        W = make_matrix_semigroup(A, C, bound)  # the law is checked on a validated family
         s, t = rng.uniform(0.0, 2.0, 2)
         x = random_vector(rng, scn.space, scn.dim, -2.0, 2.0).values
-        w_st, w_t, w_s, w_0 = _generated(A.matrices, C.matrices, [s + t, t, s, 0.0])
+        w_st, w_t, w_s, w_0 = W.at([s + t, t, s, 0.0])
         lhs = np.einsum("aij,aj->ai", C.matrices, np.einsum("aij,aj->ai", w_st, x))
         rhs = np.einsum("aij,aj->ai", w_t, np.einsum("aij,aj->ai", w_s, x))
         law.add(block_norms(lhs - rhs))
@@ -337,8 +339,8 @@ def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
 
 def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "lemma_4_6")
-    quad = scn.tolerance("quadrature", 1e-8)
-    tol = scn.tolerance("resolvent_route", 1e-6)
+    quad = scn.tolerance("quadrature")
+    tol = scn.tolerance("resolvent_route")
     count = max(5, scn.instances // 5)
     route, ident = _Worst(), _Worst()
     for i in range(count):
@@ -362,7 +364,7 @@ def _suite_lemma_4_6(scn: Scenario) -> SuiteReport:
 
 def _suite_eq_5(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "eq_5")
-    tol = scn.tolerance("eq_5", 1e-8)
+    tol = scn.tolerance("eq_5")
     worst = _Worst()
     for i in range(scn.instances):
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
@@ -383,8 +385,8 @@ def _suite_eq_5(scn: Scenario) -> SuiteReport:
 
 def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "prop_4_3")
-    quad = scn.tolerance("quadrature", 1e-8)
-    tol = scn.tolerance("prop_4_3", 1e-6)
+    quad = scn.tolerance("quadrature")
+    tol = scn.tolerance("prop_4_3")
     count = max(5, scn.instances // 10)
     deriv, integ = _Worst(), _Worst()
     lip_ratio = 1.0
@@ -392,7 +394,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         A, C, bound = random_commuting_pair(rng, scn.space, scn.dim)
         W = make_matrix_semigroup(A, C, bound)
         x = random_vector(rng, scn.space, scn.dim, -1.0, 1.0)
-        orbit = _orbit_curve(A, C, bound, x)
+        orbit = _orbit_curve(W, x)
         t0 = 0.8
         slope = derivative(orbit, t0, 1e-3)
         w_t0 = W.operator_at(t0)
@@ -411,7 +413,7 @@ def _suite_prop_4_3(scn: Scenario) -> SuiteReport:
         def steepest(n: int) -> float:
             # the largest difference quotient of the smooth orbit s -> C C W(s) x
             ts = np.linspace(0.0, 2.0, n)
-            vals = np.einsum("taij,aj->tai", _generated(A.matrices, C.matrices, ts), x.values)
+            vals = np.einsum("taij,aj->tai", W.at(ts), x.values)
             for _ in range(2):
                 vals = np.einsum("aij,taj->tai", C.matrices, vals)
             return float(block_norms(np.diff(vals, axis=0)).max()) / (ts[1] - ts[0])
@@ -434,13 +436,13 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
         scn.bound,
         scn.eta_grid,
         n_max=8,
-        b4_tol=scn.tolerance("b4", 1e-9),
-        route_tol=scn.tolerance("resolvent_route", 1e-6),
-        quad_tol=scn.tolerance("quadrature", 1e-8),
+        b4_tol=scn.tolerance("b4"),
+        route_tol=scn.tolerance("resolvent_route"),
+        quad_tol=scn.tolerance("quadrature"),
     )
     records = [
         CheckRecord.le(
-            "commutation", float(rep.commutation_gap.max()), 0.0, 1e-10,
+            "commutation", float(rep.commutation_gap.max()), 0.0, COMMUTE_TOL,
             worst_atom(rep.commutation_gap),
         )
     ]
@@ -450,7 +452,7 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
             CheckRecord.ge(
                 f"invertible_eta_{tag}",
                 float(entry.min_sv_ratio.min()),
-                1e-12,
+                INJECTIVITY_THRESHOLD,
                 0.0,
                 worst_atom(-entry.min_sv_ratio),
             )
@@ -472,7 +474,7 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
 
 
 def _suite_yosida_convergence(scn: Scenario) -> SuiteReport:
-    spread_cap = scn.tolerance("yosida_rate_spread", 3.0)
+    spread_cap = scn.tolerance("yosida_rate_spread")
     t = scn.yosida_time
     coords = np.full(scn.dim, 1.0 / math.sqrt(scn.dim))
     x = RnVector.constant(scn.space, coords)
@@ -503,13 +505,12 @@ def _suite_lemma_4_10(scn: Scenario) -> SuiteReport:
     x = RnVector.constant(scn.space, coords)
     rep = abel_limit_check(scn.A, scn.C, scn.bound, x, scn.eta_sequence)
     max_gaps = np.asarray(rep.max_gaps)
-    slack = 1e-12 * (1.0 + max_gaps[0])
     worst_rise = float(np.diff(max_gaps).max()) if len(max_gaps) > 1 else 0.0
     over = rep.gaps[-1] - rep.envelope
     records = [
-        CheckRecord.le("gaps_nonincreasing", worst_rise, 0.0, slack),
+        CheckRecord.le("gaps_nonincreasing", worst_rise, 0.0, rep.rise_slack),
         CheckRecord.le(
-            "rate_envelope", float(over.max()), 0.0, 1e-14, worst_atom(over)
+            "rate_envelope", float(over.max()), 0.0, ABEL_ENVELOPE_TOL, worst_atom(over)
         ),
     ]
     data = {
@@ -521,8 +522,8 @@ def _suite_lemma_4_10(scn: Scenario) -> SuiteReport:
 
 def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "acp_5_1")
-    value_tol = scn.tolerance("acp_value", 1e-6)
-    oracle_tol = scn.tolerance("acp_oracle", 1e-6)
+    value_tol = scn.tolerance("acp_value")
+    oracle_tol = scn.tolerance("acp_oracle")
     records = []
 
     # scalar reference v' = -v, u(1) = exp(-1), with a known residual order

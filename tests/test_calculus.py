@@ -11,6 +11,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnsl import (
     CertificateMissing,
@@ -742,3 +744,47 @@ class TestClosedFormGamma:
         assert (log_q <= log_q_target).all()
         # the horizon for q = 1e-280 falls short of a target near e^-800
         assert T >= 2.0 * scipy.special.gammainccinv(9.0, 1e-280)
+
+
+def picked_atom_tail_time(gamma, k, log_q_target):
+    """The earlier horizon rule for k >= 1, as a reference: Q is inverted first on
+    the atoms whose start lies within 10% of the largest, then on any atom that
+    T leaves uncertified; a clipped target that stays uncertified doubles T."""
+    log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
+    x = _q_start(k, log_q)
+    pick = x / gamma >= 0.9 * float(np.max(x / gamma))
+    inverted = np.zeros(len(x), dtype=bool)
+    T = max(float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
+    for _ in range(200):
+        if pick.any():
+            x[pick] = _q_root(k, log_q[pick], x[pick])
+            inverted |= pick
+            T = max(T, float(np.max(x[pick] / gamma[pick])) * (1.0 + _HORIZON_MARGIN))
+        over = _log_q(k, gamma * T)[0] > log_q_target
+        if not over.any():
+            return T
+        pick = over & ~inverted
+        if not pick.any():
+            T *= 2.0
+    raise AssertionError("the reference rule found no horizon")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from([1, 4, 64, 1024]),
+    k=st.sampled_from([1, 2, 3, 64, 512, 1024]),
+    spread=st.booleans(),
+    lowest=st.sampled_from([-600.0, -900.0]),  # below log(1e-280) = -644.7 a target is clipped
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_time_matches_the_picked_atom_rule(n, k, spread, lowest, seed):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.01, 10.0, n) if spread else np.full(n, rng.uniform(0.01, 10.0))
+    log_q_target = rng.uniform(lowest, 0.5, n)
+    T, log_q = _tail_time(gamma, k, log_q_target)
+    want = picked_atom_tail_time(gamma, k, log_q_target)
+    # mostly bitwise; Halley stops at a step below 1e-5 x, so an atom's inverse
+    # moves by about 1e-13 with the atoms inverted beside it
+    assert abs(T - want) <= _HORIZON_MARGIN * want
+    assert (log_q <= log_q_target).all()
+    assert np.array_equal(log_q, _log_q(k, gamma * T)[0])

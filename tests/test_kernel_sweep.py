@@ -1,13 +1,13 @@
 """The kernel sweep tool runs its cases on a source tree and reports seconds per call."""
 
 import importlib.util
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rnsl
+from rnsl.instances import inversion_test_family, oscillating_decay_specs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +31,7 @@ def test_worker_times_every_case(monkeypatch):
         ["matrix_exp_times"] * 4
         + ["op_norm"] * 2
         + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"]
+        + ["c_resolvent_integral", "solve_acp", "rk4_oracle"]
         + ["make_matrix_semigroup"]
         + ["scenario_from_dict"] * 2
         + ["laplace_transform", "post_widder", "post_widder"]
@@ -60,19 +61,21 @@ def test_sweep_times_both_trees_case_by_case(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, curves", [("laplace_transform", 20), ("post_widder", 3)])
-def test_transform_cases_run_per_curve_on_a_tree_without_stacking(kernel, curves):
+def test_transform_cases_run_one_stacked_curve(kernel, curves):
     sweep = load_sweep()
     space = rnsl.make_space([0.25, 0.75])
     case = {"kernel": kernel, "atoms": 2, "dim": 2, "k": 64}
-    unstacked = types.SimpleNamespace(**{
-        name: getattr(rnsl, name)
-        for name in ("L0Scalar", "laplace_transform", "post_widder", "provider_from_curve")
-    })
     stacked = sweep.transform_call(rnsl, space, case)()
-    per_curve = sweep.transform_call(unstacked, space, case)()
-    assert (len(stacked), len(per_curve)) == (1, curves)
+    if kernel == "laplace_transform":
+        specs = oscillating_decay_specs(np.random.default_rng(0), space, 2, n=sweep.TRANSFORM_CURVES)
+        etas = [rnsl.L0Scalar.of(space, s.bound.xi.values + sweep.TRANSFORM_GAMMA) for s in specs]
+        per_curve = [rnsl.laplace_transform(s, e, sweep.TRANSFORM_TOL) for s, e in zip(specs, etas)]
+    else:
+        specs = [spec for name, spec in inversion_test_family(space, 2) if name != "constant"]
+        per_curve = [rnsl.post_widder(rnsl.provider_from_curve(s, 1e-11), 1.0, 64) for s in specs]
+    assert len(per_curve) == curves
     np.testing.assert_allclose(
-        stacked[0].values, np.concatenate([v.values for v in per_curve]), rtol=0.0, atol=1e-8
+        stacked.values, np.concatenate([v.values for v in per_curve]), rtol=0.0, atol=1e-8
     )
 
 

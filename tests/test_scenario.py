@@ -36,6 +36,12 @@ _OPERATOR = {
     "additionalProperties": False,
 }
 _SCALAR_OR_LIST = {"anyOf": [{"type": "number"}, _NUMBER_LIST]}
+TOLERANCE_NAMES = (
+    "rn_axioms", "quadrature", "calculus_ftc", "laplace_bound", "lemma_3_4",
+    "post_widder_constant", "post_widder_final", "uniqueness", "uniqueness_detection",
+    "semigroup_law", "resolvent_route", "eq_5", "prop_4_3", "b4", "yosida_rate_spread",
+    "acp_value", "acp_oracle",
+)
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -68,7 +74,11 @@ SCENARIO_SCHEMA = {
             "minItems": 1,
         },
         "suites": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
+        "tolerances": {
+            "type": "object",
+            "properties": {name: {"type": "number"} for name in TOLERANCE_NAMES},
+            "additionalProperties": False,
+        },
         "seed": {"type": "integer", "minimum": 0},
         "instances": {"type": "integer", "minimum": 1},
         "yosida_time": {"type": "number", "exclusiveMinimum": 0},
@@ -297,6 +307,14 @@ class TestFieldRules:
                 scenario_from_dict(doc)
             assert exc.value.pointer == pointer
 
+    def test_unknown_tolerance_name_is_rejected_at_its_pointer(self):
+        for name, pointer in (("b4_tol", "/tolerances/b4_tol"), ("x/y", "/tolerances/x~1y")):
+            with pytest.raises(SchemaError) as exc:
+                scenario_from_dict({**per_atom_doc(), "tolerances": {"b4": 1e-6, name: 1e6}})
+            assert exc.value.pointer == pointer
+        scn = scenario_from_dict({**per_atom_doc(), "tolerances": dict.fromkeys(TOLERANCE_NAMES, 0.5)})
+        assert all(scn.tolerance(name) == 0.5 for name in TOLERANCE_NAMES)
+
     def test_per_atom_fields_convert(self):
         scn = scenario_from_dict(per_atom_doc())
         assert scn.A.matrices.shape == (3, 2, 2)
@@ -390,3 +408,14 @@ def test_cli_exits_2_on_a_non_finite_field(tmp_path, capsys, mutate, pointer):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert pointer in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, code", [("b4", 0), ("b4_tol", 2)])
+def test_cli_takes_a_known_tolerance_and_rejects_an_unknown_one(tmp_path, capsys, name, code):
+    doc = json.loads((REFERENCE.parent / "bad_certificate.json").read_text(encoding="utf-8"))
+    doc["tolerances"] = {name: 1e6}  # loose enough that the failing ladder passes
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert f"/tolerances/{name}" in capsys.readouterr().err

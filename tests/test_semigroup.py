@@ -27,6 +27,7 @@ from rnsl import (
     c_resolvent_direct,
     c_resolvent_integral,
     check_injective,
+    direct_value_problem,
     evaluate,
     hille_yosida_report,
     l0_norm,
@@ -39,6 +40,7 @@ from rnsl import (
     op_norm,
     resolvent_operator,
     riemann_integral,
+    solve_acp,
     yosida_approximant,
 )
 from rnsl import semigroup as semigroup_module
@@ -61,7 +63,7 @@ def diag_semigroup(space):
 def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
-    norms = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts))
+    norms = spectral_norms(matrix_exp_times(A, ts) @ C.matrices)
     semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv)
 
 
@@ -125,7 +127,7 @@ class TestLogNormTier:
         # outgrows the envelope M of the family, which rises and then decays
         assert (log_norm_bounds(A.matrices) >= 0.125).all()
         ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
-        top = spectral_norms(semigroup_module._generated(A.matrices, C.matrices, ts)).max(axis=0)
+        top = spectral_norms(matrix_exp_times(A, ts) @ C.matrices).max(axis=0)
         for factor, passes in ((1.01, True), (0.99, False)):
             bound = ExponentialBound(L0Scalar.of(space, factor * top), L0Scalar.zero(space))
             assert not settled_atoms(A, C, bound).any()
@@ -206,6 +208,25 @@ class TestLogNormTier:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gate_outcome(A, C, bound) == "operator entries must be finite"
+
+    def test_overflow_raises_non_finite_value_without_a_warning(self, space1):
+        # 0.5 exp(100 t) stays under 2 exp(100 t) until it overflows, near t = 7.1,
+        # where the envelope's product by M overflows too
+        A, C = L0Operator.of(space1, [[[100.0]]]), L0Operator.of(space1, [[[0.5]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="operator entries must be finite"):
+                make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 2.0, 100.0))
+
+    def test_an_escape_before_the_overflow_is_raised_at_its_time(self, space1):
+        # 0.5 exp(100 t) passes 2 exp(99 t) at t = log 4, long before it overflows
+        A, C = L0Operator.of(space1, [[[100.0]]]), L0Operator.of(space1, [[[0.5]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundViolated) as exc:
+                make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 2.0, 99.0))
+        ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
+        assert (exc.value.t, exc.value.atom) == (float(ts[ts > math.log(4.0)][0]), 0)
 
     def test_exact_certificate_builds_no_exponential(self, monkeypatch):
         space = make_space(np.full(64, 1.0 / 64))
@@ -508,6 +529,49 @@ class TestEvaluate:
         with pytest.raises(NegativeTime):
             evaluate(W, -0.1, RnVector.of(space2, [[1.0], [1.0]]))
 
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    @pytest.mark.parametrize("atoms", [1, 1024])
+    def test_at_is_bitwise_the_stacked_exponential_times_c(self, atoms, dim):
+        space = make_space(np.full(atoms, 1.0 / atoms))
+        A, C, bound = random_commuting_pair(rng_for(atoms + dim, "family-at"), space, dim)
+        W = make_matrix_semigroup(A, C, bound)
+        ts = np.linspace(0.0, 3.0, 16)  # one time more than a 15-node orbit chunk
+        want = matrix_exp_times(A, ts) @ C.matrices
+        assert np.array_equal(W.at(ts), want)
+        assert np.array_equal(np.concatenate([W.at(ts[:15]), W.at(ts[15:])]), want)
+
+    def test_operator_at_and_evaluate_are_bitwise_the_exponential_route(self):
+        space = make_space(np.full(64, 1.0 / 64))
+        rng = rng_for(0, "family-at")
+        A, C, bound = random_commuting_pair(rng, space, 4)
+        W = make_matrix_semigroup(A, C, bound)
+        x = random_vector(rng, space, 4, -1.0, 1.0)
+        for t in (0.0, 0.3, 1.7, 9.5):
+            route = matrix_exp(A, t) @ C
+            assert np.array_equal(W.operator_at(t).matrices, route.matrices)
+            assert np.array_equal(evaluate(W, t, x).values, op_apply(route, x).values)
+
+    def test_one_family_forms_its_powers_once(self, monkeypatch):
+        space = make_space(np.full(8, 1.0 / 8))
+        rng = rng_for(1, "family-at")
+        A, C, bound = random_commuting_pair(rng, space, 4)
+        x = random_vector(rng, space, 4, -1.0, 1.0)
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return taylor_powers(mats)
+
+        taylor_powers = semigroup_module._taylor_powers
+        monkeypatch.setattr(semigroup_module, "_taylor_powers", counted)
+        W = make_matrix_semigroup(A, C, bound)
+        W.at([0.5, 1.0])
+        W.operator_at(1.5)
+        evaluate(W, 2.0, x)
+        solve_acp(direct_value_problem(W, x, (0.0, 0.5, 1.0)))
+        c_resolvent_integral(W, L0Scalar.of(space, bound.xi.values + 2.0), x, 1e-8)
+        assert calls == [8]
+
 
 def test_c_solve_failures_keep_their_messages(space1):
     with pytest.raises(SolveFailed, match="C-solve failed: "):
@@ -575,7 +639,7 @@ class TestResolventRoutes:
         rng = rng_for(atoms, "orbit-slices")
         A, C, bound = random_commuting_pair(rng, space, 4)
         x = random_vector(rng, space, 4, -1.0, 1.0)
-        curve = semigroup_module._orbit_curve(A, C, bound, x)
+        curve = semigroup_module._orbit_curve(make_matrix_semigroup(A, C, bound), x)
         ts = np.linspace(0.0, 3.0, 16)
         want = np.einsum("taij,aj->tai", matrix_exp_times(A, ts) @ C.matrices, x.values)
         assert np.array_equal(curve.sample(ts), want)

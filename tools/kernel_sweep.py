@@ -1,4 +1,4 @@
-"""Time rnsl's small-block kernels, semigroup constructor, Hille–Yosida report, scenario reader and transform suites' kernels on two source trees.
+"""Time rnsl's small-block kernels, family routines, scenario reader and transform suites' kernels on two source trees.
 
 Usage, from the root of a checkout:
 
@@ -18,18 +18,22 @@ C = I + A/2, xi = 0 and M 1% above the largest norm of exp(tA) C over
 [0, 10]); ``instances.random_commuting_pair`` at d = 4 over the same atom
 counts; ``semigroup.hille_yosida_report`` at d = 4 over the same atom
 counts, on the ``hille_yosida_4_11`` suite's default damping grid
-{2, 4, 8, 16} and ladder depth 8; and ``scenario.scenario_from_dict`` over
+{2, 4, 8, 16} and ladder depth 8; three calls on a validated family at
+d = 4 over the same atom counts, each on a fresh copy of the family, as a
+suite's instance makes one: ``semigroup.c_resolvent_integral`` at
+eta = xi + 2 to 1e-8 (``lemma_4_6``), ``acp.solve_acp`` on the time grid
+of 21 points over [0, 1] and ``acp.rk4_oracle`` on that grid at step 2e-3
+(``acp_5_1``); and ``scenario.scenario_from_dict`` over
 the same n and d, on a
 document shaped like the benchmark's ``wide_semigroup`` scenario
 (per-atom A and C matrices and a per-atom certificate).  Two cases time
 the transform suites' units of work at d = 2 over the same atom counts:
 ``laplace.laplace_transform`` (k = 0) of the 20 curves of
-``oscillating_decay_specs`` at eta = xi + 2 to 2.5e-9, as ``laplace_bound``
+``oscillating_decay_stack`` at eta = xi + 2 to 2.5e-9, as ``laplace_bound``
 makes it, and ``laplace.post_widder`` at t = 1 and k in {64, 512} of the
 three quadrature members of ``inversion_test_family``, as ``post_widder``
-makes it.  On a tree that has ``stack_specs``, each family is one stacked
-curve (``oscillating_decay_stack`` and ``stack_specs``), and on one that
-has not, one call per curve.  The blocks are
+makes it, each family as one stacked curve (``oscillating_decay_stack``
+and ``stack_specs``).  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
 c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
@@ -52,6 +56,7 @@ dependency.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -79,6 +84,12 @@ TRANSFORM_CURVES = 20
 TRANSFORM_GAMMA = 2.0
 TRANSFORM_TOL = 2.5e-9
 INVERSION_ORDERS = (64, 512)
+# the orbit transform's damping margin and tolerance, and the ACP grid and oracle step
+ORBIT_GAMMA = 2.0
+ORBIT_TOL = 1e-8
+ACP_TIMES = tuple(np.linspace(0.0, 1.0, 21))
+RK4_STEP = 2e-3
+FAMILY_CALLS = ("c_resolvent_integral", "solve_acp", "rk4_oracle")
 WIDE_SUITES = ("semigroup_law", "eq_5", "acp_5_1", "hille_yosida_4_11", "yosida_convergence", "lemma_4_10")
 
 
@@ -90,7 +101,7 @@ def cases() -> list[dict]:
         for t in TIMES
     ]
     out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
-    for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"):
+    for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report", *FAMILY_CALLS):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
     out += [
         {"kernel": "make_matrix_semigroup", "atoms": n, "dim": SEMIGROUP_DIM, "pair": "jordan"}
@@ -107,25 +118,28 @@ def cases() -> list[dict]:
 
 
 def transform_call(rnsl, space, case):
-    """One transform-suite unit of work, stacked where the tree can stack curves."""
-    from rnsl.instances import inversion_test_family, oscillating_decay_specs
+    """One transform-suite unit of work, on one stacked curve."""
+    from rnsl.instances import inversion_test_family, oscillating_decay_stack
 
-    stacking = hasattr(rnsl, "stack_specs")
     d = case["dim"]
     if case["kernel"] == "laplace_transform":
-        rng = np.random.default_rng(0)
-        if stacking:
-            from rnsl.instances import oscillating_decay_stack
-
-            specs = [oscillating_decay_stack(rng, space, d, n=TRANSFORM_CURVES)]
-        else:
-            specs = oscillating_decay_specs(rng, space, d, n=TRANSFORM_CURVES)
-        etas = [rnsl.L0Scalar.of(s.space, s.bound.xi.values + TRANSFORM_GAMMA) for s in specs]
-        return lambda: [rnsl.laplace_transform(s, e, TRANSFORM_TOL) for s, e in zip(specs, etas)]
+        spec = oscillating_decay_stack(np.random.default_rng(0), space, d, n=TRANSFORM_CURVES)
+        eta = rnsl.L0Scalar.of(spec.space, spec.bound.xi.values + TRANSFORM_GAMMA)
+        return lambda: rnsl.laplace_transform(spec, eta, TRANSFORM_TOL)
     specs = [spec for name, spec in inversion_test_family(space, d) if name != "constant"]
-    specs = [rnsl.stack_specs(specs)] if stacking else specs
-    providers = [rnsl.provider_from_curve(s, 1e-11) for s in specs]
-    return lambda: [rnsl.post_widder(p, 1.0, case["k"]) for p in providers]
+    provider = rnsl.provider_from_curve(rnsl.stack_specs(specs), 1e-11)
+    return lambda: rnsl.post_widder(provider, 1.0, case["k"])
+
+
+def family_call(rnsl, W, case):
+    """One call of ``case``'s routine on a fresh copy of the family W, so nothing W keeps is reused."""
+    x = rnsl.RnVector.constant(W.space, np.full(W.dim, 1.0 / np.sqrt(W.dim)))
+    if case["kernel"] == "c_resolvent_integral":
+        eta = rnsl.L0Scalar.of(W.space, W.bound.xi.values + ORBIT_GAMMA)
+        return lambda: rnsl.c_resolvent_integral(dataclasses.replace(W), eta, x, ORBIT_TOL)
+    if case["kernel"] == "solve_acp":
+        return lambda: rnsl.solve_acp(rnsl.direct_value_problem(dataclasses.replace(W), x, ACP_TIMES))
+    return lambda: rnsl.rk4_oracle(W.generator, x, W.C, ACP_TIMES, RK4_STEP)
 
 
 def spectra(n: int, d: int):
@@ -228,6 +242,8 @@ def case_call(rnsl, case):
     )
     if case["kernel"] == "hille_yosida_report":
         return lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
+    if case["kernel"] in FAMILY_CALLS:
+        return family_call(rnsl, rnsl.make_matrix_semigroup(gen, c_op, bound), case)
     return lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)
 
 
