@@ -1,11 +1,11 @@
 """Abstract Cauchy problems u' = A u driven by a validated family.
 
 The solution through an admissible start is read off the family itself:
-u(t) = W(t) v0 with C v0 = u(0).  Admission comes in two forms: a direct
-v0, or a resolvent-seeded start u(0) = (eta - A)^{-1} C y0.  Trajectories
-carry per-atom defect residuals (central differences against A u on the
-grid interior, one-sided and flagged at the endpoints) and graph norms
-||u|| + ||A u||.
+u(t) = W(t) v0 with C v0 = u(0).  A resolvent-seeded problem starts at
+v0 = (eta - A)^{-1} y0, so u(0) = (eta - A)^{-1} C y0 since C commutes with
+A, and C is never inverted.  Trajectories carry per-atom defect residuals
+(central differences against A u on the grid interior, one-sided and flagged
+at the endpoints) and graph norms ||u|| + ||A u||.
 
 A classic fixed-step integrator doubles as an independent oracle for
 uniqueness checks; it never touches the family evaluation path.
@@ -14,15 +14,14 @@ uniqueness checks; it never touches the family evaluation path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .calculus import MIN_STEP, _coerce_eta
 from .errors import DimMismatch, SpaceMismatch, StepUnderflow
-from .l0 import L0Scalar
 from .rn import L0Operator, RnVector, _check_finite, block_norms
-from .semigroup import CSemigroup, _solve_c, c_resolvent_direct
+from .semigroup import CSemigroup, _resolve
 
 
 def _check_times(times) -> tuple[float, ...]:
@@ -38,28 +37,17 @@ def _check_times(times) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AcpProblem:
-    """One initial value problem; exactly one admission mode is set."""
+    """One initial value problem: the family, its time grid and the start v0."""
 
     W: CSemigroup
     times: tuple[float, ...]
-    v0: RnVector | None = None
-    seed_eta: L0Scalar | None = None
-    seed_y0: RnVector | None = None
+    v0: RnVector
 
     def __post_init__(self) -> None:
-        direct = self.v0 is not None
-        seeded = self.seed_eta is not None and self.seed_y0 is not None
-        if direct == seeded:
-            raise ValueError("set exactly one of v0 or (seed_eta, seed_y0)")
-        for v in (self.v0, self.seed_y0):
-            if v is None:
-                continue
-            if v.space != self.W.space:
-                raise SpaceMismatch("start vector lives on a different space")
-            if v.dim != self.W.dim:
-                raise DimMismatch(
-                    f"start vector has dim {v.dim}, expected {self.W.dim}"
-                )
+        if self.v0.space != self.W.space:
+            raise SpaceMismatch("start vector lives on a different space")
+        if self.v0.dim != self.W.dim:
+            raise DimMismatch(f"start vector has dim {self.v0.dim}, expected {self.W.dim}")
 
 
 def direct_value_problem(W: CSemigroup, v0: RnVector, times) -> AcpProblem:
@@ -67,8 +55,13 @@ def direct_value_problem(W: CSemigroup, v0: RnVector, times) -> AcpProblem:
 
 
 def resolvent_seeded_problem(W: CSemigroup, eta, y0: RnVector, times) -> AcpProblem:
+    """The problem started at v0 = (eta - A)^{-1} y0, so u(0) = (eta - A)^{-1} C y0.
+
+    An eta where eta - A is numerically singular raises EtaInSpectrum here.
+    """
     eta = _coerce_eta(W.space, eta)
-    return AcpProblem(W=W, times=_check_times(times), seed_eta=eta, seed_y0=y0)
+    seed = AcpProblem(W=W, times=_check_times(times), v0=y0)  # checks y0's space and dim
+    return replace(seed, v0=_resolve(W.generator, eta, y0))
 
 
 @dataclass(frozen=True)
@@ -125,18 +118,9 @@ def _trajectory(A: L0Operator, times: tuple[float, ...], u: np.ndarray) -> Traje
     return Trajectory(times, *arrays)
 
 
-def initial_vector(p: AcpProblem) -> RnVector:
-    """The v0 with C v0 = u(0) for either admission mode."""
-    if p.v0 is not None:
-        return p.v0
-    u0 = c_resolvent_direct(p.W.generator, p.W.C, p.seed_eta, p.seed_y0)
-    return _solve_c(p.W.C, u0.values)
-
-
 def solve_acp(p: AcpProblem) -> Trajectory:
     """Evaluate u(t) = W(t) v0 on the grid with residuals and graph norms."""
-    v0 = initial_vector(p)
-    return _trajectory(p.W.generator, p.times, np.einsum("taij,aj->tai", p.W.at(p.times), v0.values))
+    return _trajectory(p.W.generator, p.times, np.einsum("taij,aj->tai", p.W.at(p.times), p.v0.values))
 
 
 def rk4_oracle(

@@ -29,10 +29,6 @@ class NonFiniteValue(RnslError):
     """NaN or infinity where only finite values are allowed."""
 
 
-class ExtendedValueError(RnslError):
-    """Arithmetic on extended (infinite) scalars is not supported."""
-
-
 class SpaceMismatch(RnslError):
     """Operands live on different probability spaces."""
 
@@ -118,10 +114,6 @@ class InitialValueMismatch(_AtomError):
 
     At t = 0 the family does not start at its declared time-zero operator C.
     """
-
-
-class SolveFailed(_AtomError):
-    """A per-atom linear solve produced no finite solution."""
 
 
 class EtaInSpectrum(_AtomError):

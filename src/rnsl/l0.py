@@ -18,7 +18,6 @@ from .errors import (
     DivisionByZeroOnAtom,
     EmptyAtomList,
     EmptyFamily,
-    ExtendedValueError,
     NonFiniteValue,
     NonPositiveProbability,
     ProbabilitiesDoNotSumToOne,
@@ -60,13 +59,6 @@ class ProbabilitySpace:
     def probs(self) -> np.ndarray:
         return np.asarray(self.atom_probs, dtype=float)
 
-    def to_json(self) -> dict:
-        return {"probs": list(self.atom_probs)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ProbabilitySpace":
-        return make_space(doc["probs"])
-
 
 def make_space(probs: Sequence[float]) -> ProbabilitySpace:
     """Build a probability space from atom probabilities."""
@@ -85,7 +77,7 @@ def stacked_space(space: ProbabilitySpace, copies: int) -> ProbabilitySpace:
     return make_space(np.tile(space.probs / int(copies), int(copies)))
 
 
-def _as_array(space: ProbabilitySpace, values, allow_extended: bool) -> np.ndarray:
+def _as_array(space: ProbabilitySpace, values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape == ():
         arr = np.full(space.n_atoms, float(arr))
@@ -95,27 +87,22 @@ def _as_array(space: ProbabilitySpace, values, allow_extended: bool) -> np.ndarr
         )
     if np.isnan(arr).any():
         raise NonFiniteValue("NaN is never a valid atom value")
-    if not allow_extended and not np.isfinite(arr).all():
-        raise NonFiniteValue("infinite atom value; use L0Scalar.extended to build one")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("infinite atom value")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class L0Scalar:
-    """One real value per atom."""
+    """One finite real value per atom."""
 
     space: ProbabilitySpace
     values: np.ndarray
 
     @classmethod
     def of(cls, space: ProbabilitySpace, values) -> "L0Scalar":
-        return cls(space, _as_array(space, values, allow_extended=False))
-
-    @classmethod
-    def extended(cls, space: ProbabilitySpace, values) -> "L0Scalar":
-        """Build a scalar that may carry +/-inf; arithmetic will reject it."""
-        return cls(space, _as_array(space, values, allow_extended=True))
+        return cls(space, _as_array(space, values))
 
     @classmethod
     def constant(cls, space: ProbabilitySpace, c: float) -> "L0Scalar":
@@ -128,17 +115,6 @@ class L0Scalar:
     @classmethod
     def one(cls, space: ProbabilitySpace) -> "L0Scalar":
         return cls.constant(space, 1.0)
-
-    @property
-    def is_extended(self) -> bool:
-        return not bool(np.isfinite(self.values).all())
-
-    def to_json(self) -> dict:
-        return {"values": [float(v) for v in self.values]}
-
-    @classmethod
-    def from_json(cls, space: ProbabilitySpace, doc: dict) -> "L0Scalar":
-        return cls.of(space, doc["values"])
 
     # convenience operators, all routed through pointwise()
     def __add__(self, other):
@@ -180,12 +156,6 @@ def _check_pair(f: L0Scalar, g: L0Scalar) -> None:
         raise SpaceMismatch("operands live on different probability spaces")
 
 
-def _reject_extended(*fs: L0Scalar) -> None:
-    for f in fs:
-        if f.is_extended:
-            raise ExtendedValueError("arithmetic on extended scalars is not supported")
-
-
 _UNARY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "abs": np.abs,
     "exp": np.exp,
@@ -210,19 +180,16 @@ def pointwise(op: str, f: L0Scalar, g=None) -> L0Scalar:
     if op in _UNARY:
         if g is not None:
             raise ValueError(f"{op} is unary")
-        _reject_extended(f)
         return L0Scalar.of(f.space, _UNARY[op](f.values))
     if op == "scale":
         if isinstance(g, L0Scalar):
             raise ValueError("scale takes a plain real factor")
-        _reject_extended(f)
         if not np.isfinite(float(g)):
             raise NonFiniteValue("scale factor must be finite")
         return L0Scalar.of(f.space, float(g) * f.values)
     if op in _BINARY or op == "div":
         gs = _coerce(f.space, g)
         _check_pair(f, gs)
-        _reject_extended(f, gs)
         if op == "div":
             zero = np.nonzero(gs.values == 0.0)[0]
             if zero.size:
@@ -250,7 +217,6 @@ def indicator(f: L0Scalar, g, rel: str) -> L0Scalar:
         raise ValueError(f"unknown relation {rel!r}")
     gs = _coerce(f.space, g)
     _check_pair(f, gs)
-    _reject_extended(f, gs)
     mask = _RELATIONS[rel](f.values, gs.values)
     return L0Scalar.of(f.space, mask.astype(float))
 
@@ -265,7 +231,6 @@ def lattice(op: str, family: Sequence[L0Scalar]) -> L0Scalar:
     first = members[0]
     for m in members[1:]:
         _check_pair(first, m)
-    _reject_extended(*members)
     stack = np.stack([m.values for m in members])
     agg = stack.max(axis=0) if op == "sup" else stack.min(axis=0)
     return L0Scalar.of(first.space, agg)
@@ -273,7 +238,6 @@ def lattice(op: str, family: Sequence[L0Scalar]) -> L0Scalar:
 
 def expectation(f: L0Scalar) -> float:
     """Probability-weighted mean of the atom values."""
-    _reject_extended(f)
     return float(np.dot(f.space.probs, f.values))
 
 
@@ -285,7 +249,6 @@ def distance(f: L0Scalar, g: L0Scalar, topology: str) -> float:
     stronger, so eps_lambda <= locally_convex always.
     """
     _check_pair(f, g)
-    _reject_extended(f, g)
     gap = np.abs(f.values - g.values)
     if topology == "eps_lambda":
         return float(np.dot(f.space.probs, np.minimum(gap, 1.0)))

@@ -91,10 +91,6 @@ class LaplaceSpec:
         return self.curve.bound
 
 
-def make_laplace_spec(curve: CurveSampler) -> LaplaceSpec:
-    return LaplaceSpec(curve)
-
-
 def stack_specs(specs: Sequence[LaplaceSpec]) -> LaplaceSpec:
     """One transformable curve on ``stacked_space(space, len(specs))``.
 

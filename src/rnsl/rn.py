@@ -107,14 +107,6 @@ class RnVector:
             raise SpaceMismatch("scalar and vector live on different spaces")
         return RnVector.of(self.space, zeta.values[:, None] * self.values)
 
-    def to_json(self) -> dict:
-        return {"components": [c.to_json() for c in self.components]}
-
-    @classmethod
-    def from_json(cls, space: ProbabilitySpace, doc: dict) -> "RnVector":
-        comps = [L0Scalar.from_json(space, c) for c in doc["components"]]
-        return cls.from_components(comps)
-
     def __repr__(self) -> str:
         return f"RnVector(dim={self.dim}, atoms={self.space.n_atoms})"
 
@@ -200,15 +192,6 @@ class L0Operator:
 
     def scale(self, c: float) -> "L0Operator":
         return L0Operator.of(self.space, float(c) * self.matrices)
-
-    def to_json(self) -> dict:
-        return {"matrices": self.matrices.tolist()}
-
-    @classmethod
-    def from_json(cls, space: ProbabilitySpace, doc: dict) -> "L0Operator":
-        if "matrices" in doc:
-            return cls.of(space, doc["matrices"])
-        return cls.from_matrix(space, doc["matrix"])
 
     def __repr__(self) -> str:
         return f"L0Operator(dim={self.dim}, atoms={self.space.n_atoms})"

@@ -72,7 +72,7 @@ def canonical_digest(doc: dict) -> str:
 
 
 def _child(ptr: str, key) -> str:
-    """``ptr`` extended by an object key, escaped as RFC 6901 asks."""
+    """``ptr`` with an object key appended, escaped as RFC 6901 asks."""
     return f"{ptr}/{str(key).replace('~', '~0').replace('/', '~1')}"
 
 
@@ -177,7 +177,7 @@ def _operator(value, ptr: str, space: ProbabilitySpace, dim: int) -> L0Operator:
     arr = _array(entries, ptr, depth=2 if key == "matrix" else 3)
     if arr.shape[-2:] != (dim, dim):
         raise SchemaError(f"blocks are {arr.shape[-2:]}, expected ({dim}, {dim})", pointer=ptr)
-    return _convert(ptr, L0Operator.from_json, space, {key: arr})
+    return _convert(ptr, L0Operator.from_matrix if key == "matrix" else L0Operator.of, space, arr)
 
 
 def _scalar(value, ptr: str, space: ProbabilitySpace) -> L0Scalar:

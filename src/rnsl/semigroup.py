@@ -40,7 +40,6 @@ from .errors import (
     NonCommuting,
     NonFiniteValue,
     NotInjective,
-    SolveFailed,
     SpaceMismatch,
     DimMismatch,
     StepUnderflow,
@@ -62,6 +61,7 @@ from .rn import (
     spectral_norms,
     worst_atom,
 )
+from .scenario import TOLERANCES
 
 COMMUTE_TOL = 1e-10
 SAMPLED_RTOL = 1e-9  # largest entry gap to exp(tA) C over its largest entry
@@ -71,7 +71,6 @@ GROWTH_HORIZON = 10.0
 GROWTH_SLACK = 1.0 + 1e-9
 _TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
 _EPS = float(np.finfo(float).eps)
-B4_DEFAULT_TOL = 1e-9
 ABEL_RATE_SLACK = 1.5
 ABEL_ENVELOPE_TOL = 1e-14  # absolute allowance of the last gap over its rate envelope
 
@@ -343,17 +342,6 @@ def evaluate(W: CSemigroup, t: float, x: RnVector) -> RnVector:
     return op_apply(W.operator_at(t), x)
 
 
-def _solve_c(C: L0Operator, rhs: np.ndarray) -> RnVector:
-    """The y with C y = rhs on every atom; ``rhs`` is (n_atoms, d)."""
-    try:
-        y = np.linalg.solve(C.matrices, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailed(f"C-solve failed: {exc}") from None
-    if not np.isfinite(y).all():
-        raise SolveFailed("C-solve produced non-finite values")
-    return RnVector.of(C.space, y)
-
-
 def _orbit_curve(W: CSemigroup, x: RnVector) -> CurveSampler:
     """Orbit t -> W(t) x with the induced per-atom certificate M ||x||.
 
@@ -401,12 +389,16 @@ def _shifted_inverse(A: L0Operator, eta: L0Scalar) -> np.ndarray:
     return _inverse(shift)
 
 
+def _resolve(A: L0Operator, eta: L0Scalar, y: RnVector) -> RnVector:
+    """(eta - A)^{-1} y by per-atom solve, gated on the singular value ratio of eta - A."""
+    shift = _shift(A, eta)
+    _require_injective(shift, "eta - A", EtaInSpectrum)
+    return RnVector.of(A.space, np.linalg.solve(shift.matrices, y.values[:, :, None])[:, :, 0])
+
+
 def c_resolvent_direct(A: L0Operator, C: L0Operator, eta, x: RnVector) -> RnVector:
     """Resolvent route by per-atom solve: (eta - A) y = C x."""
-    shift = _shift(A, _coerce_eta(A.space, eta))
-    _require_injective(shift, "eta - A", EtaInSpectrum)
-    rhs = op_apply(C, x).values
-    return RnVector.of(A.space, np.linalg.solve(shift.matrices, rhs[:, :, None])[:, :, 0])
+    return _resolve(A, _coerce_eta(A.space, eta), op_apply(C, x))
 
 
 def resolvent_operator(A: L0Operator, C: L0Operator, eta) -> L0Operator:
@@ -557,9 +549,9 @@ def hille_yosida_report(
     bound: ExponentialBound,
     eta_grid: Sequence,
     n_max: int,
-    b4_tol: float = B4_DEFAULT_TOL,
-    route_tol: float = 1e-6,
-    quad_tol: float = 1e-8,
+    b4_tol: float = TOLERANCES["b4"],
+    route_tol: float = TOLERANCES["resolvent_route"],
+    quad_tol: float = TOLERANCES["quadrature"],
 ) -> ResolventReport:
     """Measure the generation conditions on a damping grid.
 

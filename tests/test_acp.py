@@ -3,17 +3,21 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from rnsl import (
+    AcpProblem,
+    DimMismatch,
+    EtaInSpectrum,
     ExponentialBound,
     L0Operator,
     NonFiniteValue,
     RnVector,
+    SpaceMismatch,
     StepUnderflow,
     direct_value_problem,
-    initial_vector,
     make_matrix_semigroup,
     make_sampled_semigroup,
     make_space,
@@ -70,11 +74,42 @@ class TestSolveAcp:
         _, C, W = scalar_contraction(space1, c=2.0)
         y0 = RnVector.of(space1, [[1.0]])
         p = resolvent_seeded_problem(W, 2.0, y0, grid(5))
-        v0 = initial_vector(p)
-        # u0 = (eta - a)^{-1} C y0 = 2/3, and C v0 = u0 means v0 = 1/3.
-        assert v0.values[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        # v0 = (eta - a)^{-1} y0 = 1/3, so u0 = C v0 = (eta - a)^{-1} C y0 = 2/3.
+        assert p.v0.values[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
         traj = solve_acp(p)
         assert traj.states[0, 0, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+    def test_seeded_start_never_inverts_an_ill_conditioned_c(self, space1):
+        # A and C share the eigenbasis of a rotation by 0.3; C's condition number is 1e10
+        q = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+        a = q @ np.diag([-1.0, -2.0]) @ q.T
+        c = q @ np.diag([1.0, 1e-10]) @ q.T
+        A, C = L0Operator.of(space1, [a]), L0Operator.of(space1, [c])
+        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 1.0, -1.0))
+        y0 = np.array([1.0, 1.0])
+        p = resolvent_seeded_problem(W, 2.0, RnVector.of(space1, [y0]), grid(5))
+        with mpmath.workdps(50):
+            shift = 2 * mpmath.eye(2) - mpmath.matrix(a.tolist())
+            v0 = mpmath.lu_solve(shift, mpmath.matrix(y0.tolist()))
+            u0 = mpmath.matrix(c.tolist()) * v0
+            want_v0 = np.array([float(v) for v in v0])
+            want_u0 = np.array([float(u) for u in u0])
+        np.testing.assert_allclose(p.v0.values[0], want_v0, rtol=1e-14)
+        np.testing.assert_allclose(solve_acp(p).states[0, 0], want_u0, rtol=1e-14)
+
+    def test_seeded_start_is_checked_before_any_solve(self, space2):
+        _, _, W = scalar_contraction(space2)
+        other = make_space([0.5, 0.5])
+        # eta = -1 is A's eigenvalue: a solve would raise EtaInSpectrum
+        with pytest.raises(SpaceMismatch, match="start vector lives on a different space"):
+            resolvent_seeded_problem(W, -1.0, RnVector.of(other, [[1.0], [1.0]]), grid(5))
+        with pytest.raises(DimMismatch, match="start vector has dim 2, expected 1"):
+            resolvent_seeded_problem(W, -1.0, RnVector.of(space2, np.ones((2, 2))), grid(5))
+
+    def test_seeded_eta_in_spectrum_raises_when_built(self, space2):
+        _, _, W = scalar_contraction(space2)
+        with pytest.raises(EtaInSpectrum, match="eta - A is numerically singular on atom 0"):
+            resolvent_seeded_problem(W, -1.0, RnVector.of(space2, [[1.0], [1.0]]), grid(5))
 
     def test_one_sided_flags(self, space1):
         _, _, W = scalar_contraction(space1)
@@ -114,11 +149,9 @@ class TestSolveAcp:
         with pytest.raises(ValueError):
             direct_value_problem(W, v0, [0.0, 0.5, 0.5])
 
-    def test_exactly_one_admission_mode(self, space1):
+    def test_v0_is_required(self, space1):
         _, _, W = scalar_contraction(space1)
-        from rnsl import AcpProblem
-
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AcpProblem(W=W, times=(0.0, 1.0))
 
 

@@ -23,7 +23,6 @@ from rnsl import (
     laplace_derivative,
     laplace_derivative_scaled,
     laplace_transform,
-    make_laplace_spec,
     make_space,
     post_widder,
     provider_from_curve,
@@ -47,7 +46,7 @@ TOL = 1e-9
 
 def constant_spec(space, x: RnVector) -> LaplaceSpec:
     bound = ExponentialBound(l0_norm(x), L0Scalar.zero(space))
-    return make_laplace_spec(
+    return LaplaceSpec(
         CurveSampler(space, x.dim, 0.0, math.inf, lambda s: x, bound=bound)
     )
 
@@ -60,12 +59,12 @@ class TestSpecValidation:
             bound=ExponentialBound.constant(space1, 1.0, 0.0),
         )
         with pytest.raises(ValueError):
-            make_laplace_spec(curve)
+            LaplaceSpec(curve)
 
     def test_certificate_required(self, space1):
         x = RnVector.of(space1, [[1.0]])
         with pytest.raises(CertificateMissing):
-            make_laplace_spec(CurveSampler(space1, 1, 0.0, math.inf, lambda s: x))
+            LaplaceSpec(CurveSampler(space1, 1, 0.0, math.inf, lambda s: x))
 
     def test_escaping_envelope_rejected(self, space2):
         def h(s: float) -> RnVector:
@@ -76,7 +75,7 @@ class TestSpecValidation:
             bound=ExponentialBound.constant(space2, 1.0, 0.0),
         )
         with pytest.raises(BoundViolated) as exc:
-            make_laplace_spec(curve)
+            LaplaceSpec(curve)
         assert exc.value.atom == 1
         assert exc.value.t > 0.0
 
@@ -90,10 +89,10 @@ class TestSpecValidation:
             bound=ExponentialBound.constant(space2, 1.0, 0.0),
         )
         with pytest.raises(BoundViolated) as batched:
-            make_laplace_spec(curve)
+            LaplaceSpec(curve)
         unbatched = CurveSampler(space2, 2, 0.0, math.inf, curve.evaluator, bound=curve.bound)
         with pytest.raises(BoundViolated) as scalar:
-            make_laplace_spec(unbatched)
+            LaplaceSpec(unbatched)
         assert (batched.value.atom, batched.value.t) == (1, scalar.value.t)
         assert batched.value.t == float(np.geomspace(1e-3, 1e2, 64)[0])
 
@@ -103,7 +102,7 @@ class TestSpecValidation:
             bound=ExponentialBound.constant(space2, 2.0, 0.0),
         )
         with pytest.raises(SpaceMismatch):
-            make_laplace_spec(curve)
+            LaplaceSpec(curve)
 
 
 class TestBatchedFamilies:
@@ -175,7 +174,7 @@ class TestLaplaceTransform:
 
     def test_growing_exponential_single_atom(self, space1):
         bound = ExponentialBound.constant(space1, 1.0, 0.5)
-        spec = make_laplace_spec(CurveSampler(
+        spec = LaplaceSpec(CurveSampler(
             space1, 1, 0.0, math.inf,
             lambda s: RnVector.of(space1, [[math.exp(0.5 * s)]]), bound=bound,
         ))
@@ -220,7 +219,7 @@ class TestLaplaceDerivative:
 
     def test_decaying_exponential_second_derivative(self, space1):
         bound = ExponentialBound.constant(space1, 1.0, -1.0)
-        spec = make_laplace_spec(CurveSampler(
+        spec = LaplaceSpec(CurveSampler(
             space1, 1, 0.0, math.inf,
             lambda s: RnVector.of(space1, [[math.exp(-s)]]), bound=bound,
         ))
@@ -261,7 +260,7 @@ class TestProviderFromCurve:
         rates = np.array([0.5, -1.0])
         x = RnVector.of(space2, np.ones((2, 1)))
         bound = ExponentialBound(L0Scalar.one(space2), L0Scalar.of(space2, rates))
-        spec = make_laplace_spec(CurveSampler(
+        spec = LaplaceSpec(CurveSampler(
             space2, 1, 0.0, math.inf,
             lambda s: RnVector.of(space2, np.exp(rates * s)[:, None]), bound=bound,
         ))
@@ -324,7 +323,7 @@ class TestPostWidder:
 
     def test_decaying_exponential_against_closed_form(self, space1):
         bound = ExponentialBound.constant(space1, 1.0, -1.0)
-        spec = make_laplace_spec(CurveSampler(
+        spec = LaplaceSpec(CurveSampler(
             space1, 1, 0.0, math.inf,
             lambda s: RnVector.of(space1, [[math.exp(-s)]]), bound=bound,
         ))
@@ -337,7 +336,7 @@ class TestPostWidder:
 
     def test_high_order_error_small(self, space1):
         bound = ExponentialBound.constant(space1, 1.0, -1.0)
-        spec = make_laplace_spec(CurveSampler(
+        spec = LaplaceSpec(CurveSampler(
             space1, 1, 0.0, math.inf,
             lambda s: RnVector.of(space1, [[math.exp(-s)]]), bound=bound,
         ))
@@ -378,7 +377,7 @@ class TestPostWidder:
 class TestTransformsEqual:
     def make_decay(self, space, scale=1.0):
         bound = ExponentialBound.constant(space, 1.5 * scale, -1.0)
-        return make_laplace_spec(CurveSampler(
+        return LaplaceSpec(CurveSampler(
             space, 1, 0.0, math.inf,
             lambda s: RnVector.of(
                 space, np.full((space.n_atoms, 1), scale * math.exp(-s))
@@ -402,7 +401,7 @@ class TestTransformsEqual:
                 space2, np.full((2, 1), math.exp(-s) + extra)
             )
 
-        spec2 = make_laplace_spec(
+        spec2 = LaplaceSpec(
             CurveSampler(space2, 1, 0.0, math.inf, bumped, bound=bound)
         )
         report = transforms_equal(spec1, spec2, [1.0, 2.0, 4.0], 1e-6)
@@ -523,7 +522,7 @@ class TestStackedSpecs:
             space, dim, 0.0, math.inf, batch, bound=ExponentialBound.constant(space, 1.0, 0.0)
         )
         with pytest.raises(BoundViolated) as exc:
-            make_laplace_spec(curve)
+            LaplaceSpec(curve)
         assert (exc.value.t, exc.value.atom) == (float(times[-2]), 700)
         assert f"at s={float(times[-2])!r} on atom 700" in str(exc.value)
         per_call = _CHUNK_BYTES // (8 * n * dim)

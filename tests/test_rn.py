@@ -73,13 +73,6 @@ class TestL0Norm:
             l0_norm(x.module_mul(zeta)).values, [10, 3], rtol=1e-15
         )
 
-    def test_vector_json_round_trip(self, space2):
-        x = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])
-        doc = x.to_json()
-        assert doc == {"components": [{"values": [1.0, 3.0]}, {"values": [2.0, 4.0]}]}
-        back = RnVector.from_json(space2, doc)
-        np.testing.assert_array_equal(back.values, x.values)
-
     def test_non_finite_rejected(self, space2):
         with pytest.raises(NonFiniteValue):
             RnVector.of(space2, [[np.nan, 0.0], [0.0, 0.0]])
@@ -115,13 +108,6 @@ class TestOpApply:
         np.testing.assert_array_equal(
             L0Operator.from_diag(space, diag[0]).matrices, np.repeat(expected[:1], n, axis=0)
         )
-
-    def test_operator_json_round_trip(self, space2):
-        T = L0Operator.of(space2, [np.diag([2.0, 3.0]), np.eye(2)])
-        doc = T.to_json()
-        assert doc["matrices"][0] == [[2.0, 0.0], [0.0, 3.0]]
-        back = L0Operator.from_json(space2, doc)
-        np.testing.assert_array_equal(back.matrices, T.matrices)
 
 
 class TestOpNorm:

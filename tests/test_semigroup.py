@@ -1,5 +1,6 @@
 """Operator families: construction gates, resolvents, generation conditions."""
 
+import inspect
 import itertools
 import math
 import warnings
@@ -20,7 +21,6 @@ from rnsl import (
     NonFiniteValue,
     NotInjective,
     RnVector,
-    SolveFailed,
     SpaceMismatch,
     StepUnderflow,
     abel_limit_check,
@@ -46,8 +46,9 @@ from rnsl import (
 from rnsl import semigroup as semigroup_module
 from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
-from rnsl.laplace import make_laplace_spec
+from rnsl.laplace import LaplaceSpec
 from rnsl.rn import exp_norm_bounds, log_norm_bounds, spectral_norms
+from rnsl.scenario import TOLERANCES
 
 
 def diag_semigroup(space):
@@ -376,7 +377,7 @@ class TestConstruction:
                 L0Operator.zeros(space2, 2), L0Operator.from_matrix(space2, [[1.0, 0.0], [2.0, 0.0]]),
                 ExponentialBound.constant(space2, 2.0, 0.0),
             )),
-            (BoundViolated, lambda: make_laplace_spec(CurveSampler.from_batch(
+            (BoundViolated, lambda: LaplaceSpec(CurveSampler.from_batch(
                 space2, 1, 0.0, math.inf, lambda s: np.exp(s)[:, None, None] * np.ones((1, 2, 1)),
                 bound=ExponentialBound.constant(space2, 1.0, 0.0),
             ))),
@@ -573,14 +574,6 @@ class TestEvaluate:
         assert calls == [8]
 
 
-def test_c_solve_failures_keep_their_messages(space1):
-    with pytest.raises(SolveFailed, match="C-solve failed: "):
-        semigroup_module._solve_c(L0Operator.zeros(space1, 1), np.ones((1, 1)))
-    tiny = L0Operator.of(space1, [[[1e-320]]])
-    with pytest.raises(SolveFailed, match="C-solve produced non-finite values"):
-        semigroup_module._solve_c(tiny, np.full((1, 1), 1e10))
-
-
 class TestResolventRoutes:
     def test_integral_route_diagonal(self, space2):
         *_, W = diag_semigroup(space2)
@@ -761,6 +754,15 @@ class TestHilleYosida:
         report = hille_yosida_report(A, C, bound, [], n_max=4)
         assert report.entries == ()
         assert report.passed
+
+    def test_defaults_are_the_scenario_tolerances(self):
+        params = inspect.signature(hille_yosida_report).parameters
+        defaults = {name: params[name].default for name in ("b4_tol", "route_tol", "quad_tol")}
+        assert defaults == {
+            "b4_tol": TOLERANCES["b4"],
+            "route_tol": TOLERANCES["resolvent_route"],
+            "quad_tol": TOLERANCES["quadrature"],
+        }
 
     def test_b4_rows_export_shape(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
