@@ -3,8 +3,8 @@
 Proper integrals use adaptive Gauss(7)/Kronrod(15) panels with a per-atom
 error estimate.  Improper integrals over [0, inf) require an exponential
 growth certificate on the curve; the tail is truncated where the certificate
-proves it smaller than half the tolerance, and the remaining finite integral
-gets the other half.
+and a closed-form tangent-line bound prove it smaller than half the
+tolerance, and the remaining finite integral gets the other half.
 
 A weighted variant integrates s^k * exp(-eta*s) * g(s) with the magnitude
 tracked in log space, which is what keeps high-order transform derivatives
@@ -353,71 +353,11 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
     return np.zeros_like(eta_values)
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# relative margin on an inverted horizon, far above the inverse's error (~1e-14)
+# relative margin on a Newton horizon, far above the error of its root (a few
+# ulps of the bound's terms, under 1e-13 of x up to k = 1024)
 _HORIZON_MARGIN = 1e-12
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = math.log(_EPS)
-
-
-def _stirling_error(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1; a series past n = 15."""
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
-    nn = float(n) * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
-
-
-def _log_poisson(k: int, x: np.ndarray) -> np.ndarray:
-    """log(x^k e^-x / k!) for x > 0, without cancellation between its large terms.
-
-    This is Loader's (2000) saddle-point form; k log(k/x) + x - k is taken as
-    k log1p((k-x)/x) - (k-x), whose error stays a few ulps of |k - x|.
-    """
-    if k == 0:
-        return -x
-    deviance = k * np.log1p((k - x) / x) - (k - x)
-    return -_stirling_error(k) - deviance - _HALF_LOG_2PI - 0.5 * math.log(k)
-
-
-def _log_series(k: int, x: np.ndarray, down: bool) -> np.ndarray:
-    """log(1 + sum_m prod_{i<m} r_i), r_i = (k-i)/x if ``down`` else x/(k+2+i).
-
-    Every ratio is below rho = max r_0 < 1, and their products fall like
-    exp(-m^2/(2(k+1))), so the sum stops at the first m where either bound
-    puts the rest under 1e-17.
-    """
-    rho = k / float(x.min()) if down else float(x.max()) / (k + 2.0)
-    width = int(9.0 * math.sqrt(k + 1.0)) + 30
-    if rho < 1.0:
-        width = min(width, math.ceil((39.2 - math.log1p(-rho)) / -math.log(rho)))
-    steps = np.arange(min(width, k) if down else width, dtype=float)
-    ratios = (k - steps)[:, None] / x if down else x / (k + 2.0 + steps)[:, None]
-    return np.log1p(np.cumprod(ratios, axis=0).sum(axis=0))
-
-
-def _log_q(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Q(k+1, x) = log(e^-x sum_{j<=k} x^j/j!) for x > 0, and log(x^k e^-x / k!).
-
-    At x >= k+1 the sum runs down from its largest term j = k; below, the
-    complement P(k+1, x) = 1 - Q runs up from j = k+1, so neither underflows
-    nor cancels.
-    """
-    x = np.asarray(x, dtype=float)
-    log_pk = _log_poisson(k, x)
-    if k == 0:
-        return log_pk, log_pk
-    down = x >= k + 1.0
-    if down.all():
-        return log_pk + _log_series(k, x, True), log_pk
-    log_q = np.empty_like(x)
-    if down.any():
-        log_q[down] = log_pk[down] + _log_series(k, x[down], True)
-    up = ~down
-    xu = x[up]
-    log_p = log_pk[up] + np.log(xu / (k + 1.0)) + _log_series(k, xu, False)
-    log_q[up] = np.log1p(-np.exp(log_p))
-    return log_q, log_pk
 
 
 def _log_certified_integral(M: np.ndarray, gamma: np.ndarray, k: int) -> np.ndarray:
@@ -426,82 +366,65 @@ def _log_certified_integral(M: np.ndarray, gamma: np.ndarray, k: int) -> np.ndar
         return np.log(M) + math.lgamma(k + 1.0) - (k + 1.0) * np.log(gamma)
 
 
-def _q_start(k: int, log_q: np.ndarray) -> np.ndarray:
-    """Start for the x with Q(k+1, x) = q: exact at k = 0, else Wilson-Hilferty.
+def _log_tail(k: int, x: np.ndarray) -> np.ndarray:
+    """Log of a bound on int_T^inf s^k e^(-gamma s) ds over the whole integral, x = gamma T > k.
 
-    The Wilson-Hilferty cube is floored by the root's lower bound from
-    P(a, x) <= x^a / a!; its normal quantile is the rational approximation
-    26.2.23 of Abramowitz and Stegun.
+    k log s is concave, so past T the exponent stays under its tangent at T,
+    and the tail is at most T^k e^(-gamma T) / (gamma - k/T), equal at k = 0.
+    Over the whole integral k! / gamma^(k+1) that is x^k e^-x / (k! (1 - k/x)).
     """
-    if k == 0:
-        return -log_q
-    a = k + 1.0
-    q = np.exp(log_q)
-    t = np.sqrt(-2.0 * np.log(np.minimum(q, 1.0 - q)))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    z = np.where(q < 0.5, z, -z)
-    base = np.maximum(1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)), 0.0)
-    floor = np.exp((np.log1p(-q) + math.lgamma(a + 1.0)) / a)
-    return np.maximum(a * base**3, floor)
+    return k * np.log(x) - x - np.log1p(-k / x) - math.lgamma(k + 1.0)
 
 
-def _q_root(k: int, log_q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Halley's method from ``x`` for the x with log Q(k+1, x) = log_q.
+def _tail_root(k: int, log_target: np.ndarray) -> np.ndarray:
+    """Per atom, the x > k where _log_tail(k, x) meets the target (capped at 0), from the right.
 
-    With f = log Q, f' = -x^k e^-x / (k! Q) and f''/f' = k/x - 1 - f', so
-    each step costs one evaluation; its error is cubic in the step before,
-    which makes a step below 1e-5 x the last one needed.  Where Halley's
-    denominator degenerates the step is Newton's, and every step is clamped
-    to a factor 16.
+    With c = target + log k!, the start solves y^2 / (2(k + y)) = D for
+    y = x - k, with D = max(k log k - k - c, 1) plus log1p(k/y) once; since
+    k log(1+t) - kt <= -kt^2 / (2(1+t)), the bound there is under target.
+    Newton steps follow, each atom until its own step is below 1e-9 x or
+    after 16, so no root depends on the other atoms; no step moves x more
+    than 15/16 of the way to k.  At k = 0 the bound is linear in x, and the
+    first or second step lands on the root.  A target of -inf gives no root.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(100):
-            now, log_pk = _log_q(k, x)
-            gap = now - log_q
-            newton = np.where(gap == 0.0, 0.0, gap * np.exp(now - log_pk))
-            den = 1.0 + 0.5 * (newton * (k / x - 1.0) + gap)
-            step = np.where(den > 0.5, newton / den, newton)
-            x = np.clip(x + step, x / 16.0, 16.0 * x)
-            if (np.abs(step) <= 1e-5 * x).all():
+    log_target = np.minimum(log_target, 0.0)
+    c = log_target + math.lgamma(k + 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.maximum((k * math.log(k) - k if k else 0.0) - c, 1.0)
+        d = d + np.log1p(k / (d + np.sqrt(d * d + 2.0 * k * d)))
+        x = k + (d + np.sqrt(d * d + 2.0 * k * d))
+        active = np.arange(len(x))
+        for _ in range(16):
+            now = x[active]
+            slope = k / now - 1.0 - k / (now * (now - k))
+            step = (_log_tail(k, now) - log_target[active]) / slope
+            x[active] = np.maximum(now - step, k + (now - k) / 16.0)
+            active = active[~(np.abs(step) <= 1e-9 * now)]
+            if not active.size:
                 break
     return x
 
 
-def _tail_time(gamma: np.ndarray, k: int, log_q_target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest horizon T with log Q(k+1, gamma T) <= log_q_target on every atom.
+def _tail_time(gamma: np.ndarray, k: int, log_target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest horizon T with _log_tail(k, gamma T) <= log_target on every atom.
 
-    Returns T and log Q(k+1, gamma T).  T is the largest inverse of Q over
-    the atoms, with a relative margin, floored at half the largest weight
-    mean (k+1)/gamma and at 1e-3; a target clipped at 1e-280 that T still
-    leaves uncertified doubles T.  At k = 0, log Q(1, x) = -x gives T in
-    closed form.
+    Returns T and _log_tail(k, gamma T).  T is the largest of the atoms'
+    roots over gamma, with a relative margin, floored at half the largest
+    weight mean (k+1)/gamma and at 1e-3; a T that still leaves an atom
+    uncertified, or at gamma T <= k, doubles.
     """
-    if k == 0:
-        T = max(
-            float(np.max(-log_q_target / gamma)) * (1.0 + _HORIZON_MARGIN),
-            0.5 * float(np.max(1.0 / gamma)),
-            1e-3,
-        )
-        if math.isinf(T):
-            raise TailNotCertified("no finite horizon certifies the tail under its target")
-        return T, -gamma * T
-    log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
-    x = _q_root(k, log_q, _q_start(k, log_q))
-    T = max(
-        float(np.max((k + 1.0) / gamma)) * 0.5,
-        1e-3,
-        float(np.max(x / gamma)) * (1.0 + _HORIZON_MARGIN),
-    )
+    reach = float(np.max(_tail_root(k, log_target) / gamma))
+    if not math.isfinite(reach):
+        raise TailNotCertified("no finite horizon certifies the tail under its target")
+    T = max(reach * (1.0 + _HORIZON_MARGIN), float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
     for _ in range(200):
-        now = _log_q(k, gamma * T)[0]
-        if not (now > log_q_target).any():
-            return T, now
+        x = gamma * T
+        if (x > k).all():
+            now = _log_tail(k, x)
+            if not (now > log_target).any():
+                return T, now
         T *= 2.0
-    raise TailNotCertified(
-        f"no horizon up to T={T!r} certifies the tail under its target"
-    )
+    raise TailNotCertified(f"no horizon up to T={T!r} certifies the tail under its target")
 
 
 @dataclass(frozen=True)
@@ -515,7 +438,7 @@ class _Weight:
     log_scale: np.ndarray
     log_whole: np.ndarray
     horizon: float
-    log_q: np.ndarray
+    log_tail: np.ndarray
 
     def seeds(self, rho: float | None) -> np.ndarray:
         """Initial panel edges, ascending, that lead adaptivity to the weight's peaks.
@@ -570,8 +493,8 @@ def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) 
 
     log_whole = _log_certified_integral(bound.M.values, gamma, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_q_target = np.log(tol_arr / 2.0) + log_scale - log_whole
-    T, log_q = _tail_time(gamma, k, log_q_target)
+        log_target = np.log(tol_arr / 2.0) + log_scale - log_whole
+    T, log_tail = _tail_time(gamma, k, log_target)
     # quadrature cannot resolve a tolerance below the rounding of the certified integral
     log_resolution = _LOG_EPS + log_whole - log_scale
     with np.errstate(divide="ignore"):
@@ -583,7 +506,7 @@ def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) 
             f"{float(np.exp(log_resolution[a]))!r} of its scaled certificate integral",
             atom=a,
         )
-    return _Weight(k, ev, gamma, tol_arr, log_scale, log_whole, T, log_q)
+    return _Weight(k, ev, gamma, tol_arr, log_scale, log_whole, T, log_tail)
 
 
 def damped_weighted_integrals(
@@ -599,7 +522,7 @@ def damped_weighted_integrals(
     seeds below the longest horizon T, each round samples g once for all of
     them, and panels are split until every weight passes on every atom.
     Each weight's tail is certified at T, which is never shorter than its
-    own horizon, since Q(k+1, gamma T) falls as T grows.  Every result's
+    own horizon, since the tail bound falls as T grows.  Every result's
     ``panels`` is the shared count.
     """
     if g.start > 0.0 or not math.isinf(g.end):
@@ -635,8 +558,8 @@ def damped_weighted_integrals(
     results = []
     for j, p in enumerate(plans):
         rows = slice(j * n, (j + 1) * n)
-        log_q = p.log_q if p.horizon == T else _log_q(p.k, p.gamma * T)[0]
-        tail = np.exp(p.log_whole + log_q - p.log_scale)
+        log_tail = p.log_tail if p.horizon == T else _log_tail(p.k, p.gamma * T)
+        tail = np.exp(p.log_whole + log_tail - p.log_scale)
         # the Kronrod estimate sees no rounding: the weight's exponent, of size
         # k + |log_scale|, costs that many ulps of the value, each panel's
         # 15-node sum 15 more, and the sum over the panels one a panel

@@ -177,27 +177,28 @@ def pointwise(op: str, f: L0Scalar, g=None) -> L0Scalar:
     Binary ops accept a scalar for ``g`` and broadcast it; ``scale`` requires
     a plain real factor.  Division reports the first offending atom.
     """
-    if op in _UNARY:
-        if g is not None:
-            raise ValueError(f"{op} is unary")
-        return L0Scalar.of(f.space, _UNARY[op](f.values))
-    if op == "scale":
-        if isinstance(g, L0Scalar):
-            raise ValueError("scale takes a plain real factor")
-        if not np.isfinite(float(g)):
-            raise NonFiniteValue("scale factor must be finite")
-        return L0Scalar.of(f.space, float(g) * f.values)
-    if op in _BINARY or op == "div":
-        gs = _coerce(f.space, g)
-        _check_pair(f, gs)
-        if op == "div":
-            zero = np.nonzero(gs.values == 0.0)[0]
-            if zero.size:
-                a = int(zero[0])
-                raise DivisionByZeroOnAtom(f"zero divisor on atom {a}", atom=a)
-            return L0Scalar.of(f.space, f.values / gs.values)
-        return L0Scalar.of(f.space, _BINARY[op](f.values, gs.values))
-    raise ValueError(f"unknown pointwise op {op!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # L0Scalar.of rejects an overflow
+        if op in _UNARY:
+            if g is not None:
+                raise ValueError(f"{op} is unary")
+            return L0Scalar.of(f.space, _UNARY[op](f.values))
+        if op == "scale":
+            if isinstance(g, L0Scalar):
+                raise ValueError("scale takes a plain real factor")
+            if not np.isfinite(float(g)):
+                raise NonFiniteValue("scale factor must be finite")
+            return L0Scalar.of(f.space, float(g) * f.values)
+        if op in _BINARY or op == "div":
+            gs = _coerce(f.space, g)
+            _check_pair(f, gs)
+            if op == "div":
+                zero = np.nonzero(gs.values == 0.0)[0]
+                if zero.size:
+                    a = int(zero[0])
+                    raise DivisionByZeroOnAtom(f"zero divisor on atom {a}", atom=a)
+                return L0Scalar.of(f.space, f.values / gs.values)
+            return L0Scalar.of(f.space, _BINARY[op](f.values, gs.values))
+        raise ValueError(f"unknown pointwise op {op!r}")
 
 
 _RELATIONS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {

@@ -8,11 +8,10 @@ import time
 import warnings
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rnsl import (
     CertificateMissing,
@@ -39,10 +38,9 @@ from rnsl import calculus
 from rnsl.calculus import (
     _HORIZON_MARGIN,
     _adaptive,
-    _log_q,
+    _log_tail,
     _panels,
-    _q_root,
-    _q_start,
+    _tail_root,
     _tail_time,
 )
 from rnsl.instances import oscillating_decay_specs, rng_for, smooth_curve_family
@@ -684,107 +682,69 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024, res.
 GAMMA_ORDERS = [0, 1, 2, 8, 64, 512, 1024]
 
 
-def decimal_log_q(k: int, x: float) -> float:
-    """log Q(k+1, x) = log(e^-x sum_{j<=k} x^j/j!) in 60-digit decimal arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        big_x = Decimal(x)
-        term = total = Decimal(1)
-        for j in range(1, k + 1):
-            term = term * big_x / j
-            total += term
-        return float(total.ln() - big_x)
+def mp_log_q(k: int, x: float) -> float:
+    """log Q(k+1, x), the regularized upper incomplete gamma function, at 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.gammainc(k + 1, a=x, regularized=True)))
 
 
 class TestClosedFormGamma:
-    """log Q(k+1, x) and its inverse against scipy.special and decimal sums."""
+    """The tangent-line bound on the gamma tail and its horizon, against scipy.special and mpmath."""
 
     @pytest.mark.parametrize("k", GAMMA_ORDERS)
-    def test_log_q_matches_scipy(self, k):
-        top = 3.0 * (k + 1) + 700.0
-        xs = np.concatenate([np.geomspace(1e-12, k + 1.0, 200), np.linspace(0.0, top, 3001)[1:]])
-        ours = _log_q(k, xs)[0]
+    def test_tail_bound_covers_the_exact_tail(self, k):
+        xs = k + np.geomspace(1e-6, 3.0 * (k + 1) + 700.0, 2000)
+        ours = _log_tail(k, xs)
         want = scipy.special.gammaincc(k + 1.0, xs)
         normal = want > 1e-300
         assert normal.sum() > 1000
         logs = np.log(want[normal])
-        err = np.abs(ours[normal] - logs) / np.maximum(1.0, np.abs(logs))
-        assert err.max() <= 1e-12
-        # where Q underflows in double precision, the closed form still holds
+        slack = 1e-12 * np.maximum(1.0, np.abs(logs))
+        assert (ours[normal] >= logs - slack).all()
+        if k == 0:  # the tangent of a linear exponent is the exponent itself
+            assert (np.abs(ours[normal] - logs) <= slack).all()
+        # where Q underflows in double precision, the bound still holds
         for x in xs[~normal][:: max(1, (~normal).sum() // 8)]:
-            want_log = decimal_log_q(k, float(x))
-            got = _log_q(k, np.array([x]))[0][0]
-            assert abs(got - want_log) <= 1e-12 * abs(want_log)
-
-    @pytest.mark.parametrize("k", GAMMA_ORDERS)
-    def test_inverse_matches_scipy(self, k):
-        qs = np.concatenate([np.geomspace(1e-280, 0.5, 300), 1.0 - np.geomspace(1e-16, 0.5, 100)])
-        log_q = np.log(qs)
-        x = _q_root(k, log_q, _q_start(k, log_q))
-        want = scipy.special.gammainccinv(k + 1.0, qs)
-        assert (np.abs(x - want) <= 1e-12 * want).all()
+            want_log = mp_log_q(k, float(x))
+            got = _log_tail(k, np.array([x]))[0]
+            assert got >= want_log - 1e-12 * abs(want_log)
+            if k == 0:
+                assert abs(got - want_log) <= 1e-12 * abs(want_log)
 
     @pytest.mark.parametrize("k", GAMMA_ORDERS)
     def test_tail_time_certifies_without_doubling(self, k, rng):
         gamma = rng.uniform(0.05, 3.0, 64)
-        log_q_target = np.log(np.geomspace(1e-250, 0.9, 64))
-        rng.shuffle(log_q_target)
-        T, log_q = _tail_time(gamma, k, log_q_target)
-        assert (log_q <= log_q_target).all()
-        assert np.array_equal(log_q, _log_q(k, gamma * T)[0])
+        log_target = np.log(np.geomspace(1e-250, 0.9, 64))
+        rng.shuffle(log_target)
+        T, log_tail = _tail_time(gamma, k, log_target)
+        assert (log_tail <= log_target).all()
+        assert np.array_equal(log_tail, _log_tail(k, gamma * T))
         a = k + 1.0
-        inverse = scipy.special.gammainccinv(a, np.exp(log_q_target)) / gamma
+        reach = float(np.max(_tail_root(k, log_target) / gamma)) * (1.0 + _HORIZON_MARGIN)
+        assert T == max(reach, 0.5 * float(np.max(a / gamma)), 1e-3)
+        inverse = scipy.special.gammainccinv(a, np.exp(log_target)) / gamma
         exact = max(inverse.max(), 0.5 * (a / gamma).max(), 1e-3)
-        assert exact <= T <= exact * (1.0 + 10.0 * _HORIZON_MARGIN)
+        assert exact * (1.0 - 1e-10) <= T <= 1.1 * exact
 
-    def test_clipped_target_still_doubles(self):
-        gamma = np.array([1.0, 2.0])
-        log_q_target = np.array([-800.0, -1.0])
-        T, log_q = _tail_time(gamma, 8, log_q_target)
-        assert (log_q <= log_q_target).all()
-        # the horizon for q = 1e-280 falls short of a target near e^-800
-        assert T >= 2.0 * scipy.special.gammainccinv(9.0, 1e-280)
-
-
-def picked_atom_tail_time(gamma, k, log_q_target):
-    """The earlier horizon rule for k >= 1, as a reference: Q is inverted first on
-    the atoms whose start lies within 10% of the largest, then on any atom that
-    T leaves uncertified; a clipped target that stays uncertified doubles T."""
-    log_q = np.log(np.clip(np.exp(np.minimum(log_q_target, 0.0)), 1e-280, 1.0 - 1e-16))
-    x = _q_start(k, log_q)
-    pick = x / gamma >= 0.9 * float(np.max(x / gamma))
-    inverted = np.zeros(len(x), dtype=bool)
-    T = max(float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
-    for _ in range(200):
-        if pick.any():
-            x[pick] = _q_root(k, log_q[pick], x[pick])
-            inverted |= pick
-            T = max(T, float(np.max(x[pick] / gamma[pick])) * (1.0 + _HORIZON_MARGIN))
-        over = _log_q(k, gamma * T)[0] > log_q_target
-        if not over.any():
-            return T
-        pick = over & ~inverted
-        if not pick.any():
-            T *= 2.0
-    raise AssertionError("the reference rule found no horizon")
+    @pytest.mark.parametrize("k", GAMMA_ORDERS)
+    def test_tail_time_is_batch_neutral(self, k, rng):
+        gamma = rng.uniform(0.01, 10.0, 64)
+        log_target = rng.uniform(-3000.0, 0.5, 64)
+        T, log_tail = _tail_time(gamma, k, log_target)
+        singles = [_tail_time(gamma[[a]], k, log_target[[a]])[0] for a in range(64)]
+        assert T == max(singles)
+        subset = np.union1d(rng.choice(64, 8, replace=False), [int(np.argmax(singles))])
+        T_sub, log_tail_sub = _tail_time(gamma[subset], k, log_target[subset])
+        assert T_sub == T
+        assert np.array_equal(log_tail_sub, log_tail[subset])
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    n=st.sampled_from([1, 4, 64, 1024]),
-    k=st.sampled_from([1, 2, 3, 64, 512, 1024]),
-    spread=st.booleans(),
-    lowest=st.sampled_from([-600.0, -900.0]),  # below log(1e-280) = -644.7 a target is clipped
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_tail_time_matches_the_picked_atom_rule(n, k, spread, lowest, seed):
-    rng = np.random.default_rng(seed)
-    gamma = rng.uniform(0.01, 10.0, n) if spread else np.full(n, rng.uniform(0.01, 10.0))
-    log_q_target = rng.uniform(lowest, 0.5, n)
-    T, log_q = _tail_time(gamma, k, log_q_target)
-    want = picked_atom_tail_time(gamma, k, log_q_target)
-    # mostly bitwise; Halley stops at a step below 1e-5 x, so an atom's inverse
-    # moves by about 1e-13 with the atoms inverted beside it
-    assert abs(T - want) <= _HORIZON_MARGIN * want
-    assert (log_q <= log_q_target).all()
-    assert np.array_equal(log_q, _log_q(k, gamma * T)[0])
+def test_one_atom_keeps_its_horizon_in_a_batch():
+    # a root-finder that stops only once every atom's step is small moves
+    # atom 0's horizon here by about 1e-13 with atom 1 beside it
+    gamma = np.array([0.48, 3.25])
+    log_target = np.array([-0.6, -19.8])
+    T, log_tail = _tail_time(gamma, 1024, log_target)
+    assert (log_tail <= log_target).all()
+    assert T == _tail_time(gamma[:1], 1024, log_target[:1])[0]
+    assert T > _tail_time(gamma[1:], 1024, log_target[1:])[0]

@@ -118,6 +118,19 @@ class TestPointwise:
         with pytest.raises(NonFiniteValue, match=message):
             L0Scalar.of(space2, [bad, 0.0])
 
+    def test_overflow_raises_without_numpy_warning(self, space1):
+        # pytest turns a RuntimeWarning into an error, so a warning would fail this
+        big = L0Scalar.of(space1, [1e200])
+        overflows = [
+            lambda: pointwise("exp", L0Scalar.of(space1, [1000.0])),
+            lambda: pointwise("mul", big, 1e200),
+            lambda: pointwise("scale", big, 1e200),
+            lambda: big * big,
+        ]
+        for overflow in overflows:
+            with pytest.raises(NonFiniteValue, match="infinite atom value"):
+                overflow()
+
     def test_operator_sugar_matches_pointwise(self, space2):
         f = L0Scalar.of(space2, [1, 2])
         g = L0Scalar.of(space2, [3, 5])

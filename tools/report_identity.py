@@ -17,8 +17,11 @@ benchmark makes them.  Each tree runs in a fresh worker process, since two
 
 The result, written to stdout, is one JSON object: per run, both exit
 codes, whether the two ``report.json`` files have equal bytes, and, where
-they differ, the first line of the second tree's ``rnsl diff``.  The exit
-code is 1 when any run differs in its bytes or its exit code, else 0.
+they differ, the first line of the second tree's ``rnsl diff`` and how far
+the values moved: the number of records whose ``measured`` or ``bound``
+changed, the largest absolute and relative change among them, and each
+record whose ``passed`` or ``worst_atom`` changed.  The exit code is 1 when
+any run differs in its bytes or its exit code, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -102,6 +106,35 @@ def _first_diff(tree: str, old: Path, new: Path) -> str | None:
     return lines[0] if proc.returncode != 0 and lines else None
 
 
+def _change(a: float, b: float) -> tuple[float, float] | None:
+    """Absolute and relative change from ``a`` to ``b``; None when they are equal."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return None
+    gap = abs(b - a)
+    if math.isnan(gap):  # infinities of one sign, or NaN against a number
+        gap = math.inf
+    return gap, (gap / abs(a) if a and math.isfinite(a) else math.inf)
+
+
+def moves(old: dict, new: dict) -> dict:
+    """How far the records of two reports moved, record by record in report order."""
+    changed, largest_abs, largest_rel, verdicts = 0, 0.0, 0.0, []
+    for so, sn in zip(old["suites"], new["suites"]):
+        for ro, rn in zip(so["records"], sn["records"]):
+            where = f"{so['suite']}/{ro['name']}"
+            gaps = [g for g in (_change(ro[key], rn[key]) for key in ("measured", "bound")) if g]
+            if gaps:
+                changed += 1
+                largest_abs = max([largest_abs] + [g[0] for g in gaps])
+                largest_rel = max([largest_rel] + [g[1] for g in gaps])
+            verdicts += [
+                f"{where}: {key} {ro.get(key)!r} -> {rn.get(key)!r}"
+                for key in ("passed", "worst_atom")
+                if ro.get(key) != rn.get(key)
+            ]
+    return {"records": changed, "max_abs": largest_abs, "max_rel": largest_rel, "verdicts": verdicts}
+
+
 def identity(trees: dict[str, str]) -> dict:
     base, change = labels = list(trees)
     with tempfile.TemporaryDirectory(prefix="report-identity-") as tmp:
@@ -124,10 +157,13 @@ def identity(trees: dict[str, str]) -> dict:
             old, new = (work / label / name / "report.json" for label in labels)
             identical = _read(old) == _read(new)
             exits = {label: codes[label][name] for label in labels}
-            first = None
+            first = moved = None
             if not identical and old.is_file() and new.is_file():
                 first = _first_diff(trees[change], old, new)
-            rows.append({"run": name, "exit": exits, "identical": identical, "first_diff": first})
+                moved = moves(*(json.loads(p.read_text(encoding="utf-8")) for p in (old, new)))
+            rows.append({
+                "run": name, "exit": exits, "identical": identical, "first_diff": first, "moved": moved,
+            })
     differing = [r["run"] for r in rows if not r["identical"] or r["exit"][base] != r["exit"][change]]
     return {"trees": trees, "runs": rows, "differing": differing}
 
