@@ -410,19 +410,17 @@ def _tail_time(gamma: np.ndarray, k: int, log_target: np.ndarray) -> tuple[float
 
     Returns T and _log_tail(k, gamma T).  T is the largest of the atoms'
     roots over gamma, with a relative margin, floored at half the largest
-    weight mean (k+1)/gamma and at 1e-3; a T that still leaves an atom
-    uncertified, or at gamma T <= k, doubles.
+    weight mean (k+1)/gamma and at 1e-3, so every gamma T exceeds its
+    atom's root and so k; a T that still leaves an atom uncertified doubles.
     """
     reach = float(np.max(_tail_root(k, log_target) / gamma))
     if not math.isfinite(reach):
         raise TailNotCertified("no finite horizon certifies the tail under its target")
     T = max(reach * (1.0 + _HORIZON_MARGIN), float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
     for _ in range(200):
-        x = gamma * T
-        if (x > k).all():
-            now = _log_tail(k, x)
-            if not (now > log_target).any():
-                return T, now
+        now = _log_tail(k, gamma * T)
+        if (now <= log_target).all():
+            return T, now
         T *= 2.0
     raise TailNotCertified(f"no horizon up to T={T!r} certifies the tail under its target")
 

@@ -74,3 +74,9 @@ def test_moves_measure_each_changed_record():
         "verdicts": ["s/a: worst_atom 0 -> 1", "s/b: passed True -> False"],
     }
     assert tool.moves(old, old) == {"records": 0, "max_abs": 0.0, "max_rel": 0.0, "verdicts": []}
+    # records pair by name, not by place: a reordered, dropped or added record is not compared with another
+    shuffled = report(("d", 9.0, 9.0, True, None), ("c", math.nan, 0.0, True, 3), ("a", 1.5, 2.0, True, 0))
+    assert tool.moves(old, shuffled) == {
+        "records": 2, "max_abs": 1.0, "max_rel": 1.0,
+        "verdicts": ["s/b: only in the old report", "s/d: only in the new report"],
+    }

@@ -19,9 +19,10 @@ The result, written to stdout, is one JSON object: per run, both exit
 codes, whether the two ``report.json`` files have equal bytes, and, where
 they differ, the first line of the second tree's ``rnsl diff`` and how far
 the values moved: the number of records whose ``measured`` or ``bound``
-changed, the largest absolute and relative change among them, and each
-record whose ``passed`` or ``worst_atom`` changed.  The exit code is 1 when
-any run differs in its bytes or its exit code, else 0.
+changed, the largest absolute and relative change among them, each record
+whose ``passed`` or ``worst_atom`` changed, and each record that only one
+report holds; records are matched by suite and name.  The exit code is 1
+when any run differs in its bytes or its exit code, else 0.
 """
 
 from __future__ import annotations
@@ -116,22 +117,34 @@ def _change(a: float, b: float) -> tuple[float, float] | None:
     return gap, (gap / abs(a) if a and math.isfinite(a) else math.inf)
 
 
+def _records(report: dict) -> dict:
+    """The records of a report by ``suite/name``, in report order."""
+    return {f"{suite['suite']}/{r['name']}": r for suite in report["suites"] for r in suite["records"]}
+
+
 def moves(old: dict, new: dict) -> dict:
-    """How far the records of two reports moved, record by record in report order."""
+    """How far the records of two reports moved, each record matched by its suite and name.
+
+    A record that only one report holds is named in ``verdicts``.
+    """
     changed, largest_abs, largest_rel, verdicts = 0, 0.0, 0.0, []
-    for so, sn in zip(old["suites"], new["suites"]):
-        for ro, rn in zip(so["records"], sn["records"]):
-            where = f"{so['suite']}/{ro['name']}"
-            gaps = [g for g in (_change(ro[key], rn[key]) for key in ("measured", "bound")) if g]
-            if gaps:
-                changed += 1
-                largest_abs = max([largest_abs] + [g[0] for g in gaps])
-                largest_rel = max([largest_rel] + [g[1] for g in gaps])
-            verdicts += [
-                f"{where}: {key} {ro.get(key)!r} -> {rn.get(key)!r}"
-                for key in ("passed", "worst_atom")
-                if ro.get(key) != rn.get(key)
-            ]
+    before, after = _records(old), _records(new)
+    verdicts += [f"{where}: only in the old report" for where in before if where not in after]
+    for where, rn in after.items():
+        ro = before.get(where)
+        if ro is None:
+            verdicts.append(f"{where}: only in the new report")
+            continue
+        gaps = [g for g in (_change(ro[key], rn[key]) for key in ("measured", "bound")) if g]
+        if gaps:
+            changed += 1
+            largest_abs = max([largest_abs] + [g[0] for g in gaps])
+            largest_rel = max([largest_rel] + [g[1] for g in gaps])
+        verdicts += [
+            f"{where}: {key} {ro.get(key)!r} -> {rn.get(key)!r}"
+            for key in ("passed", "worst_atom")
+            if ro.get(key) != rn.get(key)
+        ]
     return {"records": changed, "max_abs": largest_abs, "max_rel": largest_rel, "verdicts": verdicts}
 
 
