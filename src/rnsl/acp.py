@@ -21,7 +21,7 @@ import numpy as np
 from .calculus import MIN_STEP, _coerce_eta
 from .errors import DimMismatch, SpaceMismatch, StepUnderflow
 from .rn import L0Operator, RnVector, _check_finite, block_norms
-from .semigroup import CSemigroup, _resolve
+from .semigroup import CSemigroup, resolvent_solve
 
 
 def _check_times(times) -> tuple[float, ...]:
@@ -61,7 +61,7 @@ def resolvent_seeded_problem(W: CSemigroup, eta, y0: RnVector, times) -> AcpProb
     """
     eta = _coerce_eta(W.space, eta)
     seed = AcpProblem(W=W, times=_check_times(times), v0=y0)  # checks y0's space and dim
-    return replace(seed, v0=_resolve(W.generator, eta, y0))
+    return replace(seed, v0=RnVector.of(W.space, resolvent_solve(W.generator, eta, y0.values)))
 
 
 @dataclass(frozen=True)

@@ -384,8 +384,9 @@ def _tail_root(k: int, log_target: np.ndarray) -> np.ndarray:
     k log(1+t) - kt <= -kt^2 / (2(1+t)), the bound there is under target.
     Newton steps follow, each atom until its own step is below 1e-9 x or
     after 16, so no root depends on the other atoms; no step moves x more
-    than 15/16 of the way to k.  At k = 0 the bound is linear in x, and the
-    first or second step lands on the root.  A target of -inf gives no root.
+    than 15/16 of the way to k.  At k = 0 the bound is -x: a target of 0
+    takes no step to its root 0, another lands on it at the first or second
+    step.  A target of -inf gives no root.
     """
     log_target = np.minimum(log_target, 0.0)
     c = log_target + math.lgamma(k + 1.0)
@@ -393,7 +394,9 @@ def _tail_root(k: int, log_target: np.ndarray) -> np.ndarray:
         d = np.maximum((k * math.log(k) - k if k else 0.0) - c, 1.0)
         d = d + np.log1p(k / (d + np.sqrt(d * d + 2.0 * k * d)))
         x = k + (d + np.sqrt(d * d + 2.0 * k * d))
-        active = np.arange(len(x))
+        if k == 0:
+            x[log_target == 0.0] = 0.0
+        active = np.flatnonzero(x > k)
         for _ in range(16):
             now = x[active]
             slope = k / now - 1.0 - k / (now * (now - k))
@@ -507,11 +510,7 @@ def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) 
     return _Weight(k, ev, gamma, tol_arr, log_scale, log_whole, T, log_tail)
 
 
-def damped_weighted_integrals(
-    g: CurveSampler,
-    weights,
-    max_panels: int = MAX_PANELS,
-) -> list[WeightedIntegralResult]:
+def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegralResult]:
     """Integrate s^k exp(-eta s) g(s) over [0, inf) for every (eta, k, tol_scaled).
 
     Each weight gets the checks, scaling, tolerance and error estimate of
@@ -550,9 +549,7 @@ def damped_weighted_integrals(
 
     breaks = [0.0] + [s for s in _seed_edges(plans) if s < T] + [T]
     tol_rows = np.concatenate([p.tol for p in plans]) / 2.0
-    value, err, panels = _adaptive(
-        values_at, (len(plans) * n, g.dim), breaks, tol_rows, max_panels
-    )
+    value, err, panels = _adaptive(values_at, (len(plans) * n, g.dim), breaks, tol_rows, MAX_PANELS)
     results = []
     for j, p in enumerate(plans):
         rows = slice(j * n, (j + 1) * n)
@@ -572,13 +569,7 @@ def damped_weighted_integrals(
     return results
 
 
-def damped_weighted_integral(
-    g: CurveSampler,
-    eta: L0Scalar,
-    k: int,
-    tol_scaled,
-    max_panels: int = MAX_PANELS,
-) -> WeightedIntegralResult:
+def damped_weighted_integral(g: CurveSampler, eta: L0Scalar, k: int, tol_scaled) -> WeightedIntegralResult:
     """Integrate s^k exp(-eta s) g(s) over [0, inf) in scaled form.
 
     Per atom the result satisfies
@@ -595,7 +586,7 @@ def damped_weighted_integral(
     |log_scale|) ulps of the value.
     This is the one-weight call of damped_weighted_integrals.
     """
-    return damped_weighted_integrals(g, [(eta, k, tol_scaled)], max_panels)[0]
+    return damped_weighted_integrals(g, [(eta, k, tol_scaled)])[0]
 
 
 def improper_integral(g: CurveSampler, eta: L0Scalar, tol: float) -> QuadratureResult:

@@ -44,13 +44,12 @@ def random_commuting_pair(
     dim: int,
     spec_lo: float = -2.0,
     spec_hi: float = 0.5,
-    c_lo: float = 0.5,
-    c_hi: float = 2.0,
 ):
     """Commuting (A, C) with a tight certificate.
 
-    Per atom both operators are diagonal in one random orthogonal basis, so
-    exp(tA) C has norm max_i c_i exp(t a_i) <= (max c) exp(t max a); the
+    Per atom both operators are diagonal in one random orthogonal basis,
+    with A's eigenvalues drawn from [spec_lo, spec_hi] and C's from
+    [0.5, 2], so exp(tA) C has norm max_i c_i exp(t a_i) <= (max c) exp(t max a); the
     returned certificate uses exactly those constants.  The atoms draw their
     Gaussian matrices and spectra in turn, in a per-atom loop's order; the
     bases then come from one QR of the whole stack.
@@ -62,7 +61,7 @@ def random_commuting_pair(
     for atom in range(n):
         g[atom] = rng.standard_normal((dim, dim))
         a_eigs[atom] = rng.uniform(spec_lo, spec_hi, dim)
-        c_eigs[atom] = rng.uniform(c_lo, c_hi, dim)
+        c_eigs[atom] = rng.uniform(0.5, 2.0, dim)
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     qt = np.swapaxes(q, 1, 2)
@@ -79,12 +78,11 @@ def smooth_curve_family(
     space: ProbabilitySpace,
     dim: int,
     n: int = 10,
-    span: float = 2.0,
 ):
     """Curves with closed-form antiderivatives for fundamental-theorem checks.
 
     Each entry is (antiderivative G, derivative G') as curve samplers on
-    [0, span], built from sine, exponential, and cubic parts with random
+    [0, 2], built from sine, exponential, and cubic parts with random
     coefficient vectors.
     """
     members = []
@@ -105,8 +103,8 @@ def smooth_curve_family(
 
         members.append(
             (
-                CurveSampler.from_batch(space, dim, 0.0, span, big_g),
-                CurveSampler.from_batch(space, dim, 0.0, span, small_g),
+                CurveSampler.from_batch(space, dim, 0.0, 2.0, big_g),
+                CurveSampler.from_batch(space, dim, 0.0, 2.0, small_g),
             )
         )
     return members

@@ -216,8 +216,10 @@ def diff_reports(old: dict, new: dict) -> list[str]:
     """Where two report.json payloads disagree; empty when they agree.
 
     Returns at most two lines: the first difference in a verdict, suite or
-    record name, or direction, and the first record whose ``measured`` or
-    ``bound`` moved by more than max(DIFF_RTOL * |old|, DIFF_ATOL).  An
+    record names, or direction, and the first record whose ``measured`` or
+    ``bound`` moved by more than max(DIFF_RTOL * |old|, DIFF_ATOL).  Suites
+    pair by name, and records by name within a suite, so a record added,
+    dropped or moved leaves the others paired with themselves.  An
     infinite or NaN value agrees only with the same value.  ``worst_atom``
     and suite data are not compared.
     """
@@ -231,14 +233,16 @@ def diff_reports(old: dict, new: dict) -> list[str]:
     names = [[s["suite"] for s in r["suites"]] for r in (old, new)]
     if names[0] != names[1]:
         note(verdict, f"report: suites {names[0]} -> {names[1]}")
-    for so, sn in zip(old["suites"], new["suites"]):
-        suite = so["suite"]
+    new_suites = {s["suite"]: s for s in new["suites"]}
+    for so in old["suites"]:
+        suite, sn = so["suite"], new_suites.get(so["suite"], so)  # a dropped suite is named above
         records = [[r["name"] for r in s["records"]] for s in (so, sn)]
         if records[0] != records[1]:
             note(verdict, f"{suite}: records {records[0]} -> {records[1]}")
-        for ro, rn in zip(so["records"], sn["records"]):
-            where = f"{suite}/{ro['name']}"
-            for key in ("name", "direction", "passed"):
+        new_records = {r["name"]: r for r in sn["records"]}
+        for ro in so["records"]:
+            where, rn = f"{suite}/{ro['name']}", new_records.get(ro["name"], ro)  # likewise
+            for key in ("direction", "passed"):
                 if ro[key] != rn[key]:
                     note(verdict, f"{where}: {key} {ro[key]!r} -> {rn[key]!r}")
             for key in ("measured", "bound"):

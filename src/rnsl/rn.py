@@ -26,6 +26,7 @@ _THETA18 = 1.09
 _DEGREES = np.arange(_TAYLOR_DEGREE + 1)
 _INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_DEGREE + 1)])
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -74,12 +75,6 @@ class RnVector:
     @property
     def dim(self) -> int:
         return int(self.values.shape[1])
-
-    @property
-    def components(self) -> tuple[L0Scalar, ...]:
-        return tuple(
-            L0Scalar.of(self.space, self.values[:, j]) for j in range(self.dim)
-        )
 
     def _check_mate(self, other: "RnVector") -> None:
         if self.space != other.space:
@@ -236,8 +231,18 @@ def worst_atom(values) -> int:
 
 
 def block_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean length over the last (coordinate) axis of a value array."""
-    return np.sqrt(np.einsum("...d,...d->...", values, values))
+    """Euclidean length over the last (coordinate) axis of a value array, exact across the double range.
+
+    A row whose sum of squares is below 2^-1022 or overflows is first divided
+    by its largest |entry|, as ``spectral_norms`` scales its blocks.
+    """
+    squares = np.einsum("...d,...d->...", values, values)  # einsum raises no overflow warning
+    norms = np.sqrt(squares)
+    if not (squares.min(initial=np.inf) >= _TINY and squares.max(initial=0.0) < np.inf):
+        off = (squares < _TINY) | (squares == np.inf)
+        scale, b = _scaled(values[off][:, None, :])
+        norms[off] = scale * np.sqrt(np.einsum("aij,aij->a", b, b))
+    return norms
 
 
 def l0_norm(x: RnVector) -> L0Scalar:
@@ -310,8 +315,8 @@ class InjectivityReport:
     witness_atom: int | None
 
 
-def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> InjectivityReport:
-    """Injectivity gate: every atom block needs min_sv/max_sv > threshold.
+def check_injective(T: L0Operator) -> InjectivityReport:
+    """Injectivity gate: every atom block needs min_sv/max_sv > INJECTIVITY_THRESHOLD.
 
     The singular values come from the SVD, not the Gram matrix, whose
     squared condition number would blur ratios near the threshold.  On
@@ -325,7 +330,7 @@ def check_injective(T: L0Operator, threshold: float = INJECTIVITY_THRESHOLD) -> 
         smallest = svals[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(largest > 0.0, smallest / largest, 0.0)
-    bad = np.nonzero(ratio <= threshold)[0]
+    bad = np.nonzero(ratio <= INJECTIVITY_THRESHOLD)[0]
     witness = int(bad[0]) if bad.size else None
     return InjectivityReport(
         injective=witness is None,

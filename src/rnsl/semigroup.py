@@ -53,6 +53,7 @@ from .rn import (
     _expm_powers,
     _expm_times,
     _taylor_powers,
+    block_norms,
     check_injective,
     exp_norm_bounds,
     l0_norm,
@@ -372,40 +373,38 @@ def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVecto
     return improper_integral(curve, eta, tol).value
 
 
-def _shift(A: L0Operator, eta: L0Scalar) -> L0Operator:
-    """eta - A on every atom."""
-    return L0Operator.scaled_identity(A.space, A.dim, eta) - A
+def _eta_minus(A: L0Operator, eta: L0Scalar) -> np.ndarray:
+    """eta - A on every atom, shape (n_atoms, d, d)."""
+    shift = eta.values[:, None, None] * np.eye(A.dim) - A.matrices
+    _check_finite(shift, "operator entries")
+    return shift
 
 
-def _inverse(T: L0Operator) -> np.ndarray:
-    mats = T.matrices
-    return np.linalg.solve(mats, np.broadcast_to(np.eye(T.dim), mats.shape).copy())
+def _solve(shift: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+    """shift^{-1} per atom, shape (n_atoms, d, d), or applied to the (n_atoms, d) ``vectors``."""
+    if vectors is None:
+        return np.linalg.solve(shift, np.broadcast_to(np.eye(shift.shape[-1]), shift.shape))
+    return np.linalg.solve(shift, vectors[:, :, None])[:, :, 0]
 
 
-def _shifted_inverse(A: L0Operator, eta: L0Scalar) -> np.ndarray:
-    """(eta - A)^{-1} per atom, gated on the singular value ratio."""
-    shift = _shift(A, eta)
-    _require_injective(shift, "eta - A", EtaInSpectrum)
-    return _inverse(shift)
+def resolvent_solve(A: L0Operator, eta: L0Scalar, vectors: np.ndarray | None = None) -> np.ndarray:
+    """(eta - A)^{-1} per atom, or applied to the (n_atoms, d) ``vectors``.
 
-
-def _resolve(A: L0Operator, eta: L0Scalar, y: RnVector) -> RnVector:
-    """(eta - A)^{-1} y by per-atom solve, gated on the singular value ratio of eta - A."""
-    shift = _shift(A, eta)
-    _require_injective(shift, "eta - A", EtaInSpectrum)
-    return RnVector.of(A.space, np.linalg.solve(shift.matrices, y.values[:, :, None])[:, :, 0])
+    EtaInSpectrum names the first atom where ``check_injective`` finds eta - A singular.
+    """
+    shift = _eta_minus(A, eta)
+    _require_injective(L0Operator(A.space, shift), "eta - A", EtaInSpectrum)
+    return _solve(shift, vectors)
 
 
 def c_resolvent_direct(A: L0Operator, C: L0Operator, eta, x: RnVector) -> RnVector:
     """Resolvent route by per-atom solve: (eta - A) y = C x."""
-    return _resolve(A, _coerce_eta(A.space, eta), op_apply(C, x))
+    return RnVector.of(A.space, resolvent_solve(A, _coerce_eta(A.space, eta), op_apply(C, x).values))
 
 
 def resolvent_operator(A: L0Operator, C: L0Operator, eta) -> L0Operator:
     """(eta - A)^{-1} C as an operator."""
-    eta = _coerce_eta(A.space, eta)
-    inv = _shifted_inverse(A, eta)
-    return L0Operator.of(A.space, inv @ C.matrices)
+    return L0Operator.of(A.space, resolvent_solve(A, _coerce_eta(A.space, eta)) @ C.matrices)
 
 
 def yosida_approximant(
@@ -421,9 +420,8 @@ def yosida_approximant(
     if t < 0.0:
         raise NegativeTime(f"approximant time must be nonnegative, got {t!r}")
     eta = _coerce_eta(A.space, eta)
-    inv = _shifted_inverse(A, eta)
     yosida = L0Operator.of(
-        A.space, eta.values[:, None, None] * (A.matrices @ inv)
+        A.space, eta.values[:, None, None] * (A.matrices @ resolvent_solve(A, eta))
     )
     return op_apply(matrix_exp(yosida, t) @ C, x)
 
@@ -464,11 +462,12 @@ def abel_limit_check(
         if prev is not None and not (eta.values > prev).all():
             raise ValueError("the damping sequence must increase strictly per atom")
         prev = eta.values
-    cx = op_apply(C, x)
+    cx = op_apply(C, x).values
     gaps = np.empty((len(etas), A.space.n_atoms))
     for i, eta in enumerate(etas):
-        approx = c_resolvent_direct(A, C, eta, x).module_mul(eta)
-        gaps[i] = l0_norm(approx - cx).values
+        gap = eta.values[:, None] * resolvent_solve(A, eta, cx) - cx
+        _check_finite(gap, "vector coordinates")
+        gaps[i] = block_norms(gap)
     max_gaps = gaps.max(axis=1)
     slack = 1e-12 * (1.0 + max_gaps[0])
     decreasing = bool(np.all(np.diff(max_gaps) <= slack))
@@ -572,12 +571,12 @@ def hille_yosida_report(
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)
         margin = _check_eta(eta, bound.xi)
-        shift = _shift(A, eta)
-        gate = check_injective(shift)
+        shift = _eta_minus(A, eta)
+        gate = check_injective(L0Operator(A.space, shift))
         power_rows: list[PowerRow] = []
         direct = ()
         if gate.injective:
-            inv = _inverse(shift)
+            inv = _solve(shift)
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
                 powers = [inv @ C.matrices]
                 for _ in range(1, n_max):

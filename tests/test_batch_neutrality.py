@@ -1,0 +1,76 @@
+"""Batch neutrality: a per-atom kernel gives each atom the same bits whatever the other atoms of the call."""
+
+import numpy as np
+import pytest
+
+from rnsl import (
+    ExponentialBound,
+    L0Operator,
+    L0Scalar,
+    RnVector,
+    c_resolvent_direct,
+    check_injective,
+    direct_value_problem,
+    make_matrix_semigroup,
+    make_space,
+    resolvent_operator,
+    rk4_oracle,
+    solve_acp,
+)
+from rnsl.instances import random_commuting_pair, rng_for
+from rnsl.rn import log_norm_bounds, spectral_norms
+
+SIZES = [(n, d) for n in (1, 64) for d in (1, 2, 4, 16)] + [(1024, 2)]
+TIMES = (0.0, 0.25, 0.5)
+ETA = 3.0  # above the generated spectra's largest rate, 0.5
+
+
+def trajectory(traj):
+    """States, residuals and graph norms, shape (times, atoms, d + 2)."""
+    return np.concatenate([traj.states, traj.residuals[..., None], traj.graph_norms[..., None]], axis=-1)
+
+
+KERNELS = {
+    # each maps (A, C, bound, x, G) to an array with one entry per atom along
+    # axis AXES.get(name, 0); G is a Gaussian, so non-normal, operator
+    "solve_acp": lambda A, C, bound, x, G: trajectory(
+        solve_acp(direct_value_problem(make_matrix_semigroup(A, C, bound), x, TIMES))
+    ),
+    "rk4_oracle": lambda A, C, bound, x, G: trajectory(rk4_oracle(A, x, C, TIMES, 0.1)),
+    "log_norm_bounds": lambda A, C, bound, x, G: log_norm_bounds(G.matrices),
+    "spectral_norms": lambda A, C, bound, x, G: spectral_norms(G.matrices),
+    "check_injective": lambda A, C, bound, x, G: gate(check_injective(G)),
+    "resolvent_operator": lambda A, C, bound, x, G: resolvent_operator(A, C, ETA).matrices,
+    "c_resolvent_direct": lambda A, C, bound, x, G: c_resolvent_direct(A, C, ETA, x).values,
+}
+AXES = {"solve_acp": 1, "rk4_oracle": 1}
+
+
+def gate(report):
+    return np.stack([report.min_sv_ratio, report.max_sv], axis=1)
+
+
+def on_atoms(A, C, bound, x, G, atoms):
+    """The inputs restricted to ``atoms``, on a space of their own."""
+    sub = make_space(np.full(len(atoms), 1.0 / len(atoms)))
+    return (
+        L0Operator.of(sub, A.matrices[atoms]),
+        L0Operator.of(sub, C.matrices[atoms]),
+        ExponentialBound(L0Scalar.of(sub, bound.M.values[atoms]), L0Scalar.of(sub, bound.xi.values[atoms])),
+        RnVector.of(sub, x.values[atoms]),
+        L0Operator.of(sub, G.matrices[atoms]),
+    )
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@pytest.mark.parametrize("n, d", SIZES)
+def test_a_third_of_the_atoms_gets_the_bits_of_the_full_call(kernel, n, d):
+    rng = rng_for(n * 100 + d, "batch-neutrality")
+    space = make_space(np.full(n, 1.0 / n))
+    A, C, bound = random_commuting_pair(rng, space, d)
+    x = RnVector.of(space, rng.standard_normal((n, d)))
+    G = L0Operator.of(space, rng.standard_normal((n, d, d)))
+    atoms = rng.choice(n, max(1, n // 3), replace=False)
+    full = KERNELS[kernel](A, C, bound, x, G)
+    part = KERNELS[kernel](*on_atoms(A, C, bound, x, G, atoms))
+    assert np.array_equal(np.take(full, atoms, axis=AXES.get(kernel, 0)), part)

@@ -726,6 +726,20 @@ class TestClosedFormGamma:
         exact = max(inverse.max(), 0.5 * (a / gamma).max(), 1e-3)
         assert exact <= T <= 1.1 * exact
 
+    def test_root_at_k_0_takes_no_step_on_a_target_above_the_integral(self, monkeypatch):
+        calls = []
+
+        def counted(k, x):
+            calls.append(len(x))
+            return _log_tail(k, x)
+
+        monkeypatch.setattr(calculus, "_log_tail", counted)
+        roots = _tail_root(0, np.array([-20.0, 0.0, 3.0]))
+        assert np.array_equal(roots, [20.0, 0.0, 0.0])
+        assert calls == [1, 1]  # the two steps of the first atom alone
+        gamma = np.array([0.5, 2.0, 4.0])
+        assert _tail_time(gamma, 0, np.zeros(3))[0] == 1.0  # the floor 1 / (2 min gamma)
+
     @pytest.mark.parametrize("k", GAMMA_ORDERS)
     def test_tail_time_is_batch_neutral(self, k, rng):
         gamma = rng.uniform(0.01, 10.0, 64)

@@ -372,6 +372,14 @@ def one_record_payload(measured=1.0, passed=True, direction="le", name="gap"):
     return report_payload("digest", 0, [SuiteReport("demo", [record], {"x": [1.0]})])
 
 
+def suites_payload(*suites):
+    """A report of passing records, each suite given as (name, [(record name, measured), ...])."""
+    return report_payload("digest", 0, [
+        SuiteReport(suite, [CheckRecord(name, m, 10.0, 0.0, "le", True, worst_atom=0) for name, m in records])
+        for suite, records in suites
+    ])
+
+
 class TestReportDiff:
     def test_agree_within_tolerance(self):
         base = one_record_payload()
@@ -405,6 +413,21 @@ class TestReportDiff:
         ]
         renamed = diff_reports(base, one_record_payload(name="other"))
         assert renamed[0] == "demo: records ['gap'] -> ['other']"
+
+    def test_records_pair_by_name(self):
+        old = suites_payload(("s", [("a", 1.0), ("b", 2.0)]))
+        assert diff_reports(old, suites_payload(("s", [("x", 5.0), ("a", 1.0), ("b", 2.0)]))) == [
+            "s: records ['a', 'b'] -> ['x', 'a', 'b']"
+        ]
+        assert diff_reports(old, suites_payload(("s", [("x", 5.0), ("a", 1.0), ("b", 3.0)]))) == [
+            "s: records ['a', 'b'] -> ['x', 'a', 'b']", "s/b: measured 2.0 -> 3.0"
+        ]
+
+    def test_suites_pair_by_name(self):
+        old = suites_payload(("s1", [("a", 1.0)]), ("s2", [("a", 2.0)]))
+        assert diff_reports(old, suites_payload(("s2", [("a", 2.0)]))) == [
+            "report: suites ['s1', 's2'] -> ['s2']"
+        ]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")

@@ -30,7 +30,7 @@ def test_worker_times_every_case(monkeypatch):
     assert kinds == (
         ["matrix_exp_times"] * 4
         + ["op_norm"] * 2
-        + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report"]
+        + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report", "abel_limit_check"]
         + ["c_resolvent_integral", "solve_acp", "rk4_oracle"]
         + ["make_matrix_semigroup"]
         + ["scenario_from_dict"] * 2

@@ -96,6 +96,15 @@ class TestSpecValidation:
         assert (batched.value.atom, batched.value.t) == (1, scalar.value.t)
         assert batched.value.t == float(np.geomspace(1e-3, 1e2, 64)[0])
 
+    @pytest.mark.parametrize("xi", [-3.72, -3.7, -3.65])
+    def test_exact_certificate_accepted_below_the_normal_range(self, space1, xi):
+        # at s = 100 the curve e^(xi s) is near 2e-161, whose square is subnormal
+        curve = CurveSampler.from_batch(
+            space1, 1, 0.0, math.inf, lambda s: np.exp(xi * s)[:, None, None],
+            bound=ExponentialBound.constant(space1, 1.0, xi),
+        )
+        LaplaceSpec(curve)
+
     def test_batched_wrong_shape_rejected(self, space2):
         curve = CurveSampler.from_batch(
             space2, 2, 0.0, math.inf, lambda s: np.ones((len(s), 2, 1)),

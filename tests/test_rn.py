@@ -30,6 +30,7 @@ from rnsl.rn import (
     _THETA18,
     _expm_times,
     _squarings,
+    block_norms,
     exp_norm_bounds,
     log_norm_bounds,
     spectral_norms,
@@ -76,6 +77,18 @@ class TestL0Norm:
     def test_non_finite_rejected(self, space2):
         with pytest.raises(NonFiniteValue):
             RnVector.of(space2, [[np.nan, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "row, length",
+        # the first sum of squares underflows to 0, which would break definiteness
+        [([1e-170, 0.0], 1e-170), ([1e200], 1e200), ([3e-300, -4e-300], 5e-300), ([3e300, 4e300], 5e300)],
+    )
+    def test_lengths_across_the_double_range(self, space1, row, length):
+        np.testing.assert_allclose(l0_norm(RnVector.of(space1, [row])).values, [length], rtol=1e-15)
+
+    def test_in_range_rows_are_the_plain_square_root(self, rng):
+        values = rng.standard_normal((64, 5)) * np.logspace(-150, 150, 64)[:, None]
+        assert np.array_equal(block_norms(values), np.sqrt(np.einsum("ad,ad->a", values, values)))
 
 
 class TestOpApply:

@@ -615,6 +615,7 @@ class TestResolventRoutes:
         with pytest.raises(EtaInSpectrum) as exc:
             c_resolvent_direct(A, C, 0.5, x)
         assert exc.value.atom == 0
+        assert str(exc.value) == "eta - A is numerically singular on atom 0 (singular value ratio 0.0)"
 
     def test_resolvent_operator_matches_vector_route(self, space2):
         A, C, _, _ = diag_semigroup(space2)
@@ -638,7 +639,28 @@ class TestResolventRoutes:
         assert np.array_equal(curve.sample(ts), want)
 
 
+def count_calls(monkeypatch, name):
+    """Calls of ``semigroup.<name>`` from here on, as a list of their first arguments."""
+    original, calls = getattr(semigroup_module, name), []
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(semigroup_module, name, counted)
+    return calls
+
+
 class TestHilleYosida:
+    def test_one_singular_value_gate_per_eta(self, space2, monkeypatch):
+        # eta = 3 is an eigenvalue of A on atom 1, and the report carries on past it
+        A = L0Operator.from_diag(space2, [[1.0, 2.0], [1.0, 3.0]])
+        C = L0Operator.identity(space2, 2)
+        gates = count_calls(monkeypatch, "check_injective")
+        report = hille_yosida_report(A, C, ExponentialBound.constant(space2, 1.0, 2.99), [3.0, 4.0, 5.0], n_max=2)
+        assert [e.invertible for e in report.entries] == [False, True, True]
+        assert len(gates) == 3
+
     def test_diagonal_rows_hold_with_equality(self, space2):
         A, C, bound, _ = diag_semigroup(space2)
         report = hille_yosida_report(A, C, bound, [2.0, 4.0], n_max=4)
@@ -830,6 +852,19 @@ class TestAbelLimit:
         assert report.decreasing
         assert report.envelope_ok
         assert report.passed
+
+    def test_gaps_are_the_direct_route_with_one_gate_per_eta(self, monkeypatch):
+        space = make_space(np.full(8, 0.125))
+        A, C, bound = random_commuting_pair(rng_for(5, "abel"), space, 3)
+        x = random_vector(rng_for(6, "abel"), space, 3, -1.0, 1.0)
+        etas = [2.0, 4.0, 8.0, 16.0]
+        want = [
+            l0_norm(c_resolvent_direct(A, C, eta, x).scale(eta) - op_apply(C, x)).values for eta in etas
+        ]
+        gates, products = (count_calls(monkeypatch, name) for name in ("check_injective", "op_apply"))
+        report = abel_limit_check(A, C, bound, x, etas)
+        assert np.array_equal(report.gaps, np.stack(want))
+        assert (len(gates), len(products)) == (4, 1)
 
     def test_zero_generator_zero_gaps(self, space2):
         A = L0Operator.zeros(space2, 2)

@@ -18,7 +18,9 @@ C = I + A/2, xi = 0 and M 1% above the largest norm of exp(tA) C over
 [0, 10]); ``instances.random_commuting_pair`` at d = 4 over the same atom
 counts; ``semigroup.hille_yosida_report`` at d = 4 over the same atom
 counts, on the ``hille_yosida_4_11`` suite's default damping grid
-{2, 4, 8, 16} and ladder depth 8; three calls on a validated family at
+{2, 4, 8, 16} and ladder depth 8; ``semigroup.abel_limit_check`` at
+d = 4 over the same atom counts, on the ``lemma_4_10`` suite's default
+damping sequence {10, 20, 40, 80, 160} and its probe vector; three calls on a validated family at
 d = 4 over the same atom counts, each on a fresh copy of the family, as a
 suite's instance makes one: ``semigroup.c_resolvent_integral`` at
 eta = xi + 2 to 1e-8 (``lemma_4_6``), ``acp.solve_acp`` on the time grid
@@ -75,6 +77,8 @@ NORM_TIMES = 32
 # the hille_yosida_4_11 suite's default damping grid and its ladder depth
 ETA_GRID = (2.0, 4.0, 8.0, 16.0)
 LADDER_DEPTH = 8
+# the lemma_4_10 suite's default damping sequence
+ETA_SEQUENCE = (10.0, 20.0, 40.0, 80.0, 160.0)
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
@@ -101,7 +105,9 @@ def cases() -> list[dict]:
         for t in TIMES
     ]
     out += [{"kernel": "op_norm", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
-    for kernel in ("make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report", *FAMILY_CALLS):
+    for kernel in (
+        "make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report", "abel_limit_check", *FAMILY_CALLS
+    ):
         out += [{"kernel": kernel, "atoms": n, "dim": SEMIGROUP_DIM} for n in ATOMS]
     out += [
         {"kernel": "make_matrix_semigroup", "atoms": n, "dim": SEMIGROUP_DIM, "pair": "jordan"}
@@ -242,6 +248,9 @@ def case_call(rnsl, case):
     )
     if case["kernel"] == "hille_yosida_report":
         return lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
+    if case["kernel"] == "abel_limit_check":
+        x = rnsl.RnVector.constant(space, np.full(d, 1.0 / np.sqrt(d)))
+        return lambda: rnsl.abel_limit_check(gen, c_op, bound, x, ETA_SEQUENCE)
     if case["kernel"] in FAMILY_CALLS:
         return family_call(rnsl, rnsl.make_matrix_semigroup(gen, c_op, bound), case)
     return lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)
