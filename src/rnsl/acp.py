@@ -109,7 +109,7 @@ def _trajectory(A: L0Operator, times: tuple[float, ...], u: np.ndarray) -> Traje
     gap = (u[hi] - u[lo]) / (t[hi] - t[lo])[:, None, None] - au
     arrays = (
         u,
-        np.sqrt((gap**2).sum(axis=2)),
+        block_norms(gap),
         (rows == 0) | (rows == len(times) - 1),
         block_norms(u) + block_norms(au),
     )

@@ -208,7 +208,6 @@ def _adaptive(
     shape: tuple[int, int],
     breaks: list[float],
     tol_per_atom: np.ndarray,
-    max_panels: int,
 ):
     """Adaptive bisection until every row's summed error estimate passes.
 
@@ -231,9 +230,9 @@ def _adaptive(
         return bool((total_err.max(axis=1) <= tol_per_atom).all())
 
     while not accepted():
-        if len(panels) + 1 > max_panels:
+        if len(panels) + 1 > MAX_PANELS:
             raise MaxPanelsExceeded(
-                f"needed more than {max_panels} panels; "
+                f"needed more than {MAX_PANELS} panels; "
                 "integrand looks non-smooth or the tolerance is out of reach"
             )
         if not heap:
@@ -277,7 +276,6 @@ def riemann_integral(
     a: float,
     b: float,
     tol: float,
-    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Integrate the curve over [a, b] to a per-atom error estimate <= tol."""
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -289,7 +287,7 @@ def riemann_integral(
         return QuadratureResult(RnVector.of(g.space, np.zeros(shape)), 0.0, 0)
 
     tol_arr = np.full(g.space.n_atoms, float(tol))
-    value, err, n = _adaptive(g.sample, shape, [a, b], tol_arr, max_panels)
+    value, err, n = _adaptive(g.sample, shape, [a, b], tol_arr)
     return QuadratureResult(RnVector.of(g.space, value), float(err.max()), n)
 
 
@@ -549,7 +547,7 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
 
     breaks = [0.0] + [s for s in _seed_edges(plans) if s < T] + [T]
     tol_rows = np.concatenate([p.tol for p in plans]) / 2.0
-    value, err, panels = _adaptive(values_at, (len(plans) * n, g.dim), breaks, tol_rows, MAX_PANELS)
+    value, err, panels = _adaptive(values_at, (len(plans) * n, g.dim), breaks, tol_rows)
     results = []
     for j, p in enumerate(plans):
         rows = slice(j * n, (j + 1) * n)

@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import CurveSampler
 from .l0 import L0Scalar, ProbabilitySpace, stacked_space
 from .laplace import LaplaceSpec, TransformDerivativeProvider
-from .rn import ExponentialBound, L0Operator, RnVector
+from .rn import ExponentialBound, L0Operator, RnVector, block_norms
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -133,7 +133,7 @@ def _oscillating_spec(space: ProbabilitySpace, a, w, x, y) -> LaplaceSpec:
     """
     m, n, dim = x.shape
     stack = stacked_space(space, m)
-    big_m = np.sqrt((x**2).sum(axis=2)) + np.sqrt((y**2).sum(axis=2))
+    big_m = block_norms(x) + block_norms(y)
 
     def h(s: np.ndarray) -> np.ndarray:
         ws = np.multiply.outer(s, w)[:, :, None, None]

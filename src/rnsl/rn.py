@@ -316,7 +316,7 @@ class InjectivityReport:
 
 
 def check_injective(T: L0Operator) -> InjectivityReport:
-    """Injectivity gate: every atom block needs min_sv/max_sv > INJECTIVITY_THRESHOLD.
+    """Injectivity gate: every atom block needs min_sv/max_sv >= INJECTIVITY_THRESHOLD.
 
     The singular values come from the SVD, not the Gram matrix, whose
     squared condition number would blur ratios near the threshold.  On
@@ -330,7 +330,7 @@ def check_injective(T: L0Operator) -> InjectivityReport:
         smallest = svals[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(largest > 0.0, smallest / largest, 0.0)
-    bad = np.nonzero(ratio <= INJECTIVITY_THRESHOLD)[0]
+    bad = np.nonzero(ratio < INJECTIVITY_THRESHOLD)[0]
     witness = int(bad[0]) if bad.size else None
     return InjectivityReport(
         injective=witness is None,
@@ -346,6 +346,11 @@ def _squarings(x: np.ndarray) -> np.ndarray:
     return np.maximum(expo - (mant <= 0.5 * _THETA18), 0)
 
 
+def _one_norms(mats: np.ndarray) -> np.ndarray:
+    """Each d x d block's 1-norm, its largest absolute column sum: shape (N,) from (N, d, d), 0 at d = 0."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
 def _taylor_powers(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix's 1-norm nu, and the powers 0 .. 18 of M / nu: shape (N,) and (N, 19, d, d).
 
@@ -354,7 +359,7 @@ def _taylor_powers(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix has nu = 0 and powers I, 0, 0, ...
     """
     n, d = mats.shape[:2]
-    nu = np.abs(mats).sum(axis=1).max(axis=1, initial=0.0)
+    nu = _one_norms(mats)
     powers = np.zeros((n, _TAYLOR_DEGREE + 1, d, d))
     by_power = powers.transpose(1, 0, 2, 3)  # a view; products are cheaper along it
     by_power[0] = np.eye(d)
@@ -480,7 +485,7 @@ def exp_norm_bounds(a: np.ndarray, c_norms: np.ndarray, ts: np.ndarray) -> np.nd
     horizon = float(ts.max(initial=0.0))
     c_plus = c_norms * (1.0 + 2.0 * (d + 1) ** 2 * _EPS)
     mu = log_norm_bounds(a)
-    nu = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)  # as _expm_times takes it
+    nu = _one_norms(a)  # as _expm_times takes it
     g = 1.01 * d * d * u
     with np.errstate(all="ignore"):  # out-of-range values fail the range test below
         doublings = np.maximum(1.0, (2.0 * horizon / _THETA18) * nu)

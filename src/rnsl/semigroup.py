@@ -52,6 +52,7 @@ from .rn import (
     _check_finite,
     _expm_powers,
     _expm_times,
+    _one_norms,
     _taylor_powers,
     block_norms,
     check_injective,
@@ -117,7 +118,7 @@ def _commutator_gaps(A: L0Operator, C: L0Operator, bound: ExponentialBound) -> n
     if A.dim != C.dim:
         raise DimMismatch(f"A has dim {A.dim}, C has dim {C.dim}")
     comm = A.matrices @ C.matrices - C.matrices @ A.matrices
-    return np.sqrt(np.einsum("aij,aij->a", comm, comm))
+    return block_norms(comm.reshape(len(comm), -1))
 
 
 def _require_injective(T: L0Operator, what: str, error: type) -> np.ndarray:
@@ -139,14 +140,13 @@ def _raise_first_escape(
     envelope: np.ndarray,
     dim: int,
     c_norms: np.ndarray,
-    atoms: np.ndarray | None = None,
+    atoms: np.ndarray,
 ) -> None:
     """BoundViolated at the first time, then the first atom, where norms of d x d blocks escape.
 
-    Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``, or atom j
-    when ``atoms`` is None; ``c_norms`` holds each atom's ||C||_2 from
-    LAPACK's SVD.  A norm escapes when it exceeds GROWTH_SLACK times its
-    envelope, plus the atom's underflow allowance
+    Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``; ``c_norms``
+    holds each atom's ||C||_2 from LAPACK's SVD.  A norm escapes when it
+    exceeds GROWTH_SLACK times its envelope, plus the atom's underflow allowance
     ceil(8 d^2 max(1, c+ / 6)) 2^-1074 where that product is below 2^-1022,
     with c+ = c_norms (1 + 2 (d + 1)^2 eps) >= ||C||_2 as in
     ``exp_norm_bounds``.
@@ -175,14 +175,14 @@ def _raise_first_escape(
     about 5.6e5, so there the threshold is GROWTH_SLACK times the envelope,
     bitwise.
     """
-    c_plus = (c_norms if atoms is None else c_norms[atoms]) * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)
+    c_plus = c_norms[atoms] * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)
     allowance = np.ldexp(np.ceil(8.0 * dim * dim * np.maximum(1.0, c_plus / 6.0)), -1074)
     threshold = GROWTH_SLACK * envelope
     threshold = np.where(threshold < _TINY, threshold + allowance, threshold)
     hits = np.argwhere(norms > threshold)
     if hits.size:
         i, j = (int(v) for v in hits[0])
-        a = j if atoms is None else int(atoms[j])
+        a = int(atoms[j])
         raise BoundViolated(
             f"family norm {float(norms[i, j])!r} escapes its envelope "
             f"{float(envelope[i, j])!r} at t={float(ts[i])!r} on atom {a}",
@@ -277,7 +277,7 @@ def _recover_generator(
     eye = np.eye(C.dim)
     while True:
         X = np.linalg.solve(C.matrices, family_at(h)) - eye
-        far = np.nonzero(~(np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0) <= 0.25))[0]
+        far = np.nonzero(~(_one_norms(X) <= 0.25))[0]
         if not far.size:
             break
         h *= 0.5
@@ -616,7 +616,7 @@ def hille_yosida_report(
                 np.exp(res.log_scale)[:, None] * res.scaled_value.values
                 / math.factorial(n - 1)
             )
-            gap = float(np.sqrt(((want - integral) ** 2).sum(axis=1)).max())
+            gap = float(block_norms(want - integral).max())
             route_rows.append(RouteRow(n=n, gap=gap, passed=gap <= route_tol))
         entries.append(ResolventEntry(
             eta=eta,

@@ -329,7 +329,7 @@ def _suite_semigroup_law(scn: Scenario) -> SuiteReport:
         rhs = np.einsum("aij,aj->ai", w_t, np.einsum("aij,aj->ai", w_s, x))
         law.add(block_norms(lhs - rhs))
         start = w_0 - C.matrices
-        zero_gap = max(zero_gap, float(np.sqrt((start**2).sum(axis=(1, 2))).max()))
+        zero_gap = max(zero_gap, float(block_norms(start.reshape(len(start), -1)).max()))
     records = [
         law.le("composition_law", tol),
         CheckRecord.le("time_zero", zero_gap, 0.0, 1e-10),
@@ -378,7 +378,7 @@ def _suite_eq_5(scn: Scenario) -> SuiteReport:
         r_mu = resolvent_operator(A, C, mu)
         lhs = (r_eta @ C).matrices - (r_mu @ C).matrices
         rhs = (mu - eta) * (r_mu @ r_eta).matrices
-        worst.add(np.sqrt(((lhs - rhs) ** 2).sum(axis=(1, 2))))
+        worst.add(block_norms((lhs - rhs).reshape(len(lhs), -1)))
     records = [worst.le("resolvent_identity", tol)]
     return SuiteReport("eq_5", records)
 

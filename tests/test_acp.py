@@ -217,6 +217,21 @@ class TestResidualsAndCsv:
         ratio = coarse.max_interior_residual() / fine.max_interior_residual()
         assert 3.2 <= ratio <= 4.8
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_residuals_scale_with_the_start_across_the_double_range(self, space1, scale):
+        # u' = -u is linear, so the residuals scale with u(0); at 1e-160 the
+        # squared gaps are subnormal and at 1e160 they overflow
+        _, _, W = scalar_contraction(space1)
+        plain, scaled = [
+            [solve_acp(direct_value_problem(W, RnVector.of(space1, [[c]]), grid(n))) for n in (21, 41)]
+            for c in (1.0, scale)
+        ]
+        for unit, run in zip(plain, scaled):
+            interior = ~unit.one_sided
+            np.testing.assert_allclose(run.residuals[interior], scale * unit.residuals[interior], rtol=1e-9)
+        ratio = scaled[0].max_interior_residual() / scaled[1].max_interior_residual()
+        assert ratio == pytest.approx(3.90, abs=0.005)
+
     def test_csv_rows_sorted_and_complete(self, space2):
         A = L0Operator.zeros(space2, 2)
         C = L0Operator.identity(space2, 2)
@@ -344,7 +359,7 @@ class TestTrajectoryArrays:
             lo, hi = max(i - 1, 0), min(i + 1, last)
             au = op_apply(A, RnVector.of(space, u[i])).values
             gap = (u[hi] - u[lo]) / (times[hi] - times[lo]) - au
-            np.testing.assert_array_equal(traj.residuals[i], np.sqrt((gap**2).sum(axis=1)))
+            np.testing.assert_array_equal(traj.residuals[i], block_norms(gap))
             np.testing.assert_array_equal(
                 traj.graph_norms[i], block_norms(u[i]) + block_norms(au)
             )

@@ -70,13 +70,14 @@ class TestRiemannIntegral:
         assert res.panels == 0
         np.testing.assert_array_equal(res.value.values, np.zeros((2, 2)))
 
-    def test_panel_budget_exceeded(self, space1):
+    def test_panel_budget_exceeded(self, space1, monkeypatch):
+        monkeypatch.setattr(calculus, "MAX_PANELS", 8)
         g = CurveSampler(
             space1, 1, 0.0, 1.0,
             lambda u: RnVector.of(space1, [[math.sin(500.0 / (u + 1e-3))]]),
         )
         with pytest.raises(MaxPanelsExceeded):
-            riemann_integral(g, 0.0, 1.0, 1e-13, max_panels=8)
+            riemann_integral(g, 0.0, 1.0, 1e-13)
 
     def test_panels_within_tolerance_but_not_together_raise(self):
         # two panels at the resolution, each under tol, their sum over it
@@ -91,17 +92,18 @@ class TestRiemannIntegral:
         tol = np.array([1.01 * max(errs)])
         assert sum(errs) > tol[0]
         with pytest.raises(StepUnderflow):
-            _adaptive(jumps, (1, 1), [0.0, 1e-12, 2e-12], tol, 100)
+            _adaptive(jumps, (1, 1), [0.0, 1e-12, 2e-12], tol)
 
-    def test_stuck_panel_raises_before_panel_budget(self, space1):
+    def test_stuck_panel_raises_before_panel_budget(self, space1, monkeypatch):
         # the jump's panel reaches the resolution with its error above tol;
         # splitting the smooth panels could never meet the tolerance
+        monkeypatch.setattr(calculus, "MAX_PANELS", 5000)
         g = CurveSampler(
             space1, 1, 0.0, 1.0,
             lambda u: RnVector.of(space1, [[1.0 if u < 1.0 / 3.0 else 0.0]]),
         )
         with pytest.raises(StepUnderflow):
-            riemann_integral(g, 0.0, 1.0, 1e-14, max_panels=5000)
+            riemann_integral(g, 0.0, 1.0, 1e-14)
 
     def test_error_estimate_is_nonnegative(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [0.0, 1.0]])
@@ -471,9 +473,9 @@ class TestDampedOracle:
         rates = curve.bound.xi.values
         seeded = []
 
-        def adaptive(values_at, shape, breaks, tol_per_atom, max_panels):
+        def adaptive(values_at, shape, breaks, tol_per_atom):
             seeded.append(len(breaks) - 1)
-            return _adaptive(values_at, shape, breaks, tol_per_atom, max_panels)
+            return _adaptive(values_at, shape, breaks, tol_per_atom)
 
         monkeypatch.setattr(calculus, "_adaptive", adaptive)
         log_scale = calculus._weight_log_scale(k, eta.values)
@@ -549,9 +551,9 @@ def recorded_breaks(monkeypatch) -> list:
     """The break lists that calls of calculus._adaptive get, from now on."""
     seen = []
 
-    def adaptive(values_at, shape, breaks, tol_per_atom, max_panels):
+    def adaptive(values_at, shape, breaks, tol_per_atom):
         seen.append(list(breaks))
-        return _adaptive(values_at, shape, breaks, tol_per_atom, max_panels)
+        return _adaptive(values_at, shape, breaks, tol_per_atom)
 
     monkeypatch.setattr(calculus, "_adaptive", adaptive)
     return seen

@@ -33,6 +33,8 @@ from rnsl import (
 )
 from rnsl.calculus import _CHUNK_BYTES, _weight_log_scale, damped_weighted_integral
 from rnsl.instances import (
+    _oscillating_draws,
+    _oscillating_spec,
     constant_transform_provider,
     inversion_test_family,
     oscillating_decay_specs,
@@ -153,6 +155,14 @@ class TestBatchedFamilies:
                 np.linalg.norm(x, axis=1) + np.linalg.norm(y, axis=1),
                 rtol=1e-15,
             )
+
+    def test_oscillating_certificate_is_exact_below_the_normal_range(self, space4):
+        # 1e-160 X has squared entries below 2^-1022, where a plain sum of
+        # squares keeps only a few digits
+        a, w, x, y = _oscillating_draws(rng_for(5, "tiny"), space4, 3, 2)
+        plain = _oscillating_spec(space4, a, w, x, y).bound.M.values
+        tiny = _oscillating_spec(space4, a, w, 1e-160 * x, 1e-160 * y).bound.M.values
+        np.testing.assert_allclose(tiny, 1e-160 * plain, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("dim", [1, 16])
     def test_inversion_test_family(self, space4, dim):

@@ -27,6 +27,7 @@ from rnsl import (
     vector_distance,
 )
 from rnsl.rn import (
+    INJECTIVITY_THRESHOLD,
     _THETA18,
     _expm_times,
     _squarings,
@@ -88,7 +89,11 @@ class TestL0Norm:
 
     def test_in_range_rows_are_the_plain_square_root(self, rng):
         values = rng.standard_normal((64, 5)) * np.logspace(-150, 150, 64)[:, None]
-        assert np.array_equal(block_norms(values), np.sqrt(np.einsum("ad,ad->a", values, values)))
+        plain = np.sqrt(np.einsum("ad,ad->a", values, values))
+        assert np.array_equal(block_norms(values), plain)
+        # rows the rescale path takes leave the bits of the others alone
+        mixed = np.vstack([values, np.full((1, 5), 1e-170), np.full((1, 5), 1e200)])
+        assert np.array_equal(block_norms(mixed)[:64], plain)
 
 
 class TestOpApply:
@@ -227,6 +232,14 @@ class TestCheckInjective:
         report = check_injective(L0Operator.of(space1, [np.diag([1e-6, 1.0])]))
         assert report.injective
         assert report.min_sv_ratio[0] == pytest.approx(1e-6, rel=1e-9)
+
+    def test_ratio_at_the_threshold_is_injective(self, space1):
+        # equal passes and only a ratio below INJECTIVITY_THRESHOLD is singular
+        report = check_injective(L0Operator.of(space1, [np.diag([1.0, 1e-12])]))
+        assert report.min_sv_ratio[0] == INJECTIVITY_THRESHOLD
+        assert report.injective and report.witness_atom is None
+        below = check_injective(L0Operator.of(space1, [np.diag([1.0, np.nextafter(1e-12, 0.0)])]))
+        assert not below.injective and below.witness_atom == 0
 
     def test_largest_singular_value_is_the_svd_norm(self, space2, rng):
         mats = rng.normal(size=(2, 3, 3))

@@ -48,7 +48,8 @@ from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
 from rnsl.laplace import LaplaceSpec
 from rnsl.rn import exp_norm_bounds, log_norm_bounds, spectral_norms
-from rnsl.scenario import TOLERANCES
+from rnsl.scenario import TOLERANCES, scenario_from_dict
+from rnsl.suites import SUITES
 
 
 def diag_semigroup(space):
@@ -65,15 +66,17 @@ def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
     norms = spectral_norms(matrix_exp_times(A, ts) @ C.matrices)
-    semigroup_module._raise_first_escape(ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv)
+    semigroup_module._raise_first_escape(
+        ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv, np.arange(A.space.n_atoms)
+    )
 
 
 def growth_loop(A, C, bound):
     """The growth gate one time at a time, with exact norms of matrix_exp(A, t) C."""
-    c_norms = check_injective(C).max_sv
+    c_norms, atoms = check_injective(C).max_sv, np.arange(A.space.n_atoms)
     for t in np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES):
         norms = op_norm(matrix_exp(A, float(t)) @ C).values
-        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim, c_norms)
+        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim, c_norms, atoms)
 
 
 def growth_outcome(check, A, C, bound):
@@ -705,6 +708,35 @@ class TestHilleYosida:
         assert entry.min_sv_ratio[1] > 1e-12
         assert entry.power_rows == () and entry.route_rows == ()
         assert not report.passed
+
+    def test_ratio_at_the_threshold_is_invertible_in_report_and_suite(self):
+        # eta - A = diag(1, 1e-12) exactly: its singular value ratio equals the
+        # threshold, so the suite's invertible record passes and the report
+        # computes the ladder; the certificate xi = -10 is wrong, so both fail there
+        eta = 2.0**-60
+        doc = {
+            "space": {"probs": [1.0]},
+            "dim": 2,
+            "operators": {
+                "A": {"matrix": [[eta - 1.0, 0.0], [0.0, eta - 1e-12]]},
+                "C": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            },
+            "bound": {"M": 1.0, "xi": -10.0},
+            "eta_grid": [eta],
+            "suites": ["hille_yosida_4_11"],
+        }
+        scn = scenario_from_dict(doc)
+        report = hille_yosida_report(scn.A, scn.C, scn.bound, scn.eta_grid, n_max=8)
+        entry = report.entries[0]
+        assert entry.min_sv_ratio[0] == 1e-12
+        assert entry.invertible and len(entry.power_rows) == 8
+        assert entry.power_rows[0].gap > 1e11
+        suite = SUITES["hille_yosida_4_11"](scn)
+        assert not report.passed
+        assert suite.passed == report.passed
+        failed = {r.name for r in suite.records if not r.passed}
+        assert {f"b4_eta_{eta:g}_n_{n}" for n in range(1, 9)} <= failed
+        assert f"invertible_eta_{eta:g}" not in failed
 
     def test_route_integrals_share_one_call_past_a_singular_eta(self, space2, monkeypatch):
         # eta = 3 is an eigenvalue of A on atom 1, above the certificate's
