@@ -477,10 +477,11 @@ def _seed_edges(plans: list[_Weight]) -> list[float]:
     return sorted(set().union(*(p.seeds(rho).tolist() for p in plans)))
 
 
-def _checked_weight(bound: ExponentialBound, eta: L0Scalar, k: int, tol_scaled) -> _Weight:
-    """Checks, scale and certified tail horizon of one weight, before any sample."""
+def _checked_weight(bound: ExponentialBound, eta, k: int, tol_scaled) -> _Weight:
+    """Checks, scale and certified tail horizon of one weight, before any sample; eta may be a number."""
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
+    eta = _coerce_eta(bound.space, eta)
     gamma = _check_eta(eta, bound.xi)
     n = bound.space.n_atoms
     tol_arr = np.broadcast_to(np.asarray(tol_scaled, dtype=float), (n,)).copy()
@@ -567,14 +568,15 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     return results
 
 
-def damped_weighted_integral(g: CurveSampler, eta: L0Scalar, k: int, tol_scaled) -> WeightedIntegralResult:
+def damped_weighted_integral(g: CurveSampler, eta, k: int, tol_scaled) -> WeightedIntegralResult:
     """Integrate s^k exp(-eta s) g(s) over [0, inf) in scaled form.
 
     Per atom the result satisfies
         integral = exp(log_scale) * scaled_value,
     with log_scale = k*log(k/eta) - k (0 for k = 0), so the returned numbers
     stay of order one even when the raw weight s^k exp(-eta s) under- or
-    overflows.  ``tol_scaled`` is the absolute tolerance per atom on the
+    overflows.  ``eta`` is a scalar, or a number taken as constant.
+    ``tol_scaled`` is the absolute tolerance per atom on the
     scaled value; half goes to tail truncation, half to quadrature.  A
     tolerance below the double resolution of the scaled certificate integral
     M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
@@ -587,7 +589,7 @@ def damped_weighted_integral(g: CurveSampler, eta: L0Scalar, k: int, tol_scaled)
     return damped_weighted_integrals(g, [(eta, k, tol_scaled)])[0]
 
 
-def improper_integral(g: CurveSampler, eta: L0Scalar, tol: float) -> QuadratureResult:
+def improper_integral(g: CurveSampler, eta, tol: float) -> QuadratureResult:
     """Integrate exp(-eta s) g(s) over [0, inf) within tol per atom.
 
     The curve's certificate ||g(s)|| <= M exp(xi s) truncates the tail at a

@@ -28,7 +28,6 @@ from .calculus import (
     damped_weighted_integral,
 )
 from .errors import (
-    BoundViolated,
     CertificateMissing,
     CoefficientOverflow,
     DimMismatch,
@@ -36,11 +35,10 @@ from .errors import (
     SpaceMismatch,
 )
 from .l0 import L0Scalar, ProbabilitySpace, stacked_space
-from .rn import ExponentialBound, RnVector, block_norms, vector_distance
+from .rn import ExponentialBound, RnVector, _check_envelope, block_norms, vector_distance
 
 BOUND_CHECK_POINTS = 64
 BOUND_CHECK_RANGE = (1e-3, 1e2)
-BOUND_CHECK_SLACK = 1.0 + 1e-9
 _LOG_DOUBLE_MAX = 709.0
 
 
@@ -49,9 +47,10 @@ class LaplaceSpec:
     """A transformable curve: domain [0, inf) plus a growth certificate.
 
     Construction samples the curve at 64 log-spaced times and rejects a
-    certificate the samples already escape (with slack 1 + 1e-9 for roundoff).
-    The times are sampled in order, as many a call as keep its values under
-    _CHUNK_BYTES, so the first escape found is the earliest time's lowest atom.
+    certificate the samples already escape, by the growth gate's rule
+    (``rn._check_envelope``).  The times are sampled in order, as many a call
+    as keep its values under _CHUNK_BYTES, so the first escape found is the
+    earliest time's lowest atom.
     """
 
     curve: CurveSampler
@@ -63,20 +62,12 @@ class LaplaceSpec:
         if c.bound is None:
             raise CertificateMissing("a transformable curve needs a certificate")
         times = np.geomspace(*BOUND_CHECK_RANGE, BOUND_CHECK_POINTS)
+        atoms = np.arange(c.space.n_atoms)
         step = max(1, _CHUNK_BYTES // (8 * c.space.n_atoms * max(c.dim, 1)))
         for start in range(0, len(times), step):
             ts = times[start:start + step]
             norms = block_norms(c.sample(ts))
-            envelope = c.bound.envelope(ts)
-            bad = np.argwhere(norms > BOUND_CHECK_SLACK * envelope)
-            if bad.size:
-                i, a = (int(v) for v in bad[0])
-                raise BoundViolated(
-                    f"curve norm {float(norms[i, a])!r} escapes its envelope "
-                    f"{float(envelope[i, a])!r} at s={float(ts[i])!r} on atom {a}",
-                    atom=a,
-                    t=float(ts[i]),
-                )
+            _check_envelope("curve", "s", ts, norms, c.bound.envelope(ts), c.dim, c.bound.M.values, atoms)
 
     @property
     def space(self) -> ProbabilitySpace:

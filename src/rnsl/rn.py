@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteValue, SpaceMismatch
+from .errors import BoundViolated, DimMismatch, NonFiniteValue, SpaceMismatch
 from .l0 import L0Scalar, ProbabilitySpace, distance as scalar_distance
 
 INJECTIVITY_THRESHOLD = 1e-12
+GROWTH_SLACK = 1.0 + 1e-9  # relative rounding an envelope check forgives
 
 # Truncated Taylor exponential: its degree and the 1-norm bound theta_18 on
 # the scaled matrix that keeps the backward error within double precision
@@ -210,12 +211,87 @@ class ExponentialBound:
         return self.M.space
 
     def envelope(self, t) -> np.ndarray:
-        """M exp(xi t) per atom; an array of times gives shape (len(t), n_atoms)."""
-        return self.M.values * np.exp(np.multiply.outer(np.asarray(t, float), self.xi.values))
+        """M exp(xi t) per atom; an array of times gives shape (len(t), n_atoms).
+
+        Past the double range it is +inf, and wherever M = 0 it is 0, with no
+        numpy warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 inf is NaN, set to 0 below
+            env = self.M.values * np.exp(np.multiply.outer(np.asarray(t, float), self.xi.values))
+        env[..., self.M.values == 0.0] = 0.0
+        return env
 
     @classmethod
     def constant(cls, space: ProbabilitySpace, M: float, xi: float) -> "ExponentialBound":
         return cls(L0Scalar.constant(space, M), L0Scalar.constant(space, xi))
+
+
+def _check_envelope(what: str, var: str, ts, norms, envelope, dim: int, scales, atoms) -> None:
+    """BoundViolated at the first time, then the first atom, where sampled norms escape their envelope.
+
+    Row i of ``norms`` and ``envelope`` is time ``ts[i]`` and column j is
+    atom ``atoms[j]``.  The norms are of d x d blocks exp(tA) C of a family
+    (``what`` "family", ``scales`` each atom's ||C||_2 from LAPACK's SVD)
+    or of a curve's values in R^d (``what`` "curve", ``scales`` its M).  A
+    norm escapes when it exceeds GROWTH_SLACK times its envelope, plus the
+    atom's underflow allowance ceil(8 d^2 max(1, c+ / 6)) 2^-1074 where
+    that product is below 2^-1022, with c+ = scales (1 + 2 (d + 1)^2 eps),
+    which is >= ||C||_2 as in ``exp_norm_bounds``, and >= M.  The message
+    names the norm, the envelope and the time as ``var``.
+
+    The underflow allowance.  GROWTH_SLACK covers relative rounding, but a
+    subnormal value keeps fewer digits.  With gradual underflow a product
+    rounds to xy (1 + delta) + eta with |eta| <= U = 2^-1075, and a sum adds
+    no eta, so a computed d x d product adds at most d U per entry and d^2 U
+    in 2-norm.
+    * In the kernel only the last squarings, those whose products fall
+      below 2^-1022, add such a term.  Their inputs are near the square
+      root of a subnormal norm, 2^-511 or less unless A is far from normal,
+      so a squaring does not amplify what the one before added, and once
+      the entries are subnormal a further squaring's products round to 0:
+      underflow moves the computed exp(tA) by at most 2 d^2 U in all.
+    * The product by C carries that as 2 d^2 U ||C||_2 and adds d^2 U.
+    * ``spectral_norms``' product by the scale, and the envelope's
+      M exp(xi t) and its product by GROWTH_SLACK, round within U each.
+    The sum, d^2 U (2 ||C||_2 + 1) + 3 U, is at most
+    16 d^2 U max(1, ||C||_2 / 6): at ||C||_2 <= 6 it is at most 16 d^2 U,
+    and past 6 the factor 16 / 6 > 2 gains (2/3) ||C||_2 d^2 U >= 4 d^2 U,
+    which covers the rest.  Rounding 8 d^2 max(1, c+ / 6) up to a whole
+    number keeps the allowance above the sum, and at c+ <= 6 it is
+    8 d^2 2^-1074, bitwise.  In the normal range GROWTH_SLACK - 1 = 1e-9
+    times 2^-1022 exceeds the allowance for d^2 max(1, ||C||_2 / 6) up to
+    about 5.6e5, so there the threshold is GROWTH_SLACK times the envelope,
+    bitwise.
+
+    A curve, with M in the part of ||C||_2.  Each coordinate of the curves
+    rnsl builds reaches the subnormal range through at most d roundings, a
+    product or a scalar profile's exponential, each adding at most U; the
+    factors applied after one, as x in x exp(xi s), or cos(w s) X +
+    sin(w s) Y in exp(a s)(cos(w s) X + sin(w s) Y), have 2-norm at most M
+    over the coordinates.  So underflow moves the computed value by at most
+    d U (M + d^(1/2)) in 2-norm.  ``block_norms``' product by the scale
+    rounds within U, the envelope's exp(xi s) within U, which M carries,
+    and its products by M and by GROWTH_SLACK within U each.  The sum,
+    d U (M + d^(1/2)) + M U + 3 U, is at most d^2 U (2 M + 1) + 3 U at
+    d >= 1, which is the family's sum with M for ||C||_2; the same
+    allowance, with c+ >= M, covers it.
+    """
+    threshold = GROWTH_SLACK * envelope
+    low = threshold < _TINY
+    if low.any():
+        c_plus = scales[atoms] * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)
+        allowance = np.ldexp(np.ceil(8.0 * dim * dim * np.maximum(1.0, c_plus / 6.0)), -1074)
+        threshold = np.where(low, threshold + allowance, threshold)
+    escaped = norms > threshold
+    if escaped.any():
+        i, j = (int(v) for v in np.argwhere(escaped)[0])
+        a = int(atoms[j])
+        raise BoundViolated(
+            f"{what} norm {float(norms[i, j])!r} escapes its envelope "
+            f"{float(envelope[i, j])!r} at {var}={float(ts[i])!r} on atom {a}",
+            atom=a,
+            t=float(ts[i]),
+        )
 
 
 WORST_ATOM_RTOL = 1e-12

@@ -33,7 +33,6 @@ from .calculus import (
     improper_integral,
 )
 from .errors import (
-    BoundViolated,
     EtaInSpectrum,
     InitialValueMismatch,
     NegativeTime,
@@ -46,9 +45,11 @@ from .errors import (
 )
 from .l0 import L0Scalar, ProbabilitySpace
 from .rn import (
+    GROWTH_SLACK,
     ExponentialBound,
     L0Operator,
     RnVector,
+    _check_envelope,
     _check_finite,
     _expm_powers,
     _expm_times,
@@ -70,9 +71,6 @@ SAMPLED_RTOL = 1e-9  # largest entry gap to exp(tA) C over its largest entry
 _LOG_TERMS = 30  # at ||X||_1 <= 1/4 the log series' tail is below 4^-30 ||X||
 GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
-GROWTH_SLACK = 1.0 + 1e-9
-_TINY = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
-_EPS = float(np.finfo(float).eps)
 ABEL_RATE_SLACK = 1.5
 ABEL_ENVELOPE_TOL = 1e-14  # absolute allowance of the last gap over its rate envelope
 
@@ -134,63 +132,6 @@ def _require_injective(T: L0Operator, what: str, error: type) -> np.ndarray:
     return rep.max_sv
 
 
-def _raise_first_escape(
-    ts: np.ndarray,
-    norms: np.ndarray,
-    envelope: np.ndarray,
-    dim: int,
-    c_norms: np.ndarray,
-    atoms: np.ndarray,
-) -> None:
-    """BoundViolated at the first time, then the first atom, where norms of d x d blocks escape.
-
-    Column j of ``norms`` and ``envelope`` is atom ``atoms[j]``; ``c_norms``
-    holds each atom's ||C||_2 from LAPACK's SVD.  A norm escapes when it
-    exceeds GROWTH_SLACK times its envelope, plus the atom's underflow allowance
-    ceil(8 d^2 max(1, c+ / 6)) 2^-1074 where that product is below 2^-1022,
-    with c+ = c_norms (1 + 2 (d + 1)^2 eps) >= ||C||_2 as in
-    ``exp_norm_bounds``.
-
-    The underflow allowance.  GROWTH_SLACK covers relative rounding, but a
-    subnormal value keeps fewer digits.  With gradual underflow a product
-    rounds to xy (1 + delta) + eta with |eta| <= U = 2^-1075, and a sum adds
-    no eta, so a computed d x d product adds at most d U per entry and d^2 U
-    in 2-norm.
-    * In the kernel only the last squarings, those whose products fall
-      below 2^-1022, add such a term.  Their inputs are near the square
-      root of a subnormal norm, 2^-511 or less unless A is far from normal,
-      so a squaring does not amplify what the one before added, and once
-      the entries are subnormal a further squaring's products round to 0:
-      underflow moves the computed exp(tA) by at most 2 d^2 U in all.
-    * The product by C carries that as 2 d^2 U ||C||_2 and adds d^2 U.
-    * ``spectral_norms``' product by the scale, and the envelope's
-      M exp(xi t) and its product by GROWTH_SLACK, round within U each.
-    The sum, d^2 U (2 ||C||_2 + 1) + 3 U, is at most
-    16 d^2 U max(1, ||C||_2 / 6): at ||C||_2 <= 6 it is at most 16 d^2 U,
-    and past 6 the factor 16 / 6 > 2 gains (2/3) ||C||_2 d^2 U >= 4 d^2 U,
-    which covers the rest.  Rounding 8 d^2 max(1, c+ / 6) up to a whole
-    number keeps the allowance above the sum, and at c+ <= 6 it is
-    8 d^2 2^-1074, bitwise.  In the normal range GROWTH_SLACK - 1 = 1e-9
-    times 2^-1022 exceeds the allowance for d^2 max(1, ||C||_2 / 6) up to
-    about 5.6e5, so there the threshold is GROWTH_SLACK times the envelope,
-    bitwise.
-    """
-    c_plus = c_norms[atoms] * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)
-    allowance = np.ldexp(np.ceil(8.0 * dim * dim * np.maximum(1.0, c_plus / 6.0)), -1074)
-    threshold = GROWTH_SLACK * envelope
-    threshold = np.where(threshold < _TINY, threshold + allowance, threshold)
-    hits = np.argwhere(norms > threshold)
-    if hits.size:
-        i, j = (int(v) for v in hits[0])
-        a = int(atoms[j])
-        raise BoundViolated(
-            f"family norm {float(norms[i, j])!r} escapes its envelope "
-            f"{float(envelope[i, j])!r} at t={float(ts[i])!r} on atom {a}",
-            atom=a,
-            t=float(ts[i]),
-        )
-
-
 def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms: np.ndarray) -> None:
     """Growth gate for exp(tA) C on GROWTH_SAMPLES times up to GROWTH_HORIZON.
 
@@ -209,8 +150,7 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
     first one with an overflowing block is reported before the overflow.
     """
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite envelope holds any finite norm
-        envelope = bound.envelope(ts)
+    envelope = bound.envelope(ts)
     bounds = exp_norm_bounds(A.matrices, c_norms, ts)  # finite wherever one is given
     open_blocks = ~((bounds <= GROWTH_SLACK * envelope) & (bounds < np.inf))
     times, atoms = (np.flatnonzero(open_blocks.any(axis=k)) for k in (1, 0))
@@ -221,7 +161,7 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
         mats = _expm_times(A.matrices[atoms], ts) @ C.matrices[atoms]
     finite = np.isfinite(mats).all(axis=(1, 2, 3))
     first = len(ts) if finite.all() else int(finite.argmin())  # the times before it have no overflow
-    _raise_first_escape(ts[:first], spectral_norms(mats[:first]), envelope[:first], A.dim, c_norms, atoms)
+    _check_envelope("family", "t", ts[:first], spectral_norms(mats[:first]), envelope[:first], A.dim, c_norms, atoms)
     if first < len(ts):
         raise NonFiniteValue("operator entries must be finite")
 

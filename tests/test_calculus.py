@@ -154,6 +154,19 @@ class TestImproperIntegral:
         want = (1.0 / (2.0 - rates))[:, None] * x.values
         np.testing.assert_allclose(res.value.values, want, atol=1e-8)
 
+    @pytest.mark.parametrize("call", [
+        lambda g, eta: damped_weighted_integral(g, eta, 2, 1e-9).scaled_value,
+        lambda g, eta: damped_weighted_integrals(g, [(eta, 0, 1e-9)])[0].scaled_value,
+        lambda g, eta: improper_integral(g, eta, 1e-9).value,
+    ], ids=["damped_weighted_integral", "damped_weighted_integrals", "improper_integral"])
+    def test_a_number_eta_is_a_constant_scalar(self, space2, call):
+        x = RnVector.of(space2, [[1.0, 2.0], [3.0, 0.0]])
+        g = CurveSampler.from_batch(
+            space2, 2, 0.0, math.inf, lambda s: np.exp(-s)[:, None, None] * x.values,
+            bound=ExponentialBound(l0_norm(x), L0Scalar.constant(space2, -1.0)),
+        )
+        np.testing.assert_array_equal(call(g, 1.0).values, call(g, L0Scalar.constant(space2, 1.0)).values)
+
     def test_eta_below_xi_names_atom(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [1.0, 0.0]])
         bound = ExponentialBound(l0_norm(x), L0Scalar.zero(space2))

@@ -34,7 +34,7 @@ def test_worker_times_every_case(monkeypatch):
         + ["c_resolvent_integral", "solve_acp", "rk4_oracle"]
         + ["make_matrix_semigroup"]
         + ["scenario_from_dict"] * 2
-        + ["laplace_transform", "post_widder", "post_widder"]
+        + ["LaplaceSpec", "laplace_transform", "post_widder", "post_widder"]
     )
     tree = sweep.load(str(ROOT / "src"))
     seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]

@@ -107,6 +107,39 @@ class TestSpecValidation:
         )
         LaplaceSpec(curve)
 
+    def test_loose_certificate_past_the_double_range_raises_no_warning(self, space1):
+        # 1e300 exp(s) leaves the double range past s = 19: the envelope is +inf there
+        curve = CurveSampler.from_batch(
+            space1, 1, 0.0, math.inf, lambda s: np.ones((len(s), 1, 1)),
+            bound=ExponentialBound.constant(space1, 1e300, 1.0),
+        )
+        LaplaceSpec(curve)
+
+    def test_zero_certificate_rejects_a_nonzero_curve_where_exp_overflows(self, space1):
+        # exp(1e6 s) overflows at every sampled time, and 0 * inf must not read as NaN
+        curve = CurveSampler.from_batch(
+            space1, 1, 0.0, math.inf, lambda s: np.ones((len(s), 1, 1)),
+            bound=ExponentialBound.constant(space1, 0.0, 1e6),
+        )
+        with pytest.raises(BoundViolated) as exc:
+            LaplaceSpec(curve)
+        assert (exc.value.t, exc.value.atom) == (1e-3, 0)
+        assert str(exc.value) == "curve norm 1.0 escapes its envelope 0.0 at s=0.001 on atom 0"
+
+    def test_exact_certificates_of_underflowing_curves_accepted(self, space1):
+        # exp(xi s) x with M = ||x||: the curve reaches the subnormal range past
+        # s = 67, where rounding alone can put its norm units of 2^-1074 over
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            dim = int(rng.integers(1, 5))
+            x = rng.uniform(-1.0, 1.0, dim)
+            xi = float(rng.uniform(-10.5, -7.2))
+            curve = CurveSampler.from_batch(
+                space1, dim, 0.0, math.inf, lambda s, x=x, xi=xi: np.exp(xi * s)[:, None, None] * x,
+                bound=ExponentialBound.constant(space1, float(l0_norm(RnVector.of(space1, [x])).values[0]), xi),
+            )
+            LaplaceSpec(curve)
+
     def test_batched_wrong_shape_rejected(self, space2):
         curve = CurveSampler.from_batch(
             space2, 2, 0.0, math.inf, lambda s: np.ones((len(s), 2, 1)),

@@ -540,6 +540,28 @@ class TestExponentialBound:
         b = ExponentialBound.constant(space2, 2.0, -1.0)
         np.testing.assert_allclose(b.envelope(1.0), 2.0 * np.exp(-1.0))
 
+    def test_envelope_past_the_double_range_is_infinite(self, space2):
+        b = ExponentialBound(L0Scalar.of(space2, [1e300, 1e-300]), L0Scalar.of(space2, [1.0, 800.0]))
+        env = b.envelope(np.array([0.5, 20.0, 1e3]))
+        assert env[0, 0] == 1e300 * np.exp(0.5) and env[0, 1] == 1e-300 * np.exp(400.0)
+        assert np.isinf(env[1:]).all() and (env > 0.0).all()
+
+    def test_envelope_is_zero_wherever_m_is_zero(self, space2):
+        b = ExponentialBound(L0Scalar.of(space2, [0.0, 2.0]), L0Scalar.of(space2, [1e6, -1.0]))
+        ts = np.array([0.0, 1e-3, 1.0, 1e3])
+        env = b.envelope(ts)
+        assert (env[:, 0] == 0.0).all()
+        np.testing.assert_array_equal(env[:, 1], 2.0 * np.exp(-ts))
+        assert b.envelope(5.0)[0] == 0.0
+
+    def test_envelope_keeps_the_plain_product_in_range(self, space4):
+        rng = np.random.default_rng(3)
+        M, xi = rng.uniform(1e-3, 10.0, 4), rng.uniform(-5.0, 5.0, 4)
+        b = ExponentialBound(L0Scalar.of(space4, M), L0Scalar.of(space4, xi))
+        ts = np.geomspace(1e-3, 1e2, 64)
+        np.testing.assert_array_equal(b.envelope(ts), M * np.exp(np.multiply.outer(ts, xi)))
+        np.testing.assert_array_equal(b.envelope(0.7), M * np.exp(0.7 * xi))
+
     def test_negative_m_rejected(self, space2):
         with pytest.raises(NonFiniteValue):
             ExponentialBound.constant(space2, -1.0, 0.0)

@@ -47,7 +47,7 @@ from rnsl import semigroup as semigroup_module
 from rnsl.calculus import CurveSampler
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
 from rnsl.laplace import LaplaceSpec
-from rnsl.rn import exp_norm_bounds, log_norm_bounds, spectral_norms
+from rnsl.rn import GROWTH_SLACK, _check_envelope, block_norms, exp_norm_bounds, log_norm_bounds, spectral_norms
 from rnsl.scenario import TOLERANCES, scenario_from_dict
 from rnsl.suites import SUITES
 
@@ -66,8 +66,8 @@ def exact_growth_gate(A, C, bound):
     """The growth check with exact norms of every block, as before certified bounds."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
     norms = spectral_norms(matrix_exp_times(A, ts) @ C.matrices)
-    semigroup_module._raise_first_escape(
-        ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv, np.arange(A.space.n_atoms)
+    _check_envelope(
+        "family", "t", ts, norms, bound.envelope(ts), A.dim, check_injective(C).max_sv, np.arange(A.space.n_atoms)
     )
 
 
@@ -76,7 +76,7 @@ def growth_loop(A, C, bound):
     c_norms, atoms = check_injective(C).max_sv, np.arange(A.space.n_atoms)
     for t in np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES):
         norms = op_norm(matrix_exp(A, float(t)) @ C).values
-        semigroup_module._raise_first_escape(t[None], norms[None], bound.envelope(t)[None], A.dim, c_norms, atoms)
+        _check_envelope("family", "t", t[None], norms[None], bound.envelope(t)[None], A.dim, c_norms, atoms)
 
 
 def growth_outcome(check, A, C, bound):
@@ -110,8 +110,7 @@ def settled_atoms(A, C, bound) -> np.ndarray:
     """The atoms the logarithmic-norm tier settles at every time of the gate."""
     ts = np.linspace(0.0, semigroup_module.GROWTH_HORIZON, semigroup_module.GROWTH_SAMPLES)
     bounds = exp_norm_bounds(A.matrices, check_injective(C).max_sv, ts)
-    with np.errstate(over="ignore"):
-        envelope = semigroup_module.GROWTH_SLACK * bound.envelope(ts)
+    envelope = GROWTH_SLACK * bound.envelope(ts)
     return ((bounds <= envelope) & np.isfinite(bounds)).all(axis=0)
 
 
@@ -173,6 +172,22 @@ class TestLogNormTier:
         bound = ExponentialBound(L0Scalar.one(space1), L0Scalar.of(space1, [rate - math.log(2.0) / t1]))
         assert gate_outcome(A, C, bound)[1:] == (t1, 0)
         assert gate_outcome(A, C, ExponentialBound.constant(space1, 1.0, rate)) == "passed"
+
+    def test_a_family_and_a_curve_share_one_subnormal_certificate(self, space1):
+        # M = ||x|| and xi: exact for exp(xi t) M I and for the curve exp(xi s) x;
+        # the envelope is subnormal past t = 8.9, and at s = 9.295 the curve's
+        # computed norm is one unit of 2^-1074 above its slackened envelope
+        x = np.array([-0.4224914444756691, 0.5614483694668557])
+        xi = -79.81846155746133
+        M = float(block_norms(x[None])[0])
+        bound = ExponentialBound.constant(space1, M, xi)
+        A = L0Operator.from_matrix(space1, xi * np.eye(2))
+        C = L0Operator.from_matrix(space1, M * np.eye(2))
+        assert gate_outcome(A, C, bound) == "passed"
+        curve = CurveSampler.from_batch(
+            space1, 2, 0.0, math.inf, lambda s: np.exp(xi * s)[:, None, None] * x, bound=bound
+        )
+        LaplaceSpec(curve)
 
     def test_norm_of_c_comes_from_the_injectivity_svd(self, monkeypatch):
         space = make_space(np.full(64, 1.0 / 64))

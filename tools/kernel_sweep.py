@@ -28,14 +28,15 @@ of 21 points over [0, 1] and ``acp.rk4_oracle`` on that grid at step 2e-3
 (``acp_5_1``); and ``scenario.scenario_from_dict`` over
 the same n and d, on a
 document shaped like the benchmark's ``wide_semigroup`` scenario
-(per-atom A and C matrices and a per-atom certificate).  Two cases time
+(per-atom A and C matrices and a per-atom certificate).  Three cases time
 the transform suites' units of work at d = 2 over the same atom counts:
-``laplace.laplace_transform`` (k = 0) of the 20 curves of
-``oscillating_decay_stack`` at eta = xi + 2 to 2.5e-9, as ``laplace_bound``
-makes it, and ``laplace.post_widder`` at t = 1 and k in {64, 512} of the
-three quadrature members of ``inversion_test_family``, as ``post_widder``
-makes it, each family as one stacked curve (``oscillating_decay_stack``
-and ``stack_specs``).  The blocks are
+the certificate check of ``laplace.LaplaceSpec``'s construction on the
+20 curves of ``oscillating_decay_stack``, as ``laplace_bound`` builds them;
+``laplace.laplace_transform`` (k = 0) of those curves at eta = xi + 2 to
+2.5e-9, as ``laplace_bound`` makes it; and ``laplace.post_widder`` at
+t = 1 and k in {64, 512} of the three quadrature members of
+``inversion_test_family``, as ``post_widder`` makes it, each family as one
+stacked curve (``oscillating_decay_stack`` and ``stack_specs``).  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
 c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
@@ -114,6 +115,7 @@ def cases() -> list[dict]:
         for n in ATOMS
     ]
     out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
+    out += [{"kernel": "LaplaceSpec", "atoms": n, "dim": TRANSFORM_DIM} for n in ATOMS]
     out += [{"kernel": "laplace_transform", "atoms": n, "dim": TRANSFORM_DIM, "k": 0} for n in ATOMS]
     out += [
         {"kernel": "post_widder", "atoms": n, "dim": TRANSFORM_DIM, "k": k}
@@ -128,8 +130,10 @@ def transform_call(rnsl, space, case):
     from rnsl.instances import inversion_test_family, oscillating_decay_stack
 
     d = case["dim"]
-    if case["kernel"] == "laplace_transform":
+    if case["kernel"] in ("LaplaceSpec", "laplace_transform"):
         spec = oscillating_decay_stack(np.random.default_rng(0), space, d, n=TRANSFORM_CURVES)
+        if case["kernel"] == "LaplaceSpec":
+            return lambda: rnsl.LaplaceSpec(spec.curve)
         eta = rnsl.L0Scalar.of(spec.space, spec.bound.xi.values + TRANSFORM_GAMMA)
         return lambda: rnsl.laplace_transform(spec, eta, TRANSFORM_TOL)
     specs = [spec for name, spec in inversion_test_family(space, d) if name != "constant"]
@@ -232,7 +236,7 @@ def case_call(rnsl, case):
     if case["kernel"] == "scenario_from_dict":
         doc = scenario_doc(q, a, c)
         return lambda: rnsl.scenario_from_dict(doc)
-    if case["kernel"] in ("laplace_transform", "post_widder"):
+    if case["kernel"] in ("LaplaceSpec", "laplace_transform", "post_widder"):
         return transform_call(rnsl, space, case)
     if case["kernel"] == "random_commuting_pair":
         rng = np.random.default_rng(n)
