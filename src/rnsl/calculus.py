@@ -8,7 +8,9 @@ tolerance, and the remaining finite integral gets the other half.
 
 A weighted variant integrates s^k * exp(-eta*s) * g(s) with the magnitude
 tracked in log space, which is what keeps high-order transform derivatives
-representable long after the raw integrand has left the double range.
+representable long after the raw integrand has left the double range.  The
+weight is measured from the certificate's rate: its scale is the peak of
+s^k exp(-gamma s), gamma = eta - xi > 0, so every damping eta > xi has one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     EtaNotInGxi,
     MaxPanelsExceeded,
     NonFiniteValue,
-    NonPositiveEta,
     SpaceMismatch,
     StepUnderflow,
     TailNotCertified,
@@ -219,15 +220,20 @@ def _adaptive(
     k15s, errs = _panels(values_at, edges[:-1], edges[1:], shape)
     # entries: [a, b, k15 (n,d), err (n,d)]
     panels = [[a, b, k, e] for a, b, k, e in zip(breaks[:-1], breaks[1:], k15s, errs)]
-    heap = [(-float(e.max()), i) for i, e in enumerate(errs)]
+    tol_rows = tol_per_atom[:, None]
+
+    def key(err: np.ndarray) -> float:
+        """Heap key of a panel: its largest error over its row's tolerance, negated."""
+        return -float((err / tol_rows).max())
+
+    heap = [(key(e), i) for i, e in enumerate(errs)]
     heapq.heapify(heap)
     total_err = np.zeros(shape)
     for e in errs:
         total_err += e
-    counter = len(panels)
 
     def accepted() -> bool:
-        return bool((total_err.max(axis=1) <= tol_per_atom).all())
+        return bool((total_err <= tol_rows).all())
 
     while not accepted():
         if len(panels) + 1 > MAX_PANELS:
@@ -245,7 +251,7 @@ def _adaptive(
         if b - a <= MIN_STEP * max(1.0, abs(a)):
             # cannot split further; once this panel alone exceeds an atom's
             # tolerance, splitting the others cannot help either
-            if (err.max(axis=1) > tol_per_atom).any():
+            if (err > tol_rows).any():
                 raise StepUnderflow(
                     f"panel [{a!r}, {b!r}] at the resolution {MIN_STEP} "
                     "alone exceeds the tolerance"
@@ -257,10 +263,9 @@ def _adaptive(
         )
         total_err += left_e + right_e - err
         panels[idx] = [a, mid, left_k, left_e]
-        heapq.heappush(heap, (-float(left_e.max()), idx))
+        heapq.heappush(heap, (key(left_e), idx))
+        heapq.heappush(heap, (key(right_e), len(panels)))
         panels.append([mid, b, right_k, right_e])
-        heapq.heappush(heap, (-float(right_e.max()), counter))
-        counter += 1
 
     # summed in panel order, as np.sum over a stack of the panels adds them,
     # without holding that stack
@@ -302,12 +307,6 @@ def derivative(g: CurveSampler, t: float, h0: float) -> RnVector:
     return RnVector.of(g.space, (4.0 * d2 - d1) / 3.0)
 
 
-def _require_certificate(g: CurveSampler) -> ExponentialBound:
-    if g.bound is None:
-        raise CertificateMissing("improper integration needs a growth certificate")
-    return g.bound
-
-
 def _coerce_eta(space: ProbabilitySpace, eta) -> L0Scalar:
     """Damping parameter as a scalar on ``space``; a number is taken as constant."""
     if isinstance(eta, L0Scalar):
@@ -333,22 +332,9 @@ def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
     return gamma
 
 
-def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
-    """Per-atom log of the peak of s^k exp(-eta s): k*log(k/eta) - k, 0 for k = 0.
-
-    For k >= 1 the peak exists only where eta > 0; NonPositiveEta names the
-    first atom without one.
-    """
-    if k >= 1:
-        if eta_values.min() <= 0.0:
-            a = int(np.argmax(eta_values <= 0.0))
-            raise NonPositiveEta(
-                f"a weight of order k={k} needs eta > 0, got eta={float(eta_values[a])!r} "
-                f"on atom {a}",
-                atom=a,
-            )
-        return k * np.log(k / eta_values) - k
-    return np.zeros_like(eta_values)
+def _weight_log_scale(k: int, gamma: np.ndarray) -> np.ndarray:
+    """Per-atom log of the peak of s^k exp(-gamma s), gamma = eta - xi > 0: k*log(k/gamma) - k, 0 for k = 0."""
+    return k * np.log(k / gamma) - k if k else np.zeros_like(gamma)
 
 
 # relative margin on a Newton horizon, far above the error of its root (a few
@@ -356,6 +342,10 @@ def _weight_log_scale(k: int, eta_values: np.ndarray) -> np.ndarray:
 _HORIZON_MARGIN = 1e-12
 _EPS = float(np.finfo(float).eps)
 _LOG_EPS = math.log(_EPS)
+# log of the normal double range, with a margin at the top for the rounding
+# of an exponent
+_LOG_TINY = math.log(float(np.finfo(float).tiny))
+_LOG_DOUBLE_MAX = 709.0
 
 
 def _log_certified_integral(M: np.ndarray, gamma: np.ndarray, k: int) -> np.ndarray:
@@ -407,23 +397,37 @@ def _tail_root(k: int, log_target: np.ndarray) -> np.ndarray:
 
 
 def _tail_time(gamma: np.ndarray, k: int, log_target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest horizon T with _log_tail(k, gamma T) <= log_target on every atom.
+    """Each atom's own horizon, where _log_tail(k, gamma T) meets log_target, and the largest, T.
 
-    Returns T and _log_tail(k, gamma T).  T is the largest of the atoms'
-    roots over gamma, with a relative margin, floored at half the largest
-    weight mean (k+1)/gamma and at 1e-3, so every gamma T exceeds its
-    atom's root and so k; a T that still leaves an atom uncertified doubles.
+    Returns T and the own horizons, the atoms' roots over gamma with a
+    relative margin.  T is floored at half the largest weight mean
+    (k+1)/gamma and at 1e-3, so every gamma T exceeds its atom's root and
+    so k.  Each atom's tail is reported from its own horizon, so T needs no
+    check of its own.
     """
-    reach = float(np.max(_tail_root(k, log_target) / gamma))
-    if not math.isfinite(reach):
+    own = _tail_root(k, log_target) / gamma * (1.0 + _HORIZON_MARGIN)
+    longest = float(np.max(own))
+    if not math.isfinite(longest):
         raise TailNotCertified("no finite horizon certifies the tail under its target")
-    T = max(reach * (1.0 + _HORIZON_MARGIN), float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3)
-    for _ in range(200):
-        now = _log_tail(k, gamma * T)
-        if (now <= log_target).all():
-            return T, now
-        T *= 2.0
-    raise TailNotCertified(f"no horizon up to T={T!r} certifies the tail under its target")
+    return max(longest, float(np.max((k + 1.0) / gamma)) * 0.5, 1e-3), own
+
+
+def _sample_reach(bound: ExponentialBound) -> np.ndarray:
+    """Per atom, the time s* from which a raw sample h(s) cannot carry the damped integrand.
+
+    From s* on the envelope M e^(xi s) has left the normal double range, so
+    a sample keeps fewer digits than the integrand needs, or overflows; or
+    the factor e^(-xi s) in the weight e^(-eta s) = e^(-gamma s) e^(-xi s)
+    overflows.  inf where neither happens, 0 where M itself is not normal.
+    """
+    xi = bound.xi.values
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_m = np.log(bound.M.values)
+        # the envelope leaves the range at (end - log M) / xi, and e^(-xi s) at -max / xi
+        ends = np.where(xi < 0.0, np.maximum(_LOG_TINY - log_m, -_LOG_DOUBLE_MAX), _LOG_DOUBLE_MAX - log_m)
+        reach = np.where(xi == 0.0, np.inf, ends / xi)
+    reach[(log_m < _LOG_TINY) | (log_m > _LOG_DOUBLE_MAX)] = 0.0
+    return reach
 
 
 @dataclass(frozen=True)
@@ -435,31 +439,38 @@ class _Weight:
     gamma: np.ndarray
     tol: np.ndarray
     log_scale: np.ndarray
-    log_whole: np.ndarray
     horizon: float
-    log_tail: np.ndarray
+    tail: np.ndarray  # each atom's certified tail in scaled form
+    own: np.ndarray
+    reach: np.ndarray
 
     def seeds(self, rho: float | None) -> np.ndarray:
         """Initial panel edges, ascending, that lead adaptivity to the weight's peaks.
 
-        At k >= 1 the edges sit around each atom's weight peak, at
-        (k + c sqrt(k)) / eta for c in {-6, -2, 0, 2, 6}; at k = 0 they are
+        At k >= 1 the edges sit around each atom's integrand peak, at
+        (k + c sqrt(k)) / gamma for c in {-6, -2, 0, 2, 6}; at k = 0 they are
         1 / gamma_min and 5 / gamma_min.  Each is snapped to the nearest
         point of the lattice rho^j, which moves it by a factor sqrt(rho) at
-        most: about one weight width sqrt(k) / eta at the weight's own ratio
-        1 + 2 / sqrt(k), less on a finer lattice.  The spread of the peaks,
-        not the number of atoms, bounds the seed count.  A k = 0 weight
-        keeps its two edges unsnapped when ``rho`` is None.
+        most: about one weight width sqrt(k) / gamma at the weight's own ratio
+        1 + 2 / sqrt(k), less on a finer lattice.  Each atom's own horizon is
+        snapped up onto the lattice too, so no panel holds an atom's tail
+        between two far edges, where no node sees it, when other atoms'
+        weights reach much further.  The spread of the peaks, not the number
+        of atoms, bounds the seed count.  A k = 0 weight keeps its two edges
+        unsnapped when ``rho`` is None, and snaps the horizons up to powers
+        of 2.
         """
+        own = self.own[self.own > 0.0]  # a tolerance above the whole integral puts a horizon at 0
         if self.k == 0:
             points = np.array([1.0, 5.0]) / float(self.gamma.min())
             if rho is None:
-                return points
+                return np.array(sorted(set(points.tolist()) | set(np.exp2(np.ceil(np.log2(own))).tolist())))
         else:
             offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
-            points = (self.k + offsets * math.sqrt(self.k)) / self.eta
+            points = (self.k + offsets * math.sqrt(self.k)) / self.gamma
         # distinct exponents by a set: np.unique imports numpy.ma, about 1 MB
         lattice = set(np.rint(np.log(points[points > 0.0]) / math.log(rho)).tolist())
+        lattice.update(np.ceil(np.log(own) / math.log(rho)).tolist())
         return rho ** np.array(sorted(lattice))
 
 
@@ -488,13 +499,12 @@ def _checked_weight(bound: ExponentialBound, eta, k: int, tol_scaled) -> _Weight
     if (tol_arr <= 0.0).any():
         raise ValueError("tolerance must be positive")
 
-    ev = eta.values
-    log_scale = _weight_log_scale(k, ev)
+    log_scale = _weight_log_scale(k, gamma)
 
     log_whole = _log_certified_integral(bound.M.values, gamma, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_target = np.log(tol_arr / 2.0) + log_scale - log_whole
-    T, log_tail = _tail_time(gamma, k, log_target)
+    T, own = _tail_time(gamma, k, log_target)
     # quadrature cannot resolve a tolerance below the rounding of the certified integral
     log_resolution = _LOG_EPS + log_whole - log_scale
     with np.errstate(divide="ignore"):
@@ -506,7 +516,23 @@ def _checked_weight(bound: ExponentialBound, eta, k: int, tol_scaled) -> _Weight
             f"{float(np.exp(log_resolution[a]))!r} of its scaled certificate integral",
             atom=a,
         )
-    return _Weight(k, ev, gamma, tol_arr, log_scale, log_whole, T, log_tail)
+    # each atom's tail is certified from its own horizon, or from the reach s*
+    # of its raw samples, past which they carry nothing; at or before the
+    # peak the tail bound is NaN or inf, and the whole integral bounds it
+    reach = _sample_reach(bound)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = np.fmin(_log_tail(k, gamma * np.minimum(reach, own)), 0.0)
+    lost = np.flatnonzero((reach < own) & (log_tail > log_target))
+    if lost.size:
+        a = int(lost[0])
+        raise MaxPanelsExceeded(
+            f"raw samples of the curve leave the double range at s={float(reach[a])!r} on atom {a}, "
+            "where its certified tail is above the tolerance; pass the damped profile "
+            "g(s) = exp(-xi s) h(s) with certificate (M, 0) at damping eta - xi instead",
+            atom=a,
+        )
+    tail = np.exp(log_whole + log_tail - log_scale)
+    return _Weight(k, eta.values, gamma, tol_arr, log_scale, T, tail, own, reach)
 
 
 def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegralResult]:
@@ -517,13 +543,16 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     The weights share one panel set: its breaks are the union of their
     seeds below the longest horizon T, each round samples g once for all of
     them, and panels are split until every weight passes on every atom.
-    Each weight's tail is certified at T, which is never shorter than its
-    own horizon, since the tail bound falls as T grows.  Every result's
-    ``panels`` is the shared count.
+    Each atom's tail is certified from its own horizon, which at k >= 1 is
+    an edge of the set when below T, or from the reach of its raw samples,
+    past which its rows are zero.  Every result's ``panels`` is the shared
+    count.
     """
     if g.start > 0.0 or not math.isinf(g.end):
         raise ValueError("improper integration expects a curve on [0, inf)")
-    bound = _require_certificate(g)
+    bound = g.bound
+    if bound is None:
+        raise CertificateMissing("improper integration needs a growth certificate")
     plans = [_checked_weight(bound, eta, k, tol) for eta, k, tol in weights]
     if not plans:
         return []
@@ -534,6 +563,8 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     ks = np.repeat([float(p.k) for p in plans], n)
     etas = np.concatenate([p.eta for p in plans])
     log_scales = np.concatenate([p.log_scale for p in plans])
+    reach = np.concatenate([p.reach for p in plans])
+    cut = np.flatnonzero(reach < T)  # rows whose raw samples end before the horizon
 
     def values_at(s: np.ndarray) -> np.ndarray:
         h = g.sample(s)
@@ -542,6 +573,8 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
         w = etas * sp
         np.subtract(ks * np.log(sp), w, out=w)
         w -= log_scales
+        if cut.size:  # past its reach a row's samples carry nothing, and its weight may overflow
+            w[:, cut] = np.where(sp > reach[cut], -np.inf, w[:, cut])
         np.exp(w, out=w)
         out = w.reshape(len(s), len(plans), n, 1) * h[:, None]
         return out.reshape(len(s), len(plans) * n, g.dim)
@@ -552,8 +585,6 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     results = []
     for j, p in enumerate(plans):
         rows = slice(j * n, (j + 1) * n)
-        log_tail = p.log_tail if p.horizon == T else _log_tail(p.k, p.gamma * T)
-        tail = np.exp(p.log_whole + log_tail - p.log_scale)
         # the Kronrod estimate sees no rounding: the weight's exponent, of size
         # k + |log_scale|, costs that many ulps of the value, each panel's
         # 15-node sum 15 more, and the sum over the panels one a panel
@@ -562,7 +593,7 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
         results.append(WeightedIntegralResult(
             scaled_value=RnVector.of(g.space, value[rows]),
             log_scale=p.log_scale,
-            est_error=err[rows].max(axis=1) + tail + rounding,
+            est_error=err[rows].max(axis=1) + p.tail + rounding,
             panels=panels,
         ))
     return results
@@ -573,14 +604,18 @@ def damped_weighted_integral(g: CurveSampler, eta, k: int, tol_scaled) -> Weight
 
     Per atom the result satisfies
         integral = exp(log_scale) * scaled_value,
-    with log_scale = k*log(k/eta) - k (0 for k = 0), so the returned numbers
-    stay of order one even when the raw weight s^k exp(-eta s) under- or
-    overflows.  ``eta`` is a scalar, or a number taken as constant.
+    with log_scale = k*log(k/gamma) - k (0 for k = 0) at gamma = eta - xi,
+    so the returned numbers stay of order one even when the raw weight
+    s^k exp(-eta s) under- or overflows.  ``eta`` is a scalar, or a number
+    taken as constant.
     ``tol_scaled`` is the absolute tolerance per atom on the
     scaled value; half goes to tail truncation, half to quadrature.  A
     tolerance below the double resolution of the scaled certificate integral
     M k! gamma^-(k+1) e^-log_scale raises MaxPanelsExceeded naming the atom,
-    before the first panel; so does eta <= 0 at k >= 1, as NonPositiveEta.
+    before the first panel.  So does a curve whose raw samples leave the
+    double range (``_sample_reach``) before its certified integral from
+    there is below tol/2: the damped profile exp(-xi s) g(s), certified by
+    (M, 0) and integrated at damping gamma, has the same integral.
     ``est_error`` is the quadrature estimate plus the certified tail plus
     the rounding of the weight and of the sums, (16 + panels + k +
     |log_scale|) ulps of the value.

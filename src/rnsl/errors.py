@@ -81,10 +81,6 @@ class EtaNotInGxi(_AtomError):
     """A damping parameter does not dominate the growth rate on some atom."""
 
 
-class NonPositiveEta(_AtomError):
-    """A weight s^k exp(-eta s) of order k >= 1 has no peak to scale by where eta <= 0."""
-
-
 class NonPositiveTime(RnslError):
     """A strictly positive time argument was expected."""
 

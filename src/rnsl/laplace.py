@@ -21,6 +21,7 @@ import numpy as np
 
 from .calculus import (
     _CHUNK_BYTES,
+    _LOG_DOUBLE_MAX,
     CurveSampler,
     _check_eta,
     _coerce_eta,
@@ -39,14 +40,14 @@ from .rn import ExponentialBound, RnVector, _check_envelope, block_norms, vector
 
 BOUND_CHECK_POINTS = 64
 BOUND_CHECK_RANGE = (1e-3, 1e2)
-_LOG_DOUBLE_MAX = 709.0
 
 
 @dataclass(frozen=True)
 class LaplaceSpec:
     """A transformable curve: domain [0, inf) plus a growth certificate.
 
-    Construction samples the curve at 64 log-spaced times and rejects a
+    Construction samples the curve at those of 64 log-spaced times where
+    the envelope M exp(xi s) stays below e^709 on every atom, and rejects a
     certificate the samples already escape, by the growth gate's rule
     (``rn._check_envelope``).  The times are sampled in order, as many a call
     as keep its values under _CHUNK_BYTES, so the first escape found is the
@@ -62,12 +63,16 @@ class LaplaceSpec:
         if c.bound is None:
             raise CertificateMissing("a transformable curve needs a certificate")
         times = np.geomspace(*BOUND_CHECK_RANGE, BOUND_CHECK_POINTS)
+        M, xi = c.bound.M.values, c.bound.xi.values
+        with np.errstate(divide="ignore"):  # the envelope passes e^709 at (709 - log M) / xi
+            top = (_LOG_DOUBLE_MAX - np.log(M[xi > 0.0])) / xi[xi > 0.0]
+        times = times[times < top.min(initial=np.inf)]
         atoms = np.arange(c.space.n_atoms)
         step = max(1, _CHUNK_BYTES // (8 * c.space.n_atoms * max(c.dim, 1)))
         for start in range(0, len(times), step):
             ts = times[start:start + step]
             norms = block_norms(c.sample(ts))
-            _check_envelope("curve", "s", ts, norms, c.bound.envelope(ts), c.dim, c.bound.M.values, atoms)
+            _check_envelope("curve", "s", ts, norms, c.bound.envelope(ts), c.dim, M, atoms)
 
     @property
     def space(self) -> ProbabilitySpace:
@@ -130,12 +135,8 @@ def laplace_derivative_scaled(
     """
     eta = _coerce_eta(spec.space, eta)
     bound = spec.bound
-    gamma = _check_eta(eta, bound.xi)  # before the weight's own eta > 0 check
-    log_env = (
-        math.lgamma(k + 1.0)
-        - (k + 1.0) * np.log(gamma)
-        - _weight_log_scale(k, eta.values)
-    )
+    gamma = _check_eta(eta, bound.xi)
+    log_env = math.lgamma(k + 1.0) - (k + 1.0) * np.log(gamma) - _weight_log_scale(k, gamma)
     with np.errstate(over="ignore"):
         env = bound.M.values * np.exp(np.minimum(log_env, _LOG_DOUBLE_MAX))
     tol_scaled = np.where(env > 0.0, float(tol) * env, 1.0)

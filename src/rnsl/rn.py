@@ -226,6 +226,12 @@ class ExponentialBound:
         return cls(L0Scalar.constant(space, M), L0Scalar.constant(space, xi))
 
 
+def _slackened(envelope: np.ndarray) -> np.ndarray:
+    """GROWTH_SLACK times an envelope: +inf past the double range, as the envelope, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return GROWTH_SLACK * envelope
+
+
 def _check_envelope(what: str, var: str, ts, norms, envelope, dim: int, scales, atoms) -> None:
     """BoundViolated at the first time, then the first atom, where sampled norms escape their envelope.
 
@@ -276,7 +282,7 @@ def _check_envelope(what: str, var: str, ts, norms, envelope, dim: int, scales, 
     d >= 1, which is the family's sum with M for ||C||_2; the same
     allowance, with c+ >= M, covers it.
     """
-    threshold = GROWTH_SLACK * envelope
+    threshold = _slackened(envelope)
     low = threshold < _TINY
     if low.any():
         c_plus = scales[atoms] * (1.0 + 2.0 * (dim + 1) ** 2 * _EPS)

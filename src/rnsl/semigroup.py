@@ -7,7 +7,8 @@ so C^{-1} W(t) is a continuous semigroup on R^d, which is exp(tA).  A family
 given only as an evaluator t -> W(t) has its A recovered and checked.
 
 The resolvent comes in two routes (a per-atom solve against (eta - A), and
-the transform integral of the family), and a report verifies the generation
+the transform integral of the family, taken as that of the damped family
+exp(t(A - xi)) C at gamma = eta - xi), and a report verifies the generation
 conditions: invertibility of eta - A, the power bounds
 ||(eta-A)^{-n} C|| <= M(eta-xi)^{-n}, commutation of A and C, and the
 integral representation of resolvent powers.
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .l0 import L0Scalar, ProbabilitySpace
 from .rn import (
-    GROWTH_SLACK,
     ExponentialBound,
     L0Operator,
     RnVector,
@@ -54,6 +54,7 @@ from .rn import (
     _expm_powers,
     _expm_times,
     _one_norms,
+    _slackened,
     _taylor_powers,
     block_norms,
     check_injective,
@@ -152,7 +153,7 @@ def _check_growth(A: L0Operator, C: L0Operator, bound: ExponentialBound, c_norms
     ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
     envelope = bound.envelope(ts)
     bounds = exp_norm_bounds(A.matrices, c_norms, ts)  # finite wherever one is given
-    open_blocks = ~((bounds <= GROWTH_SLACK * envelope) & (bounds < np.inf))
+    open_blocks = ~((bounds <= _slackened(envelope)) & (bounds < np.inf))
     times, atoms = (np.flatnonzero(open_blocks.any(axis=k)) for k in (1, 0))
     if not atoms.size:
         return
@@ -306,11 +307,21 @@ def _orbit_curve(W: CSemigroup, x: RnVector) -> CurveSampler:
     return CurveSampler.from_batch(W.space, x.dim, 0.0, math.inf, batch, bound=cert)
 
 
+def _damped_orbit(W: CSemigroup, x: RnVector) -> CurveSampler:
+    """Damped orbit t -> exp(-xi t) W(t) x = exp(t(A - xi)) C x, certified by (M ||x||, 0).
+
+    Its transform at gamma = eta - xi is the orbit's at eta, and its samples
+    stay in the double range wherever the integrand does.
+    """
+    shifted = W.generator.matrices - W.bound.xi.values[:, None, None] * np.eye(W.dim)
+    bound = ExponentialBound(W.bound.M, L0Scalar.zero(W.space))
+    return _orbit_curve(CSemigroup(W.space, W.dim, W.C, bound, L0Operator(W.space, shifted)), x)
+
+
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
-    """Resolvent route through the transform of the orbit t -> W(t)x."""
-    eta = _coerce_eta(W.space, eta)
-    curve = _orbit_curve(W, x)
-    return improper_integral(curve, eta, tol).value
+    """Resolvent route through the transform of the orbit t -> W(t)x, as its damped orbit's at eta - xi."""
+    gamma = _check_eta(_coerce_eta(W.space, eta), W.bound.xi)
+    return improper_integral(_damped_orbit(W, x), L0Scalar.of(W.space, gamma), tol).value
 
 
 def _eta_minus(A: L0Operator, eta: L0Scalar) -> np.ndarray:
@@ -497,8 +508,10 @@ def hille_yosida_report(
     The family is evaluated as exp(tA) C without re-validating the growth
     certificate: a wrong certificate is exactly what the power-bound ladder
     must expose rather than a constructor reject.  The two resolvent routes
-    are compared on the first basis vector e_1 of every atom.  An empty grid
-    yields an empty report that passes vacuously on the per-eta rows.
+    are compared on the first basis vector e_1 of every atom, the integral
+    route on the damped orbit exp(s(A - xi)) C e_1 at gamma = eta - xi.  An
+    empty grid yields an empty report that passes vacuously on the per-eta
+    rows.
     """
     comm = _commutator_gaps(A, C, bound)
     if n_max < 1:
@@ -506,8 +519,8 @@ def hille_yosida_report(
     probe = RnVector.constant(A.space, np.eye(A.dim)[0])
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
     M = bound.M.values
-    probe_curve = _orbit_curve(CSemigroup(A.space, A.dim, C, bound, A), probe)
-    ladder = []  # (eta, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
+    probe_curve = _damped_orbit(CSemigroup(A.space, A.dim, C, bound, A), probe)
+    ladder = []  # (eta, eta - xi, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
     for eta_raw in eta_grid:
         eta = _coerce_eta(A.space, eta_raw)
         margin = _check_eta(eta, bound.xi)
@@ -538,17 +551,17 @@ def hille_yosida_report(
                     )
                 )
             direct = np.einsum("naij,aj->nai", powers[:3], probe.values)
-        ladder.append((eta, gate, power_rows, direct))
-    # the route integrals of every invertible eta share one panel set
+        ladder.append((eta, margin, gate, power_rows, direct))
+    # the route integrals of every invertible eta share one panel set, on the damped orbit
     routes = [
-        (eta, n - 1, quad_tol * np.exp(-_weight_log_scale(n - 1, eta.values)))
-        for eta, _, _, direct in ladder
+        (L0Scalar.of(A.space, margin), n - 1, quad_tol * np.exp(-_weight_log_scale(n - 1, margin)))
+        for _, margin, _, _, direct in ladder
         for n in range(1, len(direct) + 1)
     ]
     results = iter(damped_weighted_integrals(probe_curve, routes))
     entries = []
     all_ok = commutation_ok
-    for eta, gate, power_rows, direct in ladder:
+    for eta, _, gate, power_rows, direct in ladder:
         route_rows: list[RouteRow] = []
         for n, want in enumerate(direct, start=1):
             res = next(results)

@@ -21,7 +21,6 @@ from rnsl import (
     L0Scalar,
     MaxPanelsExceeded,
     NonFiniteValue,
-    NonPositiveEta,
     RnVector,
     SpaceMismatch,
     StepUnderflow,
@@ -200,7 +199,8 @@ class TestImproperIntegral:
         )
         rejects = [
             (EtaNotInGxi, lambda: improper_integral(g, L0Scalar.constant(space2, -2.5), 1e-9)),
-            (NonPositiveEta, lambda: damped_weighted_integral(g, L0Scalar.of(space2, [1.0, -1.0]), 1, 1e-8)),
+            # raw samples underflow near s = 354, where the tail at gamma = 0.01 is still large
+            (MaxPanelsExceeded, lambda: improper_integral(g, L0Scalar.of(space2, [1.0, -1.99]), 1e-9)),
             # a tolerance far below the double resolution of the certified integral
             (MaxPanelsExceeded, lambda: damped_weighted_integral(g, L0Scalar.one(space2), 0, 1e-300)),
         ]
@@ -210,18 +210,21 @@ class TestImproperIntegral:
             assert "np.float64" not in str(exc.value) and "(np." not in str(exc.value)
 
     def test_tolerance_below_resolution_rejected_before_quadrature(self):
-        # atoms with xi near 0.5 reach about 1e8 in scaled form; this used to
+        # the double resolution of the scaled certificate integrals, eps
+        # times them, is 4e-16 to 7e-15 here; a tolerance under it used to
         # bisect for minutes on its way to the panel budget
         space = make_space(np.full(1024, 1.0 / 1024))
         spec = oscillating_decay_specs(rng_for(3, "resolution"), space, 2, n=1)[0]
         eta = L0Scalar.constant(space, 2.0)
         start = time.perf_counter()
         with pytest.raises(MaxPanelsExceeded, match="double resolution") as exc:
-            damped_weighted_integral(spec.curve, eta, 64, 1e-10)
+            damped_weighted_integral(spec.curve, eta, 64, 1e-15)
         assert time.perf_counter() - start < 1.0
+        gamma = eta.values - spec.curve.bound.xi.values
+        log_scaled = calculus._log_certified_integral(spec.curve.bound.M.values, gamma, 64) - calculus._weight_log_scale(64, gamma)
         a = exc.value.atom
         assert f"atom {a}" in str(exc.value)
-        assert spec.curve.bound.xi.values[a] > 0.0
+        assert a == int(np.argmax(calculus._EPS * np.exp(log_scaled) > 1e-15))
 
 class TestCalculusTheorems:
     """Randomized curve families against the integral/derivative identities."""
@@ -491,7 +494,7 @@ class TestDampedOracle:
             return _adaptive(values_at, shape, breaks, tol_per_atom)
 
         monkeypatch.setattr(calculus, "_adaptive", adaptive)
-        log_scale = calculus._weight_log_scale(k, eta.values)
+        log_scale = calculus._weight_log_scale(k, eta.values - rates)
         scaled = decimal_scaled_integral(k, eta.values, rates, log_scale)
         tol = 1e-10 * scaled  # relative to each atom's scaled integral
         res = damped_weighted_integral(curve, eta, k, tol)
@@ -503,7 +506,9 @@ class TestDampedOracle:
         assert seeded[0] <= SEED_PANEL_BOUND
 
 
-    def test_nonpositive_eta_at_positive_order_names_the_atom(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_nonpositive_eta_above_xi_is_integrated(self, k):
+        # eta = -1 > xi = -2: the weight is scaled at its peak k / (eta - xi)
         space = uniform_space(2)
         x = RnVector.of(space, [[1.0], [1.0]])
         rates = L0Scalar.of(space, [-2.0, -2.0])
@@ -512,17 +517,67 @@ class TestDampedOracle:
             lambda s: np.exp(np.outer(s, rates.values))[:, :, None] * x.values,
             bound=ExponentialBound(l0_norm(x), rates),
         )
+        eta = L0Scalar.of(space, [1.0, -1.0])
+        log_scale = calculus._weight_log_scale(k, eta.values - rates.values)
+        scaled = decimal_scaled_integral(k, eta.values, rates.values, log_scale)
+        res = damped_weighted_integral(curve, eta, k, 1e-10 * scaled)
+        np.testing.assert_array_equal(res.log_scale, log_scale)
+        assert (np.abs(res.scaled_value.values[:, 0] - scaled) <= res.est_error).all()
+        assert (res.est_error <= 1e-10 * scaled).all()
+
+
+class TestRawSampleRefusal:
+    """Raw samples h(s) that leave the double range before the horizon refuse; the damped profile answers."""
+
+    @staticmethod
+    def decay(M: float, a: float) -> CurveSampler:
+        space = uniform_space(1)
+        return CurveSampler.from_batch(
+            space, 1, 0.0, math.inf, lambda s: M * np.exp(a * s)[:, None, None],
+            bound=ExponentialBound.constant(space, M, a),
+        )
+
+    @pytest.mark.parametrize("M", [5.8e-140, 1e-200])
+    def test_underflowing_samples_refuse_before_the_panels(self, M, monkeypatch):
+        # h = M e^(-0.8 s) at eta = -0.7656: the sample underflows while
+        # e^(-eta s) h(s) = M e^(-gamma s) is still above the tolerance
+        eta, gamma = -0.7656, 0.0344
+        tol = 1e-9 * M / gamma
+        damped = damped_weighted_integral(self.decay(M, 0.0), gamma, 0, tol)
+        assert abs(damped.scaled_value.values[0, 0] - M / gamma) <= tol
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the eta check must come before the horizon and the panels")
+            raise AssertionError("the refusal must come before the first panel")
 
-        monkeypatch.setattr(calculus, "_tail_time", unreachable)
         monkeypatch.setattr(calculus, "_adaptive", unreachable)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonPositiveEta, match="atom 1") as exc:
-                damped_weighted_integral(curve, L0Scalar.of(space, [1.0, -1.0]), 1, 1e-8)
-        assert exc.value.atom == 1
+            with pytest.raises(MaxPanelsExceeded, match="atom 0.*damped profile") as exc:
+                damped_weighted_integral(self.decay(M, -0.8), eta, 0, tol)
+        assert exc.value.atom == 0
+
+    def test_overflowing_weight_refuses_without_a_warning(self):
+        # e^(-100 s) at eta = -99: the weight e^(99 s) and the sample leave the
+        # range near s = 7.08, where the tail is 8.4e-4 of the whole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MaxPanelsExceeded, match=r"s=7\.08.* on atom 0") as exc:
+                improper_integral(self.decay(1.0, -100.0), -99.0, 1e-9)
+            assert exc.value.atom == 0
+            res = improper_integral(self.decay(1.0, 0.0), 1.0, 1e-9)
+        assert abs(res.value.values[0, 0] - 1.0) <= 1e-9
+
+    def test_reach_per_atom(self):
+        space = uniform_space(5)
+        bound = ExponentialBound(
+            L0Scalar.of(space, [1.0, 1.0, 1.0, 0.0, 1e-310]),
+            L0Scalar.of(space, [-100.0, 0.0, 8.0, -1.0, 0.0]),
+        )
+        reach = calculus._sample_reach(bound)
+        assert reach[0] == pytest.approx(-calculus._LOG_TINY / 100.0)
+        assert reach[1] == math.inf
+        assert reach[2] == pytest.approx(709.0 / 8.0)
+        assert reach[3] == reach[4] == 0.0  # M = 0 and a subnormal M hold no normal sample
 
 
 # (k, eta / gamma) per weight: orders 0 to 1024 at damping spread 16x
@@ -541,13 +596,16 @@ def failing_curve() -> CurveSampler:
 
 
 def own_seeds(plan) -> np.ndarray:
-    """A weight's seeds as one weight alone draws them: on its own lattice, or unsnapped at k = 0."""
+    """A weight's seeds as one weight alone draws them: on its own lattice, with its atoms' own
+    horizons snapped up, or unsnapped at k = 0 with the horizons snapped up to powers of 2."""
     if plan.k == 0:
-        return np.array([1.0, 5.0]) / float(plan.gamma.min())
+        points = np.array([1.0, 5.0]) / float(plan.gamma.min())
+        return np.array(sorted(set(points.tolist()) | set(np.exp2(np.ceil(np.log2(plan.own))).tolist())))
     offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
-    seeds = (plan.k + offsets * math.sqrt(plan.k)) / plan.eta
+    seeds = (plan.k + offsets * math.sqrt(plan.k)) / plan.gamma
     rho = 1.0 + 2.0 / math.sqrt(plan.k)
     lattice = set(np.rint(np.log(seeds[seeds > 0.0]) / math.log(rho)).tolist())
+    lattice |= set(np.ceil(np.log(plan.own) / math.log(rho)).tolist())
     return rho ** np.array(sorted(lattice))
 
 
@@ -556,7 +614,7 @@ def seed_points(plan) -> np.ndarray:
     if plan.k == 0:
         return np.array([1.0, 5.0]) / float(plan.gamma.min())
     offsets = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])[:, None]
-    points = (plan.k + offsets * math.sqrt(plan.k)) / plan.eta
+    points = (plan.k + offsets * math.sqrt(plan.k)) / plan.gamma
     return points[points > 0.0]
 
 
@@ -616,7 +674,7 @@ class TestSharedPanels:
         weights, scaled = [], []
         for k, ratio in MIXED_WEIGHTS:
             ev = rates + ratio * gamma
-            scaled.append(decimal_scaled_integral(k, ev, rates, calculus._weight_log_scale(k, ev)))
+            scaled.append(decimal_scaled_integral(k, ev, rates, calculus._weight_log_scale(k, ratio * gamma)))
             weights.append((L0Scalar.of(curve.space, ev), k, 1e-10 * scaled[-1]))
         results = damped_weighted_integrals(curve, weights)
         x = curve.sample([0.0])[0]
@@ -641,7 +699,7 @@ class TestSharedPanels:
 
     @pytest.mark.parametrize("eta,k,tol", [
         ([1.0, -3.0, 1.0], 1, 1e-8),  # eta <= xi on atom 1
-        ([1.0, 1.0, -1.0], 1, 1e-8),  # eta <= 0 at k >= 1 on atom 2
+        ([1.0, 1.0, -1.99], 1, 1e-8),  # raw samples leave the double range too early on atom 2
         ([1.0, 1.0, 1.0], 0, [1e-8, 1e-30, 1e-8]),  # below the resolution on atom 1
         ([1.0, 1.0, 1.0], -1, 1e-8),
         ([1.0, 1.0, 1.0], 2, [1e-8, 0.0, 1e-8]),
@@ -731,9 +789,10 @@ class TestClosedFormGamma:
         gamma = rng.uniform(0.05, 3.0, 64)
         log_target = np.log(np.geomspace(1e-250, 0.9, 64))
         rng.shuffle(log_target)
-        T, log_tail = _tail_time(gamma, k, log_target)
-        assert (log_tail <= log_target).all()
-        assert np.array_equal(log_tail, _log_tail(k, gamma * T))
+        T, own = _tail_time(gamma, k, log_target)
+        assert (_log_tail(k, gamma * T) <= log_target).all()
+        assert (_log_tail(k, gamma * own) <= log_target).all()  # each atom's own horizon certifies it
+        assert np.array_equal(own, _tail_root(k, log_target) / gamma * (1.0 + _HORIZON_MARGIN))
         a = k + 1.0
         reach = float(np.max(_tail_root(k, log_target) / gamma)) * (1.0 + _HORIZON_MARGIN)
         assert T == max(reach, 0.5 * float(np.max(a / gamma)), 1e-3)
@@ -759,14 +818,33 @@ class TestClosedFormGamma:
     def test_tail_time_is_batch_neutral(self, k, rng):
         gamma = rng.uniform(0.01, 10.0, 64)
         log_target = rng.uniform(-3000.0, 0.5, 64)
-        T, log_tail = _tail_time(gamma, k, log_target)
-        assert (log_tail <= log_target).all()
+        T, own = _tail_time(gamma, k, log_target)
+        assert (_log_tail(k, gamma * T) <= log_target).all()
         singles = [_tail_time(gamma[[a]], k, log_target[[a]])[0] for a in range(64)]
         assert T == max(singles)
         subset = np.union1d(rng.choice(64, 8, replace=False), [int(np.argmax(singles))])
-        T_sub, log_tail_sub = _tail_time(gamma[subset], k, log_target[subset])
+        T_sub, own_sub = _tail_time(gamma[subset], k, log_target[subset])
         assert T_sub == T
-        assert np.array_equal(log_tail_sub, log_tail[subset])
+        assert np.array_equal(own_sub, own[subset])
+
+
+def test_panels_split_by_error_over_their_rows_tolerance(monkeypatch):
+    # four atoms of scales 1e-8 to 1e29 take 4 panels each alone; keyed by
+    # absolute error, the joint call kept splitting the largest atom's
+    # panels, which had passed, until the panel budget
+    monkeypatch.setattr(calculus, "MAX_PANELS", 5000)
+    M = np.array([5.37e-6, 1.36e29, 5.49e-8, 1.03e4])
+    rates = np.array([-3.66, -0.97, -2.97, -2.38])
+    gamma = np.array([13.4, 0.3, 1.58, 85.6])
+    space = uniform_space(4)
+    curve = CurveSampler.from_batch(
+        space, 1, 0.0, math.inf, lambda s: (M * np.exp(np.outer(s, rates)))[:, :, None],
+        bound=ExponentialBound(L0Scalar.of(space, M), L0Scalar.of(space, rates)),
+    )
+    tol = 1e-9 * M / gamma
+    res = damped_weighted_integral(curve, L0Scalar.of(space, rates + gamma), 0, tol)
+    assert res.panels <= 4 * 4  # no more than the four calls alone take together
+    assert (np.abs(res.scaled_value.values[:, 0] - M / gamma) <= tol).all()
 
 
 def test_one_atom_keeps_its_horizon_in_a_batch():
@@ -774,7 +852,7 @@ def test_one_atom_keeps_its_horizon_in_a_batch():
     # atom 0's horizon here by about 1e-13 with atom 1 beside it
     gamma = np.array([0.48, 3.25])
     log_target = np.array([-0.6, -19.8])
-    T, log_tail = _tail_time(gamma, 1024, log_target)
-    assert (log_tail <= log_target).all()
+    T, _ = _tail_time(gamma, 1024, log_target)
+    assert (_log_tail(1024, gamma * T) <= log_target).all()
     assert T == _tail_time(gamma[:1], 1024, log_target[:1])[0]
     assert T > _tail_time(gamma[1:], 1024, log_target[1:])[0]

@@ -33,6 +33,7 @@ def test_worker_times_every_case(monkeypatch):
         + ["make_matrix_semigroup", "random_commuting_pair", "hille_yosida_report", "abel_limit_check"]
         + ["c_resolvent_integral", "solve_acp", "rk4_oracle"]
         + ["make_matrix_semigroup"]
+        + ["damped_weighted_integral"] * 2
         + ["scenario_from_dict"] * 2
         + ["LaplaceSpec", "laplace_transform", "post_widder", "post_widder"]
     )

@@ -115,6 +115,15 @@ class TestSpecValidation:
         )
         LaplaceSpec(curve)
 
+    def test_fast_growing_curve_is_sampled_where_its_envelope_is_finite(self, space1):
+        # e^(8 s) leaves the double range near s = 88.7, before the last check time s = 100
+        curve = CurveSampler.from_batch(
+            space1, 1, 0.0, math.inf, lambda s: np.exp(8.0 * s)[:, None, None],
+            bound=ExponentialBound.constant(space1, 1.0, 8.0),
+        )
+        spec = LaplaceSpec(curve)
+        assert abs(laplace_transform(spec, 10.0, 1e-9).values[0, 0] - 0.5) <= 1e-9
+
     def test_zero_certificate_rejects_a_nonzero_curve_where_exp_overflows(self, space1):
         # exp(1e6 s) overflows at every sampled time, and 0 * inf must not read as NaN
         curve = CurveSampler.from_batch(

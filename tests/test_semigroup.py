@@ -237,6 +237,13 @@ class TestLogNormTier:
             with pytest.raises(NonFiniteValue, match="operator entries must be finite"):
                 make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 2.0, 100.0))
 
+    def test_envelope_at_the_top_of_the_double_range_raises_no_warning(self, space1):
+        # GROWTH_SLACK times the largest double is past the range: +inf, as the envelope is there
+        A, C = L0Operator.of(space1, [[[-1.0]]]), L0Operator.identity(space1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 1.7976931348623157e308, 0.0))
+
     def test_an_escape_before_the_overflow_is_raised_at_its_time(self, space1):
         # 0.5 exp(100 t) passes 2 exp(99 t) at t = log 4, long before it overflows
         A, C = L0Operator.of(space1, [[[100.0]]]), L0Operator.of(space1, [[[0.5]]])
@@ -589,7 +596,7 @@ class TestEvaluate:
         evaluate(W, 2.0, x)
         solve_acp(direct_value_problem(W, x, (0.0, 0.5, 1.0)))
         c_resolvent_integral(W, L0Scalar.of(space, bound.xi.values + 2.0), x, 1e-8)
-        assert calls == [8]
+        assert calls == [8, 8]  # the family's, then its damped orbit's generator A - xi
 
 
 class TestResolventRoutes:
@@ -606,6 +613,17 @@ class TestResolventRoutes:
         x = RnVector.of(space2, [[1.0, 2.0], [3.0, 4.0]])
         got = c_resolvent_integral(W, 2.0, x, 1e-9)
         np.testing.assert_allclose(got.values, x.values / 2.0, atol=1e-8)
+
+    def test_integral_route_at_a_negative_damping(self, space1):
+        # eta = -799 > xi = -800: e^(799 s) overflows, the damped orbit e^(s(A - xi)) is 1
+        A, C = L0Operator.of(space1, [[[-800.0]]]), L0Operator.identity(space1, 1)
+        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 1.0, -800.0))
+        x = RnVector.of(space1, [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = c_resolvent_integral(W, -799.0, x, 1e-9)
+        assert abs(got.values[0, 0] - 1.0) <= 1e-9
+        np.testing.assert_allclose(got.values, c_resolvent_direct(A, C, -799.0, x).values, rtol=0.0, atol=1e-9)
 
     def test_integral_route_eta_gate(self, space2):
         *_, W = diag_semigroup(space2)
@@ -692,6 +710,15 @@ class TestHilleYosida:
             for row in entry.route_rows:
                 assert row.passed
 
+    def test_report_at_a_damping_between_xi_and_zero(self, space1):
+        # eta = -1 lies in (xi, 0] = (-2, 0]: the route weights peak at k / (eta - xi)
+        A = L0Operator.from_diag(space1, [[-2.0, -3.0]])
+        bound = ExponentialBound.constant(space1, 1.0, -2.0)
+        report = hille_yosida_report(A, L0Operator.identity(space1, 2), bound, [-1.0], 3)
+        assert report.passed
+        [entry] = report.entries
+        assert [row.n for row in entry.route_rows] == [1, 2, 3]
+
     def test_nilpotent_bad_certificate_rejected(self, space1):
         A = L0Operator.of(space1, [[[0.0, 1.0], [0.0, 0.0]]])
         C = L0Operator.identity(space1, 2)
@@ -768,7 +795,8 @@ class TestHilleYosida:
 
         monkeypatch.setattr(semigroup_module, "damped_weighted_integrals", counted)
         report = hille_yosida_report(A, C, bound, [4.0, 3.0, 5.0], n_max=4)
-        assert calls == [[(4.0, 0), (4.0, 1), (4.0, 2), (5.0, 0), (5.0, 1), (5.0, 2)]]
+        # the damped orbit is integrated at gamma = eta - xi
+        assert calls == [[(eta - 2.99, k) for eta in (4.0, 5.0) for k in (0, 1, 2)]]
         assert [e.invertible for e in report.entries] == [True, False, True]
         assert [len(e.route_rows) for e in report.entries] == [3, 0, 3]
         for entry in report.entries[::2]:

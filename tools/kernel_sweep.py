@@ -25,10 +25,14 @@ d = 4 over the same atom counts, each on a fresh copy of the family, as a
 suite's instance makes one: ``semigroup.c_resolvent_integral`` at
 eta = xi + 2 to 1e-8 (``lemma_4_6``), ``acp.solve_acp`` on the time grid
 of 21 points over [0, 1] and ``acp.rk4_oracle`` on that grid at step 2e-3
-(``acp_5_1``); and ``scenario.scenario_from_dict`` over
-the same n and d, on a
-document shaped like the benchmark's ``wide_semigroup`` scenario
-(per-atom A and C matrices and a per-atom certificate).  Three cases time
+(``acp_5_1``); ``calculus.damped_weighted_integral`` of the family's orbit
+at eta = xi + 2 and k in {64, 512}, to 1e-8 of the largest scaled
+certificate integral on every atom, on the orbit the tree's resolvent
+routes integrate (the damped orbit exp(s(A - xi)) C x at gamma = 2 where
+``semigroup._damped_orbit`` exists, else W(s) x at eta); and
+``scenario.scenario_from_dict`` over the same n and d, on a document
+shaped like the benchmark's ``wide_semigroup`` scenario (per-atom A and C
+matrices and a per-atom certificate).  Three cases time
 the transform suites' units of work at d = 2 over the same atom counts:
 the certificate check of ``laplace.LaplaceSpec``'s construction on the
 20 curves of ``oscillating_decay_stack``, as ``laplace_bound`` builds them;
@@ -61,6 +65,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -89,6 +94,7 @@ TRANSFORM_CURVES = 20
 TRANSFORM_GAMMA = 2.0
 TRANSFORM_TOL = 2.5e-9
 INVERSION_ORDERS = (64, 512)
+ORBIT_ORDERS = (64, 512)
 # the orbit transform's damping margin and tolerance, and the ACP grid and oracle step
 ORBIT_GAMMA = 2.0
 ORBIT_TOL = 1e-8
@@ -113,6 +119,11 @@ def cases() -> list[dict]:
     out += [
         {"kernel": "make_matrix_semigroup", "atoms": n, "dim": SEMIGROUP_DIM, "pair": "jordan"}
         for n in ATOMS
+    ]
+    out += [
+        {"kernel": "damped_weighted_integral", "atoms": n, "dim": SEMIGROUP_DIM, "k": k}
+        for n in ATOMS
+        for k in ORBIT_ORDERS
     ]
     out += [{"kernel": "scenario_from_dict", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     out += [{"kernel": "LaplaceSpec", "atoms": n, "dim": TRANSFORM_DIM} for n in ATOMS]
@@ -150,6 +161,23 @@ def family_call(rnsl, W, case):
     if case["kernel"] == "solve_acp":
         return lambda: rnsl.solve_acp(rnsl.direct_value_problem(dataclasses.replace(W), x, ACP_TIMES))
     return lambda: rnsl.rk4_oracle(W.generator, x, W.C, ACP_TIMES, RK4_STEP)
+
+
+def orbit_call(rnsl, W, case):
+    """The orbit's weighted transform at order k, as a resolvent route integrates it, on the family W."""
+    from rnsl import semigroup
+
+    x = rnsl.RnVector.constant(W.space, np.full(W.dim, 1.0 / np.sqrt(W.dim)))
+    k = case["k"]
+    if hasattr(semigroup, "_damped_orbit"):
+        curve, eta = semigroup._damped_orbit(W, x), rnsl.L0Scalar.constant(W.space, ORBIT_GAMMA)
+    else:
+        curve, eta = semigroup._orbit_curve(W, x), rnsl.L0Scalar.of(W.space, W.bound.xi.values + ORBIT_GAMMA)
+    # one tolerance for every atom, ORBIT_TOL of the largest certificate integral
+    # M k! / gamma^(k+1) in the tree's scaled form
+    log_whole = math.lgamma(k + 1.0) - (k + 1.0) * math.log(ORBIT_GAMMA) - rnsl.calculus._weight_log_scale(k, eta.values)
+    tol = ORBIT_TOL * float((curve.bound.M.values * np.exp(log_whole)).max())
+    return lambda: rnsl.damped_weighted_integral(curve, eta, k, tol)
 
 
 def spectra(n: int, d: int):
@@ -257,6 +285,8 @@ def case_call(rnsl, case):
         return lambda: rnsl.abel_limit_check(gen, c_op, bound, x, ETA_SEQUENCE)
     if case["kernel"] in FAMILY_CALLS:
         return family_call(rnsl, rnsl.make_matrix_semigroup(gen, c_op, bound), case)
+    if case["kernel"] == "damped_weighted_integral":
+        return orbit_call(rnsl, rnsl.make_matrix_semigroup(gen, c_op, bound), case)
     return lambda: rnsl.make_matrix_semigroup(gen, c_op, bound)
 
 
