@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import MIN_STEP, _coerce_eta
+from .calculus import MIN_STEP
 from .errors import DimMismatch, SpaceMismatch, StepUnderflow
 from .rn import L0Operator, RnVector, _check_finite, block_norms
 from .semigroup import CSemigroup, resolvent_solve
@@ -59,7 +59,6 @@ def resolvent_seeded_problem(W: CSemigroup, eta, y0: RnVector, times) -> AcpProb
 
     An eta where eta - A is numerically singular raises EtaInSpectrum here.
     """
-    eta = _coerce_eta(W.space, eta)
     seed = AcpProblem(W=W, times=_check_times(times), v0=y0)  # checks y0's space and dim
     return replace(seed, v0=RnVector.of(W.space, resolvent_solve(W.generator, eta, y0.values)))
 

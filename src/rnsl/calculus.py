@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     CertificateMissing,
-    EtaNotInGxi,
     MaxPanelsExceeded,
     NonFiniteValue,
     SpaceMismatch,
@@ -36,6 +35,10 @@ from .rn import ExponentialBound, RnVector
 
 MAX_PANELS = 1_000_000
 MIN_STEP = 1e-12
+# splits of one row that leave its value in place (to 1e-5) and its error
+# estimate above 0.99 of the parent's, after which roundoff, not the panel
+# width, holds the estimate up: QUADPACK's QAGS test (Piessens et al., 1983)
+_ROUNDOFF_SPLITS = 20
 
 # 15-point Kronrod abscissae on [-1, 1] (symmetric; nonnegative half listed)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes.
@@ -212,21 +215,27 @@ def _adaptive(
 ):
     """Adaptive bisection until every row's summed error estimate passes.
 
-    ``shape`` is (rows, dim), with one tolerance per row.  The initial panels
-    between ``breaks`` are sampled together, and each split samples its two
-    halves together, both in chunks as _panels bounds them.
+    ``shape`` is (rows, dim).  ``tol_per_atom`` holds one tolerance per row,
+    shaped (rows,) or (rows // n_atoms, n_atoms), and row r is atom
+    r % n_atoms.  The initial panels between ``breaks`` are sampled
+    together, and each split samples its two halves together, both in
+    chunks as _panels bounds them.  A row whose splits fail to gain, by the
+    roundoff test on the entry that chose each split, _ROUNDOFF_SPLITS
+    times raises MaxPanelsExceeded naming its atom.
     """
     edges = np.asarray(breaks, dtype=float)
     k15s, errs = _panels(values_at, edges[:-1], edges[1:], shape)
     # entries: [a, b, k15 (n,d), err (n,d)]
     panels = [[a, b, k, e] for a, b, k, e in zip(breaks[:-1], breaks[1:], k15s, errs)]
-    tol_rows = tol_per_atom[:, None]
+    tol_rows = tol_per_atom.reshape(-1, 1)
 
-    def key(err: np.ndarray) -> float:
-        """Heap key of a panel: its largest error over its row's tolerance, negated."""
-        return -float((err / tol_rows).max())
+    def key(err: np.ndarray, i: int) -> tuple[float, int, int]:
+        """Heap entry of panel i: its largest error over its row's tolerance, negated, and that entry."""
+        ratio = err / tol_rows
+        worst = int(ratio.argmax())
+        return -float(ratio.flat[worst]), i, worst
 
-    heap = [(key(e), i) for i, e in enumerate(errs)]
+    heap = [key(e, i) for i, e in enumerate(errs)]
     heapq.heapify(heap)
     total_err = np.zeros(shape)
     for e in errs:
@@ -234,6 +243,8 @@ def _adaptive(
 
     def accepted() -> bool:
         return bool((total_err <= tol_rows).all())
+
+    stalls = np.zeros(shape[0], dtype=int)
 
     while not accepted():
         if len(panels) + 1 > MAX_PANELS:
@@ -246,7 +257,7 @@ def _adaptive(
                 "error estimate still above tolerance with every remaining "
                 f"panel at the resolution {MIN_STEP}"
             )
-        _, idx = heapq.heappop(heap)
+        _, idx, worst = heapq.heappop(heap)
         a, b, k15, err = panels[idx]
         if b - a <= MIN_STEP * max(1.0, abs(a)):
             # cannot split further; once this panel alone exceeds an atom's
@@ -262,9 +273,21 @@ def _adaptive(
             values_at, np.array([a, mid]), np.array([mid, b]), shape
         )
         total_err += left_e + right_e - err
+        halves = left_k.flat[worst] + right_k.flat[worst]
+        if (abs(k15.flat[worst] - halves) <= 1e-5 * abs(halves)
+                and left_e.flat[worst] + right_e.flat[worst] >= 0.99 * err.flat[worst]):
+            row = worst // shape[1]
+            stalls[row] += 1
+            if stalls[row] == _ROUNDOFF_SPLITS:
+                atom = row % tol_per_atom.shape[-1]
+                raise MaxPanelsExceeded(
+                    f"error estimate on atom {atom} stopped falling over {_ROUNDOFF_SPLITS} "
+                    f"splits: roundoff holds it above its quadrature tolerance {float(tol_rows[row, 0])!r}",
+                    atom=atom,
+                )
         panels[idx] = [a, mid, left_k, left_e]
-        heapq.heappush(heap, (key(left_e), idx))
-        heapq.heappush(heap, (key(right_e), len(panels)))
+        heapq.heappush(heap, key(left_e, idx))
+        heapq.heappush(heap, key(right_e, len(panels)))
         panels.append([mid, b, right_k, right_e])
 
     # summed in panel order, as np.sum over a stack of the panels adds them,
@@ -305,31 +328,6 @@ def derivative(g: CurveSampler, t: float, h0: float) -> RnVector:
     d1 = (up0 - down0) / (2.0 * h0)
     d2 = (up - down) / (2.0 * h)
     return RnVector.of(g.space, (4.0 * d2 - d1) / 3.0)
-
-
-def _coerce_eta(space: ProbabilitySpace, eta) -> L0Scalar:
-    """Damping parameter as a scalar on ``space``; a number is taken as constant."""
-    if isinstance(eta, L0Scalar):
-        if eta.space != space:
-            raise SpaceMismatch("eta lives on a different probability space")
-        return eta
-    return L0Scalar.constant(space, float(eta))
-
-
-def _check_eta(eta: L0Scalar, xi: L0Scalar) -> np.ndarray:
-    """Damping margin per atom; raises naming the first atom at or below xi."""
-    if eta.space != xi.space:
-        raise SpaceMismatch("eta lives on a different probability space")
-    gamma = eta.values - xi.values
-    bad = np.nonzero(gamma <= 0.0)[0]
-    if bad.size:
-        a = int(bad[0])
-        raise EtaNotInGxi(
-            f"eta={float(eta.values[a])!r} does not dominate xi={float(xi.values[a])!r} "
-            f"on atom {a}",
-            atom=a,
-        )
-    return gamma
 
 
 def _weight_log_scale(k: int, gamma: np.ndarray) -> np.ndarray:
@@ -492,8 +490,8 @@ def _checked_weight(bound: ExponentialBound, eta, k: int, tol_scaled) -> _Weight
     """Checks, scale and certified tail horizon of one weight, before any sample; eta may be a number."""
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
-    eta = _coerce_eta(bound.space, eta)
-    gamma = _check_eta(eta, bound.xi)
+    eta = L0Scalar.coerce(bound.space, eta)
+    gamma = bound.margin(eta)
     n = bound.space.n_atoms
     tol_arr = np.broadcast_to(np.asarray(tol_scaled, dtype=float), (n,)).copy()
     if (tol_arr <= 0.0).any():
@@ -580,7 +578,7 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
         return out.reshape(len(s), len(plans) * n, g.dim)
 
     breaks = [0.0] + [s for s in _seed_edges(plans) if s < T] + [T]
-    tol_rows = np.concatenate([p.tol for p in plans]) / 2.0
+    tol_rows = np.stack([p.tol for p in plans]) / 2.0
     value, err, panels = _adaptive(values_at, (len(plans) * n, g.dim), breaks, tol_rows)
     results = []
     for j, p in enumerate(plans):

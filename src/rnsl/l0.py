@@ -109,6 +109,19 @@ class L0Scalar:
         return cls.of(space, np.full(space.n_atoms, float(c)))
 
     @classmethod
+    def coerce(cls, space: ProbabilitySpace, value) -> "L0Scalar":
+        """``value`` as a scalar on ``space``, such as a damping or an operand.
+
+        A number is taken as constant; a scalar on another space raises
+        SpaceMismatch.
+        """
+        if isinstance(value, L0Scalar):
+            if value.space != space:
+                raise SpaceMismatch("operands live on different probability spaces")
+            return value
+        return cls.constant(space, float(value))
+
+    @classmethod
     def zero(cls, space: ProbabilitySpace) -> "L0Scalar":
         return cls.constant(space, 0.0)
 
@@ -127,7 +140,7 @@ class L0Scalar:
         return pointwise("sub", self, other)
 
     def __rsub__(self, other):
-        return pointwise("sub", _coerce(self.space, other), self)
+        return pointwise("sub", L0Scalar.coerce(self.space, other), self)
 
     def __mul__(self, other):
         return pointwise("mul", self, other)
@@ -143,12 +156,6 @@ class L0Scalar:
 
     def __repr__(self) -> str:
         return f"L0Scalar({np.array2string(self.values, precision=6)})"
-
-
-def _coerce(space: ProbabilitySpace, g) -> L0Scalar:
-    if isinstance(g, L0Scalar):
-        return g
-    return L0Scalar.constant(space, float(g))
 
 
 def _check_pair(f: L0Scalar, g: L0Scalar) -> None:
@@ -189,8 +196,7 @@ def pointwise(op: str, f: L0Scalar, g=None) -> L0Scalar:
                 raise NonFiniteValue("scale factor must be finite")
             return L0Scalar.of(f.space, float(g) * f.values)
         if op in _BINARY or op == "div":
-            gs = _coerce(f.space, g)
-            _check_pair(f, gs)
+            gs = L0Scalar.coerce(f.space, g)
             if op == "div":
                 zero = np.nonzero(gs.values == 0.0)[0]
                 if zero.size:
@@ -216,8 +222,7 @@ def indicator(f: L0Scalar, g, rel: str) -> L0Scalar:
     """0/1 scalar marking the atoms where ``f rel g`` holds (exact comparison)."""
     if rel not in _RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    gs = _coerce(f.space, g)
-    _check_pair(f, gs)
+    gs = L0Scalar.coerce(f.space, g)
     mask = _RELATIONS[rel](f.values, gs.values)
     return L0Scalar.of(f.space, mask.astype(float))
 

@@ -23,8 +23,6 @@ from .calculus import (
     _CHUNK_BYTES,
     _LOG_DOUBLE_MAX,
     CurveSampler,
-    _check_eta,
-    _coerce_eta,
     _weight_log_scale,
     damped_weighted_integral,
 )
@@ -119,9 +117,7 @@ def stack_specs(specs: Sequence[LaplaceSpec]) -> LaplaceSpec:
 
 def laplace_transform(spec: LaplaceSpec, eta, tol: float) -> RnVector:
     """H(eta) = integral of exp(-eta s) h(s) ds over [0, inf)."""
-    eta = _coerce_eta(spec.space, eta)
-    res = damped_weighted_integral(spec.curve, eta, 0, float(tol))
-    return res.scaled_value
+    return damped_weighted_integral(spec.curve, eta, 0, float(tol)).scaled_value
 
 
 def laplace_derivative_scaled(
@@ -133,9 +129,8 @@ def laplace_derivative_scaled(
     per atom; the mantissa carries the (-1)^k sign.  ``tol`` is relative to
     the certificate envelope of the weighted integral.
     """
-    eta = _coerce_eta(spec.space, eta)
     bound = spec.bound
-    gamma = _check_eta(eta, bound.xi)
+    gamma = bound.margin(eta)
     log_env = math.lgamma(k + 1.0) - (k + 1.0) * np.log(gamma) - _weight_log_scale(k, gamma)
     with np.errstate(over="ignore"):
         env = bound.M.values * np.exp(np.minimum(log_env, _LOG_DOUBLE_MAX))
@@ -178,7 +173,7 @@ class TransformDerivativeProvider:
     scaled: Callable[[L0Scalar, int], tuple[RnVector, np.ndarray]]
 
     def scaled_derivative(self, eta, k: int) -> tuple[RnVector, np.ndarray]:
-        mantissa, log_scale = self.scaled(_coerce_eta(self.space, eta), k)
+        mantissa, log_scale = self.scaled(L0Scalar.coerce(self.space, eta), k)
         if mantissa.space != self.space:
             raise SpaceMismatch("provider output lives on a different space")
         if mantissa.dim != self.dim:
@@ -249,7 +244,7 @@ def transforms_equal(
         raise SpaceMismatch("curves live on different probability spaces")
     if spec1.dim != spec2.dim:
         raise DimMismatch("curves have different dimensions")
-    etas = [_coerce_eta(spec1.space, e) for e in eta_grid]
+    etas = [L0Scalar.coerce(spec1.space, e) for e in eta_grid]
     if not etas:
         raise ValueError("the damping grid must be nonempty")
     gaps = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolated, DimMismatch, NonFiniteValue, SpaceMismatch
+from .errors import BoundViolated, DimMismatch, EtaNotInGxi, NonFiniteValue, SpaceMismatch
 from .l0 import L0Scalar, ProbabilitySpace, distance as scalar_distance
 
 INJECTIVITY_THRESHOLD = 1e-12
@@ -220,6 +220,24 @@ class ExponentialBound:
             env = self.M.values * np.exp(np.multiply.outer(np.asarray(t, float), self.xi.values))
         env[..., self.M.values == 0.0] = 0.0
         return env
+
+    def margin(self, eta) -> np.ndarray:
+        """gamma = eta - xi per atom, for a damping eta in the transform domain eta > xi.
+
+        ``eta`` is a number or a scalar on this space (``L0Scalar.coerce``).
+        EtaNotInGxi names the first atom where gamma <= 0.
+        """
+        eta = L0Scalar.coerce(self.space, eta)
+        gamma = eta.values - self.xi.values
+        bad = np.flatnonzero(gamma <= 0.0)
+        if bad.size:
+            a = int(bad[0])
+            raise EtaNotInGxi(
+                f"eta={float(eta.values[a])!r} does not dominate xi={float(self.xi.values[a])!r} "
+                f"on atom {a}",
+                atom=a,
+            )
+        return gamma
 
     @classmethod
     def constant(cls, space: ProbabilitySpace, M: float, xi: float) -> "ExponentialBound":

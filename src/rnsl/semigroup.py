@@ -27,8 +27,6 @@ from .calculus import (
     _NODES,
     MIN_STEP,
     CurveSampler,
-    _check_eta,
-    _coerce_eta,
     _weight_log_scale,
     damped_weighted_integrals,
     improper_integral,
@@ -320,13 +318,13 @@ def _damped_orbit(W: CSemigroup, x: RnVector) -> CurveSampler:
 
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
     """Resolvent route through the transform of the orbit t -> W(t)x, as its damped orbit's at eta - xi."""
-    gamma = _check_eta(_coerce_eta(W.space, eta), W.bound.xi)
+    gamma = W.bound.margin(eta)
     return improper_integral(_damped_orbit(W, x), L0Scalar.of(W.space, gamma), tol).value
 
 
-def _eta_minus(A: L0Operator, eta: L0Scalar) -> np.ndarray:
-    """eta - A on every atom, shape (n_atoms, d, d)."""
-    shift = eta.values[:, None, None] * np.eye(A.dim) - A.matrices
+def _eta_minus(A: L0Operator, eta) -> np.ndarray:
+    """eta - A on every atom, shape (n_atoms, d, d); eta may be a number."""
+    shift = L0Scalar.coerce(A.space, eta).values[:, None, None] * np.eye(A.dim) - A.matrices
     _check_finite(shift, "operator entries")
     return shift
 
@@ -338,8 +336,8 @@ def _solve(shift: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
     return np.linalg.solve(shift, vectors[:, :, None])[:, :, 0]
 
 
-def resolvent_solve(A: L0Operator, eta: L0Scalar, vectors: np.ndarray | None = None) -> np.ndarray:
-    """(eta - A)^{-1} per atom, or applied to the (n_atoms, d) ``vectors``.
+def resolvent_solve(A: L0Operator, eta, vectors: np.ndarray | None = None) -> np.ndarray:
+    """(eta - A)^{-1} per atom, or applied to the (n_atoms, d) ``vectors``; eta may be a number.
 
     EtaInSpectrum names the first atom where ``check_injective`` finds eta - A singular.
     """
@@ -350,12 +348,12 @@ def resolvent_solve(A: L0Operator, eta: L0Scalar, vectors: np.ndarray | None = N
 
 def c_resolvent_direct(A: L0Operator, C: L0Operator, eta, x: RnVector) -> RnVector:
     """Resolvent route by per-atom solve: (eta - A) y = C x."""
-    return RnVector.of(A.space, resolvent_solve(A, _coerce_eta(A.space, eta), op_apply(C, x).values))
+    return RnVector.of(A.space, resolvent_solve(A, eta, op_apply(C, x).values))
 
 
 def resolvent_operator(A: L0Operator, C: L0Operator, eta) -> L0Operator:
     """(eta - A)^{-1} C as an operator."""
-    return L0Operator.of(A.space, resolvent_solve(A, _coerce_eta(A.space, eta)) @ C.matrices)
+    return L0Operator.of(A.space, resolvent_solve(A, eta) @ C.matrices)
 
 
 def yosida_approximant(
@@ -370,7 +368,7 @@ def yosida_approximant(
     """
     if t < 0.0:
         raise NegativeTime(f"approximant time must be nonnegative, got {t!r}")
-    eta = _coerce_eta(A.space, eta)
+    eta = L0Scalar.coerce(A.space, eta)
     yosida = L0Operator.of(
         A.space, eta.values[:, None, None] * (A.matrices @ resolvent_solve(A, eta))
     )
@@ -403,16 +401,14 @@ def abel_limit_check(
     The verdict needs the per-eta gaps to be nonincreasing and the last gap
     to satisfy last <= first * (eta_1 - xi)/(eta_last - xi) * 1.5 per atom.
     """
-    etas = [_coerce_eta(A.space, e) for e in eta_sequence]
+    etas = [L0Scalar.coerce(A.space, e) for e in eta_sequence]
     if len(etas) < 2:
         raise ValueError("the damping sequence needs at least two points")
-    xi = bound.xi.values
-    prev = None
-    for eta in etas:
-        _check_eta(eta, bound.xi)
-        if prev is not None and not (eta.values > prev).all():
+    margins = []
+    for i, eta in enumerate(etas):
+        margins.append(bound.margin(eta))
+        if i and not (eta.values > etas[i - 1].values).all():
             raise ValueError("the damping sequence must increase strictly per atom")
-        prev = eta.values
     cx = op_apply(C, x).values
     gaps = np.empty((len(etas), A.space.n_atoms))
     for i, eta in enumerate(etas):
@@ -422,9 +418,7 @@ def abel_limit_check(
     max_gaps = gaps.max(axis=1)
     slack = 1e-12 * (1.0 + max_gaps[0])
     decreasing = bool(np.all(np.diff(max_gaps) <= slack))
-    first_margin = etas[0].values - xi
-    last_margin = etas[-1].values - xi
-    envelope = gaps[0] * (first_margin / last_margin) * ABEL_RATE_SLACK
+    envelope = gaps[0] * (margins[0] / margins[-1]) * ABEL_RATE_SLACK
     envelope_ok = bool(np.all(gaps[-1] <= envelope + ABEL_ENVELOPE_TOL))
     return AbelLimitReport(
         etas=tuple(etas),
@@ -522,8 +516,8 @@ def hille_yosida_report(
     probe_curve = _damped_orbit(CSemigroup(A.space, A.dim, C, bound, A), probe)
     ladder = []  # (eta, eta - xi, gate, power rows, R(eta)^n C e_1 for n <= 3; none if singular)
     for eta_raw in eta_grid:
-        eta = _coerce_eta(A.space, eta_raw)
-        margin = _check_eta(eta, bound.xi)
+        eta = L0Scalar.coerce(A.space, eta_raw)
+        margin = bound.margin(eta)
         shift = _eta_minus(A, eta)
         gate = check_injective(L0Operator(A.space, shift))
         power_rows: list[PowerRow] = []

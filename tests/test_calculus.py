@@ -226,6 +226,18 @@ class TestImproperIntegral:
         assert f"atom {a}" in str(exc.value)
         assert a == int(np.argmax(calculus._EPS * np.exp(log_scaled) > 1e-15))
 
+    def test_tolerance_held_up_by_roundoff_refused_before_panel_budget(self, monkeypatch):
+        # 1e-14 passes the resolution gate, but the rounding of the weight's
+        # exponent keeps the Kronrod estimates above it: splits stop gaining,
+        # and bisection used to run to the panel budget
+        monkeypatch.setattr(calculus, "MAX_PANELS", 20_000)
+        space = make_space(np.full(4, 0.25))
+        spec = oscillating_decay_specs(rng_for(3, "resolution"), space, 2, n=1)[0]
+        with pytest.raises(MaxPanelsExceeded, match="roundoff") as exc:
+            damped_weighted_integral(spec.curve, 2.0, 64, 1e-14)
+        a = exc.value.atom
+        assert a is not None and f"atom {a}" in str(exc.value)
+
 class TestCalculusTheorems:
     """Randomized curve families against the integral/derivative identities."""
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnsl import (
     BoundViolated,
@@ -433,6 +435,33 @@ class TestPostWidder:
         )
         with pytest.raises(CoefficientOverflow):
             post_widder(provider, 1e-160, 1)
+
+
+# per atom: decay rate a, log10 of the scale of x, and x's coordinates before
+# scaling, each at least 0.1 in size, for d = 1, 2 or 3
+COORD = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+DECAYS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.floats(0.3, 5.0), st.floats(-100.0, 100.0), st.lists(COORD, min_size=d, max_size=d)),
+    min_size=1,
+    max_size=4,
+))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(atoms=DECAYS, t=st.floats(0.25, 4.0), k=st.sampled_from([1, 8, 64, 512, 1024]))
+def test_post_widder_on_a_decay_matches_its_closed_form(atoms, t, k):
+    # H(eta) = x / (eta + a), so the k-th approximant is (1 + a t / k)^-(k+1) x exactly
+    a = np.array([rate for rate, _, _ in atoms])
+    x = np.array([10.0 ** scale * np.array(coords) for _, scale, coords in atoms])
+    space = make_space(np.full(len(atoms), 1.0 / len(atoms)))
+    size = l0_norm(RnVector.of(space, x))
+    spec = LaplaceSpec(CurveSampler.from_batch(
+        space, x.shape[1], 0.0, math.inf, lambda s: np.exp(-np.outer(s, a))[:, :, None] * x,
+        bound=ExponentialBound(size, L0Scalar.of(space, -a)),
+    ))
+    got = post_widder(provider_from_curve(spec, 1e-11), t, k).values
+    want = (1.0 + a * t / k)[:, None] ** -(k + 1.0) * x
+    assert (np.linalg.norm(got - want, axis=1) <= 1e-9 * size.values).all()
 
 
 class TestTransformsEqual:
