@@ -87,8 +87,10 @@ class CurveSampler:
     ``end`` may be infinite, in which case improper integration needs the
     optional growth certificate ``bound``.  ``batch`` maps a 1-D array of
     times to values of shape (len(ts), n_atoms, dim) in one call, and
-    quadrature samples through it.  A curve given without one gets, at
-    construction, a batch that stacks its scalar calls.
+    quadrature samples through it; quadrature reads a batch that returns a
+    transposed view of (times, dim, n_atoms) memory without a copy.  A
+    curve given without one gets, at construction, a batch that stacks its
+    scalar calls.
     """
 
     space: ProbabilitySpace
@@ -171,18 +173,21 @@ class WeightedIntegralResult:
     panels: int
 
 
-# values (nodes x rows x dim doubles) one ``values_at`` call of _panels may
+# values (nodes x dim x rows doubles) one ``values_at`` call of _panels may
 # return; larger rounds are sampled a whole number of panels at a time
 _CHUNK_BYTES = 256 * 1024
 
 
 def _panel_chunk(values_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
-    """Evaluate the Kronrod panels [a_i, b_i] with one ``values_at`` call."""
+    """Evaluate the Kronrod panels [a_i, b_i] with one ``values_at`` call, node by node.
+
+    The times go node-major, so the (nodes * panels, dim, rows) values are
+    one (15, panels * dim * rows) matrix that both rules weigh in one product.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = values_at((mid[:, None] + half[:, None] * _NODES).reshape(-1))
-    vals = vals.reshape((len(a), len(_NODES)) + vals.shape[1:])
-    k15, g7 = np.tensordot(_WEIGHTS, vals, axes=(1, 1))
+    vals = values_at((mid + half * _NODES[:, None]).reshape(-1))
+    k15, g7 = (_WEIGHTS @ vals.reshape(len(_NODES), -1)).reshape((2, len(a)) + vals.shape[1:])
     half = half[:, None, None]
     return half * k15, np.abs(half * (k15 - g7))
 
@@ -215,19 +220,22 @@ def _adaptive(
 ):
     """Adaptive bisection until every row's summed error estimate passes.
 
-    ``shape`` is (rows, dim).  ``tol_per_atom`` holds one tolerance per row,
-    shaped (rows,) or (rows // n_atoms, n_atoms), and row r is atom
-    r % n_atoms.  The initial panels between ``breaks`` are sampled
-    together, and each split samples its two halves together, both in
-    chunks as _panels bounds them.  A row whose splits fail to gain, by the
-    roundoff test on the entry that chose each split, _ROUNDOFF_SPLITS
+    ``values_at`` maps times to values of shape (len(times),) + ``shape``,
+    and ``shape`` is (dim, rows): the rows lie along the last axis, so each
+    elementwise step runs over all of them at once.  ``tol_per_atom`` holds
+    one tolerance per row, shaped (rows,) or (rows // n_atoms, n_atoms), and
+    row r is atom r % n_atoms.  The initial panels between ``breaks`` are
+    sampled together, and each split samples its two halves together, both
+    in chunks as _panels bounds them.  A row whose splits fail to gain, by
+    the roundoff test on the entry that chose each split, _ROUNDOFF_SPLITS
     times raises MaxPanelsExceeded naming its atom.
     """
     edges = np.asarray(breaks, dtype=float)
     k15s, errs = _panels(values_at, edges[:-1], edges[1:], shape)
-    # entries: [a, b, k15 (n,d), err (n,d)]
+    # entries: [a, b, k15 (d, rows), err (d, rows)]
     panels = [[a, b, k, e] for a, b, k, e in zip(breaks[:-1], breaks[1:], k15s, errs)]
-    tol_rows = tol_per_atom.reshape(-1, 1)
+    rows = shape[1]
+    tol_rows = tol_per_atom.reshape(1, rows)
 
     def key(err: np.ndarray, i: int) -> tuple[float, int, int]:
         """Heap entry of panel i: its largest error over its row's tolerance, negated, and that entry."""
@@ -244,7 +252,7 @@ def _adaptive(
     def accepted() -> bool:
         return bool((total_err <= tol_rows).all())
 
-    stalls = np.zeros(shape[0], dtype=int)
+    stalls = np.zeros(rows, dtype=int)
 
     while not accepted():
         if len(panels) + 1 > MAX_PANELS:
@@ -276,13 +284,13 @@ def _adaptive(
         halves = left_k.flat[worst] + right_k.flat[worst]
         if (abs(k15.flat[worst] - halves) <= 1e-5 * abs(halves)
                 and left_e.flat[worst] + right_e.flat[worst] >= 0.99 * err.flat[worst]):
-            row = worst // shape[1]
+            row = worst % rows
             stalls[row] += 1
             if stalls[row] == _ROUNDOFF_SPLITS:
                 atom = row % tol_per_atom.shape[-1]
                 raise MaxPanelsExceeded(
                     f"error estimate on atom {atom} stopped falling over {_ROUNDOFF_SPLITS} "
-                    f"splits: roundoff holds it above its quadrature tolerance {float(tol_rows[row, 0])!r}",
+                    f"splits: roundoff holds it above its quadrature tolerance {float(tol_rows[0, row])!r}",
                     atom=atom,
                 )
         panels[idx] = [a, mid, left_k, left_e]
@@ -305,18 +313,19 @@ def riemann_integral(
     b: float,
     tol: float,
 ) -> QuadratureResult:
-    """Integrate the curve over [a, b] to a per-atom error estimate <= tol."""
+    """Integrate the curve over [a, b] to a per-atom error estimate <= tol; d = 0 gives the empty vector."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFiniteValue("integration limits must be finite")
     if b < a:
         raise NonFiniteValue("integration limits out of order")
-    shape = (g.space.n_atoms, g.dim)
-    if b == a:
-        return QuadratureResult(RnVector.of(g.space, np.zeros(shape)), 0.0, 0)
+    if b == a or not g.dim:
+        return QuadratureResult(RnVector.of(g.space, np.zeros((g.space.n_atoms, g.dim))), 0.0, 0)
 
     tol_arr = np.full(g.space.n_atoms, float(tol))
-    value, err, n = _adaptive(g.sample, shape, [a, b], tol_arr)
-    return QuadratureResult(RnVector.of(g.space, value), float(err.max()), n)
+    value, err, n = _adaptive(
+        lambda s: g.sample(s).transpose(0, 2, 1), (g.dim, g.space.n_atoms), [a, b], tol_arr
+    )
+    return QuadratureResult(RnVector.of(g.space, value.T), float(err.max()), n)
 
 
 def derivative(g: CurveSampler, t: float, h0: float) -> RnVector:
@@ -544,7 +553,8 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     Each atom's tail is certified from its own horizon, which at k >= 1 is
     an edge of the set when below T, or from the reach of its raw samples,
     past which its rows are zero.  Every result's ``panels`` is the shared
-    count.
+    count.  A d = 0 curve is not sampled: each result is the empty vector
+    with est_error 0 and no panel.
     """
     if g.start > 0.0 or not math.isinf(g.end):
         raise ValueError("improper integration expects a curve on [0, inf)")
@@ -552,9 +562,10 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     if bound is None:
         raise CertificateMissing("improper integration needs a growth certificate")
     plans = [_checked_weight(bound, eta, k, tol) for eta, k, tol in weights]
-    if not plans:
-        return []
     n = g.space.n_atoms
+    if not plans or not g.dim:  # no weight, or the empty vector, whose integral is exact
+        empty = RnVector.of(g.space, np.zeros((n, 0)))
+        return [WeightedIntegralResult(empty, p.log_scale, np.zeros(n), 0) for p in plans]
     T = max(p.horizon for p in plans)
 
     # every weight's k, eta and log scale as one row of the (weights x atoms) stack
@@ -563,9 +574,14 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
     log_scales = np.concatenate([p.log_scale for p in plans])
     reach = np.concatenate([p.reach for p in plans])
     cut = np.flatnonzero(reach < T)  # rows whose raw samples end before the horizon
+    # one product buffer for every round: a fresh one a panel, 300 KiB at 1,280
+    # rows and d = 2, has the allocator map and trim pages round after round
+    product = np.empty(0)
 
     def values_at(s: np.ndarray) -> np.ndarray:
-        h = g.sample(s)
+        """The weighted values at ``s``, (times, dim, weights * atoms), valid until the next call."""
+        nonlocal product
+        h = g.sample(s).transpose(0, 2, 1)  # (times, dim, atoms)
         sp = s[:, None]  # a Kronrod node lies inside its panel of [0, T], so s > 0
         # exp(k log s - eta s - log_scale) for every weight, in place in that order
         w = etas * sp
@@ -574,12 +590,16 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
         if cut.size:  # past its reach a row's samples carry nothing, and its weight may overflow
             w[:, cut] = np.where(sp > reach[cut], -np.inf, w[:, cut])
         np.exp(w, out=w)
-        out = w.reshape(len(s), len(plans), n, 1) * h[:, None]
-        return out.reshape(len(s), len(plans) * n, g.dim)
+        size = len(s) * g.dim * len(plans) * n
+        if product.size < size:
+            product = np.empty(size)
+        out = product[:size].reshape(len(s), g.dim, len(plans), n)
+        np.multiply(w.reshape(len(s), 1, len(plans), n), h[:, :, None], out=out)
+        return out.reshape(len(s), g.dim, len(plans) * n)
 
     breaks = [0.0] + [s for s in _seed_edges(plans) if s < T] + [T]
     tol_rows = np.stack([p.tol for p in plans]) / 2.0
-    value, err, panels = _adaptive(values_at, (len(plans) * n, g.dim), breaks, tol_rows)
+    value, err, panels = _adaptive(values_at, (g.dim, len(plans) * n), breaks, tol_rows)
     results = []
     for j, p in enumerate(plans):
         rows = slice(j * n, (j + 1) * n)
@@ -587,11 +607,11 @@ def damped_weighted_integrals(g: CurveSampler, weights) -> list[WeightedIntegral
         # k + |log_scale|, costs that many ulps of the value, each panel's
         # 15-node sum 15 more, and the sum over the panels one a panel
         ulps = 16.0 + panels + p.k + np.abs(p.log_scale)
-        rounding = _EPS * ulps * np.abs(value[rows]).max(axis=1)
+        rounding = _EPS * ulps * np.abs(value[:, rows]).max(axis=0)
         results.append(WeightedIntegralResult(
-            scaled_value=RnVector.of(g.space, value[rows]),
+            scaled_value=RnVector.of(g.space, value[:, rows].T),
             log_scale=p.log_scale,
-            est_error=err[rows].max(axis=1) + p.tail + rounding,
+            est_error=err[:, rows].max(axis=0) + p.tail + rounding,
             panels=panels,
         ))
     return results

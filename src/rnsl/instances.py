@@ -129,19 +129,20 @@ def _oscillating_spec(space: ProbabilitySpace, a, w, x, y) -> LaplaceSpec:
 
     ``a`` is (m, n), ``w`` is (m,) and X, Y are (m, n, d); member i fills
     rows i*n ... (i+1)*n - 1.  Each sample takes cos and sin once per
-    member and exp once per row.
+    member and exp once per row, in (times, dim, rows) memory.
     """
     m, n, dim = x.shape
     stack = stacked_space(space, m)
     big_m = block_norms(x) + block_norms(y)
+    x_t, y_t = (np.ascontiguousarray(v.transpose(2, 0, 1)) for v in (x, y))
 
     def h(s: np.ndarray) -> np.ndarray:
-        ws = np.multiply.outer(s, w)[:, :, None, None]
-        wave = np.cos(ws) * x
-        wave += np.sin(ws) * y
+        ws = np.multiply.outer(s, w)[:, None, :, None]
+        wave = np.cos(ws) * x_t
+        wave += np.sin(ws) * y_t
         growth = np.outer(s, a)
-        wave *= np.exp(growth, out=growth).reshape(len(s), m, n, 1)
-        return wave.reshape(len(s), m * n, dim)
+        wave *= np.exp(growth, out=growth).reshape(len(s), 1, m, n)
+        return wave.reshape(len(s), dim, m * n).transpose(0, 2, 1)
 
     curve = CurveSampler.from_batch(
         stack, dim, 0.0, math.inf, h,
@@ -200,11 +201,11 @@ def inversion_test_family(space: ProbabilitySpace, dim: int):
     profile times one unit vector; ``spec.curve`` evaluates it exactly.
     """
     coords = np.full(dim, 1.0 / math.sqrt(dim))
-    x = RnVector.constant(space, coords)
+    x_t = RnVector.constant(space, coords).values.T.copy()
 
     def member(name: str, profile, m: float, xi: float):
-        def batch(s: np.ndarray) -> np.ndarray:
-            return profile(s)[:, None, None] * x.values
+        def batch(s: np.ndarray) -> np.ndarray:  # in (times, dim, atoms) memory
+            return (profile(s)[:, None, None] * x_t).transpose(0, 2, 1)
 
         spec = LaplaceSpec(
             CurveSampler.from_batch(

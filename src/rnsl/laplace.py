@@ -107,8 +107,9 @@ def stack_specs(specs: Sequence[LaplaceSpec]) -> LaplaceSpec:
         L0Scalar.of(space, np.concatenate([s.bound.xi.values for s in specs])),
     )
 
-    def batch(ts: np.ndarray) -> np.ndarray:
-        return np.concatenate([s.curve.sample(ts) for s in specs], axis=1)
+    def batch(ts: np.ndarray) -> np.ndarray:  # in (times, dim, rows) memory
+        members = [s.curve.sample(ts).transpose(0, 2, 1) for s in specs]
+        return np.concatenate(members, axis=2).transpose(0, 2, 1)
 
     return LaplaceSpec(
         CurveSampler.from_batch(space, first.dim, 0.0, math.inf, batch, bound=bound)

@@ -44,7 +44,7 @@ class RnVector:
 
     @classmethod
     def of(cls, space: ProbabilitySpace, values) -> "RnVector":
-        arr = np.array(values, dtype=float)
+        arr = np.array(values, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] != space.n_atoms:
             raise SpaceMismatch(
                 f"expected shape ({space.n_atoms}, d), got {arr.shape}"

@@ -290,11 +290,11 @@ def _suite_uniqueness_3_6(scn: Scenario) -> SuiteReport:
     same = transforms_equal(base["decay_1"], twin["decay_1"], grid, tol)
 
     coords = np.full(scn.dim, 1.0 / math.sqrt(scn.dim))
-    x = RnVector.constant(scn.space, coords)
+    x_t = RnVector.constant(scn.space, coords).values.T.copy()
 
-    def perturbed(s: np.ndarray) -> np.ndarray:
+    def perturbed(s: np.ndarray) -> np.ndarray:  # in (times, dim, atoms) memory
         bump = np.exp(-s) + 0.1 * np.exp(-((s - 1.0) ** 2) / 0.02)
-        return bump[:, None, None] * x.values
+        return (bump[:, None, None] * x_t).transpose(0, 2, 1)
 
     pert_spec = LaplaceSpec(
         CurveSampler.from_batch(

@@ -33,7 +33,7 @@ from rnsl import (
     make_space,
     riemann_integral,
 )
-from rnsl import calculus
+from rnsl import LaplaceSpec, calculus, laplace_transform, stack_specs
 from rnsl.calculus import (
     _HORIZON_MARGIN,
     _adaptive,
@@ -238,6 +238,57 @@ class TestImproperIntegral:
         a = exc.value.atom
         assert a is not None and f"atom {a}" in str(exc.value)
 
+    def test_roundoff_refusal_names_the_atom_of_a_later_weight(self, monkeypatch):
+        # 2 weights x 4 atoms at d = 3: only row 4 + 2, atom 2 of the second
+        # weight, asks for 1e-14; the rows lie along the values' last axis,
+        # so its stall count is kept by row, not by coordinate
+        monkeypatch.setattr(calculus, "MAX_PANELS", 20_000)
+        space = make_space(np.full(4, 0.25))
+        spec = oscillating_decay_specs(rng_for(3, "resolution"), space, 3, n=1)[0]
+        tols = np.array([1e-8, 1e-8, 1e-14, 1e-8])
+        with pytest.raises(MaxPanelsExceeded, match="roundoff") as exc:
+            damped_weighted_integrals(spec.curve, [(2.0, 0, 1e-8), (2.0, 64, tols)])
+        assert exc.value.atom == 2 and "atom 2" in str(exc.value)
+        tols[2] = 1e-13  # within reach, the same call passes
+        damped_weighted_integrals(spec.curve, [(2.0, 0, 1e-8), (2.0, 64, tols)])
+
+
+class TestZeroDimension:
+    """A d = 0 curve integrates to the empty vector, with est_error 0 and no panel."""
+
+    @staticmethod
+    def empty_curve(space, end: float) -> CurveSampler:
+        return CurveSampler.from_batch(
+            space, 0, 0.0, end, lambda s: np.zeros((len(s), space.n_atoms, 0)),
+            bound=ExponentialBound.constant(space, 1.0, 0.5),
+        )
+
+    def test_riemann_integral(self, space2):
+        res = riemann_integral(self.empty_curve(space2, 2.0), 0.0, 2.0, TOL)
+        assert res.value.values.shape == (2, 0)
+        assert (res.est_error, res.panels) == (0.0, 0)
+
+    def test_damped_weighted_integral(self, space2):
+        res = damped_weighted_integral(self.empty_curve(space2, math.inf), 2.0, 3, TOL)
+        assert res.scaled_value.values.shape == (2, 0)
+        np.testing.assert_array_equal(res.est_error, [0.0, 0.0])
+        np.testing.assert_array_equal(res.log_scale, calculus._weight_log_scale(3, np.full(2, 1.5)))
+        assert res.panels == 0
+
+    def test_damped_weighted_integrals(self, space2):
+        curve = self.empty_curve(space2, math.inf)
+        results = damped_weighted_integrals(curve, [(2.0, 0, TOL), (3.0, 64, TOL)])
+        assert [r.scaled_value.values.shape for r in results] == [(2, 0), (2, 0)]
+        assert all(not r.est_error.any() and r.panels == 0 for r in results)
+        with pytest.raises(EtaNotInGxi):  # the weights are still checked
+            damped_weighted_integrals(curve, [(2.0, 0, TOL), (0.5, 1, TOL)])
+
+    def test_improper_integral(self, space2):
+        res = improper_integral(self.empty_curve(space2, math.inf), 2.0, TOL)
+        assert res.value.values.shape == (2, 0)
+        assert (res.est_error, res.panels) == (0.0, 0)
+
+
 class TestCalculusTheorems:
     """Randomized curve families against the integral/derivative identities."""
 
@@ -394,6 +445,64 @@ class TestBatchedSampling:
         np.testing.assert_allclose(
             fast.scaled_value.values, slow.scaled_value.values, rtol=0, atol=1e-13
         )
+
+
+def layout_batch(rates: np.ndarray, x: np.ndarray, layout: str):
+    """exp(a s) cos(2.5 s) x, x of shape (dim, atoms), as a batch that returns the given memory layout.
+
+    The values are the same numbers in every layout: a C-contiguous (times,
+    atoms, dim) array, a transposed view of (times, dim, atoms) memory, or
+    a strided slice of a wider array.
+    """
+
+    def batch(s: np.ndarray) -> np.ndarray:
+        rows_inner = np.exp(np.outer(s, rates))[:, None, :] * np.cos(2.5 * s)[:, None, None] * x
+        if layout == "contiguous":
+            return np.ascontiguousarray(rows_inner.transpose(0, 2, 1))
+        if layout == "transposed":
+            return rows_inner.transpose(0, 2, 1)
+        wide = np.zeros((len(s), x.shape[1], 2 * x.shape[0]))
+        wide[:, :, 1::2] = rows_inner.transpose(0, 2, 1)
+        return wide[:, :, 1::2]
+
+    return batch
+
+
+LAYOUTS = ("contiguous", "transposed", "sliced")
+
+
+class TestSampleLayout:
+    """The memory layout a batch returns reaches no value: results agree bit for bit."""
+
+    @staticmethod
+    def results(atoms: int, dim: int, layout: str) -> list[np.ndarray]:
+        rng = rng_for(16 * atoms + dim, "layout")
+        space = uniform_space(atoms)
+        rates = rng.uniform(-1.0, 0.0, atoms)
+        x = rng.uniform(-1.0, 1.0, (dim, atoms))
+        batch = layout_batch(rates, x, layout)
+        bound = ExponentialBound(
+            L0Scalar.of(space, 2.0 * np.sqrt((x * x).sum(axis=0))), L0Scalar.of(space, rates)
+        )
+        finite = CurveSampler.from_batch(space, dim, 0.0, 2.0, batch)
+        curve = CurveSampler.from_batch(space, dim, 0.0, math.inf, batch, bound=bound)
+        quad = riemann_integral(finite, 0.0, 2.0, 1e-10)
+        out = [quad.value.values, np.array([quad.est_error, quad.panels])]
+        for res in damped_weighted_integrals(curve, [(1.5, 0, 1e-10), (2.0, 64, 1e-9)]):
+            out += [res.scaled_value.values, res.log_scale, res.est_error, np.array([res.panels])]
+        stack = stack_specs([LaplaceSpec(curve), LaplaceSpec(curve)])
+        out.append(laplace_transform(stack, 1.5, 1e-10).values)
+        return out
+
+    @pytest.mark.parametrize("atoms", [1, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_layouts_give_equal_bits(self, atoms, dim):
+        want = self.results(atoms, dim, "contiguous")
+        for layout in LAYOUTS[1:]:
+            got = self.results(atoms, dim, layout)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), layout
 
 
 class TestOneCallPerRound:

@@ -36,6 +36,7 @@ def test_worker_times_every_case(monkeypatch):
         + ["damped_weighted_integral"] * 2
         + ["scenario_from_dict"] * 2
         + ["LaplaceSpec", "laplace_transform", "post_widder", "post_widder"]
+        + ["riemann_integral"] * 2
     )
     tree = sweep.load(str(ROOT / "src"))
     seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]

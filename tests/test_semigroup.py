@@ -428,6 +428,13 @@ class TestConstruction:
         make_matrix_semigroup(A, C, bound)
         assert make_sampled_semigroup(space2, 0, C, lambda t: C, bound).generator.dim == 0
 
+    def test_zero_dimension_resolvent_integral(self, space2):
+        # the transform of the empty orbit is the empty vector, with no panel
+        A, C = L0Operator.zeros(space2, 0), L0Operator.identity(space2, 0)
+        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space2, 1.0, 0.0))
+        x = RnVector.of(space2, np.zeros((2, 0)))
+        assert c_resolvent_integral(W, 2.0, x, 1e-10).values.shape == (2, 0)
+
     def test_sampled_family_must_start_at_c(self, space2):
         _, C, bound, _ = diag_semigroup(space2)
         with pytest.raises(InitialValueMismatch):

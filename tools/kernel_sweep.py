@@ -40,7 +40,10 @@ the certificate check of ``laplace.LaplaceSpec``'s construction on the
 2.5e-9, as ``laplace_bound`` makes it; and ``laplace.post_widder`` at
 t = 1 and k in {64, 512} of the three quadrature members of
 ``inversion_test_family``, as ``post_widder`` makes it, each family as one
-stacked curve (``oscillating_decay_stack`` and ``stack_specs``).  The blocks are
+stacked curve (``oscillating_decay_stack`` and ``stack_specs``).  One
+case times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
+``calculus_ftc`` suite's quadrature tolerance, of the derivative of one
+``smooth_curve_family`` member, over the same n and d.  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
 c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
@@ -95,6 +98,8 @@ TRANSFORM_GAMMA = 2.0
 TRANSFORM_TOL = 2.5e-9
 INVERSION_ORDERS = (64, 512)
 ORBIT_ORDERS = (64, 512)
+# the calculus_ftc suite's quadrature tolerance
+FTC_TOL = 1e-8
 # the orbit transform's damping margin and tolerance, and the ACP grid and oracle step
 ORBIT_GAMMA = 2.0
 ORBIT_TOL = 1e-8
@@ -133,6 +138,7 @@ def cases() -> list[dict]:
         for n in ATOMS
         for k in INVERSION_ORDERS
     ]
+    out += [{"kernel": "riemann_integral", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     return out
 
 
@@ -246,7 +252,7 @@ def load(tree: str):
 
 def case_call(rnsl, case):
     """One call of the case's unit of work, with its inputs built."""
-    from rnsl.instances import random_commuting_pair
+    from rnsl.instances import random_commuting_pair, smooth_curve_family
 
     n, d = case["atoms"], case["dim"]
     q, a, c = spectra(n, d)
@@ -266,6 +272,9 @@ def case_call(rnsl, case):
         return lambda: rnsl.scenario_from_dict(doc)
     if case["kernel"] in ("LaplaceSpec", "laplace_transform", "post_widder"):
         return transform_call(rnsl, space, case)
+    if case["kernel"] == "riemann_integral":
+        _, small_g = smooth_curve_family(np.random.default_rng(n), space, d, n=1)[0]
+        return lambda: rnsl.riemann_integral(small_g, 0.0, 2.0, FTC_TOL)
     if case["kernel"] == "random_commuting_pair":
         rng = np.random.default_rng(n)
         return lambda: random_commuting_pair(rng, space, d)
