@@ -199,6 +199,9 @@ def inversion_test_family(space: ProbabilitySpace, dim: int):
     Contains a constant, two exponential decays, and a sine-modulated decay;
     all are bounded, so their certificates use xi <= 0.  Each is a scalar
     profile times one unit vector; ``spec.curve`` evaluates it exactly.
+    The family is atom-constant: every atom holds the same curve and the same
+    certificate, so whatever is computed from it per atom is the one-atom
+    result on every atom, bit for bit.
     """
     coords = np.full(dim, 1.0 / math.sqrt(dim))
     x_t = RnVector.constant(space, coords).values.T.copy()

@@ -510,7 +510,7 @@ def hille_yosida_report(
     comm = _commutator_gaps(A, C, bound)
     if n_max < 1:
         raise ValueError("the ladder needs n_max >= 1")
-    probe = RnVector.constant(A.space, np.eye(A.dim)[0])
+    probe = RnVector.constant(A.space, np.eye(1, A.dim)[0])
     commutation_ok = bool(comm.max() <= COMMUTE_TOL)
     M = bound.M.values
     probe_curve = _damped_orbit(CSemigroup(A.space, A.dim, C, bound, A), probe)

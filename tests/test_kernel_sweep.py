@@ -35,9 +35,11 @@ def test_worker_times_every_case(monkeypatch):
         + ["make_matrix_semigroup"]
         + ["damped_weighted_integral"] * 2
         + ["scenario_from_dict"] * 2
-        + ["LaplaceSpec", "laplace_transform", "post_widder", "post_widder"]
+        + ["LaplaceSpec", "laplace_transform"]
+        + ["post_widder"] * 4
         + ["riemann_integral"] * 2
     )
+    assert [case["atoms"] for case in sweep.cases() if case["kernel"] == "post_widder"] == [1, 1, 2, 2]
     tree = sweep.load(str(ROOT / "src"))
     seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]
     assert len(seconds) == len(kinds)

@@ -1,6 +1,7 @@
 """Transform layer: damped integrals, analytic derivatives, inversion."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rnsl import (
     laplace_derivative,
     laplace_derivative_scaled,
     laplace_transform,
+    load_scenario,
     make_space,
     post_widder,
     provider_from_curve,
@@ -43,8 +45,10 @@ from rnsl.instances import (
     oscillating_decay_stack,
     rng_for,
 )
+from rnsl import suites
 from rnsl.suites import _add_by_copy, _Worst
 
+ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-9
 
 
@@ -633,3 +637,58 @@ class TestStackedSpecs:
         stacked = _Worst()
         _add_by_copy(stacked, n, *(gaps[:, e].reshape(-1) for e in range(2)))
         assert (stacked.gap, stacked.atom) == (looped.gap, looped.atom) == (0.5, 2)
+
+
+ATOM_SPACES = [
+    pytest.param(make_space([0.1, 0.2, 0.3, 0.4]), id="4-atoms"),
+    pytest.param(random_space(64), id="64-atoms"),
+]
+
+
+class TestAtomConstantFamily:
+    """post_widder and uniqueness_3_6 integrate their curves on one atom.
+
+    That is sound because the inversion family and the bump are
+    atom-constant: on any space, every atom holds the one-atom result bit
+    for bit, so the largest gap over the atoms is the one-atom gap.
+    """
+
+    @pytest.mark.parametrize("space", ATOM_SPACES)
+    def test_inversion_stack_is_the_one_atom_result_on_every_atom(self, space):
+        def provider(space):
+            members = [spec for name, spec in inversion_test_family(space, 2) if name != "constant"]
+            return provider_from_curve(stack_specs(members), 1e-11)
+
+        one, many = provider(make_space([1.0])), provider(space)
+        for t in (0.5, 1.0, 2.0):
+            for k in (8, 64, 512, 1024):
+                want = post_widder(one, t, k).values.reshape(3, 1, 2)
+                got = post_widder(many, t, k).values.reshape(3, space.n_atoms, 2)
+                np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+
+    @pytest.mark.parametrize("space", ATOM_SPACES)
+    def test_uniqueness_curves_are_the_one_atom_result_on_every_atom(self, space, monkeypatch):
+        def compared(space):
+            # the suite's transforms_equal calls, with its curves built on ``space``
+            calls = []
+
+            def recorded(spec1, spec2, grid, tol):
+                report = transforms_equal(spec1, spec2, grid, tol)
+                calls.append((spec1, spec2, grid, tol, report))
+                return report
+
+            monkeypatch.setattr(suites, "make_space", lambda probs: space)
+            monkeypatch.setattr(suites, "transforms_equal", recorded)
+            suites.SUITES["uniqueness_3_6"](load_scenario(str(ROOT / "scenarios" / "post_widder.json")))
+            return calls
+
+        one, many = compared(make_space([1.0])), compared(space)
+        assert len(one) == len(many) == 2
+        for (base1, other1, grid, tol, report1), (base, other, _, _, report) in zip(one, many):
+            assert grid == (1.0, 2.0, 4.0, 8.0)
+            assert report.gaps == report1.gaps
+            for eta in grid:
+                for spec1, spec in ((base1, base), (other1, other)):
+                    want = laplace_transform(spec1, eta, tol / 4.0).values
+                    got = laplace_transform(spec, eta, tol / 4.0).values
+                    np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))

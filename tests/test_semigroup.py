@@ -717,6 +717,17 @@ class TestHilleYosida:
             for row in entry.route_rows:
                 assert row.passed
 
+    def test_zero_dimension_report(self):
+        # d = 0: the probe e_1 is the empty vector, every norm is 0 and each
+        # ladder row sits M / gamma^n below its bound
+        space = make_space([0.5, 0.5])
+        A, C = L0Operator.zeros(space, 0), L0Operator.identity(space, 0)
+        report = hille_yosida_report(A, C, ExponentialBound.constant(space, 1.0, 0.0), (2.0, 4.0), 4)
+        assert report.passed
+        for gamma, entry in zip((2.0, 4.0), report.entries):
+            assert [row.gap for row in entry.route_rows] == [0.0, 0.0, 0.0]
+            assert [row.gap for row in entry.power_rows] == [-1.0 / gamma**n for n in range(1, 5)]
+
     def test_report_at_a_damping_between_xi_and_zero(self, space1):
         # eta = -1 lies in (xi, 0] = (-2, 0]: the route weights peak at k / (eta - xi)
         A = L0Operator.from_diag(space1, [[-2.0, -3.0]])

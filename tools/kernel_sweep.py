@@ -39,9 +39,11 @@ the certificate check of ``laplace.LaplaceSpec``'s construction on the
 ``laplace.laplace_transform`` (k = 0) of those curves at eta = xi + 2 to
 2.5e-9, as ``laplace_bound`` makes it; and ``laplace.post_widder`` at
 t = 1 and k in {64, 512} of the three quadrature members of
-``inversion_test_family``, as ``post_widder`` makes it, each family as one
-stacked curve (``oscillating_decay_stack`` and ``stack_specs``).  One
-case times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
+``inversion_test_family``, each family as one stacked curve
+(``oscillating_decay_stack`` and ``stack_specs``).  The ``post_widder``
+case also runs at one atom, the ``post_widder`` suite's own unit of work,
+since that suite integrates the atom-constant inversion family on one
+atom.  One case times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
 ``calculus_ftc`` suite's quadrature tolerance, of the derivative of one
 ``smooth_curve_family`` member, over the same n and d.  The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
@@ -135,7 +137,7 @@ def cases() -> list[dict]:
     out += [{"kernel": "laplace_transform", "atoms": n, "dim": TRANSFORM_DIM, "k": 0} for n in ATOMS]
     out += [
         {"kernel": "post_widder", "atoms": n, "dim": TRANSFORM_DIM, "k": k}
-        for n in ATOMS
+        for n in (1, *ATOMS)
         for k in INVERSION_ORDERS
     ]
     out += [{"kernel": "riemann_integral", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
