@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,19 +64,46 @@ def resolvent_seeded_problem(W: CSemigroup, eta, y0: RnVector, times) -> AcpProb
     return replace(seed, v0=RnVector.of(W.space, resolvent_solve(W.generator, eta, y0.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A solution on a time grid as read-only arrays.
 
     ``states`` is (T, n_atoms, d); ``residuals`` and ``graph_norms`` are
     (T, n_atoms); ``one_sided`` is (T,) and flags the two endpoint rows.
+    The last three are formed on first read, against ``generator``, and
+    kept.
     """
 
     times: tuple[float, ...]
     states: np.ndarray
-    residuals: np.ndarray
-    one_sided: np.ndarray
-    graph_norms: np.ndarray
+    generator: L0Operator
+
+    @cached_property
+    def _applied(self) -> np.ndarray:
+        """A u at every time, shape (T, n_atoms, d)."""
+        return np.einsum("aij,taj->tai", self.generator.matrices, self.states)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """Per-atom norm of the difference quotient minus A u.
+
+        Row i differences rows i - 1 and i + 1 clipped to the grid, so the
+        two endpoint rows fall back to one-sided differences.
+        """
+        rows = np.arange(len(self.times))
+        lo, hi = np.clip(rows - 1, 0, len(rows) - 2), np.clip(rows + 1, 1, len(rows) - 1)
+        t, u = np.asarray(self.times), self.states
+        return _read_only(block_norms((u[hi] - u[lo]) / (t[hi] - t[lo])[:, None, None] - self._applied))
+
+    @cached_property
+    def one_sided(self) -> np.ndarray:
+        rows = np.arange(len(self.times))
+        return _read_only((rows == 0) | (rows == len(rows) - 1))
+
+    @cached_property
+    def graph_norms(self) -> np.ndarray:
+        """Per-atom ||u|| + ||A u||."""
+        return _read_only(block_norms(self.states) + block_norms(self._applied))
 
     def to_csv_rows(self):
         """Rows (t, atom, component, u, residual, graph_norm), sorted."""
@@ -94,27 +122,15 @@ class Trajectory:
         return float(interior.max()) if interior.size else 0.0
 
 
-def _trajectory(A: L0Operator, times: tuple[float, ...], u: np.ndarray) -> Trajectory:
-    """Residuals and graph norms of the (T, n_atoms, d) states ``u``.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    Row i differences rows i - 1 and i + 1 clipped to the grid, so the two
-    endpoint rows fall back to one-sided differences.
-    """
+
+def _trajectory(A: L0Operator, times: tuple[float, ...], u: np.ndarray) -> Trajectory:
+    """The trajectory of the (T, n_atoms, d) states ``u``, which must be finite."""
     _check_finite(u, "vector coordinates")
-    rows = np.arange(len(times))
-    lo, hi = np.clip(rows - 1, 0, len(times) - 2), np.clip(rows + 1, 1, len(times) - 1)
-    t = np.asarray(times)
-    au = np.einsum("aij,taj->tai", A.matrices, u)
-    gap = (u[hi] - u[lo]) / (t[hi] - t[lo])[:, None, None] - au
-    arrays = (
-        u,
-        block_norms(gap),
-        (rows == 0) | (rows == len(times) - 1),
-        block_norms(u) + block_norms(au),
-    )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return Trajectory(times, *arrays)
+    return Trajectory(times, _read_only(u), A)
 
 
 def solve_acp(p: AcpProblem) -> Trajectory:

@@ -163,7 +163,7 @@ class QuadratureResult:
     panels: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedIntegralResult:
     """Scaled integral: true value per atom is exp(log_scale) * scaled_value."""
 
@@ -437,7 +437,7 @@ def _sample_reach(bound: ExponentialBound) -> np.ndarray:
     return reach
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Weight:
     """One weight s^k exp(-eta s) of a shared integration, checked and scaled."""
 

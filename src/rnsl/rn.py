@@ -405,7 +405,7 @@ def op_norm(T: L0Operator) -> L0Scalar:
     return L0Scalar.of(T.space, spectral_norms(T.matrices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InjectivityReport:
     """Per-atom smallest/largest singular value ratio, largest singular value, and the verdict."""
 

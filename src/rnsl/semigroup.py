@@ -375,7 +375,7 @@ def yosida_approximant(
     return op_apply(matrix_exp(yosida, t) @ C, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbelLimitReport:
     """Convergence of eta * resolvent toward C along an increasing grid."""
 
@@ -432,7 +432,7 @@ def abel_limit_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerRow:
     """One (eta, n) line of the power-bound ladder."""
 
@@ -453,7 +453,7 @@ class RouteRow:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventEntry:
     eta: L0Scalar
     min_sv_ratio: np.ndarray
@@ -462,7 +462,7 @@ class ResolventEntry:
     route_rows: tuple[RouteRow, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventReport:
     """Generation-condition checks for a candidate pair (A, C) plus bound."""
 

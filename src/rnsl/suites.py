@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .acp import direct_value_problem, resolvent_seeded_problem, rk4_oracle, solve_acp
+from .acp import Trajectory, direct_value_problem, resolvent_seeded_problem, rk4_oracle, solve_acp
 from .calculus import CurveSampler, derivative, riemann_integral
-from .errors import MissingSuiteData, UnknownSuite
+from .errors import MissingSuiteData, RnslError, UnknownSuite
 from .instances import (
     constant_transform_provider,
     inversion_test_family,
@@ -31,7 +31,7 @@ from .instances import (
     rng_for,
     smooth_curve_family,
 )
-from .l0 import L0Scalar, make_space
+from .l0 import L0Scalar, ProbabilitySpace, make_space, stacked_space
 from .laplace import (
     LaplaceSpec,
     laplace_derivative,
@@ -480,14 +480,24 @@ def _suite_hille_yosida(scn: Scenario) -> SuiteReport:
 def _suite_yosida_convergence(scn: Scenario) -> SuiteReport:
     spread_cap = scn.tolerance("yosida_rate_spread")
     t = scn.yosida_time
+    n, m = scn.space.n_atoms, len(scn.eta_sequence)
     coords = np.full(scn.dim, 1.0 / math.sqrt(scn.dim))
     x = RnVector.constant(scn.space, coords)
     reference = op_apply(matrix_exp(scn.A, t) @ scn.C, x)
+    # the eta sequence as one call on stacked copies of the space, eta constant
+    # per copy; the kernels are batch-neutral, so copy j holds eta_j's approximant
+    stack = stacked_space(scn.space, m)
+    A, C = (L0Operator.of(stack, np.tile(op.matrices, (m, 1, 1))) for op in (scn.A, scn.C))
+    etas = L0Scalar.of(stack, np.repeat(scn.eta_sequence, n))
+    try:
+        approx = yosida_approximant(A, C, etas, t, RnVector.constant(stack, coords))
+    except RnslError:
+        for eta in scn.eta_sequence:  # the first eta's own error, naming an atom of the scenario
+            yosida_approximant(scn.A, scn.C, eta, t, x)
+        raise
     errors = [
-        vector_distance(
-            yosida_approximant(scn.A, scn.C, eta, t, x), reference, "locally_convex"
-        )
-        for eta in scn.eta_sequence
+        vector_distance(RnVector.of(scn.space, copy), reference, "locally_convex")
+        for copy in _copies(approx.values, n)
     ]
     if errors[0] <= 1e-14:
         shrink = 0.0
@@ -524,26 +534,30 @@ def _suite_lemma_4_10(scn: Scenario) -> SuiteReport:
     return SuiteReport("lemma_4_10", records, data)
 
 
+def _scalar_reference(space: ProbabilitySpace) -> tuple[Trajectory, Trajectory, Trajectory]:
+    """v' = -v with C = I on ``space``: runs from 1 on 21 and 41 points of [0, 1], and from the resolvent at eta = 2 on 11."""
+    A1 = L0Operator.from_diag(space, np.full(1, -1.0))
+    C1 = L0Operator.identity(space, 1)
+    W1 = make_matrix_semigroup(A1, C1, ExponentialBound.constant(space, 1.0, -1.0))
+    ones = RnVector.constant(space, np.ones(1))
+    coarse, fine = (
+        solve_acp(direct_value_problem(W1, ones, tuple(np.linspace(0.0, 1.0, n)))) for n in (21, 41)
+    )
+    seeded = solve_acp(
+        resolvent_seeded_problem(W1, 2.0, ones, tuple(np.linspace(0.0, 1.0, 11)))
+    )
+    return coarse, fine, seeded
+
+
 def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
     rng = rng_for(scn.seed, "acp_5_1")
     value_tol = scn.tolerance("acp_value")
     oracle_tol = scn.tolerance("acp_oracle")
     records = []
 
-    # scalar reference v' = -v, u(1) = exp(-1), with a known residual order
-    space = scn.space
-    A1 = L0Operator.from_diag(space, np.full(1, -1.0))
-    C1 = L0Operator.identity(space, 1)
-    cert = ExponentialBound.constant(space, 1.0, -1.0)
-    W1 = make_matrix_semigroup(A1, C1, cert)
-    ones = RnVector.constant(space, np.ones(1))
-
-    def scalar_run(n_points: int):
-        times = tuple(np.linspace(0.0, 1.0, n_points))
-        return solve_acp(direct_value_problem(W1, ones, times))
-
-    coarse = scalar_run(21)
-    fine = scalar_run(41)
+    # scalar reference v' = -v, u(1) = exp(-1), with a known residual order; the
+    # problem is the same on every atom, so it runs on one atom, as post_widder does
+    coarse, fine, seeded = _scalar_reference(make_space([1.0]))
     end_gap = float(np.abs(coarse.states[-1, :, 0] - math.exp(-1.0)).max())
     records.append(CheckRecord.le("scalar_endpoint", end_gap, 0.0, value_tol))
     ratio = coarse.max_interior_residual() / max(fine.max_interior_residual(), 1e-300)
@@ -554,9 +568,6 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
     flag_errors = float((not flags[0]) + (not flags[-1]) + flags[1:-1].sum())
     records.append(CheckRecord.le("one_sided_flags", flag_errors, 0.0, 0.0))
 
-    seeded = solve_acp(
-        resolvent_seeded_problem(W1, 2.0, ones, tuple(np.linspace(0.0, 1.0, 11)))
-    )
     seed_gap = float(np.abs(seeded.states[0, :, 0] - 1.0 / 3.0).max())
     records.append(CheckRecord.le("seeded_start", seed_gap, 0.0, 1e-9))
 
@@ -569,11 +580,17 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
         v0 = random_vector(rng, scn.space, scn.dim, -1.0, 1.0)
         traj = solve_acp(direct_value_problem(W, v0, scn.time_grid))
         check = rk4_oracle(A, v0, C, scn.time_grid, 2e-3)
-        for gaps in block_norms(traj.states - check.states):
-            agree.add(gaps)
+        gaps = block_norms(traj.states - check.states)  # (times, atoms)
+        # adding the times in turn keeps only the first time at the pair's largest gap
+        agree.add(gaps[int(gaps.max(axis=1).argmax())])
     records.append(agree.le("oracle_agreement", oracle_tol))
 
-    data = {"trajectory": _columns("acp_trajectory", coarse.to_csv_rows())}
+    # the one-atom table on every atom of the scenario, times outer
+    n = scn.space.n_atoms
+    one_atom = _columns("acp_trajectory", coarse.to_csv_rows())
+    table = {c: np.repeat(v, n).tolist() for c, v in one_atom.items()}
+    table["atom"] = np.tile(np.arange(n), len(coarse.times)).tolist()
+    data = {"trajectory": table}
     return SuiteReport("acp_5_1", records, data)
 
 

@@ -30,6 +30,7 @@ from rnsl import (
 from rnsl.acp import _trajectory
 from rnsl.instances import random_commuting_pair, rng_for
 from rnsl.rn import block_norms
+from rnsl.suites import _scalar_reference
 
 
 def scalar_contraction(space, rate=-1.0, c=1.0):
@@ -381,3 +382,57 @@ class TestTrajectoryArrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0
+
+    @pytest.mark.parametrize("n", [1, 64, 1024])
+    def test_derived_arrays_are_formed_on_first_read_and_kept(self, n):
+        rng = np.random.default_rng(n)
+        space = make_space(np.full(n, 1.0 / n))
+        A = L0Operator.of(space, rng.normal(size=(n, 3, 3)))
+        times = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.2, 6)]))
+        u = rng.normal(size=(len(times), n, 3))
+        traj = _trajectory(A, times, u)
+        derived = ("residuals", "one_sided", "graph_norms")
+        assert not set(derived) & set(vars(traj))
+        last = len(times) - 1
+        lo, hi = [max(i - 1, 0) for i in range(last + 1)], [min(i + 1, last) for i in range(last + 1)]
+        au = [op_apply(A, RnVector.of(space, row)).values for row in u]
+        want = {
+            "residuals": [block_norms((u[h] - u[l]) / (times[h] - times[l]) - a) for l, h, a in zip(lo, hi, au)],
+            "one_sided": [i in (0, last) for i in range(last + 1)],
+            "graph_norms": [block_norms(row) + block_norms(a) for row, a in zip(u, au)],
+        }
+        for name in derived:
+            arr = getattr(traj, name)
+            np.testing.assert_array_equal(arr, np.array(want[name]))
+            assert not arr.flags.writeable
+            assert getattr(traj, name) is arr
+        assert not traj.states.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 64, 1024])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_states_raise_at_construction(self, n, bad):
+        space = make_space(np.full(n, 1.0 / n))
+        u = np.ones((3, n, 2))
+        u[1, n - 1, 1] = bad
+        with pytest.raises(NonFiniteValue, match="vector coordinates must be finite"):
+            _trajectory(L0Operator.identity(space, 2), (0.0, 0.5, 1.0), u)
+
+
+class TestAtomConstantReference:
+    """acp_5_1 runs its scalar reference v' = -v, C = I, on one atom.
+
+    That is sound because the problem is the same on every atom: on any
+    space, every atom holds the one-atom states, residuals and graph norms
+    bit for bit, so each record's largest gap over the atoms is the one-atom
+    gap, and the trajectory table repeats the one-atom rows.
+    """
+
+    @pytest.mark.parametrize("space", [make_space([0.1, 0.2, 0.3, 0.4]), make_space(np.full(64, 1.0 / 64))])
+    def test_every_atom_holds_the_one_atom_run(self, space):
+        runs = zip(_scalar_reference(make_space([1.0])), _scalar_reference(space))
+        for (one, many), points in zip(runs, (21, 41, 11)):
+            assert one.times == many.times and len(many.times) == points
+            for name in ("states", "residuals", "graph_norms"):
+                want, got = getattr(one, name), getattr(many, name)
+                assert got.shape[1] == space.n_atoms
+                np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rnsl import (
+    EtaInSpectrum,
     ExponentialBound,
     L0Operator,
     L0Scalar,
@@ -15,10 +16,13 @@ from rnsl import (
     make_space,
     resolvent_operator,
     rk4_oracle,
+    scenario_from_dict,
     solve_acp,
+    yosida_approximant,
 )
 from rnsl.instances import random_commuting_pair, rng_for
 from rnsl.rn import block_norms, log_norm_bounds, spectral_norms
+from rnsl.suites import SUITES
 
 SIZES = [(n, d) for n in (1, 64) for d in (1, 2, 4, 16)] + [(1024, 2)]
 TIMES = (0.0, 0.25, 0.5)
@@ -43,6 +47,10 @@ KERNELS = {
     "check_injective": lambda A, C, bound, x, G: gate(check_injective(G)),
     "resolvent_operator": lambda A, C, bound, x, G: resolvent_operator(A, C, ETA).matrices,
     "c_resolvent_direct": lambda A, C, bound, x, G: c_resolvent_direct(A, C, ETA, x).values,
+    # a per-atom damping, as yosida_convergence's stacked eta grid has one per copy
+    "yosida_approximant": lambda A, C, bound, x, G: yosida_approximant(
+        A, C, L0Scalar.of(A.space, bound.xi.values + ETA), 1.0, x
+    ).values,
 }
 AXES = {"solve_acp": 1, "rk4_oracle": 1}
 
@@ -83,3 +91,20 @@ def test_a_third_of_the_atoms_gets_the_bits_of_the_full_call(kernel, n, d):
     full = KERNELS[kernel](A, C, bound, x, G)
     part = KERNELS[kernel](*on_atoms(A, C, bound, x, G, atoms))
     assert np.array_equal(np.take(full, atoms, axis=AXES.get(kernel, 0)), part)
+
+
+def test_a_singular_damping_of_the_stacked_yosida_grid_names_the_scenario_atom():
+    # atom 2 has the eigenvalue 20, the second damping: the stacked call first
+    # fails on stacked atom 1 * 4 + 2 = 6, and the suite still names atom 2
+    rates = [[-1.0, -0.5], [-2.0, -1.0], [20.0, -1.0], [-0.5, -0.25]]
+    scn = scenario_from_dict({
+        "space": {"probs": [0.1, 0.2, 0.3, 0.4]},
+        "dim": 2,
+        "operators": {"A": {"matrices": [np.diag(r).tolist() for r in rates]}, "C": {"matrix": np.eye(2).tolist()}},
+        "bound": {"M": 1.0, "xi": 20.0},
+        "eta_sequence": [10.0, 20.0, 40.0],
+        "suites": ["yosida_convergence"],
+    })
+    with pytest.raises(EtaInSpectrum, match="on atom 2 ") as caught:
+        SUITES["yosida_convergence"](scn)
+    assert caught.value.atom == 2

@@ -38,7 +38,9 @@ def test_worker_times_every_case(monkeypatch):
         + ["LaplaceSpec", "laplace_transform"]
         + ["post_widder"] * 4
         + ["riemann_integral"] * 2
+        + ["yosida_approximant"] * 4
     )
+    assert [case["stacked"] for case in sweep.cases() if case["kernel"] == "yosida_approximant"] == [False, True] * 2
     assert [case["atoms"] for case in sweep.cases() if case["kernel"] == "post_widder"] == [1, 1, 2, 2]
     tree = sweep.load(str(ROOT / "src"))
     seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]
@@ -95,3 +97,14 @@ def test_exactly_two_labelled_trees(trees, capsys):
         sweep.main([arg for tree in trees for arg in ("--tree", tree)])
     assert exc.value.code == 2
     assert "exactly two trees" in capsys.readouterr().err
+
+
+def test_yosida_case_stacks_the_five_calls():
+    sweep = load_sweep()
+    space = rnsl.make_space([0.25, 0.75])
+    A = rnsl.L0Operator.of(space, [[[-1.0, 0.3], [0.0, -0.5]], [[-2.0, 0.0], [1.0, 0.25]]])
+    C = rnsl.L0Operator.identity(space, 2)
+    apart = sweep.yosida_call(rnsl, A, C, stacked=False)()
+    stacked = sweep.yosida_call(rnsl, A, C, stacked=True)()
+    assert len(apart) == len(sweep.ETA_SEQUENCE)
+    np.testing.assert_array_equal(stacked.values, np.concatenate([v.values for v in apart]))

@@ -44,7 +44,7 @@ from rnsl import (
     yosida_approximant,
 )
 from rnsl import semigroup as semigroup_module
-from rnsl.calculus import CurveSampler
+from rnsl.calculus import CurveSampler, _checked_weight, damped_weighted_integral
 from rnsl.instances import random_commuting_pair, random_vector, rng_for
 from rnsl.laplace import LaplaceSpec
 from rnsl.rn import GROWTH_SLACK, _check_envelope, block_norms, exp_norm_bounds, log_norm_bounds, spectral_norms
@@ -1066,3 +1066,33 @@ class TestRandomizedFamilies:
             lhs = op_apply(A, integral)
             rhs = evaluate(W, s, x) - op_apply(C, x)
             assert l0_norm(lhs - rhs).values.max() <= 1e-6
+
+
+def _result_objects():
+    """A fresh instance of each result class that holds arrays, by class name."""
+    space = make_space([0.4, 0.6])
+    A = L0Operator.from_diag(space, [-1.0, -2.0])
+    C = L0Operator.identity(space, 2)
+    bound = ExponentialBound.constant(space, 1.0, -1.0)
+    W = make_matrix_semigroup(A, C, bound)
+    x = RnVector.constant(space, [1.0, 0.5])
+    orbit = semigroup_module._damped_orbit(W, x)
+    report = hille_yosida_report(A, C, bound, (1.0,), 2)
+    return {
+        "Trajectory": solve_acp(direct_value_problem(W, x, (0.0, 0.5, 1.0))),
+        "InjectivityReport": check_injective(C),
+        "WeightedIntegralResult": damped_weighted_integral(orbit, 2.0, 1, 1e-8),
+        "_Weight": _checked_weight(orbit.bound, 2.0, 1, 1e-8),
+        "AbelLimitReport": abel_limit_check(A, C, bound, x, (10.0, 20.0)),
+        "ResolventReport": report,
+        "ResolventEntry": report.entries[0],
+        "PowerRow": report.entries[0].power_rows[0],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_result_objects()))
+def test_result_objects_that_hold_arrays_compare_and_hash_by_identity(kind):
+    first, second = _result_objects()[kind], _result_objects()[kind]
+    assert type(first).__name__ == kind
+    assert first == first and not first == second and first != second
+    assert len({first, second, first}) == 2

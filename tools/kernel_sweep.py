@@ -45,7 +45,14 @@ case also runs at one atom, the ``post_widder`` suite's own unit of work,
 since that suite integrates the atom-constant inversion family on one
 atom.  One case times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
 ``calculus_ftc`` suite's quadrature tolerance, of the derivative of one
-``smooth_curve_family`` member, over the same n and d.  The blocks are
+``smooth_curve_family`` member, over the same n and d.  One case times
+``semigroup.yosida_approximant`` at t = 1 over the same n and d, on the
+``yosida_convergence`` suite's default damping sequence, as five calls
+and as the suite's one call on ``stacked_space(space, 5)`` with A, C and
+x tiled and eta constant per copy, the tiling included.  The ``solve_acp``
+case times the states alone where the tree forms a trajectory's
+residuals and graph norms on first read, since nothing in it reads them.
+The blocks are
 normal, A = Q diag(a) Q^T with a in [-2, 0.5] and C = Q diag(c) Q^T with
 c in [0.5, 2], as in the benchmark's generated scenarios.  The
 exponential's times are spread evenly over (0, 2]; the norm's blocks are
@@ -88,8 +95,9 @@ NORM_TIMES = 32
 # the hille_yosida_4_11 suite's default damping grid and its ladder depth
 ETA_GRID = (2.0, 4.0, 8.0, 16.0)
 LADDER_DEPTH = 8
-# the lemma_4_10 suite's default damping sequence
+# the lemma_4_10 and yosida_convergence suites' default damping sequence, and the Yosida time
 ETA_SEQUENCE = (10.0, 20.0, 40.0, 80.0, 160.0)
+YOSIDA_TIME = 1.0
 SAMPLES = 5
 ROUNDS = 5
 SAMPLE_SECONDS = 0.02
@@ -141,7 +149,29 @@ def cases() -> list[dict]:
         for k in INVERSION_ORDERS
     ]
     out += [{"kernel": "riemann_integral", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
+    out += [
+        {"kernel": "yosida_approximant", "atoms": n, "dim": d, "stacked": stacked}
+        for n in ATOMS
+        for d in DIMS
+        for stacked in (False, True)
+    ]
     return out
+
+
+def yosida_call(rnsl, A, C, stacked: bool):
+    """The damping sequence's approximants: one call per damping, or one call on stacked copies of the space."""
+    x = rnsl.RnVector.constant(A.space, np.full(A.dim, 1.0 / np.sqrt(A.dim)))
+    if not stacked:
+        return lambda: [rnsl.yosida_approximant(A, C, eta, YOSIDA_TIME, x) for eta in ETA_SEQUENCE]
+
+    def call():
+        m = len(ETA_SEQUENCE)
+        stack = rnsl.stacked_space(A.space, m)
+        tiled = [rnsl.L0Operator.of(stack, np.tile(op.matrices, (m, 1, 1))) for op in (A, C)]
+        etas = rnsl.L0Scalar.of(stack, np.repeat(ETA_SEQUENCE, A.space.n_atoms))
+        return rnsl.yosida_approximant(*tiled, etas, YOSIDA_TIME, rnsl.RnVector.constant(stack, x.values[0]))
+
+    return call
 
 
 def transform_call(rnsl, space, case):
@@ -291,6 +321,8 @@ def case_call(rnsl, case):
     )
     if case["kernel"] == "hille_yosida_report":
         return lambda: rnsl.hille_yosida_report(gen, c_op, bound, ETA_GRID, LADDER_DEPTH)
+    if case["kernel"] == "yosida_approximant":
+        return yosida_call(rnsl, gen, c_op, case["stacked"])
     if case["kernel"] == "abel_limit_check":
         x = rnsl.RnVector.constant(space, np.full(d, 1.0 / np.sqrt(d)))
         return lambda: rnsl.abel_limit_check(gen, c_op, bound, x, ETA_SEQUENCE)
