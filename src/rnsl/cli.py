@@ -12,6 +12,7 @@ rtol 1e-9 / atol 1e-12; it exits 0 when the reports agree and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -86,17 +87,25 @@ def _load_report(path: str) -> dict:
         return json.load(handle)
 
 
+@contextlib.contextmanager
+def _reading_reports():
+    """A report read in this block that lacks a field or has one of the wrong type is an input error."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"not a report.json: malformed field {exc}") from None
+
+
 def _cmd_plot(args) -> int:
-    emit_plot_data(_load_report(args.report), args.kind, args.out)
+    with _reading_reports():
+        emit_plot_data(_load_report(args.report), args.kind, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_diff(args) -> int:
-    try:
+    with _reading_reports():
         lines = diff_reports(_load_report(args.old), _load_report(args.new))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a report.json: malformed field {exc}") from None
     for line in lines:
         print(line)
     if not lines:

@@ -2,8 +2,9 @@
 
 Every error raised by the library derives from :class:`RnslError`, so callers
 can catch one base class.  Errors that point at a particular atom of the
-underlying probability space carry a 0-based ``atom`` attribute, and the
-time ``t`` where a sampled family failed (None where no time applies).
+underlying probability space carry a 0-based ``atom`` attribute and a time
+``t``: :class:`BoundViolated` sets it to the time a sampled value escaped its
+envelope, and every other error leaves it None.
 """
 
 from __future__ import annotations
@@ -103,13 +104,6 @@ class NotInjective(_AtomError):
 
 class NonCommuting(_AtomError):
     """Two operators expected to commute do not, beyond tolerance."""
-
-
-class InitialValueMismatch(_AtomError):
-    """A sampled family departs from exp(tA) C, its recovered form, at time ``t``.
-
-    At t = 0 the family does not start at its declared time-zero operator C.
-    """
 
 
 class EtaInSpectrum(_AtomError):

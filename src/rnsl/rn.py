@@ -54,17 +54,6 @@ class RnVector:
         return cls(space, arr)
 
     @classmethod
-    def from_components(cls, components) -> "RnVector":
-        comps = list(components)
-        if not comps:
-            raise DimMismatch("a vector needs at least one component")
-        space = comps[0].space
-        for c in comps[1:]:
-            if c.space != space:
-                raise SpaceMismatch("components live on different probability spaces")
-        return cls.of(space, np.stack([c.values for c in comps], axis=1))
-
-    @classmethod
     def constant(cls, space: ProbabilitySpace, coords) -> "RnVector":
         row = np.asarray(coords, dtype=float).reshape(1, -1)
         return cls.of(space, np.repeat(row, space.n_atoms, axis=0))

@@ -3,8 +3,7 @@
 A family here satisfies C W(s+t) = W(t) W(s), starts at an injective C that
 commutes with it, and grows no faster than M exp(xi t) per atom.  On a finite
 space every such family is W(t) = exp(tA) C: C is invertible on each atom,
-so C^{-1} W(t) is a continuous semigroup on R^d, which is exp(tA).  A family
-given only as an evaluator t -> W(t) has its A recovered and checked.
+so C^{-1} W(t) is a continuous semigroup on R^d, which is exp(tA).
 
 The resolvent comes in two routes (a per-atom solve against (eta - A), and
 the transform integral of the family, taken as that of the damped family
@@ -19,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calculus import (
     _NODES,
-    MIN_STEP,
     CurveSampler,
     _weight_log_scale,
     damped_weighted_integrals,
@@ -33,14 +31,12 @@ from .calculus import (
 )
 from .errors import (
     EtaInSpectrum,
-    InitialValueMismatch,
     NegativeTime,
     NonCommuting,
     NonFiniteValue,
     NotInjective,
     SpaceMismatch,
     DimMismatch,
-    StepUnderflow,
 )
 from .l0 import L0Scalar, ProbabilitySpace
 from .rn import (
@@ -51,7 +47,6 @@ from .rn import (
     _check_finite,
     _expm_powers,
     _expm_times,
-    _one_norms,
     _slackened,
     _taylor_powers,
     block_norms,
@@ -66,8 +61,6 @@ from .rn import (
 from .scenario import TOLERANCES
 
 COMMUTE_TOL = 1e-10
-SAMPLED_RTOL = 1e-9  # largest entry gap to exp(tA) C over its largest entry
-_LOG_TERMS = 30  # at ||X||_1 <= 1/4 the log series' tail is below 4^-30 ||X||
 GROWTH_SAMPLES = 32
 GROWTH_HORIZON = 10.0
 ABEL_RATE_SLACK = 1.5
@@ -179,102 +172,6 @@ def make_matrix_semigroup(
         )
     _check_growth(A, C, bound, c_norms)
     return CSemigroup(A.space, A.dim, C, bound, A)
-
-
-def _raise_first_departure(ts: np.ndarray, mats: np.ndarray, want: np.ndarray) -> None:
-    """InitialValueMismatch at the first time, then atom, where ``mats`` leave ``want``.
-
-    Both are (len(ts), n_atoms, d, d); a block departs when its largest
-    entry gap exceeds SAMPLED_RTOL times the largest entry of ``want``.
-    """
-    with np.errstate(over="ignore"):  # an infinite gap departs
-        gap = np.abs(mats - want).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(want).max(axis=(-2, -1), initial=0.0)
-    hits = np.argwhere(~(gap <= SAMPLED_RTOL * scale))
-    if hits.size:
-        i, a = (int(v) for v in hits[0])
-        raise InitialValueMismatch(
-            f"family departs from exp(tA) C at t={float(ts[i])!r} on atom {a} (largest "
-            f"entry gap {float(gap[i, a])!r}, largest entry {float(scale[i, a])!r})",
-            atom=a,
-            t=float(ts[i]),
-        )
-
-
-def _recover_generator(
-    C: L0Operator, family_at: Callable[[float], np.ndarray], h: float = 1.0
-) -> tuple[L0Operator, float]:
-    """The A with exp(hA) = C^{-1} W(h) on every atom, by a log series at a small h, and that h.
-
-    h halves from ``h`` until X = C^{-1} W(h) - I has ||X||_1 <= 1/4 on every
-    atom; then A = log(I + X) / h, with log(I + X) = X - X^2/2 + X^3/3 - ...
-    summed to _LOG_TERMS terms.  A family that stays away from C as h -> 0
-    raises StepUnderflow once h falls below MIN_STEP.  A generator that
-    turns a whole period in h (exp(hA) = I with hA != 0) is not seen at that
-    step; ``make_sampled_semigroup`` then recovers once more below h.
-    """
-    eye = np.eye(C.dim)
-    while True:
-        X = np.linalg.solve(C.matrices, family_at(h)) - eye
-        far = np.nonzero(~(_one_norms(X) <= 0.25))[0]
-        if not far.size:
-            break
-        h *= 0.5
-        if h < MIN_STEP:
-            raise StepUnderflow(
-                f"C^-1 W(h) stays farther than 1/4 from I on atom {int(far[0])} for every "
-                f"step h >= {MIN_STEP}: the family is not continuous at 0"
-            )
-    series = eye / _LOG_TERMS  # Horner: log(I + X) = X (I - X (I/2 - X (I/3 - ...)))
-    for k in range(_LOG_TERMS - 1, 0, -1):
-        series = eye / k - X @ series
-    return L0Operator.of(C.space, (X @ series) / h), h
-
-
-def make_sampled_semigroup(
-    space: ProbabilitySpace,
-    dim: int,
-    C: L0Operator,
-    evaluator: Callable[[float], L0Operator],
-    bound: ExponentialBound,
-) -> CSemigroup:
-    """The family of an evaluator t -> W(t), as exp(tA) C with A recovered from it.
-
-    W must match exp(tA) C within SAMPLED_RTOL at the growth check's times,
-    W(0) = C first; a departure raises InitialValueMismatch at its time and
-    atom.  When the first A departs, A is recovered once more from half its
-    step down, which finds a generator that turned a whole period in that
-    step (a rotation by 2 pi at h = 1); if that A departs too, the first
-    departure is raised.  (A, C, bound) then go through
-    ``make_matrix_semigroup``.
-    """
-    if C.space != space or bound.space != space:
-        raise SpaceMismatch("C and the certificate must live on the given space")
-    if C.dim != dim:
-        raise DimMismatch(f"C has dim {C.dim}, expected {dim}")
-    _require_injective(C, "C", NotInjective)
-
-    def family_at(t: float) -> np.ndarray:
-        op = evaluator(t)
-        if not isinstance(op, L0Operator):
-            raise TypeError("family evaluator must return an L0Operator")
-        if op.space != space or op.dim != dim:
-            raise SpaceMismatch(f"family evaluator returned another space/dim at t={t!r}")
-        return op.matrices
-
-    ts = np.linspace(0.0, GROWTH_HORIZON, GROWTH_SAMPLES)
-    mats = np.stack([family_at(float(t)) for t in ts])
-    _raise_first_departure(ts[:1], mats[:1], C.matrices[None])
-    A, h = _recover_generator(C, family_at)
-    try:
-        _raise_first_departure(ts, mats, CSemigroup(space, dim, C, bound, A).at(ts))
-    except InitialValueMismatch as first:
-        A, _ = _recover_generator(C, family_at, 0.5 * h)
-        try:
-            _raise_first_departure(ts, mats, CSemigroup(space, dim, C, bound, A).at(ts))
-        except InitialValueMismatch:
-            raise first from None
-    return make_matrix_semigroup(A, C, bound)
 
 
 def evaluate(W: CSemigroup, t: float, x: RnVector) -> RnVector:

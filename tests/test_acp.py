@@ -19,9 +19,7 @@ from rnsl import (
     StepUnderflow,
     direct_value_problem,
     make_matrix_semigroup,
-    make_sampled_semigroup,
     make_space,
-    matrix_exp,
     op_apply,
     resolvent_seeded_problem,
     rk4_oracle,
@@ -127,18 +125,6 @@ class TestSolveAcp:
         )
         for t, g in zip(traj.times, traj.graph_norms):
             assert g[0] == pytest.approx(2.0 * math.exp(-t), rel=1e-10)
-
-    def test_sampled_family_solves_like_its_matrix_form(self):
-        space = make_space([0.25] * 4)
-        rng = rng_for(5, "sampled-acp")
-        A, C, bound = random_commuting_pair(rng, space, 3)
-        sampled = make_sampled_semigroup(space, 3, C, lambda t: matrix_exp(A, t) @ C, bound)
-        v0 = RnVector.of(space, rng.uniform(-1.0, 1.0, (4, 3)))
-        got = solve_acp(direct_value_problem(sampled, v0, grid(6)))
-        want = solve_acp(direct_value_problem(make_matrix_semigroup(A, C, bound), v0, grid(6)))
-        np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(got.graph_norms, want.graph_norms, rtol=1e-12)
-        np.testing.assert_allclose(got.residuals, want.residuals, atol=1e-10)
 
     def test_time_grid_validation(self, space1):
         _, _, W = scalar_contraction(space1)

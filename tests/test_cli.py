@@ -320,6 +320,21 @@ class TestCliPlot:
         assert proc.returncode == 2
         assert "post_widder" in proc.stderr
 
+    @pytest.mark.parametrize("report, kind", [
+        pytest.param([], "b4_ladder", id="list"),
+        pytest.param("x", "b4_ladder", id="string"),
+        pytest.param(
+            {"suites": [{"suite": "post_widder", "data": {"k": [1, 2]}}]},
+            "post_widder_error_vs_k", id="data-without-error",
+        ),
+    ])
+    def test_malformed_report_exit_two(self, tmp_path, capsys, report, kind):
+        path = str(tmp_path / "report.json")
+        write_json(path, report)
+        assert cli_main(["plot", path, "--kind", kind, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: not a report.json")
+        assert not os.path.exists(tmp_path / "x.csv")
+
     def test_unknown_kind_rejected_by_argparse(self, tmp_path, b4_report):
         proc = run_cli(
             "plot", b4_report, "--kind", "no_such_kind", "--out",

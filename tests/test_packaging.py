@@ -102,3 +102,34 @@ def test_no_unused_imports():
         for hit in unused_imports(path)
     ]
     assert unused == []
+
+
+# exports that no module of the package calls, each kept for a stated reason
+EXPORTS_WITHOUT_CALLER = {
+    "op_norm": "perfbench/tracer.py looks up rnsl.rn.op_norm on every traced pass",
+    "PowerIterationDiverged": "perfbench/test_smoke.py imports it",
+    "level_set": "ROADMAP item 4 decides it with L0Set",
+    "expectation": "ROADMAP item 4 decides it with L0Set",
+}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module refers to: as a name, as an attribute, or as the source name of an import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    import rnsl
+
+    used = set().union(*(
+        referenced_names(path) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+    ))
+    assert sorted(set(rnsl.__all__) - used) == sorted(EXPORTS_WITHOUT_CALLER)

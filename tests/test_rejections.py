@@ -28,7 +28,6 @@ from rnsl import (
     indicator,
     lattice,
     make_matrix_semigroup,
-    make_sampled_semigroup,
     make_space,
     op_apply,
     pointwise,
@@ -126,18 +125,6 @@ def test_laplace_rejects(build, error):
         lambda: make_matrix_semigroup(A2, L0Operator.identity(S2, 3), BOUND2),
         DimMismatch, None, id="commutator-C-with-another-dim",
     ),
-    pytest.param(
-        lambda: make_sampled_semigroup(S2, 2, L0Operator.identity(S1, 2), lambda t: I2, BOUND2),
-        SpaceMismatch, None, id="sampled-C-on-another-space",
-    ),
-    pytest.param(
-        lambda: make_sampled_semigroup(S2, 2, I2, lambda t: I2, ExponentialBound.constant(S1, 1.0, 0.0)),
-        SpaceMismatch, None, id="sampled-certificate-on-another-space",
-    ),
-    pytest.param(
-        lambda: make_sampled_semigroup(S2, 2, L0Operator.identity(S2, 3), lambda t: I2, BOUND2),
-        DimMismatch, None, id="sampled-C-with-another-dim",
-    ),
     pytest.param(lambda: yosida_approximant(A2, I2, 2.0, -0.5, X2), NegativeTime, None, id="yosida-negative-time"),
     pytest.param(
         lambda: yosida_approximant(A2, I2, L0Scalar.constant(S1, 2.0), 0.5, X2),
@@ -169,11 +156,6 @@ def test_acp_rejects(build, error):
 
 
 @pytest.mark.parametrize("build,error,atom", [
-    pytest.param(lambda: RnVector.from_components([]), DimMismatch, None, id="no-components"),
-    pytest.param(
-        lambda: RnVector.from_components([L0Scalar.zero(S2), L0Scalar.zero(S1)]),
-        SpaceMismatch, None, id="components-on-two-spaces",
-    ),
     pytest.param(lambda: X2 + RnVector.zeros(S1, 2), SpaceMismatch, None, id="vectors-on-two-spaces"),
     pytest.param(lambda: X2 - RnVector.zeros(S2, 3), DimMismatch, None, id="vectors-of-two-dims"),
     pytest.param(lambda: A2 + L0Operator.identity(S1, 2), SpaceMismatch, None, id="operators-on-two-spaces"),

@@ -56,9 +56,7 @@ def vectors(n_atoms: int, d: int):
 
 class TestL0Norm:
     def test_three_four_five(self, space2):
-        x = RnVector.from_components(
-            [L0Scalar.of(space2, [3, 1]), L0Scalar.of(space2, [4, 0])]
-        )
+        x = RnVector.of(space2, [[3, 4], [1, 0]])
         np.testing.assert_allclose(l0_norm(x).values, [5, 1], rtol=0, atol=0)
 
     def test_zero_vector(self, space2):
@@ -67,9 +65,7 @@ class TestL0Norm:
         )
 
     def test_module_scaling_scales_norm(self, space2):
-        x = RnVector.from_components(
-            [L0Scalar.of(space2, [3, 1]), L0Scalar.of(space2, [4, 0])]
-        )
+        x = RnVector.of(space2, [[3, 4], [1, 0]])
         zeta = L0Scalar.of(space2, [2, 3])
         np.testing.assert_allclose(
             l0_norm(x.module_mul(zeta)).values, [10, 3], rtol=1e-15
