@@ -2,9 +2,9 @@
 
 Every error raised by the library derives from :class:`RnslError`, so callers
 can catch one base class.  Errors that point at a particular atom of the
-underlying probability space carry a 0-based ``atom`` attribute and a time
-``t``: :class:`BoundViolated` sets it to the time a sampled value escaped its
-envelope, and every other error leaves it None.
+underlying probability space carry a 0-based ``atom`` attribute;
+:class:`BoundViolated` also carries the time ``t`` at which a sampled value
+escaped its envelope.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ class DimMismatch(RnslError):
 
 
 class _AtomError(RnslError):
-    """Base for errors that name an offending atom (0-based index), and a time ``t``."""
+    """Base for errors that name an offending atom (0-based index)."""
 
-    def __init__(self, message: str, atom: int | None = None, t: float | None = None):
+    def __init__(self, message: str, atom: int | None = None):
         super().__init__(message)
         self.atom = atom
-        self.t = t
 
 
 class DivisionByZeroOnAtom(_AtomError):
@@ -96,6 +95,10 @@ class CoefficientOverflow(RnslError):
 
 class BoundViolated(_AtomError):
     """A sampled value escaped its declared exponential envelope at time ``t``."""
+
+    def __init__(self, message: str, atom: int | None = None, t: float | None = None):
+        super().__init__(message, atom)
+        self.t = t
 
 
 class NotInjective(_AtomError):

@@ -185,10 +185,11 @@ def constant_transform_provider(x: RnVector) -> TransformDerivativeProvider:
     which is what makes constants reproducible at any order.
     """
 
-    def scaled(eta: L0Scalar, k: int):
-        sign = -1.0 if k % 2 else 1.0
-        log_scale = math.lgamma(k + 1.0) - (k + 1.0) * np.log(eta.values)
-        return x.scale(sign), log_scale
+    def scaled(points):
+        return [
+            (x.scale(-1.0 if k % 2 else 1.0), math.lgamma(k + 1.0) - (k + 1.0) * np.log(eta.values))
+            for eta, k in points
+        ]
 
     return TransformDerivativeProvider(x.space, x.dim, scaled)
 

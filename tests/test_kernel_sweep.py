@@ -37,11 +37,15 @@ def test_worker_times_every_case(monkeypatch):
         + ["scenario_from_dict"] * 2
         + ["LaplaceSpec", "laplace_transform"]
         + ["post_widder"] * 4
+        + ["post_widder_ladder"] * 2
+        + ["transforms_equal"] * 2
         + ["riemann_integral"] * 2
         + ["yosida_approximant"] * 4
     )
     assert [case["stacked"] for case in sweep.cases() if case["kernel"] == "yosida_approximant"] == [False, True] * 2
     assert [case["atoms"] for case in sweep.cases() if case["kernel"] == "post_widder"] == [1, 1, 2, 2]
+    assert [case["atoms"] for case in sweep.cases() if case["kernel"] == "post_widder_ladder"] == [1, 64]
+    assert [case["atoms"] for case in sweep.cases() if case["kernel"] == "transforms_equal"] == [1, 64]
     tree = sweep.load(str(ROOT / "src"))
     seconds = [sweep.best_time(sweep.case_call(tree, case)) for case in sweep.cases()]
     assert len(seconds) == len(kinds)
@@ -83,6 +87,31 @@ def test_transform_cases_run_one_stacked_curve(kernel, curves):
     np.testing.assert_allclose(
         stacked.values, np.concatenate([v.values for v in per_curve]), rtol=0.0, atol=1e-8
     )
+
+
+@pytest.mark.parametrize("listed", [True, False])
+def test_ladder_case_times_the_suite_points(listed, monkeypatch):
+    # a tree without post_widder_points makes the 12 calls one by one
+    sweep = load_sweep()
+    if not listed:
+        monkeypatch.delattr(rnsl, "post_widder_points")
+    space = rnsl.make_space([0.25, 0.75])
+    approximants = sweep.transform_call(rnsl, space, {"kernel": "post_widder_ladder", "atoms": 2, "dim": 2})()
+    specs = [spec for name, spec in inversion_test_family(space, 2) if name != "constant"]
+    provider = rnsl.provider_from_curve(rnsl.stack_specs(specs), 1e-11)
+    points = [(t, k) for k in (8, 64, 512, 1024) for t in (0.5, 1.0, 2.0)]
+    assert len(approximants) == len(points) == 12
+    for (t, k), got in zip(points, approximants):
+        np.testing.assert_allclose(got.values, rnsl.post_widder(provider, t, k).values, rtol=1e-11, atol=0.0)
+
+
+def test_transforms_equal_case_compares_two_family_members():
+    sweep = load_sweep()
+    space = rnsl.make_space([0.25, 0.75])
+    report = sweep.transform_call(rnsl, space, {"kernel": "transforms_equal", "atoms": 2, "dim": 2})()
+    family = dict(inversion_test_family(space, 2))
+    expected = rnsl.transforms_equal(family["decay_1"], family["modulated"], (1.0, 2.0, 4.0, 8.0), 1e-6)
+    assert report.gaps == expected.gaps and not report.equal
 
 
 @pytest.mark.parametrize("trees", [

@@ -29,6 +29,7 @@ from rnsl import (
     load_scenario,
     make_space,
     post_widder,
+    post_widder_points,
     provider_from_curve,
     stack_specs,
     stacked_space,
@@ -350,7 +351,7 @@ class TestProviderChecks:
     def test_malformed_output_rejected(self, space2, atoms, dim, log_scale, error, message):
         space = space2 if atoms == 2 else make_space([1.0])
         out = RnVector.of(space, np.ones((atoms, dim)))
-        provider = TransformDerivativeProvider(space2, 1, lambda eta, k: (out, log_scale))
+        provider = TransformDerivativeProvider(space2, 1, lambda points: [(out, log_scale) for _ in points])
         with pytest.raises(error, match=message):
             provider.derivative(2.0, 1)
 
@@ -435,10 +436,119 @@ class TestPostWidder:
     def test_coefficient_overflow_signalled(self, space1):
         ones = RnVector.of(space1, [[1.0]])
         provider = TransformDerivativeProvider(
-            space1, 1, lambda eta, k: (ones, np.zeros(1))
+            space1, 1, lambda points: [(ones, np.zeros(1)) for _ in points]
         )
         with pytest.raises(CoefficientOverflow):
             post_widder(provider, 1e-160, 1)
+
+
+# the post_widder suite's quadrature points on the transform_inversion ladder, in its order
+SUITE_POINTS = [(t, k) for k in (8, 64, 512, 1024) for t in (0.5, 1.0, 2.0)]
+
+
+def one_weight_approximant(spec, t, k, tol):
+    """The k-th approximant at t from one damped_weighted_integral, with laplace_derivative_scaled's tolerance."""
+    gamma = spec.bound.margin(k / t)
+    log_env = math.lgamma(k + 1.0) - (k + 1.0) * np.log(gamma) - _weight_log_scale(k, gamma)
+    env = spec.bound.M.values * np.exp(log_env)
+    res = damped_weighted_integral(spec.curve, k / t, k, tol * env)
+    log_coef = (k + 1.0) * math.log(k / t) - math.lgamma(k + 1.0)
+    # the two factors (-1)^k, of the derivative and of the coefficient, cancel
+    vals = res.scaled_value.values
+    return np.sign(vals) * np.exp((log_coef + res.log_scale)[:, None] + np.log(np.abs(vals)))
+
+
+def closed_form_approximant(x, t, k):
+    """The k-th approximant at t of the constant x from its closed-form derivative."""
+    eta = np.full(x.space.n_atoms, k / t)
+    log_coef = (k + 1.0) * math.log(k / t) - math.lgamma(k + 1.0)
+    log_scale = math.lgamma(k + 1.0) - (k + 1.0) * np.log(eta)
+    return np.sign(x.values) * np.exp((log_coef + log_scale)[:, None] + np.log(np.abs(x.values)))
+
+
+def counted_decay(space):
+    """The inversion family's decay_1 with a batch that records each call's number of times, from after construction."""
+    curve = dict(inversion_test_family(space, 2))["decay_1"].curve
+    samples = []
+
+    def batch(s):
+        samples.append(len(s))
+        return curve.batch(s)
+
+    spec = LaplaceSpec(CurveSampler.from_batch(space, 2, 0.0, math.inf, batch, bound=curve.bound))
+    samples.clear()
+    return spec, samples
+
+
+class TestPostWidderPoints:
+    """post_widder_points inverts a list of (t, k) from one provider call."""
+
+    @pytest.mark.parametrize("t, k", [(0.7, 1), (0.5, 8), (1.0, 64), (2.0, 1024)])
+    def test_one_point_is_the_one_weight_approximant(self, t, k):
+        spec = dict(inversion_test_family(make_space([0.25, 0.75]), 2))["modulated"]
+        (got,) = post_widder_points(provider_from_curve(spec, 1e-11), [(t, k)])
+        np.testing.assert_array_equal(got.values, one_weight_approximant(spec, t, k, 1e-11))
+        np.testing.assert_array_equal(post_widder(provider_from_curve(spec, 1e-11), t, k).values, got.values)
+
+    @pytest.mark.parametrize("t, k", [(0.7, 1), (0.5, 8), (1.0, 64), (2.0, 1024)])
+    def test_one_point_of_a_constant_is_its_closed_form(self, space2, t, k):
+        x = RnVector.of(space2, [[1.0, -2.0], [0.5, 3.0]])
+        (got,) = post_widder_points(constant_transform_provider(x), [(t, k)])
+        np.testing.assert_array_equal(got.values, closed_form_approximant(x, t, k))
+
+    def test_the_constant_points_from_one_call_are_their_own_calls(self, space2):
+        provider = constant_transform_provider(RnVector.of(space2, [[1.0, -2.0], [0.5, 3.0]]))
+        points = [(t, k) for t in (0.5, 1.0, 2.0) for k in (8, 64, 512, 1024, 1024)]
+        for (t, k), got in zip(points, post_widder_points(provider, points), strict=True):
+            np.testing.assert_array_equal(got.values, post_widder(provider, t, k).values)
+
+    def test_the_suite_points_from_one_call_match_their_own_calls(self):
+        members = [spec for name, spec in inversion_test_family(make_space([1.0]), 2) if name != "constant"]
+        provider = provider_from_curve(stack_specs(members), 1e-11)
+        listed = post_widder_points(provider, SUITE_POINTS)
+        assert len(listed) == 12
+        for (t, k), got in zip(SUITE_POINTS, listed):
+            np.testing.assert_allclose(got.values, post_widder(provider, t, k).values, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param((0.0, 8), id="time-zero"),
+        pytest.param((-1.0, 8), id="negative-time"),
+        pytest.param((math.inf, 8), id="infinite-time"),
+        pytest.param((1.0, 0), id="order-zero"),
+        pytest.param((1.0, 2.5), id="fractional-order"),
+        pytest.param((1e-320, 8), id="coefficient-overflows"),
+    ])
+    @pytest.mark.parametrize("where", [0, 7, 12])
+    def test_a_bad_point_raises_its_own_error_before_any_sample(self, bad, where):
+        spec, samples = counted_decay(make_space([1.0]))
+        provider = provider_from_curve(spec, 1e-11)
+        with pytest.raises(Exception) as alone:
+            post_widder(provider, *bad)
+        assert samples == []
+        with pytest.raises(type(alone.value)) as listed:
+            post_widder_points(provider, SUITE_POINTS[:where] + [bad] + SUITE_POINTS[where:])
+        assert str(listed.value) == str(alone.value)
+        assert samples == []
+        post_widder_points(provider, SUITE_POINTS)
+        assert samples  # the counter sees the samples of a good list
+
+    def test_the_first_bad_point_in_list_order_is_named(self):
+        spec, samples = counted_decay(make_space([1.0]))
+        with pytest.raises(ValueError, match="got 0"):
+            post_widder_points(provider_from_curve(spec, 1e-11), [(1.0, 8), (1.0, 0), (0.0, 8)])
+        assert samples == []
+
+    def test_overflow_is_named_after_the_provider_call(self, space1):
+        ones = RnVector.of(space1, [[1.0]])
+        provider = TransformDerivativeProvider(space1, 1, lambda points: [(ones, np.zeros(1)) for _ in points])
+        with pytest.raises(CoefficientOverflow, match="k=1, t=1e-160"):
+            post_widder_points(provider, [(1.0, 8), (1e-160, 1)])
+
+    def test_a_provider_must_answer_every_point(self, space1):
+        ones = RnVector.of(space1, [[1.0]])
+        provider = TransformDerivativeProvider(space1, 1, lambda points: [(ones, np.zeros(1))] * 2)
+        with pytest.raises(ValueError, match="2 derivatives for 1 points"):
+            post_widder(provider, 1.0, 8)
 
 
 # per atom: decay rate a, log10 of the scale of x, and x's coordinates before
@@ -508,6 +618,14 @@ class TestTransformsEqual:
         spec2 = self.make_decay(space2, scale=1.0 + 1e-14)
         report = transforms_equal(spec1, spec2, [1.0, 2.0, 4.0], 1e-6)
         assert report.equal
+
+    @pytest.mark.parametrize("atoms", [1, 4])
+    def test_a_curve_against_itself_has_gaps_of_exactly_zero(self, atoms):
+        space = random_space(atoms)
+        spec = oscillating_decay_specs(rng_for(atoms, "self-gap"), space, 2, n=1)[0]
+        report = transforms_equal(spec, spec, [1.0, 2.0, 4.0, 8.0], 1e-6)
+        assert report.gaps == (0.0,) * 4
+        assert report.equal and report.worst_gap == 0.0
 
     def test_empty_grid_rejected(self, space2):
         spec = self.make_decay(space2)
@@ -660,11 +778,12 @@ class TestAtomConstantFamily:
             return provider_from_curve(stack_specs(members), 1e-11)
 
         one, many = provider(make_space([1.0])), provider(space)
-        for t in (0.5, 1.0, 2.0):
-            for k in (8, 64, 512, 1024):
-                want = post_widder(one, t, k).values.reshape(3, 1, 2)
-                got = post_widder(many, t, k).values.reshape(3, space.n_atoms, 2)
-                np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+        # the suite's one list call, and each point's own call
+        listed = zip(post_widder_points(one, SUITE_POINTS), post_widder_points(many, SUITE_POINTS))
+        single = ((post_widder(one, t, k), post_widder(many, t, k)) for t, k in SUITE_POINTS)
+        for want, got in (*listed, *single):
+            want, got = want.values.reshape(3, 1, 2), got.values.reshape(3, space.n_atoms, 2)
+            np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
 
     @pytest.mark.parametrize("space", ATOM_SPACES)
     def test_uniqueness_curves_are_the_one_atom_result_on_every_atom(self, space, monkeypatch):

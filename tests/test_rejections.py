@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rnsl import (
+    BoundViolated,
     CurveSampler,
     DimMismatch,
     EtaNotInGxi,
@@ -18,6 +19,8 @@ from rnsl import (
     L0Operator,
     L0Scalar,
     L0Set,
+    LaplaceSpec,
+    MaxPanelsExceeded,
     NegativeTime,
     NonFiniteValue,
     RnVector,
@@ -98,18 +101,41 @@ def test_calculus_rejects(build, error):
     check(build, error, None)
 
 
-@pytest.mark.parametrize("build,error", [
+def damped(M, xi):
+    """exp(-s) X2 on [0, inf), certified by (M, xi) per atom of S2."""
+    bound = ExponentialBound(L0Scalar.of(S2, M), L0Scalar.of(S2, xi))
+    return LaplaceSpec(curve(end=math.inf, evaluator=lambda t: X2.scale(math.exp(-t)), bound=bound))
+
+
+@pytest.mark.parametrize("build,error,atom", [
     pytest.param(
         lambda: transforms_equal(decay(S2, 2), decay(S1, 2), [1.0], 1e-6),
-        SpaceMismatch, id="transforms-on-different-spaces",
+        SpaceMismatch, None, id="transforms-on-different-spaces",
     ),
     pytest.param(
         lambda: transforms_equal(decay(S2, 2), decay(S2, 3), [1.0], 1e-6),
-        DimMismatch, id="transforms-of-different-dims",
+        DimMismatch, None, id="transforms-of-different-dims",
+    ),
+    # the two curves are integrated as one on two copies of S2; an error names the atom of S2
+    pytest.param(
+        lambda: transforms_equal(damped([4.0, 4.0], [0.0, 0.0]), damped([4.0, 4.0], [0.0, 2.0]), [4.0, 1.0], 1e-6),
+        EtaNotInGxi, 1, id="transforms-eta-outside-the-second-domain",
+    ),
+    pytest.param(
+        lambda: transforms_equal(damped([4.0, 4.0], [0.0, 2.0]), damped([4.0, 4.0], [3.0, 0.0]), [1.0], 1e-6),
+        EtaNotInGxi, 1, id="transforms-first-curve-refused-first",
+    ),
+    pytest.param(
+        lambda: transforms_equal(damped([4.0, 4.0], [0.0, 0.0]), damped([4.0, 4e8], [0.0, 0.0]), [1.0], 4e-9),
+        MaxPanelsExceeded, 1, id="transforms-tolerance-below-the-second-resolution",
     ),
 ])
-def test_laplace_rejects(build, error):
-    check(build, error, None)
+def test_laplace_rejects(build, error, atom):
+    with pytest.raises(error) as exc:
+        build()
+    if atom is not None:
+        assert exc.value.atom == atom
+        assert f"on atom {atom}" in str(exc.value)
 
 
 @pytest.mark.parametrize("build,error,atom", [
@@ -199,6 +225,27 @@ F2 = L0Scalar.of(S2, [1.0, -2.0])
 ])
 def test_l0_rejects(build, error):
     check(build, error, None)
+
+
+@pytest.mark.parametrize("build,error,atom,t", [
+    pytest.param(
+        lambda: LaplaceSpec(curve(end=math.inf, evaluator=lambda t: X2, bound=BOUND2)),
+        BoundViolated, 0, 1e-3, id="escape-carries-its-time",
+    ),
+    pytest.param(lambda: BOUND2.margin(-1.0), EtaNotInGxi, 0, None, id="damping-has-no-time"),
+    pytest.param(
+        lambda: damped_weighted_integral(curve(end=math.inf, bound=BOUND2), 1.0, 0, 1e-30),
+        MaxPanelsExceeded, 0, None, id="panel-budget-has-no-time",
+    ),
+])
+def test_only_an_envelope_escape_carries_a_time(build, error, atom, t):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.value.atom == atom
+    if t is None:
+        assert not hasattr(exc.value, "t")
+    else:
+        assert exc.value.t == t
 
 
 def test_reporting_removes_the_temporary_file_of_a_failed_write(tmp_path):

@@ -43,7 +43,15 @@ t = 1 and k in {64, 512} of the three quadrature members of
 (``oscillating_decay_stack`` and ``stack_specs``).  The ``post_widder``
 case also runs at one atom, the ``post_widder`` suite's own unit of work,
 since that suite integrates the atom-constant inversion family on one
-atom.  One case times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
+atom.  The ``post_widder_ladder`` case times that suite's 12 quadrature
+points, t in {0.5, 1, 2} and k in {8, 64, 512, 1024}, as its one
+``laplace.post_widder_points`` call, at 1 and 64 atoms and d = 2; a tree
+without that call makes the 12 ``post_widder`` calls instead.  The
+``transforms_equal`` case times ``laplace.transforms_equal`` of the
+family's ``decay_1`` and ``modulated`` members on the ``uniqueness_3_6``
+suite's damping grid {1, 2, 4, 8} at its tolerance 1e-6, at 1 and 64
+atoms and d = 2.  One case
+times ``calculus.riemann_integral`` over [0, 2] to 1e-8, the
 ``calculus_ftc`` suite's quadrature tolerance, of the derivative of one
 ``smooth_curve_family`` member, over the same n and d.  One case times
 ``semigroup.yosida_approximant`` at t = 1 over the same n and d, on the
@@ -107,6 +115,13 @@ TRANSFORM_CURVES = 20
 TRANSFORM_GAMMA = 2.0
 TRANSFORM_TOL = 2.5e-9
 INVERSION_ORDERS = (64, 512)
+# the post_widder suite's inversion times and the transform_inversion workload's k ladder
+LADDER_TIMES = (0.5, 1.0, 2.0)
+LADDER_ORDERS = (8, 64, 512, 1024)
+LADDER_ATOMS = (1, 64)
+# the uniqueness_3_6 suite's damping grid and default tolerance
+UNIQUENESS_GRID = (1.0, 2.0, 4.0, 8.0)
+UNIQUENESS_TOL = 1e-6
 ORBIT_ORDERS = (64, 512)
 # the calculus_ftc suite's quadrature tolerance
 FTC_TOL = 1e-8
@@ -148,6 +163,8 @@ def cases() -> list[dict]:
         for n in (1, *ATOMS)
         for k in INVERSION_ORDERS
     ]
+    out += [{"kernel": "post_widder_ladder", "atoms": n, "dim": TRANSFORM_DIM} for n in LADDER_ATOMS]
+    out += [{"kernel": "transforms_equal", "atoms": n, "dim": TRANSFORM_DIM} for n in LADDER_ATOMS]
     out += [{"kernel": "riemann_integral", "atoms": n, "dim": d} for n in ATOMS for d in DIMS]
     out += [
         {"kernel": "yosida_approximant", "atoms": n, "dim": d, "stacked": stacked}
@@ -185,9 +202,17 @@ def transform_call(rnsl, space, case):
             return lambda: rnsl.LaplaceSpec(spec.curve)
         eta = rnsl.L0Scalar.of(spec.space, spec.bound.xi.values + TRANSFORM_GAMMA)
         return lambda: rnsl.laplace_transform(spec, eta, TRANSFORM_TOL)
+    if case["kernel"] == "transforms_equal":
+        family = dict(inversion_test_family(space, d))
+        return lambda: rnsl.transforms_equal(family["decay_1"], family["modulated"], UNIQUENESS_GRID, UNIQUENESS_TOL)
     specs = [spec for name, spec in inversion_test_family(space, d) if name != "constant"]
     provider = rnsl.provider_from_curve(rnsl.stack_specs(specs), 1e-11)
-    return lambda: rnsl.post_widder(provider, 1.0, case["k"])
+    if case["kernel"] == "post_widder":
+        return lambda: rnsl.post_widder(provider, 1.0, case["k"])
+    points = [(t, k) for k in LADDER_ORDERS for t in LADDER_TIMES]
+    if hasattr(rnsl, "post_widder_points"):
+        return lambda: rnsl.post_widder_points(provider, points)
+    return lambda: [rnsl.post_widder(provider, t, k) for t, k in points]
 
 
 def family_call(rnsl, W, case):
@@ -302,7 +327,7 @@ def case_call(rnsl, case):
     if case["kernel"] == "scenario_from_dict":
         doc = scenario_doc(q, a, c)
         return lambda: rnsl.scenario_from_dict(doc)
-    if case["kernel"] in ("LaplaceSpec", "laplace_transform", "post_widder"):
+    if case["kernel"] in ("LaplaceSpec", "laplace_transform", "post_widder", "post_widder_ladder", "transforms_equal"):
         return transform_call(rnsl, space, case)
     if case["kernel"] == "riemann_integral":
         _, small_g = smooth_curve_family(np.random.default_rng(n), space, d, n=1)[0]
