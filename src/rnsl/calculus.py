@@ -640,18 +640,3 @@ def damped_weighted_integral(g: CurveSampler, eta, k: int, tol_scaled) -> Weight
     This is the one-weight call of damped_weighted_integrals.
     """
     return damped_weighted_integrals(g, [(eta, k, tol_scaled)])[0]
-
-
-def improper_integral(g: CurveSampler, eta, tol: float) -> QuadratureResult:
-    """Integrate exp(-eta s) g(s) over [0, inf) within tol per atom.
-
-    The curve's certificate ||g(s)|| <= M exp(xi s) truncates the tail at a
-    horizon where M exp(-(eta - xi) T) / (eta - xi) <= tol/2; the remaining
-    finite integral is done adaptively with the other tol/2.
-    """
-    res = damped_weighted_integral(g, eta, 0, float(tol))
-    return QuadratureResult(
-        value=res.scaled_value,
-        est_error=float(res.est_error.max()),
-        panels=res.panels,
-    )

@@ -8,9 +8,11 @@ and ``locally_convex`` (worst atom gap, uniform convergence).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import (
     NonPositiveProbability,
     ProbabilitiesDoNotSumToOne,
     SpaceMismatch,
+    _AtomError,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -75,6 +78,28 @@ def stacked_space(space: ProbabilitySpace, copies: int) -> ProbabilitySpace:
     if copies < 1 or copies != int(copies):
         raise ValueError(f"copies must be a positive integer, got {copies!r}")
     return make_space(np.tile(space.probs / int(copies), int(copies)))
+
+
+def by_copy(values: np.ndarray, n: int) -> np.ndarray:
+    """Values with one leading entry per stacked atom, as (copies, n, ...): [j, a] is copy j's atom a."""
+    return values.reshape((-1, n) + values.shape[1:])
+
+
+@contextlib.contextmanager
+def own_atoms(n: int) -> Iterator[None]:
+    """Errors of a computation on copies of an n-atom space name an atom of that space.
+
+    An atom error raised inside on stacked atom j*n + a is re-raised as the
+    same object naming atom a, in its ``atom`` attribute and its message.
+    """
+    try:
+        yield
+    except _AtomError as err:
+        if err.atom is not None and err.atom >= n:
+            a = err.atom % n
+            err.args = (re.sub(rf"\batom {err.atom}\b", f"atom {a}", str(err), count=1),)
+            err.atom = a
+        raise
 
 
 def _as_array(space: ProbabilitySpace, values) -> np.ndarray:

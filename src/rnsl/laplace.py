@@ -31,11 +31,10 @@ from .errors import (
     CertificateMissing,
     CoefficientOverflow,
     DimMismatch,
-    MaxPanelsExceeded,
     NonPositiveTime,
     SpaceMismatch,
 )
-from .l0 import L0Scalar, ProbabilitySpace, stacked_space
+from .l0 import L0Scalar, ProbabilitySpace, own_atoms, stacked_space
 from .rn import ExponentialBound, RnVector, _check_envelope, block_norms
 
 BOUND_CHECK_POINTS = 64
@@ -302,16 +301,8 @@ def transforms_equal(
     # panel set; both certificates were checked when the specs were made
     curve = _stacked_curve([spec1, spec2])
     weights = [(L0Scalar.of(curve.space, np.tile(eta.values, 2)), 0, tol / 4.0) for eta in etas]
-    n = spec1.space.n_atoms
-    try:
+    with own_atoms(spec1.space.n_atoms):
         results = damped_weighted_integrals(curve, weights)
-    except MaxPanelsExceeded as err:
-        if err.atom is None or err.atom < n:
-            raise
-        a = err.atom - n  # copy 1 of the stack is the second curve
-        raise MaxPanelsExceeded(
-            str(err).replace(f"on atom {err.atom}", f"on atom {a} of the second curve"), atom=a
-        ) from None
     values = np.stack([res.scaled_value.values for res in results])
     h1, h2 = np.split(values, 2, axis=1)
     gaps = [float(g) for g in block_norms(h1 - h2).max(axis=1)]

@@ -26,8 +26,8 @@ from .calculus import (
     _NODES,
     CurveSampler,
     _weight_log_scale,
+    damped_weighted_integral,
     damped_weighted_integrals,
-    improper_integral,
 )
 from .errors import (
     EtaInSpectrum,
@@ -85,10 +85,14 @@ class CSemigroup:
     def at(self, ts) -> np.ndarray:
         """exp(t generator) C at every time of ``ts``: shape (len(ts), n_atoms, d, d).
 
+        The family lives on t >= 0: a negative time raises NegativeTime.
         Each block has the bits of ``matrix_exp_times(generator, ts) @ C``
         whatever the other times of the call.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
+        negative = ts[ts < 0.0]
+        if negative.size:
+            raise NegativeTime(f"family parameter must be nonnegative, got {float(negative[0])!r}")
         _check_finite(ts, "time")
         with np.errstate(over="ignore", invalid="ignore"):
             mats = _expm_powers(*self._taylor, ts) @ self.C.matrices
@@ -96,8 +100,6 @@ class CSemigroup:
         return mats
 
     def operator_at(self, t: float) -> L0Operator:
-        if t < 0.0:
-            raise NegativeTime(f"family parameter must be nonnegative, got {t!r}")
         return L0Operator.of(self.space, self.at([t])[0])
 
 
@@ -216,7 +218,7 @@ def _damped_orbit(W: CSemigroup, x: RnVector) -> CurveSampler:
 def c_resolvent_integral(W: CSemigroup, eta, x: RnVector, tol: float) -> RnVector:
     """Resolvent route through the transform of the orbit t -> W(t)x, as its damped orbit's at eta - xi."""
     gamma = W.bound.margin(eta)
-    return improper_integral(_damped_orbit(W, x), L0Scalar.of(W.space, gamma), tol).value
+    return damped_weighted_integral(_damped_orbit(W, x), L0Scalar.of(W.space, gamma), 0, tol).scaled_value
 
 
 def _eta_minus(A: L0Operator, eta) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .acp import Trajectory, direct_value_problem, resolvent_seeded_problem, rk4_oracle, solve_acp
 from .calculus import CurveSampler, derivative, riemann_integral
-from .errors import MissingSuiteData, RnslError, UnknownSuite
+from .errors import MissingSuiteData, UnknownSuite
 from .instances import (
     constant_transform_provider,
     inversion_test_family,
@@ -31,7 +31,7 @@ from .instances import (
     rng_for,
     smooth_curve_family,
 )
-from .l0 import L0Scalar, ProbabilitySpace, make_space, stacked_space
+from .l0 import L0Scalar, ProbabilitySpace, by_copy, make_space, own_atoms, stacked_space
 from .laplace import (
     LaplaceSpec,
     laplace_derivative,
@@ -185,32 +185,28 @@ def _laplace_stack(scn: Scenario) -> LaplaceSpec:
     return oscillating_decay_stack(rng, scn.space, scn.dim, n=20)
 
 
-def _copies(values: np.ndarray, n: int) -> np.ndarray:
-    """Values on a stacked space with one leading entry per copy of its n atoms."""
-    return values.reshape((-1, n) + values.shape[1:])
-
-
 def _add_by_copy(worst: _Worst, n: int, *stacked: np.ndarray) -> None:
     """Add per-atom gaps on a stacked space copy by copy, each copy's arrays in turn.
 
     That is the order of a loop over the stacked curves, so the first curve
     to reach the largest gap still supplies the atom, an atom of one copy.
     """
-    for copy in zip(*(_copies(gaps, n) for gaps in stacked)):
+    for copy in zip(*(by_copy(gaps, n) for gaps in stacked)):
         for gaps in copy:
             worst.add(gaps)
 
 
 def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("laplace_bound")
-    stack = _laplace_stack(scn)
-    m = stack.bound.M.values
-    xi = stack.bound.xi.values
     excesses = []
-    for gamma in scn.eta_grid:
-        eta = L0Scalar.of(stack.space, xi + gamma)
-        h = laplace_transform(stack, eta, tol / 4.0)
-        excesses.append(l0_norm(h).values - m / gamma)
+    with own_atoms(scn.space.n_atoms):
+        stack = _laplace_stack(scn)
+        m = stack.bound.M.values
+        xi = stack.bound.xi.values
+        for gamma in scn.eta_grid:
+            eta = L0Scalar.of(stack.space, xi + gamma)
+            h = laplace_transform(stack, eta, tol / 4.0)
+            excesses.append(l0_norm(h).values - m / gamma)
     excess = _Worst(-math.inf)
     _add_by_copy(excess, scn.space.n_atoms, *excesses)
     records = [excess.le("transform_bound", tol)]
@@ -220,13 +216,14 @@ def _suite_laplace_bound(scn: Scenario) -> SuiteReport:
 def _suite_lemma_3_4(scn: Scenario) -> SuiteReport:
     tol = scn.tolerance("lemma_3_4")
     delta = 3e-4
-    stack = _laplace_stack(scn)
     gamma = scn.eta_grid[len(scn.eta_grid) // 2]
-    xi = stack.bound.xi.values
-    eta = L0Scalar.of(stack.space, xi + gamma)
-    analytic = laplace_derivative(stack, eta, 1, 1e-10)
-    plus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma + delta), 1e-10)
-    minus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma - delta), 1e-10)
+    with own_atoms(scn.space.n_atoms):
+        stack = _laplace_stack(scn)
+        xi = stack.bound.xi.values
+        eta = L0Scalar.of(stack.space, xi + gamma)
+        analytic = laplace_derivative(stack, eta, 1, 1e-10)
+        plus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma + delta), 1e-10)
+        minus = laplace_transform(stack, L0Scalar.of(stack.space, xi + gamma - delta), 1e-10)
     fd = (plus - minus).scale(1.0 / (2.0 * delta))
     worst = _Worst()
     _add_by_copy(worst, scn.space.n_atoms, l0_norm(analytic - fd).values)
@@ -261,13 +258,16 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
     # the other members are inverted by quadrature, as one curve on stacked
     # copies of the space, every (t, k) on one panel set; copy j is member j
     quadrature = [(name, spec) for name, spec in members if name != "constant"]
-    stack = stack_specs([spec for _, spec in quadrature])
     points = [(t, k) for k in ks for t in times]
-    approx = post_widder_points(provider_from_curve(stack, 1e-11), points)
-    distances = dict(zip(points, _gaps(approx, [stack.curve(t).values for t, _ in points]).tolist()))
+    with own_atoms(space.n_atoms):
+        stack = stack_specs([spec for _, spec in quadrature])
+        approx = post_widder_points(provider_from_curve(stack, 1e-11), points)
+    gaps = _gaps(approx, [stack.curve(t).values for t, _ in points])
+    member_gaps = by_copy(gaps.T, space.n_atoms).max(axis=1)  # per member, its copy's largest gap
     plot_errors = None
-    for j, (name, _) in enumerate(quadrature):
-        errors = {k: max(distances[t, k][j] for t in times) for k in ks}
+    for (name, _), member in zip(quadrature, member_gaps.tolist()):
+        distances = dict(zip(points, member))
+        errors = {k: max(distances[t, k] for t in times) for k in ks}
         ratio = 0.0
         for lo, hi in zip(ks, ks[1:]):
             ratio = max(ratio, errors[hi] / max(errors[lo], 1e-300))
@@ -276,7 +276,7 @@ def _suite_post_widder(scn: Scenario) -> SuiteReport:
             CheckRecord.le(f"final_error_{name}", errors[ks[-1]], 0.0, final_tol)
         )
         if name == "decay_1":
-            plot_errors = [distances[1.0, k][j] for k in ks]
+            plot_errors = [distances[1.0, k] for k in ks]
     data = {}
     if plot_errors is not None:
         data = {"member": "decay_1", "t": 1.0, "k": list(ks), "error": plot_errors}
@@ -488,15 +488,11 @@ def _suite_yosida_convergence(scn: Scenario) -> SuiteReport:
     stack = stacked_space(scn.space, m)
     A, C = (L0Operator.of(stack, np.tile(op.matrices, (m, 1, 1))) for op in (scn.A, scn.C))
     etas = L0Scalar.of(stack, np.repeat(scn.eta_sequence, n))
-    try:
+    with own_atoms(n):
         approx = yosida_approximant(A, C, etas, t, RnVector.constant(stack, coords))
-    except RnslError:
-        for eta in scn.eta_sequence:  # the first eta's own error, naming an atom of the scenario
-            yosida_approximant(scn.A, scn.C, eta, t, x)
-        raise
     errors = [
         vector_distance(RnVector.of(scn.space, copy), reference, "locally_convex")
-        for copy in _copies(approx.values, n)
+        for copy in by_copy(approx.values, n)
     ]
     if errors[0] <= 1e-14:
         shrink = 0.0

@@ -1,5 +1,8 @@
 """Batch neutrality: a per-atom kernel gives each atom the same bits whatever the other atoms of the call."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from rnsl import (
     ExponentialBound,
     L0Operator,
     L0Scalar,
+    MaxPanelsExceeded,
     RnVector,
     c_resolvent_direct,
     check_injective,
@@ -23,6 +27,8 @@ from rnsl import (
 from rnsl.instances import random_commuting_pair, rng_for
 from rnsl.rn import block_norms, log_norm_bounds, spectral_norms
 from rnsl.suites import SUITES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SIZES = [(n, d) for n in (1, 64) for d in (1, 2, 4, 16)] + [(1024, 2)]
 TIMES = (0.0, 0.25, 0.5)
@@ -108,3 +114,32 @@ def test_a_singular_damping_of_the_stacked_yosida_grid_names_the_scenario_atom()
     with pytest.raises(EtaInSpectrum, match="on atom 2 ") as caught:
         SUITES["yosida_convergence"](scn)
     assert caught.value.atom == 2
+
+
+def test_the_stacked_yosida_grid_reports_a_singular_damping_before_an_earlier_overflow():
+    # at eta = 20.001 atom 0's exponent is about 4e5, so its exponential
+    # overflows (NonFiniteValue, no atom); eta = 40 is atom 1's eigenvalue.
+    # The stacked call checks every eta - A before any exponential.
+    rates = [[20.0, -1.0], [40.0, -1.0]]
+    scn = scenario_from_dict({
+        "space": {"probs": [0.5, 0.5]},
+        "dim": 2,
+        "operators": {"A": {"matrices": [np.diag(r).tolist() for r in rates]}, "C": {"matrix": np.eye(2).tolist()}},
+        "bound": {"M": 1.0, "xi": 40.0},
+        "eta_sequence": [20.001, 40.0],
+        "suites": ["yosida_convergence"],
+    })
+    with pytest.raises(EtaInSpectrum, match="on atom 1 ") as caught:
+        SUITES["yosida_convergence"](scn)
+    assert caught.value.atom == 1
+
+
+def test_a_refused_tolerance_of_the_stacked_transforms_names_the_scenario_atom():
+    # laplace_bound takes 20 curves on 20 copies of the scenario's 4 atoms; the
+    # tolerance is first refused on stacked atom 6 * 4 + 1 = 25, which is atom 1
+    doc = json.loads((ROOT / "scenarios" / "reference.json").read_text(encoding="utf-8"))
+    doc["tolerances"] = {**doc.get("tolerances", {}), "laplace_bound": 2.2e-15}
+    doc["suites"] = ["laplace_bound"]
+    with pytest.raises(MaxPanelsExceeded, match=r"tolerance 5\.5e-16 on atom 1 is below") as caught:
+        SUITES["laplace_bound"](scenario_from_dict(doc))
+    assert caught.value.atom == 1

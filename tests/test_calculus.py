@@ -28,7 +28,6 @@ from rnsl import (
     damped_weighted_integral,
     damped_weighted_integrals,
     derivative,
-    improper_integral,
     l0_norm,
     make_space,
     riemann_integral,
@@ -137,8 +136,8 @@ class TestImproperIntegral:
         x = RnVector.of(space2, [[3.0, 4.0], [1.0, 0.0]])
         bound = ExponentialBound(l0_norm(x), L0Scalar.zero(space2))
         g = CurveSampler(space2, 2, 0.0, math.inf, lambda s: x, bound=bound)
-        res = improper_integral(g, L0Scalar.constant(space2, 2.0), 1e-9)
-        np.testing.assert_allclose(res.value.values, 0.5 * x.values, atol=1e-8)
+        res = damped_weighted_integral(g, L0Scalar.constant(space2, 2.0), 0, 1e-9)
+        np.testing.assert_allclose(res.scaled_value.values, 0.5 * x.values, atol=1e-8)
 
     def test_per_atom_exponential_rates(self, space2):
         x = RnVector.of(space2, [[1.0, 2.0], [1.0, 2.0]])
@@ -149,14 +148,14 @@ class TestImproperIntegral:
             return RnVector.of(space2, np.exp(rates * s)[:, None] * x.values)
 
         g = CurveSampler(space2, 2, 0.0, math.inf, h, bound=bound)
-        res = improper_integral(g, L0Scalar.constant(space2, 2.0), 1e-9)
+        res = damped_weighted_integral(g, L0Scalar.constant(space2, 2.0), 0, 1e-9)
         want = (1.0 / (2.0 - rates))[:, None] * x.values
-        np.testing.assert_allclose(res.value.values, want, atol=1e-8)
+        np.testing.assert_allclose(res.scaled_value.values, want, atol=1e-8)
 
     @pytest.mark.parametrize("call", [
         lambda g, eta: damped_weighted_integral(g, eta, 2, 1e-9).scaled_value,
         lambda g, eta: damped_weighted_integrals(g, [(eta, 0, 1e-9)])[0].scaled_value,
-        lambda g, eta: improper_integral(g, eta, 1e-9).value,
+        lambda g, eta: damped_weighted_integral(g, eta, 0, 1e-9).scaled_value,  # the plain transform
     ], ids=["damped_weighted_integral", "damped_weighted_integrals", "improper_integral"])
     def test_a_number_eta_is_a_constant_scalar(self, space2, call):
         x = RnVector.of(space2, [[1.0, 2.0], [3.0, 0.0]])
@@ -171,14 +170,14 @@ class TestImproperIntegral:
         bound = ExponentialBound(l0_norm(x), L0Scalar.zero(space2))
         g = CurveSampler(space2, 2, 0.0, math.inf, lambda s: x, bound=bound)
         with pytest.raises(EtaNotInGxi) as exc:
-            improper_integral(g, L0Scalar.of(space2, [2.0, -2.0]), 1e-9)
+            damped_weighted_integral(g, L0Scalar.of(space2, [2.0, -2.0]), 0, 1e-9)
         assert exc.value.atom == 1
 
     def test_certificate_required(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [1.0, 0.0]])
         g = CurveSampler(space2, 2, 0.0, math.inf, lambda s: x)
         with pytest.raises(CertificateMissing):
-            improper_integral(g, L0Scalar.constant(space2, 2.0), 1e-9)
+            damped_weighted_integral(g, L0Scalar.constant(space2, 2.0), 0, 1e-9)
 
     def test_uncertifiable_tail_raises(self, space2):
         x = RnVector.of(space2, [[1.0, 0.0], [1.0, 0.0]])
@@ -186,7 +185,7 @@ class TestImproperIntegral:
         g = CurveSampler(space2, 2, 0.0, math.inf, lambda s: x, bound=bound)
         # half the smallest subnormal rounds to 0: no finite horizon meets it
         with pytest.raises(TailNotCertified):
-            improper_integral(g, L0Scalar.constant(space2, 2.0), 5e-324)
+            damped_weighted_integral(g, L0Scalar.constant(space2, 2.0), 0, 5e-324)
 
     def test_error_messages_print_plain_floats(self, space2):
         # numpy 2 prints a numpy scalar's repr as np.float64(...)
@@ -198,9 +197,9 @@ class TestImproperIntegral:
             bound=ExponentialBound(l0_norm(x), rates),
         )
         rejects = [
-            (EtaNotInGxi, lambda: improper_integral(g, L0Scalar.constant(space2, -2.5), 1e-9)),
+            (EtaNotInGxi, lambda: damped_weighted_integral(g, L0Scalar.constant(space2, -2.5), 0, 1e-9)),
             # raw samples underflow near s = 354, where the tail at gamma = 0.01 is still large
-            (MaxPanelsExceeded, lambda: improper_integral(g, L0Scalar.of(space2, [1.0, -1.99]), 1e-9)),
+            (MaxPanelsExceeded, lambda: damped_weighted_integral(g, L0Scalar.of(space2, [1.0, -1.99]), 0, 1e-9)),
             # a tolerance far below the double resolution of the certified integral
             (MaxPanelsExceeded, lambda: damped_weighted_integral(g, L0Scalar.one(space2), 0, 1e-300)),
         ]
@@ -284,9 +283,9 @@ class TestZeroDimension:
             damped_weighted_integrals(curve, [(2.0, 0, TOL), (0.5, 1, TOL)])
 
     def test_improper_integral(self, space2):
-        res = improper_integral(self.empty_curve(space2, math.inf), 2.0, TOL)
-        assert res.value.values.shape == (2, 0)
-        assert (res.est_error, res.panels) == (0.0, 0)
+        res = damped_weighted_integral(self.empty_curve(space2, math.inf), 2.0, 0, TOL)
+        assert res.scaled_value.values.shape == (2, 0)
+        assert (float(res.est_error.max()), res.panels) == (0.0, 0)
 
 
 class TestCalculusTheorems:
@@ -683,10 +682,10 @@ class TestRawSampleRefusal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MaxPanelsExceeded, match=r"s=7\.08.* on atom 0") as exc:
-                improper_integral(self.decay(1.0, -100.0), -99.0, 1e-9)
+                damped_weighted_integral(self.decay(1.0, -100.0), -99.0, 0, 1e-9)
             assert exc.value.atom == 0
-            res = improper_integral(self.decay(1.0, 0.0), 1.0, 1e-9)
-        assert abs(res.value.values[0, 0] - 1.0) <= 1e-9
+            res = damped_weighted_integral(self.decay(1.0, 0.0), 1.0, 0, 1e-9)
+        assert abs(res.scaled_value.values[0, 0] - 1.0) <= 1e-9
 
     def test_reach_per_atom(self):
         space = uniform_space(5)

@@ -89,12 +89,8 @@ def test_transform_cases_run_one_stacked_curve(kernel, curves):
     )
 
 
-@pytest.mark.parametrize("listed", [True, False])
-def test_ladder_case_times_the_suite_points(listed, monkeypatch):
-    # a tree without post_widder_points makes the 12 calls one by one
+def test_ladder_case_times_the_suite_points():
     sweep = load_sweep()
-    if not listed:
-        monkeypatch.delattr(rnsl, "post_widder_points")
     space = rnsl.make_space([0.25, 0.75])
     approximants = sweep.transform_call(rnsl, space, {"kernel": "post_widder_ladder", "atoms": 2, "dim": 2})()
     specs = [spec for name, spec in inversion_test_family(space, 2) if name != "constant"]

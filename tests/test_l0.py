@@ -1,6 +1,7 @@
 """Scalar layer: space construction, pointwise algebra, indicators, metrics."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnsl import (
+    BoundViolated,
     DivisionByZeroOnAtom,
     EmptyAtomList,
     EmptyFamily,
     L0Scalar,
     L0Set,
+    MaxPanelsExceeded,
     NonFiniteValue,
     NonPositiveProbability,
     ProbabilitiesDoNotSumToOne,
@@ -25,6 +28,7 @@ from rnsl import (
     make_space,
     pointwise,
 )
+from rnsl.l0 import own_atoms
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -279,3 +283,44 @@ def test_lattice_idempotent_commutative_associative(vals, op):
     left = lattice(op, [lattice(op, [f, g]), h])
     right = lattice(op, [f, lattice(op, [g, h])])
     np.testing.assert_array_equal(left.values, right.values)
+
+
+class TestOwnAtoms:
+    """Errors from a computation on stacked copies of an n-atom space name atom ``atom % n``."""
+
+    @staticmethod
+    def escape_on(atom: int):
+        raise BoundViolated(f"curve norm 2.0 exceeds its envelope 1.0 at s=0.25 on atom {atom}", atom=atom, t=0.25)
+
+    def test_a_stacked_atom_is_renamed_in_the_same_error(self):
+        with pytest.raises(BoundViolated) as exc:
+            with own_atoms(4):
+                self.escape_on(14)  # copy 3, atom 2
+        err = exc.value
+        assert (err.atom, err.t) == (2, 0.25)
+        assert str(err) == "curve norm 2.0 exceeds its envelope 1.0 at s=0.25 on atom 2"
+        # the same object, raised where it was: its traceback still ends in the raising call
+        assert traceback.extract_tb(err.__traceback__)[-1].name == "escape_on"
+
+    def test_an_atom_below_n_is_left_untouched(self):
+        with pytest.raises(BoundViolated) as exc:
+            with own_atoms(4):
+                self.escape_on(3)
+        assert (exc.value.atom, exc.value.t) == (3, 0.25)
+        assert str(exc.value).endswith("on atom 3")
+
+    def test_only_the_atom_number_is_renamed(self):
+        # atom 12 of 10-atom copies is atom 2; the time s=12.0 stays
+        err = MaxPanelsExceeded("raw samples leave the double range at s=12.0 on atom 12", atom=12)
+        with pytest.raises(MaxPanelsExceeded) as exc:
+            with own_atoms(10):
+                raise err
+        assert exc.value is err
+        assert str(err) == "raw samples leave the double range at s=12.0 on atom 2"
+
+    def test_errors_without_an_atom_pass_through(self):
+        err = NonFiniteValue("infinite atom value")
+        with pytest.raises(NonFiniteValue) as exc:
+            with own_atoms(1):
+                raise err
+        assert exc.value is err and str(err) == "infinite atom value"

@@ -786,6 +786,20 @@ class TestAtomConstantFamily:
             np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
 
     @pytest.mark.parametrize("space", ATOM_SPACES)
+    def test_post_widder_records_are_the_one_atom_records(self, space, monkeypatch):
+        # every member's error is the largest over its own copy's atoms, so
+        # the suite on ``space`` reports what it reports on one atom
+        scn = load_scenario(str(ROOT / "scenarios" / "post_widder.json"))
+        one = suites.SUITES["post_widder"](scn)
+        monkeypatch.setattr(suites, "make_space", lambda probs: space)
+        many = suites.SUITES["post_widder"](scn)
+        assert [r.name for r in one.records][1:4] == [
+            "strict_decay_decay_1", "final_error_decay_1", "strict_decay_decay_half",
+        ]
+        assert many.records == one.records
+        assert many.data == one.data
+
+    @pytest.mark.parametrize("space", ATOM_SPACES)
     def test_uniqueness_curves_are_the_one_atom_result_on_every_atom(self, space, monkeypatch):
         def compared(space):
             # the suite's transforms_equal calls, with its curves built on ``space``

@@ -110,14 +110,34 @@ EXPORTS_WITHOUT_CALLER = {
     "PowerIterationDiverged": "perfbench/test_smoke.py imports it",
     "level_set": "ROADMAP item 4 decides it with L0Set",
     "expectation": "ROADMAP item 4 decides it with L0Set",
+    "lattice": "ROADMAP item 4 decides it with L0Set",
 }
 
 
-def referenced_names(path: Path) -> set[str]:
-    """Every name a module refers to: as a name, as an attribute, or as the source name of an import."""
+def module_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: its functions, classes and assigned names."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module refers to in a way that can reach an export.
+
+    That is the source name of an import, an attribute, or a name that the
+    module binds at its top level.  A local variable that only shares an
+    export's name, such as a function's own ``lattice``, reaches nothing.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = module_bindings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in top:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)

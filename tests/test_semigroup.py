@@ -493,6 +493,15 @@ class TestEvaluate:
         with pytest.raises(NegativeTime):
             evaluate(W, -0.1, RnVector.of(space2, [[1.0], [1.0]]))
 
+    def test_at_rejects_a_negative_time(self, space1):
+        # with A = -1, exp(-tA) at t = -1 is e: a value outside the family's domain t >= 0
+        A = L0Operator.of(space1, [[[-1.0]]])
+        C = L0Operator.identity(space1, 1)
+        W = make_matrix_semigroup(A, C, ExponentialBound.constant(space1, 1.0, -1.0))
+        for call in (lambda: W.at([-1.0]), lambda: W.at([0.0, 0.5, -1.0]), lambda: W.operator_at(-1.0)):
+            with pytest.raises(NegativeTime, match=r"nonnegative, got -1\.0$"):
+                call()
+
     @pytest.mark.parametrize("dim", [1, 4, 16])
     @pytest.mark.parametrize("atoms", [1, 1024])
     def test_at_is_bitwise_the_stacked_exponential_times_c(self, atoms, dim):

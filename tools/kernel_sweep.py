@@ -27,9 +27,8 @@ eta = xi + 2 to 1e-8 (``lemma_4_6``), ``acp.solve_acp`` on the time grid
 of 21 points over [0, 1] and ``acp.rk4_oracle`` on that grid at step 2e-3
 (``acp_5_1``); ``calculus.damped_weighted_integral`` of the family's orbit
 at eta = xi + 2 and k in {64, 512}, to 1e-8 of the largest scaled
-certificate integral on every atom, on the orbit the tree's resolvent
-routes integrate (the damped orbit exp(s(A - xi)) C x at gamma = 2 where
-``semigroup._damped_orbit`` exists, else W(s) x at eta); and
+certificate integral on every atom, on the damped orbit
+exp(s(A - xi)) C x at gamma = 2 that the resolvent routes integrate; and
 ``scenario.scenario_from_dict`` over the same n and d, on a document
 shaped like the benchmark's ``wide_semigroup`` scenario (per-atom A and C
 matrices and a per-atom certificate).  Three cases time
@@ -45,8 +44,7 @@ case also runs at one atom, the ``post_widder`` suite's own unit of work,
 since that suite integrates the atom-constant inversion family on one
 atom.  The ``post_widder_ladder`` case times that suite's 12 quadrature
 points, t in {0.5, 1, 2} and k in {8, 64, 512, 1024}, as its one
-``laplace.post_widder_points`` call, at 1 and 64 atoms and d = 2; a tree
-without that call makes the 12 ``post_widder`` calls instead.  The
+``laplace.post_widder_points`` call, at 1 and 64 atoms and d = 2.  The
 ``transforms_equal`` case times ``laplace.transforms_equal`` of the
 family's ``decay_1`` and ``modulated`` members on the ``uniqueness_3_6``
 suite's damping grid {1, 2, 4, 8} at its tolerance 1e-6, at 1 and 64
@@ -210,9 +208,7 @@ def transform_call(rnsl, space, case):
     if case["kernel"] == "post_widder":
         return lambda: rnsl.post_widder(provider, 1.0, case["k"])
     points = [(t, k) for k in LADDER_ORDERS for t in LADDER_TIMES]
-    if hasattr(rnsl, "post_widder_points"):
-        return lambda: rnsl.post_widder_points(provider, points)
-    return lambda: [rnsl.post_widder(provider, t, k) for t, k in points]
+    return lambda: rnsl.post_widder_points(provider, points)
 
 
 def family_call(rnsl, W, case):
@@ -232,10 +228,7 @@ def orbit_call(rnsl, W, case):
 
     x = rnsl.RnVector.constant(W.space, np.full(W.dim, 1.0 / np.sqrt(W.dim)))
     k = case["k"]
-    if hasattr(semigroup, "_damped_orbit"):
-        curve, eta = semigroup._damped_orbit(W, x), rnsl.L0Scalar.constant(W.space, ORBIT_GAMMA)
-    else:
-        curve, eta = semigroup._orbit_curve(W, x), rnsl.L0Scalar.of(W.space, W.bound.xi.values + ORBIT_GAMMA)
+    curve, eta = semigroup._damped_orbit(W, x), rnsl.L0Scalar.constant(W.space, ORBIT_GAMMA)
     # one tolerance for every atom, ORBIT_TOL of the largest certificate integral
     # M k! / gamma^(k+1) in the tree's scaled form
     log_whole = math.lgamma(k + 1.0) - (k + 1.0) * math.log(ORBIT_GAMMA) - rnsl.calculus._weight_log_scale(k, eta.values)
