@@ -173,10 +173,11 @@ def _json_text(value, pad: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte for byte."""
-    text = _json_text(payload, "") + "\n"
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def write_json(path: str, payload: dict) -> int:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte for byte; return the byte count."""
+    blob = (_json_text(payload, "") + "\n").encode("utf-8")
+    _atomic_write_bytes(path, blob)
+    return len(blob)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -580,12 +580,8 @@ def _suite_acp_5_1(scn: Scenario) -> SuiteReport:
         agree.add(gaps[int(gaps.max(axis=1).argmax())])
     records.append(agree.le("oracle_agreement", oracle_tol))
 
-    # the one-atom table on every atom of the scenario, times outer
-    n = scn.space.n_atoms
-    one_atom = _columns("acp_trajectory", coarse.to_csv_rows())
-    table = {c: np.repeat(v, n).tolist() for c, v in one_atom.items()}
-    table["atom"] = np.tile(np.arange(n), len(coarse.times)).tolist()
-    data = {"trajectory": table}
+    # the one-atom rows, atom 0: every atom of the scenario holds them bit for bit
+    data = {"trajectory": _columns("acp_trajectory", coarse.to_csv_rows())}
     return SuiteReport("acp_5_1", records, data)
 
 
@@ -652,7 +648,7 @@ def run_scenario(
     payload = report_payload(scn.digest, effective.seed, reports)
     target = resolve_out_dir(out_dir, scn)
     os.makedirs(target, exist_ok=True)
-    write_json(os.path.join(target, "report.json"), payload)
+    report_bytes = write_json(os.path.join(target, "report.json"), payload)
     for rep in reports:
         write_csv(
             os.path.join(target, f"{rep.suite}.csv"),
@@ -663,6 +659,7 @@ def run_scenario(
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "suites": list(requested),
         "wall_times": timings,
+        "report_bytes": report_bytes,
     }
     write_json(os.path.join(target, "meta.json"), meta)
     return payload, payload["passed"], target

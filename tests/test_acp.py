@@ -28,7 +28,9 @@ from rnsl import (
 from rnsl.acp import _trajectory
 from rnsl.instances import random_commuting_pair, rng_for
 from rnsl.rn import block_norms
-from rnsl.suites import _scalar_reference
+from rnsl.reporting import write_json
+from rnsl.scenario import scenario_from_dict
+from rnsl.suites import SUITES, _columns, _scalar_reference
 
 
 def scalar_contraction(space, rate=-1.0, c=1.0):
@@ -410,7 +412,7 @@ class TestAtomConstantReference:
     That is sound because the problem is the same on every atom: on any
     space, every atom holds the one-atom states, residuals and graph norms
     bit for bit, so each record's largest gap over the atoms is the one-atom
-    gap, and the trajectory table repeats the one-atom rows.
+    gap, and the trajectory table holds the one-atom rows once, as atom 0.
     """
 
     @pytest.mark.parametrize("space", [make_space([0.1, 0.2, 0.3, 0.4]), make_space(np.full(64, 1.0 / 64))])
@@ -422,3 +424,25 @@ class TestAtomConstantReference:
                 want, got = getattr(one, name), getattr(many, name)
                 assert got.shape[1] == space.n_atoms
                 np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+
+    @pytest.mark.parametrize("atoms", [1, 4, 64])
+    def test_the_table_holds_the_one_atom_rows_once(self, atoms, tmp_path):
+        doc = {
+            "space": {"probs": [1.0 / atoms] * atoms},
+            "dim": 2,
+            "operators": {"A": {"matrix": [[-1.0, 0.0], [0.0, -0.5]]}, "C": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+            "bound": {"M": 1.0, "xi": -0.5},
+            "suites": ["acp_5_1"],
+            "seed": 0,
+            "instances": 2,
+        }
+        data = SUITES["acp_5_1"](scenario_from_dict(doc)).data
+        coarse = _scalar_reference(make_space([1.0]))[0]
+        one_atom = {"trajectory": _columns("acp_trajectory", coarse.to_csv_rows())}
+        table = data["trajectory"]
+        assert len(table["t"]) == 21 and table["atom"] == [0] * 21
+        # the same bytes whatever the atom count
+        for name, written in (("got", data), ("want", one_atom)):
+            write_json(str(tmp_path / name), written)
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+

@@ -207,6 +207,13 @@ class TestCliRun:
         assert os.path.exists(os.path.join(out, "semigroup_law.csv"))
         assert os.path.exists(os.path.join(out, "meta.json"))
 
+    def test_meta_records_the_report_bytes(self, tmp_path):
+        payload, passed, target = run_scenario(scenario_from_dict(passing_doc()), out_dir=str(tmp_path / "o"))
+        report = os.path.join(target, "report.json")
+        meta = json.load(open(os.path.join(target, "meta.json")))
+        assert meta["report_bytes"] == os.path.getsize(report)
+        assert b"report_bytes" not in open(report, "rb").read()
+
     def test_failing_scenario_exit_one(self, tmp_path):
         path = write_doc(tmp_path, failing_doc())
         out = str(tmp_path / "out")
@@ -369,6 +376,16 @@ class TestCliPlot:
             rows = list(csv.reader(open(target, newline="")))
             assert len(rows) >= 2
             assert rows[0] == headers[kind]
+
+    def test_acp_trajectory_on_64_atoms_is_the_one_atom_table(self, tmp_path):
+        doc = passing_doc(suites=["acp_5_1"], instances=2, space={"probs": [1.0 / 64] * 64})
+        path, out = write_doc(tmp_path, doc), str(tmp_path / "out")
+        assert cli_main(["run", path, "--out", out]) == 0
+        target = str(tmp_path / "acp.csv")
+        assert cli_main(["plot", os.path.join(out, "report.json"), "--kind", "acp_trajectory", "--out", target]) == 0
+        rows = list(csv.reader(open(target, newline="")))
+        assert rows[0] == ["t", "atom", "component", "u", "residual", "graph_norm"]
+        assert len(rows) == 22 and {r[1] for r in rows[1:]} == {"0"}
 
     def test_emit_plot_data_python_api(self, tmp_path):
         scn = scenario_from_dict(passing_doc(suites=["yosida_convergence"]))

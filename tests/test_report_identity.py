@@ -10,10 +10,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_tool(capsys, parent: Path, change: Path):
+def load_tool():
     spec = importlib.util.spec_from_file_location("report_identity", ROOT / "tools" / "report_identity.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def run_tool(capsys, parent: Path, change: Path):
+    tool = load_tool()
     code = tool.main(["--tree", f"parent={parent}", "--tree", f"change={change}"])
     return code, json.loads(capsys.readouterr().out)
 
@@ -25,6 +30,8 @@ def test_a_tree_against_itself_is_identical(capsys):
     assert all(
         row["identical"] and row["first_diff"] is None and row["moved"] is None for row in out["runs"]
     )
+    assert all(row["bytes"]["parent"] == row["bytes"]["change"] > 0 for row in out["runs"])
+    assert all(row["data_suites"] == [] for row in out["runs"])
     failing = [row["run"] for row in out["runs"] if row["exit"] != {"parent": 0, "change": 0}]
     assert failing == ["bad_certificate"]
     assert out["runs"][2]["exit"] == {"parent": 1, "change": 1}
@@ -56,10 +63,46 @@ def test_a_changed_tolerance_names_the_runs_it_moves(capsys, tmp_path):
             assert row["identical"] and row["first_diff"] is None and row["moved"] is None
 
 
+def test_a_data_only_change_names_its_suite(capsys, tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    suites = changed / "rnsl" / "suites.py"
+    text = suites.read_text(encoding="utf-8")
+    table = '_columns("acp_trajectory", coarse.to_csv_rows())'
+    assert text.count(table) == 1
+    # the 41-point run in place of the 21-point one: a longer table, the same records
+    suites.write_text(text.replace(table, table.replace("coarse", "fine")), encoding="utf-8")
+    code, out = run_tool(capsys, SRC, changed)
+    assert code == 1
+    moved = ["reference"] + [f"wide_semigroup/{seed}/acp_5_1" for seed in (0, 1, 13)]
+    assert out["differing"] == moved
+    for row in out["runs"]:
+        if row["run"] in moved:
+            assert not row["identical"] and row["exit"]["parent"] == row["exit"]["change"]
+            assert row["bytes"]["parent"] < row["bytes"]["change"]
+            assert row["first_diff"] is None
+            assert row["data_suites"] == ["acp_5_1"]
+            assert row["moved"] == {"records": 0, "max_abs": 0.0, "max_rel": 0.0, "verdicts": []}
+        else:
+            assert row["identical"] and row["data_suites"] == []
+            assert row["bytes"]["parent"] == row["bytes"]["change"]
+
+
+def test_data_suites_pair_suites_by_name():
+    tool = load_tool()
+
+    def report(**data):
+        return {"suites": [{"suite": name, "records": [], "data": d} for name, d in data.items()]}
+
+    old = report(a={"x": [1.0, math.nan]}, b={"y": [2.0]}, c={})
+    assert tool.data_suites(old, old) == []
+    new = report(c={}, b={"y": [2.5]}, a={"x": [1.0, math.nan]}, d={"z": []})
+    assert tool.data_suites(old, new) == ["b", "d"]
+    assert tool.data_suites(new, report(a={"x": [1.0, math.nan]})) == ["c", "b", "d"]
+
+
 def test_moves_measure_each_changed_record():
-    spec = importlib.util.spec_from_file_location("report_identity", ROOT / "tools" / "report_identity.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
 
     def report(*records):
         return {"suites": [{"suite": "s", "records": [

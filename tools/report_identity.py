@@ -16,13 +16,15 @@ benchmark makes them.  Each tree runs in a fresh worker process, since two
 ``rnsl.cli.main``.
 
 The result, written to stdout, is one JSON object: per run, both exit
-codes, whether the two ``report.json`` files have equal bytes, and, where
-they differ, the first line of the second tree's ``rnsl diff`` and how far
-the values moved: the number of records whose ``measured`` or ``bound``
-changed, the largest absolute and relative change among them, each record
-whose ``passed`` or ``worst_atom`` changed, and each record that only one
-report holds; records are matched by suite and name.  The exit code is 1
-when any run differs in its bytes or its exit code, else 0.
+codes, both ``report.json`` byte counts, whether the two files have equal
+bytes, and, where they differ, the first line of the second tree's ``rnsl
+diff``, the suites whose ``data`` differ (which ``rnsl diff`` does not
+compare) and how far the values moved: the number of records whose
+``measured`` or ``bound`` changed, the largest absolute and relative change
+among them, each record whose ``passed`` or ``worst_atom`` changed, and each
+record that only one report holds; suites are matched by name and records
+by suite and name.  The exit code is 1 when any run differs in its bytes or
+its exit code, else 0.
 """
 
 from __future__ import annotations
@@ -148,6 +150,19 @@ def moves(old: dict, new: dict) -> dict:
     return {"records": changed, "max_abs": largest_abs, "max_rel": largest_rel, "verdicts": verdicts}
 
 
+def data_suites(old: dict, new: dict) -> list[str]:
+    """The suites whose ``data`` differ between two reports, matched by name.
+
+    A suite that only one report holds counts as differing.
+    """
+    # compared as JSON text, so that a NaN matches itself
+    before, after = (
+        {s["suite"]: json.dumps(s.get("data"), sort_keys=True) for s in report["suites"]}
+        for report in (old, new)
+    )
+    return [name for name in {**before, **after} if before.get(name) != after.get(name)]
+
+
 def identity(trees: dict[str, str]) -> dict:
     base, change = labels = list(trees)
     with tempfile.TemporaryDirectory(prefix="report-identity-") as tmp:
@@ -167,15 +182,20 @@ def identity(trees: dict[str, str]) -> dict:
         rows = []
         for run in runs:
             name = run["name"]
-            old, new = (work / label / name / "report.json" for label in labels)
-            identical = _read(old) == _read(new)
+            paths = [work / label / name / "report.json" for label in labels]
+            blobs = [_read(p) for p in paths]
+            identical = blobs[0] == blobs[1]
             exits = {label: codes[label][name] for label in labels}
+            sizes = {label: None if b is None else len(b) for label, b in zip(labels, blobs)}
             first = moved = None
-            if not identical and old.is_file() and new.is_file():
-                first = _first_diff(trees[change], old, new)
-                moved = moves(*(json.loads(p.read_text(encoding="utf-8")) for p in (old, new)))
+            data = [] if identical else None
+            if not identical and None not in blobs:
+                first = _first_diff(trees[change], *paths)
+                reports = [json.loads(b) for b in blobs]
+                moved, data = moves(*reports), data_suites(*reports)
             rows.append({
-                "run": name, "exit": exits, "identical": identical, "first_diff": first, "moved": moved,
+                "run": name, "exit": exits, "bytes": sizes, "identical": identical,
+                "first_diff": first, "data_suites": data, "moved": moved,
             })
     differing = [r["run"] for r in rows if not r["identical"] or r["exit"][base] != r["exit"][change]]
     return {"trees": trees, "runs": rows, "differing": differing}
